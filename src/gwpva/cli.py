@@ -202,7 +202,7 @@ def cmd_time_bounds(args) -> int:
     if args.curves:
         lines = ["t,upper,lower"]
         for t, u, lo in zip(res.times, res.upper_curve, res.lower_curve):
-            lines.append(f"{int(t)},{u!r},{lo!r}")
+            lines.append(f"{int(t)},{float(u)!r},{float(lo)!r}")
         Path(args.curves).write_text("\n".join(lines) + "\n")
     tp = "open-ended" if res.t_plus is None else str(res.t_plus)
     print(f"extinction time in ({res.t_minus}, {tp}] with probability "

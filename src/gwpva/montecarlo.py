@@ -41,7 +41,8 @@ __all__ = [
 DEFAULT_N_PREC = 2500
 _EIG_TOL = 1e-13
 _EIG_SHIFT = 1e-12
-_FP_TOL = 1e-14
+_FP_WARMUP = 32
+_FP_NEWTON_ITERS = 60
 _FP_RESIDUAL_OK = 1e-9
 
 
@@ -50,6 +51,64 @@ def error_bound(n_prec: int) -> float:
     if n_prec < 1:
         raise ValueError("n_prec must be >= 1")
     return 1.0 / (4.0 * np.sqrt(n_prec))
+
+
+def _horner(d: np.ndarray, x: np.ndarray, derivative: bool = False):
+    """Row-wise polynomial sum_k d[:, k] x^k and, if asked, its derivative.
+
+    Horner's rule uses elementwise arithmetic only, so each row's value is
+    bit-identical whatever the other rows are."""
+    p = d[:, -1].copy()
+    dp = np.zeros_like(x)
+    for k in range(d.shape[1] - 2, -1, -1):
+        if derivative:
+            dp = dp * x + p
+        p = p * x + d[:, k]
+    return p, dp
+
+
+def _pgf(laws: dict, s: np.ndarray) -> np.ndarray:
+    """phi applied draw-wise: s is (n, K) in [0,1]^K and ``laws`` maps each
+    pair to the (n, kappa+1) law rows of those n draws."""
+    out = np.ones_like(s)
+    for (i, j), d in laws.items():
+        out[:, i - 1] *= _horner(d, s[:, j - 1])[0]
+    return out
+
+
+def _pgf_jacobian(laws: dict, s: np.ndarray) -> np.ndarray:
+    """d phi_i / d s_j draw-wise, using phi_i(s) = prod_j g_ij(s_j)."""
+    n, K = s.shape
+    g = {(i, j): _horner(d, s[:, j - 1], derivative=True)
+         for (i, j), d in laws.items()}
+    J = np.zeros((n, K, K))
+    for (i, j), (_, dg) in g.items():
+        col = dg.copy()
+        for (i2, j2), (g2, _) in g.items():
+            if i2 == i and j2 != j:
+                col *= g2
+        J[:, i - 1, j - 1] = col
+    return J
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A[r] x[r] = b[r] per row, plus a mask of the rows solved.
+
+    A singular row leaves only itself unsolved (its x is NaN), so the other
+    rows get the same answer as in a batch without it."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full_like(b, np.nan)
+    solved = np.zeros(len(b), dtype=bool)
+    for r in range(len(b)):
+        try:
+            x[r] = np.linalg.solve(A[r:r + 1], b[r:r + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            continue
+        solved[r] = True
+    return x, solved
 
 
 @dataclass(frozen=True)
@@ -207,69 +266,70 @@ class PosteriorEnsemble:
     def left_vectors(self) -> np.ndarray:
         return self._eigen[1]
 
-    def _pgf(self, s: np.ndarray) -> np.ndarray:
-        """phi applied draw-wise: s is (n, K) in [0,1]^K."""
-        out = np.ones_like(s)
-        for (i, j), d in self._laws.items():
-            powers = s[:, j - 1][:, None] ** np.arange(d.shape[1])
-            out[:, i - 1] *= (d * powers).sum(axis=1)
-        return out
-
-    def _pgf_jacobian(self, s: np.ndarray) -> np.ndarray:
-        n, K = s.shape
-        g = np.ones((n, K, K))
-        dg = np.zeros((n, K, K))
-        for (i, j), d in self._laws.items():
-            kap = d.shape[1] - 1
-            powers = s[:, j - 1][:, None] ** np.arange(kap + 1)
-            g[:, i - 1, j - 1] = (d * powers).sum(axis=1)
-            if kap >= 1:
-                dpow = np.arange(1, kap + 1) * s[:, j - 1][:, None] ** np.arange(kap)
-                dg[:, i - 1, j - 1] = (d[:, 1:] * dpow).sum(axis=1)
-        J = np.empty((n, K, K))
-        for j in range(K):
-            others = np.prod(np.delete(g, j, axis=2), axis=2)
-            J[:, :, j] = dg[:, :, j] * others
-        return J
-
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
-        """Minimal pgf fixed point per draw, plus a per-draw failure mask."""
+        """Minimal pgf fixed point per draw, plus a per-draw failure mask.
+
+        Each draw is solved on its own, in three stages, so its answer does
+        not depend on n_prec or on which other draws share the batch:
+
+        1. Short-circuit: a draw whose types can all die childless
+           (min phi(0) > 0) and whose lambda <= 1 + 1e-12 is certainly
+           extinct, so s = 1 exactly (the rule of
+           ``extinction.minimal_fixed_point``).
+        2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
+           remaining draws. The iterates stay below the minimal root with
+           phi(s) - s >= 0.
+        3. Newton: damped Newton steps on an active set of draws. A step is
+           accepted only if the residual does not increase and
+           phi(s) - s >= -1e-12 stays true, which pins the iterate below the
+           minimal root, so the solve cannot jump to the trivial root 1
+           (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A draw
+           leaves the set when its residual falls below 1e-15, when its
+           Jacobian is singular, or when every damping of its step is
+           rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
+
+        A draw whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged
+        as failed."""
         n, K = self.n_prec, self.K
         s = np.zeros((n, K))
-        for _ in range(3000):
-            s_new = self._pgf(s)
-            step = np.abs(s_new - s).max()
-            s = s_new
-            if step < _FP_TOL:
-                break
-        # Newton polish for near-critical draws. Monotone iterates approach
-        # the minimal root from below, where phi(s) - s >= 0; a step is
-        # accepted (with damping) only while it stays in that region, so the
-        # polish cannot jump past the minimal root to the trivial root 1.
+        certain = (_pgf(self._laws, s).min(axis=1) > 0.0) \
+            & (self.lambdas <= 1.0 + 1e-12)
+        s[certain] = 1.0
+        rows = np.flatnonzero(~certain)
+        laws = {pair: d[rows] for pair, d in self._laws.items()}
+        x = s[rows]
+        for _ in range(_FP_WARMUP):
+            x = _pgf(laws, x)
+        f = _pgf(laws, x) - x
+        live = np.abs(f).max(axis=1) >= 1e-15
         eye = np.eye(K)
-        for _ in range(60):
-            f = self._pgf(s) - s
+        for _ in range(_FP_NEWTON_ITERS):
+            if not live.all():
+                s[rows[~live]] = x[~live]
+                rows, x, f = rows[live], x[live], f[live]
+                laws = {pair: d[live] for pair, d in laws.items()}
+            if not len(rows):
+                break
             worst = np.abs(f).max(axis=1)
-            if worst.max() < 1e-15:
-                break
-            J = self._pgf_jacobian(s) - eye
-            try:
-                delta = np.linalg.solve(J, -f[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                break
-            accepted = np.zeros(n, dtype=bool)
+            delta, solved = _solve_rows(_pgf_jacobian(laws, x) - eye, -f)
+            accepted = np.zeros(len(rows), dtype=bool)
+            pend = np.flatnonzero(solved)
             for _halving in range(6):
-                s_try = np.clip(s + np.where(accepted[:, None], 0.0, delta), 0.0, 1.0)
-                f_try = self._pgf(s_try) - s_try
-                ok = (~accepted) & (np.abs(f_try).max(axis=1) <= worst) \
-                    & (f_try.min(axis=1) >= -1e-12)
-                s = np.where(ok[:, None], s_try, s)
-                accepted |= ok
-                if accepted.all():
+                if not len(pend):
                     break
-                delta = delta * 0.5
-        residual = np.abs(self._pgf(s) - s).max(axis=1)
+                x_try = np.clip(x[pend] + delta[pend], 0.0, 1.0)
+                f_try = _pgf({pair: d[pend] for pair, d in laws.items()}, x_try) - x_try
+                ok = (np.abs(f_try).max(axis=1) <= worst[pend]) \
+                    & (f_try.min(axis=1) >= -1e-12)
+                x[pend[ok]] = x_try[ok]
+                f[pend[ok]] = f_try[ok]
+                accepted[pend[ok]] = True
+                pend = pend[~ok]
+                delta[pend] *= 0.5
+            live = accepted & (np.abs(f).max(axis=1) >= 1e-15)
+        s[rows] = x
+        residual = np.abs(_pgf(self._laws, s) - s).max(axis=1)
         return np.clip(s, 0.0, 1.0), residual > _FP_RESIDUAL_OK
 
     @property

@@ -82,6 +82,22 @@ def test_time_bounds_and_curves(synthetic_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_time_bounds_curves_cells_are_plain_floats(synthetic_files, tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    assert main(["time-bounds", "--posterior", str(synthetic_files["posterior"]),
+                 "--pop", "22", "--seed", "3", "--nprec", "300",
+                 "--curves", str(curves)]) == 0
+    post, _ = g.posterior_from_document(
+        json.loads(synthetic_files["posterior"].read_text()))
+    res = g.mc_time_bounds(post, (22,), n_prec=300, master_seed=3)
+    _, *rows = curves.read_text().splitlines()
+    assert len(rows) == len(res.times)
+    for row, t, u, lo in zip(rows, res.times, res.upper_curve, res.lower_curve):
+        cells = row.split(",")
+        assert [float(c) for c in cells] == [t, u, lo]  # round-trips exactly
+    capsys.readouterr()
+
+
 def test_predict_matches_library(synthetic_files, tmp_path, capsys):
     out = tmp_path / "pred.json"
     assert main(["predict", "--posterior", str(synthetic_files["posterior"]),

@@ -111,3 +111,56 @@ def test_rerun_with_new_seed_within_error_bound(synthetic_posterior):
     a = g.mc_viability_probability(synthetic_posterior, n_prec=400, master_seed=1)
     b = g.mc_viability_probability(synthetic_posterior, n_prec=400, master_seed=2)
     assert abs(a.value - b.value) <= 6 * g.error_bound(400)
+
+
+def _near_critical_posterior(rng, K, concentration):
+    """Random K-type posterior centred on a critical law (Perron root 1).
+
+    The pattern holds the cycle i -> i+1 plus random extra pairs, caps are
+    1..4, and a random supercritical base law is mixed with a point mass at
+    zero so that its mean matrix has spectral radius one. A larger
+    concentration puts more draws near lambda = 1."""
+    pairs = {(i, i % K + 1) for i in range(1, K + 1)}
+    pairs |= {(i, j) for i in range(1, K + 1) for j in range(1, K + 1)
+              if rng.random() < 0.4}
+    caps = {pair: int(rng.integers(1, 5)) for pair in sorted(pairs)}
+    while True:
+        base = {pair: rng.dirichlet(np.ones(c + 1)) for pair, c in caps.items()}
+        M = np.zeros((K, K))
+        for (i, j), p in base.items():
+            M[i - 1, j - 1] = p @ np.arange(len(p))
+        lam = float(np.abs(np.linalg.eigvals(M)).max())
+        if lam > 1.0:
+            break
+    t = 1.0 - 1.0 / lam
+    alpha = {}
+    for pair, p in base.items():
+        mixed = (1.0 - t) * p
+        mixed[0] += t
+        alpha[pair] = concentration * mixed + 1e-3
+    return g.PosteriorParams(g.OffspringCap(K, caps), alpha)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_batched_fixed_point_matches_single_draw_oracle(K):
+    rng = np.random.default_rng(100 + K)
+    n_near = 0
+    for concentration in (30.0, 3000.0):
+        post = _near_critical_posterior(rng, K, concentration)
+        ens = PosteriorEnsemble(post, n_prec=60, master_seed=K)
+        s, lam = ens.extinction_profiles, ens.lambdas
+        assert not ens.fixed_point_failures.any()
+        assert np.all(s[lam <= 1.0] == 1.0)
+        n_near += int(np.sum(np.abs(lam - 1.0) < 1e-2))
+        for r in range(ens.n_prec):
+            draw = g.sample_parameter_draw(post, SeedSpec(K, r))
+            oracle = g.minimal_fixed_point(draw)
+            assert oracle.converged
+            np.testing.assert_allclose(s[r], oracle.s, rtol=0, atol=1e-9)
+    assert n_near >= 10  # the near-critical regime is exercised
+
+
+def test_extinction_profiles_independent_of_batch(bear_posterior):
+    small = PosteriorEnsemble(bear_posterior, n_prec=37, master_seed=5)
+    large = PosteriorEnsemble(bear_posterior, n_prec=1200, master_seed=5)
+    assert np.array_equal(small.extinction_profiles, large.extinction_profiles[:37])

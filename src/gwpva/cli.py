@@ -93,8 +93,7 @@ def _parse_pop(text: str, K: int) -> PopulationState:
 
 def _provenance(args, **digests) -> dict:
     prov = {"format_version": FORMAT_VERSION, "tool_version": __version__}
-    for name in ("seed", "nprec", "alpha", "level", "threshold", "horizon", "reps",
-                 "workers"):
+    for name in ("seed", "nprec", "alpha", "level", "threshold", "horizon", "reps"):
         if hasattr(args, name.replace("-", "_")):
             prov[name] = getattr(args, name.replace("-", "_"))
     prov.update(digests)
@@ -156,8 +155,7 @@ def cmd_fit(args) -> int:
 
 def cmd_viability(args) -> int:
     post, digest = _load_posterior(args.posterior)
-    est = mc_viability_probability(post, n_prec=args.nprec, master_seed=args.seed,
-                                   workers=args.workers)
+    est = mc_viability_probability(post, n_prec=args.nprec, master_seed=args.seed)
     doc = {"quantity": "viability_probability", "value": est.value,
            "std_error": est.std_error, "error_bound": est.error_bound,
            "n_prec": est.n_prec, "n_used": est.n_used, "warnings": est.warnings,
@@ -175,7 +173,7 @@ def cmd_extinction(args) -> int:
     post, digest = _load_posterior(args.posterior)
     pop = _parse_pop(args.pop, post.K)
     est = mc_extinction_probability(post, pop, n_prec=args.nprec,
-                                    master_seed=args.seed, workers=args.workers)
+                                    master_seed=args.seed)
     doc = {"quantity": "extinction_probability", "population": list(pop.N),
            "value": est.value, "std_error": est.std_error,
            "error_bound": est.error_bound, "n_prec": est.n_prec,
@@ -193,7 +191,7 @@ def cmd_time_bounds(args) -> int:
     post, digest = _load_posterior(args.posterior)
     pop = _parse_pop(args.pop, post.K)
     res = mc_time_bounds(post, pop, alpha=args.alpha, n_prec=args.nprec,
-                         master_seed=args.seed, workers=args.workers)
+                         master_seed=args.seed)
     doc = {"quantity": "extinction_time_bounds", "population": list(pop.N),
            "alpha": res.alpha, "t_minus": res.t_minus, "t_plus": res.t_plus,
            "n_prec": res.n_prec, "n_used": res.n_used, "warnings": res.warnings,
@@ -214,8 +212,7 @@ def cmd_time_bounds(args) -> int:
 
 def cmd_reintroduce(args) -> int:
     post, digest = _load_posterior(args.posterior)
-    ens = PosteriorEnsemble(post, n_prec=args.nprec, master_seed=args.seed,
-                            workers=args.workers)
+    ens = PosteriorEnsemble(post, n_prec=args.nprec, master_seed=args.seed)
     summary = mc_reintroduction(post, ensemble=ens)
     eff = effective_population_size(post, args.type, threshold=args.threshold,
                                     ensemble=ens)
@@ -252,8 +249,7 @@ def cmd_predict(args) -> int:
     post, digest = _load_posterior(args.posterior)
     pop = _parse_pop(args.pop, post.K)
     curve = mc_short_time_abundance(post, pop, horizon=args.horizon,
-                                    n_prec=args.nprec, master_seed=args.seed,
-                                    workers=args.workers)
+                                    n_prec=args.nprec, master_seed=args.seed)
     doc = {"quantity": "abundance_forecast", "population": list(pop.N),
            "horizon": args.horizon,
            "curve": [{"t": t, "mean": [float(x) for x in est.value],
@@ -386,8 +382,6 @@ def _add_mc_flags(p, pop: bool = True):
                        help="comma-separated abundance per type, e.g. 2,2,2,2,10")
     p.add_argument("--nprec", type=int, default=2500, help="Monte Carlo replicates")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--workers", type=int, default=1, help="worker count "
-                   "(results are identical for any value)")
     p.add_argument("--out", help="write full machine-readable record (JSON)")
 
 

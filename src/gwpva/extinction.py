@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ParameterDraw, PopulationState, _is_categorical
-from .spectral import SpectralTriple
+from .spectral import SpectralTriple, mean_matrix, perron_batch
 
 __all__ = [
     "ExtinctionProfile",
@@ -123,12 +123,13 @@ def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
     phi(s) - s stays nonnegative, which pins the iterate below the minimal
     root and prevents jumping to the trivial root at 1. Non-convergence is
     reported in the profile, never raised.
+
+    This scalar solver is kept as the independent oracle that the tests
+    check the batched solver of ``PosteriorEnsemble`` against.
     """
     K = draw.K
     if float(generating_function(draw, np.zeros(K)).min()) > 0.0:
-        from .spectral import mean_matrix, perron_triple
-        M = mean_matrix(draw)
-        lam = perron_triple(M).lam if M.any() else 0.0
+        lam = perron_batch(mean_matrix(draw)[None])[0][0]
         if lam <= 1.0 + 1e-12:
             ones = np.ones(K)
             residual = float(np.abs(generating_function(draw, ones) - ones).max())
@@ -177,59 +178,73 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
     return float(np.prod(s ** N))
 
 
-def _second_moment_column(draw: ParameterDraw, M: np.ndarray, j: int) -> float:
-    """sup_i sum_{k>=1} (k^2 - M_ij^2) p_ij(k) over parent types i."""
-    best = 0.0
-    for i in range(1, draw.K + 1):
-        law = draw.p.get((i, j))
-        if law is None:
-            continue
-        if _is_categorical(law):
-            v = np.asarray(law, dtype=float)
-            ks = np.arange(len(v), dtype=float)
-            val = float(((ks[1:] ** 2 - M[i - 1, j - 1] ** 2) * v[1:]).sum())
-        else:
-            val = float(law.second_moment() - M[i - 1, j - 1] ** 2 * (1 - law.pgf(0.0)))
-        best = max(best, val)
-    return best
+def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, v: np.ndarray,
+                     N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-draw xi (see ``SurvivalBounds``) and the constants of
+    upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam, 0, 1).
+
+    The n draws are given by ``laws`` (each pair's (n, kappa+1) categorical
+    law rows), their mean matrices M (n, K, K), Perron roots lam (n,) and
+    left eigenvectors v (n, K), at any positive scale; N is the (K,)
+    population. cL is 0 where xi <= 0.
+    """
+    n, K = v.shape
+    col_sup = np.zeros((n, K))
+    seen = np.zeros((n, K), dtype=bool)
+    for (i, j), d in laws.items():
+        ks = np.arange(d.shape[1], dtype=float)
+        val = d[:, 1:] @ (ks[1:] ** 2) - M[:, i - 1, j - 1] ** 2 * (1 - d[:, 0])
+        col = j - 1
+        col_sup[:, col] = np.where(seen[:, col], np.maximum(col_sup[:, col], val), val)
+        seen[:, col] = True
+    vmin = v.min(axis=1)
+    vmax = v.max(axis=1)
+    xi = np.sum(np.where(seen, (v ** 2 / vmin[:, None]) * col_sup, 0.0), axis=1)
+    w = v @ N
+    pos = xi > 0
+    cU = w / vmin
+    cL = np.where(pos, (vmax / vmin) ** 2 * (1 - lam) / np.where(pos, xi, 1.0) * w, 0.0)
+    return xi, cU, cL
 
 
 def survival_bounds(draw: ParameterDraw, triple: SpectralTriple,
-                    population: PopulationState | Sequence[int],
-                    M: np.ndarray | None = None) -> SurvivalBounds:
-    """Upper and lower bounds on the survival curve of a subcritical draw."""
+                    population: PopulationState | Sequence[int]) -> SurvivalBounds:
+    """Upper and lower bounds on the survival curve of a subcritical draw.
+
+    The constants come from ``_bound_constants`` on the draw alone. Only
+    categorical laws are supported: a draw holding any other law (such as
+    a ``PoissonLaw``) raises ValueError naming its pair.
+    """
     if triple.lam >= 1:
         raise ValueError(f"survival bounds require lambda < 1, got {triple.lam}")
-    if M is None:
-        from .spectral import mean_matrix
-        M = mean_matrix(draw)
+    laws = {}
+    for pair, law in draw.p.items():
+        if not _is_categorical(law):
+            raise ValueError(f"survival bounds need categorical laws; pair {pair} "
+                             f"holds a {type(law).__name__}")
+        laws[pair] = np.asarray(law, dtype=float)[None]
     N = np.asarray(population.N if isinstance(population, PopulationState) else population,
                    dtype=float)
     v = triple.v
     vmin, vmax = float(v.min()), float(v.max())
     if vmin <= 0:
         raise ValueError("left eigenvector must be strictly positive (irreducible M)")
-    w = float(v @ N)
     lam = triple.lam
-    xi = sum((v[j - 1] ** 2 / vmin) * _second_moment_column(draw, M, j)
-             for j in range(1, draw.K + 1))
+    xi, cU, cL = (float(x[0]) for x in
+                  _bound_constants(laws, mean_matrix(draw)[None], np.array([lam]), v[None], N))
+    w = float(v @ N)
 
     def upper(t):
         t = np.asarray(t, dtype=float)
-        return np.minimum(1.0, (w / vmin) * lam ** t)
+        return np.minimum(1.0, cU * lam ** t)
 
-    if xi <= 0:
-        lower = None
-    else:
-        c = (vmax / vmin) ** 2 * (1 - lam) / xi * w
+    lower = lower_exact = None
+    if xi > 0:
+        r2 = (vmax / vmin) ** 2
 
         def lower(t):
             t = np.asarray(t, dtype=float)
-            return np.clip(c * lam ** (t + 1), 0.0, 1.0)
-
-    lower_exact = None
-    if xi > 0:
-        r2 = (vmax / vmin) ** 2
+            return np.clip(cL * lam ** t * lam, 0.0, 1.0)
 
         def lower_exact(t):
             # non-asymptotic second-moment (Paley-Zygmund style) bound whose
@@ -245,44 +260,50 @@ def survival_bounds(draw: ParameterDraw, triple: SpectralTriple,
                           upper=upper, lower=lower, lower_exact=lower_exact)
 
 
+def _bracket_scan(curves: Callable, alpha: float, horizon_cap: int):
+    """The bracket scan of ``extinction_time_bounds`` and ``mc_time_bounds``.
+
+    ``curves(ts)`` returns the (upper, lower) curves at the times ts and is
+    called on blocks of 512 times from t = 0. Returns (t_minus, t_plus,
+    times, upper_curve, lower_curve), the curves ending at t_plus (or at
+    ``horizon_cap`` when t_plus is None).
+    """
+    parts = []
+    t_plus = None
+    for t0 in range(0, horizon_cap + 1, 512):
+        ts = np.arange(t0, min(t0 + 512, horizon_cap + 1))
+        upper, lower = curves(ts)
+        hit = np.flatnonzero(upper <= alpha)
+        if len(hit):
+            t_plus, end = int(ts[hit[0]]), hit[0] + 1
+            parts.append((ts[:end], upper[:end], lower[:end]))
+            break
+        parts.append((ts, upper, lower))
+    times, upper_curve, lower_curve = (np.concatenate(x) for x in zip(*parts))
+    ok = np.flatnonzero(lower_curve >= 1 - alpha)
+    t_minus = int(times[ok[-1]]) if len(ok) else 0
+    return t_minus, t_plus, times, upper_curve, lower_curve
+
+
 def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float,
                            horizon_cap: int = 10 ** 6) -> TimeBounds:
-    """Bracket the extinction time from averaged survival-bound curves.
+    """Bracket the extinction time from survival-bound curves.
 
     ``t_plus`` is the smallest t with upper(t) <= alpha (None if not reached
-    within ``horizon_cap``); ``t_minus`` the largest t with
-    lower(t) >= 1 - alpha (0 if none), guaranteeing P(T_ext <= t_minus) <= alpha.
-    Both curves must be nonincreasing in t.
+    within ``horizon_cap``); ``t_minus`` the largest t <= t_plus with
+    lower(t) >= 1 - alpha (0 if none or if ``lower`` is None), guaranteeing
+    P(T_ext <= t_minus) <= alpha. Both curves must be nonincreasing in t.
     """
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
-    t_plus: int | None = None
-    t = 0
-    block = 256
-    while t <= horizon_cap:
-        ts = np.arange(t, min(t + block, horizon_cap + 1))
-        u = np.asarray(upper(ts), dtype=float)
-        hit = np.nonzero(u <= alpha)[0]
-        if len(hit):
-            t_plus = int(ts[hit[0]])
-            break
-        t += block
 
-    t_minus = 0
-    if lower is not None:
-        # lower is nonincreasing: scan until it drops below 1 - alpha
-        end = t_plus if t_plus is not None else horizon_cap
-        t = 0
-        while t <= end:
-            ts = np.arange(t, min(t + block, end + 1))
-            lo = np.asarray(lower(ts), dtype=float)
-            below = np.nonzero(lo < 1 - alpha)[0]
-            if len(below):
-                t_minus = int(ts[below[0]]) - 1 if ts[below[0]] > 0 else 0
-                break
-            t_minus = int(ts[-1])
-            t += block
-    return TimeBounds(t_minus=max(t_minus, 0), t_plus=t_plus, alpha=alpha)
+    def curves(ts):
+        u = np.asarray(upper(ts), dtype=float)
+        lo = np.zeros_like(u) if lower is None else np.asarray(lower(ts), dtype=float)
+        return u, lo
+
+    t_minus, t_plus, *_ = _bracket_scan(curves, alpha, horizon_cap)
+    return TimeBounds(t_minus=t_minus, t_plus=t_plus, alpha=alpha)
 
 
 def quasi_extinction_time(N0: float, threshold: float, rate: float) -> float:

@@ -7,22 +7,23 @@ draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
 Determinism: replicate r always uses the stream SeedSpec(master_seed, r),
-and reductions are fixed-order numpy sums over preallocated per-replicate
-arrays, so results are bit-identical for any worker count.
+per-draw quantities are computed row by row, and reductions are
+fixed-order numpy sums, so a rerun is bit-identical and the first n rows
+of an ensemble do not depend on how many draws follow them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .extinction import _bound_constants, _bracket_scan
 from .inference import HyperParams
 from .model import PopulationState
-from .sampling import SeedSpec
-from .spectral import is_primitive
+from .sampling import SeedSpec, _dirichlet
+from .spectral import is_primitive, perron_batch
 
 __all__ = [
     "MCEstimate",
@@ -39,8 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_N_PREC = 2500
-_EIG_TOL = 1e-13
-_EIG_SHIFT = 1e-12
 _FP_WARMUP = 32
 _FP_NEWTON_ITERS = 60
 _FP_RESIDUAL_OK = 1e-9
@@ -168,45 +167,26 @@ class PosteriorEnsemble:
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
-                 master_seed: int = 0, workers: int = 1):
+                 master_seed: int = 0):
         if n_prec < 1:
             raise ValueError("n_prec must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.params = params
         self.n_prec = int(n_prec)
         self.master_seed = int(master_seed)
-        self.workers = int(workers)
         self.pairs = sorted(params.alpha)
         self.K = params.K
         self._laws = self._sample_all()
 
     # ---- sampling -------------------------------------------------------
 
-    def _sample_range(self, out: dict, lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            rng = SeedSpec(self.master_seed, r).rng()
-            for pair in self.pairs:
-                a = np.asarray(self.params.alpha[pair], dtype=float)
-                g = rng.gamma(shape=a)
-                s = g.sum()
-                while s <= 0:
-                    g = rng.gamma(shape=a)
-                    s = g.sum()
-                out[pair][r] = g / s
-
     def _sample_all(self) -> dict:
-        out = {pair: np.empty((self.n_prec, len(self.params.alpha[pair])))
-               for pair in self.pairs}
-        if self.workers == 1:
-            self._sample_range(out, 0, self.n_prec)
-        else:
-            edges = np.linspace(0, self.n_prec, self.workers + 1).astype(int)
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futs = [pool.submit(self._sample_range, out, int(lo), int(hi))
-                        for lo, hi in zip(edges[:-1], edges[1:])]
-                for f in futs:
-                    f.result()
+        alphas = {pair: np.asarray(self.params.alpha[pair], dtype=float)
+                  for pair in self.pairs}
+        out = {pair: np.empty((self.n_prec, len(a))) for pair, a in alphas.items()}
+        for r in range(self.n_prec):
+            rng = SeedSpec(self.master_seed, r).rng()
+            for pair, a in alphas.items():
+                out[pair][r] = _dirichlet(a, rng)
         return out
 
     def law(self, pair) -> np.ndarray:
@@ -233,30 +213,9 @@ class PosteriorEnsemble:
         return not is_primitive(pattern)
 
     @cached_property
-    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dominant eigenvalue and left eigenvector per draw.
-
-        Shifted power iteration accelerated by normalized repeated squaring
-        (A^(2^60) collapses every draw onto its dominant eigenspace at once),
-        then a few plain power steps against A to wash out round-off."""
-        n, K = self.n_prec, self.K
-        A = self.mean_matrices + _EIG_SHIFT * np.eye(K)
-        B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
-        for _ in range(60):
-            B = B @ B
-            B /= np.abs(B).max(axis=(1, 2), keepdims=True)
-        u = B.sum(axis=2)
-        v = B.sum(axis=1)
-        u /= u.sum(axis=1, keepdims=True)
-        v /= v.sum(axis=1, keepdims=True)
-        for _ in range(8):
-            u = np.einsum("rij,rj->ri", A, u)
-            v = np.einsum("ri,rij->rj", v, A)
-            u /= u.sum(axis=1, keepdims=True)
-            v /= v.sum(axis=1, keepdims=True)
-        Au = np.einsum("rij,rj->ri", A, u)
-        lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - _EIG_SHIFT
-        return np.maximum(lam, 0.0), v
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dominant eigenvalue, right and left eigenvectors per draw."""
+        return perron_batch(self.mean_matrices)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -264,7 +223,7 @@ class PosteriorEnsemble:
 
     @property
     def left_vectors(self) -> np.ndarray:
-        return self._eigen[1]
+        return self._eigen[2]
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
@@ -347,18 +306,11 @@ def _as_abundance(population) -> np.ndarray:
     return np.asarray(population, dtype=float)
 
 
-def _ensemble(params, n_prec, master_seed, workers, ensemble):
-    if ensemble is not None:
-        return ensemble
-    return PosteriorEnsemble(params, n_prec=n_prec, master_seed=master_seed,
-                             workers=workers)
-
-
 def mc_viability_probability(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
-                             master_seed: int = 0, workers: int = 1,
+                             master_seed: int = 0,
                              ensemble: PosteriorEnsemble | None = None) -> MCEstimate:
     """Posterior probability that the population is viable (lambda > 1)."""
-    ens = _ensemble(params, n_prec, master_seed, workers, ensemble)
+    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     hits = (ens.lambdas > 1.0).astype(float)
     p = float(np.sum(hits) / ens.n_prec)
     se = float(np.sqrt(max(p * (1 - p), 0.0) / ens.n_prec))
@@ -370,10 +322,9 @@ def mc_viability_probability(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
 
 def mc_extinction_probability(params: HyperParams, population,
                               n_prec: int = DEFAULT_N_PREC, master_seed: int = 0,
-                              workers: int = 1,
                               ensemble: PosteriorEnsemble | None = None) -> MCEstimate:
     """Posterior mean of P(eventual extinction | parameters) for a population."""
-    ens = _ensemble(params, n_prec, master_seed, workers, ensemble)
+    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     N = _as_abundance(population)
     if N.shape != (ens.K,):
         raise ValueError(f"population must have {ens.K} types")
@@ -398,7 +349,6 @@ def mc_extinction_probability(params: HyperParams, population,
 
 def mc_short_time_abundance(params: HyperParams, initial, horizon: int,
                             n_prec: int = DEFAULT_N_PREC, master_seed: int = 0,
-                            workers: int = 1,
                             ensemble: PosteriorEnsemble | None = None) -> list[MCEstimate]:
     """Posterior-mean abundance path E[N(t)] for t = 0..horizon.
 
@@ -407,7 +357,7 @@ def mc_short_time_abundance(params: HyperParams, initial, horizon: int,
     the conditional mean is not included."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    ens = _ensemble(params, n_prec, master_seed, workers, ensemble)
+    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     N0 = _as_abundance(initial)
     if N0.shape != (ens.K,):
         raise ValueError(f"initial state must have {ens.K} types")
@@ -424,25 +374,9 @@ def mc_short_time_abundance(params: HyperParams, initial, horizon: int,
     return out
 
 
-def _xi_per_draw(ens: PosteriorEnsemble, v: np.ndarray) -> np.ndarray:
-    """Xi = sum_j (v_j^2 / min v) sup_i sum_{k>=1} (k^2 - M_ij^2) p_ij(k)."""
-    n, K = ens.n_prec, ens.K
-    M = ens.mean_matrices
-    col_sup = np.zeros((n, K))
-    seen = np.zeros((n, K), dtype=bool)
-    for (i, j), d in ens._laws.items():
-        ks = np.arange(d.shape[1], dtype=float)
-        val = d[:, 1:] @ (ks[1:] ** 2) - M[:, i - 1, j - 1] ** 2 * (1 - d[:, 0])
-        col = j - 1
-        col_sup[:, col] = np.where(seen[:, col], np.maximum(col_sup[:, col], val), val)
-        seen[:, col] = True
-    vmin = v.min(axis=1, keepdims=True)
-    return np.sum(np.where(seen, (v ** 2 / vmin) * col_sup, 0.0), axis=1)
-
-
 def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                    n_prec: int = DEFAULT_N_PREC, master_seed: int = 0,
-                   workers: int = 1, horizon_cap: int = 10 ** 6,
+                   horizon_cap: int = 10 ** 6,
                    ensemble: PosteriorEnsemble | None = None) -> TimeBoundsEstimate:
     """Extinction-time bracket from posterior-averaged survival bounds.
 
@@ -453,52 +387,28 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     last t with mean lower >= 1 - alpha."""
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
-    ens = _ensemble(params, n_prec, master_seed, workers, ensemble)
+    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     N = _as_abundance(population)
     if N.shape != (ens.K,):
         raise ValueError(f"population must have {ens.K} types")
-    lam, v = ens.lambdas, ens.left_vectors
+    lam = ens.lambdas
     sub = lam < 1.0
     n_used = int(np.sum(sub))
     if n_used == 0:
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
-    lam_s = lam[sub]
-    v_s = v[sub]
-    vmin = v_s.min(axis=1)
-    vmax = v_s.max(axis=1)
-    w = v_s @ N
-    xi = _xi_per_draw(ens, v)[sub]
-    pos = xi > 0
-    cU = w / vmin
-    cL = np.where(pos, (vmax / vmin) ** 2 * (1 - lam_s) / np.where(pos, xi, 1.0) * w, 0.0)
+    xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, ens.left_vectors, N)
+    lam_s, cU, cL = lam[sub], cU[sub], cL[sub]
 
-    block = 512
-    t_plus = None
-    times_list, ubar_list, lbar_list = [], [], []
-    t0 = 0
-    while t0 <= horizon_cap:
-        ts = np.arange(t0, min(t0 + block, horizon_cap + 1))
+    def curves(ts):
         pw = lam_s[:, None] ** ts[None, :]
         ubar = np.sum(np.minimum(1.0, cU[:, None] * pw), axis=0) / n_used
         lbar = np.sum(np.clip(cL[:, None] * pw * lam_s[:, None], 0.0, 1.0), axis=0) / n_used
-        times_list.append(ts)
-        ubar_list.append(ubar)
-        lbar_list.append(lbar)
-        hit = np.nonzero(ubar <= alpha)[0]
-        if len(hit):
-            t_plus = int(ts[hit[0]])
-            break
-        t0 += block
-    times = np.concatenate(times_list)
-    upper_curve = np.concatenate(ubar_list)
-    lower_curve = np.concatenate(lbar_list)
-    keep = times <= (t_plus if t_plus is not None else horizon_cap)
-    times, upper_curve, lower_curve = times[keep], upper_curve[keep], lower_curve[keep]
+        return ubar, lbar
 
-    ok = np.nonzero(lower_curve >= 1 - alpha)[0]
-    t_minus = int(times[ok[-1]]) if len(ok) else 0
+    t_minus, t_plus, times, upper_curve, lower_curve = _bracket_scan(curves, alpha,
+                                                                     horizon_cap)
     warnings = {"supercritical-draws": int(ens.n_prec - n_used),
-                "degenerate-xi": int(np.sum(~pos)),
+                "degenerate-xi": int(np.sum(~(xi[sub] > 0))),
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
                               times=times, upper_curve=upper_curve,
@@ -508,14 +418,14 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
 
 
 def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
-                      master_seed: int = 0, workers: int = 1, bins: int = 100,
+                      master_seed: int = 0, bins: int = 100,
                       ensemble: PosteriorEnsemble | None = None) -> ReintroductionSummary:
     """Posterior distribution of per-founder extinction probabilities.
 
     s_i is the probability that the line of one type-i founder dies out;
     its posterior spread tells a planner which founder types make a
     reintroduction robust."""
-    ens = _ensemble(params, n_prec, master_seed, workers, ensemble)
+    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     s = ens.extinction_profiles
     bad = ens.fixed_point_failures
     good = s[~bad]
@@ -538,14 +448,14 @@ def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
 def effective_population_size(params: HyperParams, type_index: int,
                               threshold: float = 0.05,
                               n_prec: int = DEFAULT_N_PREC, master_seed: int = 0,
-                              workers: int = 1, max_founders: int = 10 ** 6,
+                              max_founders: int = 10 ** 6,
                               ensemble: PosteriorEnsemble | None = None) -> int | None:
     """Smallest number n of type-``type_index`` founders with posterior
     extinction probability E[s_i^n] below ``threshold`` (None if even
     ``max_founders`` founders do not reach it)."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0,1)")
-    ens = _ensemble(params, n_prec, master_seed, workers, ensemble)
+    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     if not 1 <= type_index <= ens.K:
         raise ValueError(f"type_index outside 1..{ens.K}")
     s = ens.extinction_profiles[:, type_index - 1]

@@ -3,8 +3,8 @@
 Reproducibility contract: every stochastic routine takes a SeedSpec built
 from a user-visible master seed and a replicate index. Streams use the
 counter-based Philox generator keyed on (master_seed, replicate_index), so
-replicate r's stream is identical no matter how many replicates run, in
-what order, or on how many workers.
+replicate r's stream is identical no matter how many replicates run or in
+what order.
 """
 
 from __future__ import annotations
@@ -52,23 +52,27 @@ def _as_rng(seed) -> np.random.Generator:
     raise TypeError(f"expected SeedSpec or Generator, got {type(seed).__name__}")
 
 
-def sample_dirichlet(alpha: np.ndarray, seed) -> np.ndarray:
-    """One Dirichlet draw via normalized Gamma variates.
+def _dirichlet(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Dirichlet(a) draw from normalized Gamma variates, with a > 0.
 
-    Gamma draws are taken in category order from a single stream, which
-    pins the exact output for a given seed. A zero normalizer (possible
-    only by extreme underflow) is redrawn.
+    Gamma draws are taken in category order from ``rng``, which pins the
+    exact output for a given stream. A zero normalizer (possible only by
+    extreme underflow) is redrawn, at most 100 times.
     """
-    rng = _as_rng(seed)
-    a = np.asarray(alpha, dtype=float)
-    if (a <= 0).any():
-        raise ValueError("alpha must be strictly positive")
     for _ in range(100):
         g = rng.gamma(shape=a)
         s = g.sum()
         if s > 0:
             return g / s
     raise RuntimeError("Dirichlet sampling underflowed repeatedly")
+
+
+def sample_dirichlet(alpha: np.ndarray, seed) -> np.ndarray:
+    """One Dirichlet draw via normalized Gamma variates (see ``_dirichlet``)."""
+    a = np.asarray(alpha, dtype=float)
+    if (a <= 0).any():
+        raise ValueError("alpha must be strictly positive")
+    return _dirichlet(a, _as_rng(seed))
 
 
 def sample_parameter_draw(params: HyperParams, seed) -> ParameterDraw:

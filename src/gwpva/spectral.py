@@ -15,7 +15,8 @@ import numpy as np
 
 from .model import ParameterDraw, _is_categorical
 
-__all__ = ["SpectralTriple", "mean_matrix", "perron_triple", "project", "is_primitive"]
+__all__ = ["SpectralTriple", "mean_matrix", "perron_batch", "perron_triple", "project",
+           "is_primitive"]
 
 _SHIFT = 1e-12
 
@@ -25,15 +26,14 @@ class SpectralTriple:
     """Dominant eigenvalue with normalized right (u) and left (v) eigenvectors.
 
     ``primitive_warning`` is set when the nonnegative pattern of M is not
-    primitive, in which case power iteration may not converge and the
-    dominant eigenvalue may not be simple; results should be read with care.
+    primitive, in which case the dominant eigenvalue may not be simple;
+    results should be read with care.
     """
 
     lam: float
     u: np.ndarray
     v: np.ndarray
     primitive_warning: bool = False
-    iterations: int = 0
     residual: float = 0.0
 
 
@@ -72,60 +72,68 @@ def is_primitive(M: np.ndarray) -> bool:
     return bool(P.all())
 
 
-def perron_triple(M: np.ndarray, tol: float = 1e-12, max_iter: int = 1000) -> SpectralTriple:
-    """Dominant eigen-triple of a nonnegative matrix by shifted power iteration.
+def perron_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dominant eigenvalue, right and left eigenvectors of each matrix in M.
 
-    Works on M + eps*I (eps = 1e-12) to break periodicity, accelerating the
-    iteration by normalized repeated squaring (iterating A^(2^m) is power
-    iteration with a giant exponent), then removes the shift. Raises
-    ValueError for the zero matrix; a non-primitive pattern only sets
-    ``primitive_warning``.
+    M is a stack (n, K, K) of nonnegative matrices. Shifted power iteration
+    on A = M + eps*I (eps = 1e-12, to break periodicity), accelerated by
+    normalized repeated squaring (A^(2^60) collapses every matrix onto its
+    dominant eigenspace at once), then a few plain power steps against A
+    to wash out round-off. Returns lam (n,), u (n, K) and v (n, K) with
+    each u and v summing to 1. Each matrix's answer is computed on its
+    own, whichever other matrices share the stack.
+    """
+    K = M.shape[-1]
+    A = M + _SHIFT * np.eye(K)
+    B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
+    for _ in range(60):
+        B = B @ B
+        B /= np.abs(B).max(axis=(1, 2), keepdims=True)
+    u = B.sum(axis=2)
+    v = B.sum(axis=1)
+    u /= u.sum(axis=1, keepdims=True)
+    v /= v.sum(axis=1, keepdims=True)
+    for _ in range(8):
+        u = np.einsum("rij,rj->ri", A, u)
+        v = np.einsum("ri,rij->rj", v, A)
+        u /= u.sum(axis=1, keepdims=True)
+        v /= v.sum(axis=1, keepdims=True)
+    Au = np.einsum("rij,rj->ri", A, u)
+    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - _SHIFT
+    return np.maximum(lam, 0.0), u, v
+
+
+def perron_triple(M: np.ndarray) -> SpectralTriple:
+    """Dominant eigen-triple of one nonnegative matrix.
+
+    ``perron_batch`` on a stack of one, with v rescaled so that
+    sum_i u_i v_i = 1. Raises ValueError for the zero matrix and when the
+    residual max(|M u - lam u|, |v M - lam v|) exceeds 1e-9 times the
+    largest row sum of M, as for nilpotent or some periodic patterns where
+    power iteration does not converge. A non-primitive pattern whose
+    iteration still converges only sets ``primitive_warning``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
     if (M < 0).any():
         raise ValueError("M must be nonnegative")
-    K = M.shape[0]
     if not M.any():
         raise ValueError("mean matrix is identically zero; no dominant eigenvalue")
-    A = M + _SHIFT * np.eye(K)
-    warn = not is_primitive(M)
-    norm = float(np.abs(M).sum(axis=1).max())
-
-    B = A / np.abs(A).max()
-    for _ in range(60):
-        B = B @ B
-        B /= np.abs(B).max()
-    u = B @ np.ones(K)
-    v = np.ones(K) @ B
-    if u.sum() <= 0 or v.sum() <= 0:
-        raise ValueError("power iteration collapsed; M has a zero row/column structure")
-    u /= u.sum()
-    v /= v.sum()
-    # refine against A itself to wash out squaring round-off
-    lam = float(u @ (A @ u)) / float(u @ u)
-    it = 0
-    for it in range(1, max_iter + 1):
-        u = A @ u
-        v = v @ A
-        u /= u.sum()
-        v /= v.sum()
-        lam = float(u @ (A @ u)) / float(u @ u)
-        res = max(float(np.abs(A @ u - lam * u).max()),
-                  float(np.abs(v @ A - lam * v).max()))
-        if res <= tol * max(norm, 1e-300):
-            break
-    lam = max(lam - _SHIFT, 0.0)
-    # normalize: sum u = 1 (already), sum u_i v_i = 1
+    lam, u, v = (x[0] for x in perron_batch(M[None]))
+    lam = float(lam)
     scale = float(u @ v)
     if scale <= 0:
         raise ValueError("degenerate eigenvectors; matrix may be reducible")
     v = v / scale
     residual = max(float(np.abs(M @ u - lam * u).max()),
                    float(np.abs(v @ M - lam * v).max()))
-    return SpectralTriple(lam=lam, u=u, v=v, primitive_warning=warn,
-                          iterations=it, residual=residual)
+    norm = float(M.sum(axis=1).max())
+    if not residual <= 1e-9 * norm:
+        raise ValueError(f"power iteration did not converge (residual {residual:.3g}, "
+                         f"largest row sum {norm:.3g}); M may be nilpotent or periodic")
+    return SpectralTriple(lam=lam, u=u, v=v, primitive_warning=not is_primitive(M),
+                          residual=residual)
 
 
 def project(M: np.ndarray, N0, t: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import gwpva as g
 from gwpva.datasets import synthetic_true_draw
+from gwpva.sampling import SeedSpec
 
 
 def _k1_draw(p):
@@ -29,6 +30,15 @@ def test_minimal_fixed_point_subcritical_is_one():
     prof = g.minimal_fixed_point(synthetic_true_draw())
     assert prof.converged
     assert prof.s[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_minimal_fixed_point_nilpotent_draw_is_certain_extinction():
+    # type 1 only begets type 2, which has no offspring: M is nilpotent
+    draw = g.ParameterDraw(g.OffspringCap(2, {(1, 2): 2}),
+                           {(1, 2): np.array([0.2, 0.3, 0.5])})
+    prof = g.minimal_fixed_point(draw)
+    assert prof.converged
+    assert prof.s.tolist() == [1.0, 1.0]
 
 
 def test_extinction_probability_founder_independence():
@@ -88,6 +98,39 @@ def test_survival_bounds_requires_subcritical():
     tri = g.perron_triple(g.mean_matrix(draw))
     with pytest.raises(ValueError, match="lambda < 1"):
         g.survival_bounds(draw, tri, (5,))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_single_draw_bounds_match_batch_of_one(K):
+    # a primitive K-type pattern (cycle plus self-loops) with subcritical
+    # posterior mass, so a one-draw ensemble has a subcritical draw
+    caps = {(i, i % K + 1): 2 for i in range(1, K + 1)}
+    caps.update({(i, i): 1 for i in range(1, K + 1)})
+    alpha = {pair: np.array([6.0] + [1.0] * c) for pair, c in caps.items()}
+    post = g.PosteriorParams(g.OffspringCap(K, caps), alpha)
+    N = np.arange(1, K + 1)
+    checked = 0
+    for seed in range(20):
+        draw = g.sample_parameter_draw(post, SeedSpec(seed, 0))
+        M = g.mean_matrix(draw)
+        tri = g.perron_triple(M)
+        if tri.lam >= 1:
+            continue
+        tb = g.mc_time_bounds(post, N, n_prec=1, master_seed=seed)
+        sb = g.survival_bounds(draw, tri, N)
+        single = g.extinction_time_bounds(sb.upper, sb.lower, alpha=0.05)
+        assert (tb.t_minus, tb.t_plus) == (single.t_minus, single.t_plus)
+        np.testing.assert_allclose(tb.upper_curve, sb.upper(tb.times), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tb.lower_curve, sb.lower(tb.times), rtol=0, atol=1e-12)
+        checked += 1
+    assert checked >= 5
+
+
+def test_survival_bounds_rejects_poisson_law():
+    draw = g.ParameterDraw(g.OffspringCap(1, {(1, 1): 3}), {(1, 1): g.PoissonLaw(0.5)})
+    tri = g.perron_triple(g.mean_matrix(draw))
+    with pytest.raises(ValueError, match=r"pair \(1, 1\)"):
+        g.survival_bounds(draw, tri, (3,))
 
 
 def test_extinction_time_bounds_from_curves():

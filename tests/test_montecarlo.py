@@ -95,16 +95,21 @@ def test_effective_population_size_edges():
     assert g.effective_population_size(sup, 1, 0.999, n_prec=100, master_seed=1) == 1
 
 
-def test_worker_count_does_not_change_estimates(bear_posterior):
-    results = []
-    for w in (1, 4, 8):
-        ens = PosteriorEnsemble(bear_posterior, n_prec=96, master_seed=5, workers=w)
+def test_ensemble_rerun_and_prefix_invariance(bear_posterior):
+    def outputs(ens):
         via = g.mc_viability_probability(bear_posterior, ensemble=ens)
         ext = g.mc_extinction_probability(bear_posterior, (1, 1, 1, 1, 1), ensemble=ens)
         tb = g.mc_time_bounds(bear_posterior, (1, 1, 1, 1, 1), ensemble=ens)
-        results.append((via.value, ext.value, tb.t_minus, tb.t_plus,
-                        tb.upper_curve.tobytes()))
-    assert results[0] == results[1] == results[2]
+        return via.value, ext.value, tb.t_minus, tb.t_plus, tb.upper_curve.tobytes()
+
+    small = PosteriorEnsemble(bear_posterior, n_prec=96, master_seed=5)
+    again = PosteriorEnsemble(bear_posterior, n_prec=96, master_seed=5)
+    assert outputs(small) == outputs(again)
+    large = PosteriorEnsemble(bear_posterior, n_prec=160, master_seed=5)
+    for pair in small.pairs:
+        assert np.array_equal(small.law(pair), large.law(pair)[:96])
+    for name in ("lambdas", "left_vectors", "extinction_profiles"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)[:96]), name
 
 
 def test_rerun_with_new_seed_within_error_bound(synthetic_posterior):

@@ -46,6 +46,13 @@ def test_perron_triple_errors():
         g.perron_triple(np.array([[1.0, -0.1], [0.2, 0.3]]))
     with pytest.raises(ValueError, match="square"):
         g.perron_triple(np.ones((2, 3)))
+    # power iteration leaves these with residuals of 0.5, 1e29 and 3e-6:
+    # two nilpotent patterns and a period-2 one
+    for M in ([[0.0, 1.0], [0.0, 0.0]],
+              [[0.0, 0.5, 0.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]],
+              [[0.0, 0.0, 0.9225], [0.0, 0.0, 0.0618], [0.533, 0.6949, 0.0]]):
+        with pytest.raises(ValueError, match="did not converge"):
+            g.perron_triple(np.array(M))
 
 
 def test_is_primitive():

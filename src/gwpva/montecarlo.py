@@ -22,7 +22,7 @@ import numpy as np
 from .extinction import _bound_constants, _bracket_scan
 from .inference import HyperParams
 from .model import PopulationState
-from .sampling import SeedSpec, _dirichlet
+from .sampling import _dirichlet_rows
 from .spectral import is_primitive, perron_batch
 
 __all__ = [
@@ -175,19 +175,7 @@ class PosteriorEnsemble:
         self.master_seed = int(master_seed)
         self.pairs = sorted(params.alpha)
         self.K = params.K
-        self._laws = self._sample_all()
-
-    # ---- sampling -------------------------------------------------------
-
-    def _sample_all(self) -> dict:
-        alphas = {pair: np.asarray(self.params.alpha[pair], dtype=float)
-                  for pair in self.pairs}
-        out = {pair: np.empty((self.n_prec, len(a))) for pair, a in alphas.items()}
-        for r in range(self.n_prec):
-            rng = SeedSpec(self.master_seed, r).rng()
-            for pair, a in alphas.items():
-                out[pair][r] = _dirichlet(a, rng)
-        return out
+        self._laws = _dirichlet_rows(params, self.master_seed, self.n_prec)
 
     def law(self, pair) -> np.ndarray:
         """(n_prec, kappa+1) array of sampled laws for one pair."""

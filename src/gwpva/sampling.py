@@ -4,7 +4,8 @@ Reproducibility contract: every stochastic routine takes a SeedSpec built
 from a user-visible master seed and a replicate index. Streams use the
 counter-based Philox generator keyed on (master_seed, replicate_index), so
 replicate r's stream is identical no matter how many replicates run or in
-what order.
+what order. A posterior ensemble (``_dirichlet_rows``) resets one Philox to
+each replicate's key in turn, which gives the same streams.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ __all__ = [
 _KEY_MOD = 1 << 64
 
 
+def _key_words(master_seed: int, replicate_index: int) -> tuple[int, int]:
+    """Philox key words (low, high) of the stream (master_seed, replicate_index)."""
+    return replicate_index % _KEY_MOD, master_seed % _KEY_MOD
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Deterministic stream identity: (master_seed, replicate_index)."""
@@ -40,7 +46,7 @@ class SeedSpec:
             raise ValueError("replicate_index must be >= 0")
 
     def rng(self) -> np.random.Generator:
-        key = (self.master_seed % _KEY_MOD) * _KEY_MOD + self.replicate_index % _KEY_MOD
+        key = np.array(_key_words(self.master_seed, self.replicate_index), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -57,7 +63,9 @@ def _dirichlet(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     Gamma draws are taken in category order from ``rng``, which pins the
     exact output for a given stream. A zero normalizer (possible only by
-    extreme underflow) is redrawn, at most 100 times.
+    extreme underflow) is redrawn, at most 100 times. This is the reference
+    the batched ``_dirichlet_rows`` is tested against, and the path it
+    replays a replicate through when a normalizer is zero.
     """
     for _ in range(100):
         g = rng.gamma(shape=a)
@@ -65,6 +73,47 @@ def _dirichlet(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if s > 0:
             return g / s
     raise RuntimeError("Dirichlet sampling underflowed repeatedly")
+
+
+def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
+    """Laws of replicates 0..n-1: pair -> (n, kappa+1) array whose row r
+    equals ``sample_parameter_draw(params, SeedSpec(master_seed, r))``.
+
+    One Philox is reset to replicate r's key (counter 0, empty buffer)
+    before its row, and one ``standard_gamma`` call draws every pair's
+    variates in sorted-pair, category order, as the per-pair loop does.
+    Each pair's block is then normalized for all rows at once. A row with
+    a zero normalizer is replayed through ``_dirichlet`` on a fresh stream,
+    keeping its redraws and their cap.
+    """
+    pairs = sorted(params.alpha)
+    alphas = [np.asarray(params.alpha[pair], dtype=float) for pair in pairs]
+    ends = np.cumsum([0] + [len(a) for a in alphas])
+    a_all = np.concatenate(alphas)
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    # a new Philox's state (counter 0, empty buffer) with only the key
+    # rewritten is the state SeedSpec(master_seed, r).rng() starts from
+    state = bitgen.state
+    key = state["state"]["key"]
+    gam = np.empty((n, len(a_all)))
+    for r in range(n):
+        key[:] = _key_words(master_seed, r)
+        bitgen.state = state
+        gam[r] = rng.standard_gamma(a_all)
+    laws = {}
+    replay = np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pair, lo, hi in zip(pairs, ends[:-1], ends[1:]):
+            block = gam[:, lo:hi]
+            total = block.sum(axis=1)
+            replay |= ~(total > 0)
+            laws[pair] = block / total[:, None]
+    for r in np.flatnonzero(replay):
+        rng_r = SeedSpec(master_seed, int(r)).rng()
+        for pair, a in zip(pairs, alphas):
+            laws[pair][r] = _dirichlet(a, rng_r)
+    return laws
 
 
 def sample_dirichlet(alpha: np.ndarray, seed) -> np.ndarray:
@@ -79,7 +128,10 @@ def sample_parameter_draw(params: HyperParams, seed) -> ParameterDraw:
     """Draw all offspring laws from independent Dirichlet posteriors.
 
     Pairs are visited in sorted (i, j) order on one stream, so the draw is
-    a pure function of (params, seed).
+    a pure function of (params, seed). With ``_dirichlet`` this is the
+    reference the batched ensemble sampler ``_dirichlet_rows`` is tested
+    against row by row; that sampler falls back to ``_dirichlet`` on a row
+    with a zero normalizer.
     """
     rng = _as_rng(seed)
     laws = {}

@@ -19,11 +19,44 @@ def test_error_bound_value():
         g.error_bound(0)
 
 
-def test_ensemble_matches_sample_parameter_draw(synthetic_posterior):
-    ens = PosteriorEnsemble(synthetic_posterior, n_prec=20, master_seed=31)
-    for r in (0, 7, 19):
-        draw = g.sample_parameter_draw(synthetic_posterior, SeedSpec(31, r))
-        assert np.array_equal(draw.p[(1, 1)], ens.law((1, 1))[r])
+def _tiny_alpha_posterior():
+    """Two types, four pairs, every alpha entry 1e-3: Gamma variates of
+    shape 1e-3 underflow to 0 often enough that some pairs of some
+    replicates have a zero normalizer and must be redrawn."""
+    cap = g.OffspringCap(2, {(1, 1): 3, (1, 2): 2, (2, 1): 1, (2, 2): 4})
+    return g.PosteriorParams(cap, {p: np.full(k + 1, 1e-3) for p, k in cap.kappa.items()})
+
+
+def _zero_normalizer_rows(post, seed, n):
+    """Replicates whose first Gamma draw gives some pair a zero sum."""
+    pairs = sorted(post.alpha)
+    rows = []
+    for r in range(n):
+        rng = SeedSpec(seed, r).rng()
+        if any(rng.gamma(shape=post.alpha[p]).sum() == 0 for p in pairs):
+            rows.append(r)
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+def test_ensemble_matches_sample_parameter_draw(synthetic_posterior, bear_posterior):
+    tiny = _tiny_alpha_posterior()
+    assert _zero_normalizer_rows(tiny, 5, 300)
+    cases = [(synthetic_posterior, 31, 20), (bear_posterior, 2024, 300),
+             (bear_posterior, -3, 40), (bear_posterior, 2 ** 64 + 5, 40), (tiny, 5, 300)]
+    for post, seed, n in cases:
+        ens = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
+        for r in range(n):
+            draw = g.sample_parameter_draw(post, SeedSpec(seed, r))
+            for pair in ens.pairs:
+                assert np.array_equal(draw.p[pair], ens.law(pair)[r]), (seed, r, pair)
+
+
+def test_ensemble_underflow_cap_raises():
+    cap = g.OffspringCap(1, {(1, 1): 1})
+    post = g.PosteriorParams(cap, {(1, 1): np.array([1e-300, 1e-300])})
+    with pytest.raises(RuntimeError, match="underflowed repeatedly"):
+        PosteriorEnsemble(post, n_prec=3, master_seed=0)
 
 
 def test_viability_boundary_is_strict():

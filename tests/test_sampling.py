@@ -18,6 +18,17 @@ def test_seedspec_streams_are_deterministic_and_distinct():
         SeedSpec(1, -1)
 
 
+def test_seedspec_key_wraps_modulo_2_64():
+    # replicate r of master seed m is Philox keyed on (m mod 2^64) * 2^64 + r
+    for m in (0, 2024, -3, 2 ** 64 + 5):
+        for r in (0, 9, 2 ** 40):
+            key = (m % 2 ** 64) * 2 ** 64 + r
+            ref = np.random.Generator(np.random.Philox(key=key)).random(3)
+            assert np.array_equal(SeedSpec(m, r).rng().random(3), ref)
+    assert np.array_equal(SeedSpec(-3, 1).rng().random(3),
+                          SeedSpec(2 ** 64 - 3, 1).rng().random(3))
+
+
 def test_sample_dirichlet_is_a_probability_vector():
     for r in range(50):
         v = g.sample_dirichlet(np.array([0.5, 2.0, 10.0]), SeedSpec(7, r))

@@ -14,8 +14,7 @@ from .extensions import (BetaParams, GammaParams, PoissonLaw,
                          sex_ratio_posterior, thinned_offspring_law)
 from .extinction import (ExtinctionProfile, SurvivalBounds, TimeBounds,
                          extinction_probability, extinction_time_bounds,
-                         generating_function, minimal_fixed_point,
-                         quasi_extinction_time, survival_bounds)
+                         generating_function, minimal_fixed_point, survival_bounds)
 from .formats import (FORMAT_VERSION, ParseError, PriorConfig, format_life_table,
                       parse_abundance_series, parse_life_table, parse_prior_config,
                       posterior_from_document, posterior_to_document)
@@ -33,6 +32,6 @@ from .montecarlo import (MCEstimate, PosteriorEnsemble, ReintroductionSummary,
                          mc_viability_probability)
 from .sampling import (SeedSpec, Trajectory, sample_dirichlet, sample_parameter_draw,
                        simulate, simulate_extinction_time)
-from .spectral import SpectralTriple, is_primitive, mean_matrix, perron_triple, project
+from .spectral import SpectralTriple, is_primitive, mean_matrix, perron_triple
 
 __version__ = "1.0.0"

@@ -8,7 +8,6 @@ turns a population into the product of per-founder coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +25,6 @@ __all__ = [
     "extinction_probability",
     "survival_bounds",
     "extinction_time_bounds",
-    "quasi_extinction_time",
 ]
 
 
@@ -260,25 +258,40 @@ def survival_bounds(draw: ParameterDraw, triple: SpectralTriple,
                           upper=upper, lower=lower, lower_exact=lower_exact)
 
 
+_SCAN_MIN_BLOCK = 32
+_SCAN_MAX_BLOCK = 512
+
+
 def _bracket_scan(curves: Callable, alpha: float, horizon_cap: int):
     """The bracket scan of ``extinction_time_bounds`` and ``mc_time_bounds``.
 
-    ``curves(ts)`` returns the (upper, lower) curves at the times ts and is
-    called on blocks of 512 times from t = 0. Returns (t_minus, t_plus,
-    times, upper_curve, lower_curve), the curves ending at t_plus (or at
-    ``horizon_cap`` when t_plus is None).
+    ``curves(ts)`` returns the (upper, lower) curves at the times ts. It is
+    called on consecutive blocks from t = 0 whose widths start at 32 and
+    double up to 512 (32, 64, 128, 256, 512, 512, ...), and the scan stops
+    at the first block where upper <= alpha, so a bracket that closes early
+    costs little. No block is narrower than 32 columns, not even the last
+    one before ``horizon_cap``: that block is evaluated at full width and
+    trimmed, so ``curves`` may be called at times up to 31 steps past
+    ``horizon_cap``. The minimum exists because ``mc_time_bounds`` averages
+    draws with NumPy's axis-0 sum, which gives each column the same bits
+    whatever the block width, except for a one-column block, which it sums
+    in a different order.
+
+    Returns (t_minus, t_plus, times, upper_curve, lower_curve), the curves
+    ending at t_plus (or at ``horizon_cap`` when t_plus is None).
     """
     parts = []
     t_plus = None
-    for t0 in range(0, horizon_cap + 1, 512):
-        ts = np.arange(t0, min(t0 + 512, horizon_cap + 1))
+    t0, width = 0, _SCAN_MIN_BLOCK
+    while t0 <= horizon_cap and t_plus is None:
+        keep = min(width, horizon_cap + 1 - t0)
+        ts = np.arange(t0, t0 + max(keep, _SCAN_MIN_BLOCK))
         upper, lower = curves(ts)
-        hit = np.flatnonzero(upper <= alpha)
+        hit = np.flatnonzero(upper[:keep] <= alpha)
         if len(hit):
-            t_plus, end = int(ts[hit[0]]), hit[0] + 1
-            parts.append((ts[:end], upper[:end], lower[:end]))
-            break
-        parts.append((ts, upper, lower))
+            t_plus, keep = int(ts[hit[0]]), hit[0] + 1
+        parts.append((ts[:keep], upper[:keep], lower[:keep]))
+        t0, width = t0 + keep, min(2 * width, _SCAN_MAX_BLOCK)
     times, upper_curve, lower_curve = (np.concatenate(x) for x in zip(*parts))
     ok = np.flatnonzero(lower_curve >= 1 - alpha)
     t_minus = int(times[ok[-1]]) if len(ok) else 0
@@ -304,18 +317,3 @@ def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float
 
     t_minus, t_plus, *_ = _bracket_scan(curves, alpha, horizon_cap)
     return TimeBounds(t_minus=t_minus, t_plus=t_plus, alpha=alpha)
-
-
-def quasi_extinction_time(N0: float, threshold: float, rate: float) -> float:
-    """Deterministic time for N0 * rate^t to fall to ``threshold``.
-
-    Defined only for declining populations (0 < rate < 1) above the
-    threshold; returns log(threshold / N0) / log(rate).
-    """
-    if not 0 < rate < 1:
-        raise ValueError(f"rate must be in (0,1), got {rate}")
-    if threshold <= 0 or N0 <= 0:
-        raise ValueError("N0 and threshold must be positive")
-    if N0 <= threshold:
-        return 0.0
-    return math.log(threshold / N0) / math.log(rate)

@@ -372,7 +372,14 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     upper bound and the second-moment lower bound (both clamped to [0, 1]);
     curves are averaged over draws with lambda < 1 and the bracket read off
     at level alpha: t_plus = first t with mean upper <= alpha, t_minus =
-    last t with mean lower >= 1 - alpha."""
+    last t with mean lower >= 1 - alpha.
+
+    The bounds divide by the smallest left-eigenvector entry, so a
+    subcritical draw whose left vector has an entry <= 0 (a reducible mean
+    matrix), or whose entries are so lopsided that a bound constant is not
+    finite, is left out of the average and counted under the
+    ``degenerate-eigenvector`` warning. ``n_used`` is the number of draws
+    averaged; RuntimeError is raised if none is left."""
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
@@ -381,11 +388,19 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise ValueError(f"population must have {ens.K} types")
     lam = ens.lambdas
     sub = lam < 1.0
-    n_used = int(np.sum(sub))
-    if n_used == 0:
+    n_sub = int(np.sum(sub))
+    if n_sub == 0:
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
-    xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, ens.left_vectors, N)
-    lam_s, cU, cL = lam[sub], cU[sub], cL[sub]
+    # degenerate rows may divide by zero or overflow; they are left out below
+    v = ens.left_vectors
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, v, N)
+    use = sub & (v.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
+    n_used = int(np.sum(use))
+    if n_used == 0:
+        raise RuntimeError("no subcritical draw has a usable left eigenvector; "
+                           "time bounds are undefined")
+    lam_s, cU, cL = lam[use], cU[use], cL[use]
 
     def curves(ts):
         pw = lam_s[:, None] ** ts[None, :]
@@ -395,8 +410,9 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
 
     t_minus, t_plus, times, upper_curve, lower_curve = _bracket_scan(curves, alpha,
                                                                      horizon_cap)
-    warnings = {"supercritical-draws": int(ens.n_prec - n_used),
-                "degenerate-xi": int(np.sum(~(xi[sub] > 0))),
+    warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
+                "degenerate-eigenvector": int(n_sub - n_used),
+                "degenerate-xi": int(np.sum(~(xi[use] > 0))),
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
                               times=times, upper_curve=upper_curve,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import ParameterDraw, _is_categorical
 
-__all__ = ["SpectralTriple", "mean_matrix", "perron_batch", "perron_triple", "project",
+__all__ = ["SpectralTriple", "mean_matrix", "perron_batch", "perron_triple",
            "is_primitive"]
 
 _SHIFT = 1e-12
@@ -134,12 +134,3 @@ def perron_triple(M: np.ndarray) -> SpectralTriple:
                          f"largest row sum {norm:.3g}); M may be nilpotent or periodic")
     return SpectralTriple(lam=lam, u=u, v=v, primitive_warning=not is_primitive(M),
                           residual=residual)
-
-
-def project(M: np.ndarray, N0, t: int) -> np.ndarray:
-    """Expected abundance E[N(t)] = N0 M^t (row vector convention)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    M = np.asarray(M, dtype=float)
-    x = np.asarray(N0, dtype=float)
-    return x @ np.linalg.matrix_power(M, t)

@@ -148,14 +148,3 @@ def test_extinction_time_bounds_open_ended():
     upper = lambda t: np.full_like(np.asarray(t, dtype=float), 0.5)
     tb = g.extinction_time_bounds(upper, None, alpha=0.05, horizon_cap=2000)
     assert tb.t_plus is None
-
-
-def test_quasi_extinction_time():
-    # N0 * rate^t = threshold  =>  t = log(threshold/N0)/log(rate)
-    t = g.quasi_extinction_time(100.0, 1.0, 0.75)
-    assert 100.0 * 0.75 ** t == pytest.approx(1.0)
-    assert g.quasi_extinction_time(5.0, 10.0, 0.9) == 0.0
-    with pytest.raises(ValueError):
-        g.quasi_extinction_time(100.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        g.quasi_extinction_time(100.0, 0.0, 0.5)

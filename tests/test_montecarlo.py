@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import gwpva as g
+from gwpva import montecarlo
+from gwpva.datasets import synthetic_cap, synthetic_true_draw
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
@@ -101,6 +103,98 @@ def test_time_bounds_requires_subcritical_mass():
     post = _degenerate_posterior([0.0, 0.0, 1.0])  # lambda ~ 2
     with pytest.raises(RuntimeError, match="no subcritical draws"):
         g.mc_time_bounds(post, (5,), n_prec=100, master_seed=3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_time_bounds_leave_out_degenerate_eigenvectors():
+    # the alpha = 1e-3 posterior puts mass on reducible mean matrices whose
+    # left vector has zero entries; their bound constants divide by zero
+    post = _tiny_alpha_posterior()
+    ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
+    v_min = ens.left_vectors.min(axis=1)
+    sub = ens.lambdas < 1
+    assert np.sum(sub & (v_min <= 0)) > 0
+    tb = g.mc_time_bounds(post, (3, 2), ensemble=ens)
+    dropped = tb.warnings["degenerate-eigenvector"]
+    assert dropped >= np.sum(sub & (v_min <= 0))
+    assert tb.n_used == np.sum(sub) - dropped
+    assert tb.warnings["supercritical-draws"] == 3000 - np.sum(sub)
+    assert np.isfinite(tb.upper_curve).all() and np.isfinite(tb.lower_curve).all()
+    assert tb.t_plus is not None and tb.upper_curve[-1] <= 0.05
+
+
+def test_time_bounds_require_a_usable_draw():
+    # two unlinked types: every left vector is (1, 0)
+    cap = g.OffspringCap(2, {(1, 1): 1, (2, 2): 1})
+    big = {(1, 1): 1e8 * np.array([0.5, 0.5]) + 1e-8,
+           (2, 2): 1e8 * np.array([0.7, 0.3]) + 1e-8}
+    with pytest.raises(RuntimeError, match="usable left eigenvector"):
+        g.mc_time_bounds(g.PosteriorParams(cap, big), (2, 2), n_prec=50, master_seed=3)
+
+
+def _reference_scan(curves, alpha, horizon_cap):
+    """The bracket scan on full 512-step blocks, trimmed to horizon_cap + 1."""
+    uppers, lowers = [], []
+    for t0 in range(0, horizon_cap + 1, 512):
+        u, lo = curves(np.arange(t0, t0 + 512))
+        uppers.append(u)
+        lowers.append(lo)
+        if np.any(u <= alpha):
+            break
+    upper = np.concatenate(uppers)[:horizon_cap + 1]
+    lower = np.concatenate(lowers)[:horizon_cap + 1]
+    hit = np.flatnonzero(upper <= alpha)
+    t_plus = int(hit[0]) if len(hit) else None
+    end = len(upper) if t_plus is None else t_plus + 1
+    ok = np.flatnonzero(lower[:end] >= 1 - alpha)
+    return (int(ok[-1]) if len(ok) else 0, t_plus, np.arange(end),
+            upper[:end], lower[:end])
+
+
+def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_posterior,
+                                                   bear_ensemble):
+    scan = montecarlo._bracket_scan
+    widths, expected = [], []
+
+    def spy(curves, alpha, horizon_cap):
+        def counted(ts):
+            widths.append(len(ts))
+            return curves(ts)
+        expected.append(_reference_scan(curves, alpha, horizon_cap))
+        return scan(counted, alpha, horizon_cap)
+
+    monkeypatch.setattr(montecarlo, "_bracket_scan", spy)
+    synth = PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024)
+    cases = [((22,), synth, 0.05, 10 ** 6)]
+    cases += [((2, 2, 2, 2, 10), bear_ensemble, a, 10 ** 6) for a in (0.05, 0.2)]
+    cases += [(pop, ens, 0.05, cap) for pop, ens in
+              (((22,), synth), ((2, 2, 2, 2, 10), bear_ensemble))
+              for cap in (0, 31, 32, 95, 96, 511, 512, 513, 2000)]
+    # criterion-6 replicates
+    true = synthetic_true_draw()
+    prior = g.prior_noninformative(synthetic_cap())
+    for r in range(12):
+        traj = g.simulate(true, g.PopulationState((100,)), 5, SeedSpec(2026, r))
+        if traj.extinct_at is None and len(traj.states) == 6:
+            post = g.posterior_update(prior, traj.table)
+            cases.append(((traj.final.total,),
+                          PosteriorEnsemble(post, n_prec=1000, master_seed=2026 * 1000 + r),
+                          0.05, 10 ** 6))
+    t_plus = []
+    for pop, ens, alpha, cap in cases:
+        tb = g.mc_time_bounds(None, pop, alpha=alpha, horizon_cap=cap, ensemble=ens)
+        t_minus, tp, times, upper, lower = expected.pop()
+        assert not expected
+        assert (tb.t_minus, tb.t_plus) == (t_minus, tp)
+        assert tb.times.tobytes() == times.tobytes()
+        assert tb.upper_curve.tobytes() == upper.tobytes()
+        assert tb.lower_curve.tobytes() == lower.tobytes()
+        t_plus.append(tp)
+    assert min(widths) >= 32
+    closed = [t for t in t_plus if t is not None]
+    assert min(closed) < 32 and max(closed) > 512
+    assert any(32 <= t < 512 for t in closed)
+    assert t_plus.count(None) >= 10
 
 
 def test_conditioning_consistency(bear_posterior):

@@ -62,15 +62,6 @@ def test_is_primitive():
     assert not g.is_primitive(np.array([[0.0]]))
 
 
-def test_project_matches_matrix_power():
-    M = np.array([[0.2, 0.6], [0.3, 0.4]])
-    N0 = np.array([10.0, 5.0])
-    assert g.project(M, N0, 0) == pytest.approx(N0)
-    assert g.project(M, N0, 3) == pytest.approx(N0 @ M @ M @ M)
-    with pytest.raises(ValueError):
-        g.project(M, N0, -1)
-
-
 def test_bear_perron_root_solves_characteristic_polynomial(bear_posterior):
     M = g.posterior_mean_matrix(bear_posterior)
     tri = g.perron_triple(M)

@@ -6,10 +6,12 @@ expectations of per-draw functionals. One shared ensemble of parameter
 draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
-Determinism: replicate r always uses the stream SeedSpec(master_seed, r),
-per-draw quantities are computed row by row, and reductions are
-fixed-order numpy sums, so a rerun is bit-identical and the first n rows
-of an ensemble do not depend on how many draws follow them.
+Determinism: an ensemble draws its rows in order from the one stream
+SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
+stream SeedSpec(master_seed, r + 1), so row r depends only on the rows
+before it: the first n rows do not depend on how many follow, but one row
+cannot be reproduced in isolation. Per-draw quantities are computed row by
+row and reductions are fixed-order numpy sums, so a rerun is bit-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .extinction import _bound_constants, _bracket_scan
 from .inference import HyperParams
 from .model import PopulationState
 from .sampling import _dirichlet_rows
-from .spectral import is_primitive, perron_batch
+from .spectral import is_primitive, perron_batch, perron_residual
 
 __all__ = [
     "MCEstimate",
@@ -161,9 +163,14 @@ class ReintroductionSummary:
 class PosteriorEnsemble:
     """A reproducible batch of posterior parameter draws and derived arrays.
 
-    Draw r equals sample_parameter_draw(params, SeedSpec(master_seed, r));
-    heavy derived quantities (mean matrices, dominant eigenpairs, pgf fixed
-    points) are computed lazily on the whole batch.
+    Draw r is the r-th consecutive sample_parameter_draw on the one stream
+    SeedSpec(master_seed, 0).rng(), or a replay on SeedSpec(master_seed,
+    r + 1) if its Dirichlet normalizer is zero (``sampling._dirichlet_rows``):
+    the first n draws are the same for any ensemble size, draw 0 is
+    sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
+    cannot be reproduced without the draws before it. Heavy derived
+    quantities (mean matrices, dominant eigenpairs, pgf fixed points) are
+    computed lazily on the whole batch.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -212,6 +219,14 @@ class PosteriorEnsemble:
     @property
     def left_vectors(self) -> np.ndarray:
         return self._eigen[2]
+
+    @cached_property
+    def perron_failures(self) -> np.ndarray:
+        """Draws whose Perron pair misses ``perron_triple``'s residual limit.
+
+        The estimates keep these draws and count them under the
+        ``perron-failures`` warning."""
+        return ~perron_residual(self.mean_matrices, *self._eigen)[1]
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +317,8 @@ def mc_viability_probability(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
     hits = (ens.lambdas > 1.0).astype(float)
     p = float(np.sum(hits) / ens.n_prec)
     se = float(np.sqrt(max(p * (1 - p), 0.0) / ens.n_prec))
-    warnings = {"non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
+    warnings = {"non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
+                "perron-failures": int(np.sum(ens.perron_failures))}
     return MCEstimate(value=p, std_error=se, n_prec=ens.n_prec, n_used=ens.n_prec,
                       master_seed=ens.master_seed, error_bound=error_bound(ens.n_prec),
                       warnings=warnings)
@@ -327,7 +343,8 @@ def mc_extinction_probability(params: HyperParams, population,
     good_vals = per_draw[~bad]
     se = float(good_vals.std(ddof=1) / np.sqrt(n_used)) if n_used > 1 else float("nan")
     warnings = {"fixed-point-failures": int(np.sum(bad)),
-                "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
+                "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
+                "perron-failures": int(np.sum(ens.perron_failures))}
     if np.sum(bad) > 0.01 * ens.n_prec:
         warnings["data-quality"] = 1
     return MCEstimate(value=p, std_error=se, n_prec=ens.n_prec, n_used=n_used,
@@ -413,7 +430,8 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
                 "degenerate-eigenvector": int(n_sub - n_used),
                 "degenerate-xi": int(np.sum(~(xi[use] > 0))),
-                "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
+                "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
+                "perron-failures": int(np.sum(ens.perron_failures))}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
                               times=times, upper_curve=upper_curve,
                               lower_curve=lower_curve, n_prec=ens.n_prec,

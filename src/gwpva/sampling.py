@@ -3,9 +3,11 @@
 Reproducibility contract: every stochastic routine takes a SeedSpec built
 from a user-visible master seed and a replicate index. Streams use the
 counter-based Philox generator keyed on (master_seed, replicate_index), so
-replicate r's stream is identical no matter how many replicates run or in
-what order. A posterior ensemble (``_dirichlet_rows``) resets one Philox to
-each replicate's key in turn, which gives the same streams.
+a stream is identical no matter how many others run or in what order. A
+posterior ensemble (``_dirichlet_rows``) draws all its rows, in order, from
+the one stream (master_seed, 0), replaying a zero-normalizer row r on
+(master_seed, r + 1); its first n rows are the same whatever the ensemble
+size, but a single row cannot be reproduced without the rows before it.
 """
 
 from __future__ import annotations
@@ -26,13 +28,6 @@ __all__ = [
     "simulate_extinction_time",
 ]
 
-_KEY_MOD = 1 << 64
-
-
-def _key_words(master_seed: int, replicate_index: int) -> tuple[int, int]:
-    """Philox key words (low, high) of the stream (master_seed, replicate_index)."""
-    return replicate_index % _KEY_MOD, master_seed % _KEY_MOD
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -46,7 +41,9 @@ class SeedSpec:
             raise ValueError("replicate_index must be >= 0")
 
     def rng(self) -> np.random.Generator:
-        key = np.array(_key_words(self.master_seed, self.replicate_index), dtype=np.uint64)
+        """Philox keyed (replicate_index mod 2**64, master_seed mod 2**64)."""
+        key = np.array([self.replicate_index % (1 << 64), self.master_seed % (1 << 64)],
+                       dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -63,9 +60,8 @@ def _dirichlet(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     Gamma draws are taken in category order from ``rng``, which pins the
     exact output for a given stream. A zero normalizer (possible only by
-    extreme underflow) is redrawn, at most 100 times. This is the reference
-    the batched ``_dirichlet_rows`` is tested against, and the path it
-    replays a replicate through when a normalizer is zero.
+    extreme underflow) is redrawn, at most 100 times. The batched
+    ``_dirichlet_rows`` replays a row through it when a normalizer is zero.
     """
     for _ in range(100):
         g = rng.gamma(shape=a)
@@ -76,31 +72,27 @@ def _dirichlet(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
-    """Laws of replicates 0..n-1: pair -> (n, kappa+1) array whose row r
-    equals ``sample_parameter_draw(params, SeedSpec(master_seed, r))``.
+    """Laws of replicates 0..n-1: pair -> (n, kappa+1) array.
 
-    One Philox is reset to replicate r's key (counter 0, empty buffer)
-    before its row, and one ``standard_gamma`` call draws every pair's
-    variates in sorted-pair, category order, as the per-pair loop does.
-    Each pair's block is then normalized for all rows at once. A row with
-    a zero normalizer is replayed through ``_dirichlet`` on a fresh stream,
-    keeping its redraws and their cap.
+    The whole ensemble draws from one stream, ``SeedSpec(master_seed, 0)``:
+    one ``standard_gamma`` call fills an (n, sum(kappa+1)) array with every
+    pair's alphas in sorted-pair, category order, and each pair's column
+    block is normalized for all rows at once. Variates are consumed in C
+    order, so row r is the r-th consecutive ``sample_parameter_draw`` on
+    that generator (while no normalizer is zero), row 0 is
+    ``sample_parameter_draw(params, SeedSpec(master_seed, 0))``, and the
+    first rows do not depend on n. A row with a zero normalizer cannot be
+    redrawn on the shared stream without shifting the rows after it, so it
+    is replayed through ``_dirichlet`` (with its redraw cap) on the stream
+    ``SeedSpec(master_seed, r + 1)``, a pure function of (master_seed, r).
+    A single row cannot be reproduced without drawing the rows before it.
     """
     pairs = sorted(params.alpha)
     alphas = [np.asarray(params.alpha[pair], dtype=float) for pair in pairs]
     ends = np.cumsum([0] + [len(a) for a in alphas])
     a_all = np.concatenate(alphas)
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    # a new Philox's state (counter 0, empty buffer) with only the key
-    # rewritten is the state SeedSpec(master_seed, r).rng() starts from
-    state = bitgen.state
-    key = state["state"]["key"]
-    gam = np.empty((n, len(a_all)))
-    for r in range(n):
-        key[:] = _key_words(master_seed, r)
-        bitgen.state = state
-        gam[r] = rng.standard_gamma(a_all)
+    rng = SeedSpec(master_seed, 0).rng()
+    gam = rng.standard_gamma(np.broadcast_to(a_all, (n, len(a_all))))
     laws = {}
     replay = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -110,7 +102,7 @@ def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
             replay |= ~(total > 0)
             laws[pair] = block / total[:, None]
     for r in np.flatnonzero(replay):
-        rng_r = SeedSpec(master_seed, int(r)).rng()
+        rng_r = SeedSpec(master_seed, int(r) + 1).rng()
         for pair, a in zip(pairs, alphas):
             laws[pair][r] = _dirichlet(a, rng_r)
     return laws
@@ -128,10 +120,9 @@ def sample_parameter_draw(params: HyperParams, seed) -> ParameterDraw:
     """Draw all offspring laws from independent Dirichlet posteriors.
 
     Pairs are visited in sorted (i, j) order on one stream, so the draw is
-    a pure function of (params, seed). With ``_dirichlet`` this is the
-    reference the batched ensemble sampler ``_dirichlet_rows`` is tested
-    against row by row; that sampler falls back to ``_dirichlet`` on a row
-    with a zero normalizer.
+    a pure function of (params, seed). Row r of a posterior ensemble is the
+    r-th consecutive draw on ``SeedSpec(master_seed, 0).rng()`` (see
+    ``_dirichlet_rows``), and its row 0 is this function at that seed.
     """
     rng = _as_rng(seed)
     laws = {}

@@ -15,8 +15,8 @@ import numpy as np
 
 from .model import ParameterDraw, _is_categorical
 
-__all__ = ["SpectralTriple", "mean_matrix", "perron_batch", "perron_triple",
-           "is_primitive"]
+__all__ = ["SpectralTriple", "mean_matrix", "perron_batch", "perron_residual",
+           "perron_triple", "is_primitive"]
 
 _SHIFT = 1e-12
 
@@ -120,17 +120,33 @@ def perron_triple(M: np.ndarray) -> SpectralTriple:
         raise ValueError("M must be nonnegative")
     if not M.any():
         raise ValueError("mean matrix is identically zero; no dominant eigenvalue")
-    lam, u, v = (x[0] for x in perron_batch(M[None]))
-    lam = float(lam)
-    scale = float(u @ v)
+    lam, u, v = perron_batch(M[None])
+    scale = float(u[0] @ v[0])
     if scale <= 0:
         raise ValueError("degenerate eigenvectors; matrix may be reducible")
-    v = v / scale
-    residual = max(float(np.abs(M @ u - lam * u).max()),
-                   float(np.abs(v @ M - lam * v).max()))
-    norm = float(M.sum(axis=1).max())
-    if not residual <= 1e-9 * norm:
-        raise ValueError(f"power iteration did not converge (residual {residual:.3g}, "
-                         f"largest row sum {norm:.3g}); M may be nilpotent or periodic")
-    return SpectralTriple(lam=lam, u=u, v=v, primitive_warning=not is_primitive(M),
-                          residual=residual)
+    residual, ok = perron_residual(M[None], lam, u, v)
+    if not ok[0]:
+        raise ValueError(f"power iteration did not converge (residual {residual[0]:.3g}, "
+                         f"largest row sum {M.sum(axis=1).max():.3g}); "
+                         "M may be nilpotent or periodic")
+    return SpectralTriple(lam=float(lam[0]), u=u[0], v=v[0] / scale,
+                          primitive_warning=not is_primitive(M), residual=float(residual[0]))
+
+
+def perron_residual(M: np.ndarray, lam: np.ndarray, u: np.ndarray,
+                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual of each Perron pair from ``perron_batch`` and a mask of the
+    pairs that converged.
+
+    The residual is max(|M u - lam u|, |v M - lam v|) with v rescaled so
+    that sum_i u_i v_i = 1; a pair has converged when its residual is at
+    most 1e-9 times the largest row sum of its M.
+    """
+    # a degenerate pair (u.v = 0) gets a NaN or inf residual: not converged
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = v / (u[:, None, :] @ v[:, :, None])[:, :, 0]
+        Mu = (M @ u[:, :, None])[:, :, 0]
+        vM = (v[:, None, :] @ M)[:, 0, :]
+        residual = np.maximum(np.abs(Mu - lam[:, None] * u).max(axis=1),
+                              np.abs(vM - lam[:, None] * v).max(axis=1))
+    return residual, residual <= 1e-9 * M.sum(axis=2).max(axis=1)

@@ -30,28 +30,52 @@ def _tiny_alpha_posterior():
 
 
 def _zero_normalizer_rows(post, seed, n):
-    """Replicates whose first Gamma draw gives some pair a zero sum."""
+    """Rows whose Gamma variates on the ensemble stream SeedSpec(seed, 0),
+    one draw per pair per row, give some pair a zero sum."""
+    rng = SeedSpec(seed, 0).rng()
     pairs = sorted(post.alpha)
+    return [r for r in range(n)
+            if min([rng.gamma(shape=post.alpha[p]).sum() for p in pairs]) == 0]
+
+
+def _reference_rows(post, seed, n, replayed):
+    """The ensemble contract as a plain loop: row r is the r-th consecutive
+    draw on the one stream SeedSpec(seed, 0), except that each row in
+    ``replayed`` takes one Gamma draw per pair there and is then replayed by
+    sample_parameter_draw on its own stream SeedSpec(seed, r + 1)."""
+    rng = SeedSpec(seed, 0).rng()
     rows = []
     for r in range(n):
-        rng = SeedSpec(seed, r).rng()
-        if any(rng.gamma(shape=post.alpha[p]).sum() == 0 for p in pairs):
-            rows.append(r)
+        if r in replayed:
+            for pair in sorted(post.alpha):
+                rng.gamma(shape=post.alpha[pair])
+            rows.append(g.sample_parameter_draw(post, SeedSpec(seed, r + 1)))
+        else:
+            rows.append(g.sample_parameter_draw(post, rng))
     return rows
 
 
 @pytest.mark.filterwarnings("error")
 def test_ensemble_matches_sample_parameter_draw(synthetic_posterior, bear_posterior):
     tiny = _tiny_alpha_posterior()
-    assert _zero_normalizer_rows(tiny, 5, 300)
     cases = [(synthetic_posterior, 31, 20), (bear_posterior, 2024, 300),
              (bear_posterior, -3, 40), (bear_posterior, 2 ** 64 + 5, 40), (tiny, 5, 300)]
     for post, seed, n in cases:
+        replayed = set(_zero_normalizer_rows(post, seed, n))
+        assert bool(replayed) == (post is tiny)
         ens = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
-        for r in range(n):
-            draw = g.sample_parameter_draw(post, SeedSpec(seed, r))
+        for r, draw in enumerate(_reference_rows(post, seed, n, replayed)):
             for pair in ens.pairs:
                 assert np.array_equal(draw.p[pair], ens.law(pair)[r]), (seed, r, pair)
+
+
+def test_single_draw_is_ensemble_of_one(synthetic_posterior, bear_posterior):
+    for post, seed in [(synthetic_posterior, 31), (bear_posterior, 2024),
+                       (bear_posterior, 2 ** 64 + 5)]:
+        ens = PosteriorEnsemble(post, n_prec=1, master_seed=seed)
+        draw = g.sample_parameter_draw(post, SeedSpec(seed, 0))
+        for pair in ens.pairs:
+            assert np.array_equal(draw.p[pair], ens.law(pair)[0])
 
 
 def test_ensemble_underflow_cap_raises():
@@ -120,7 +144,57 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     assert tb.n_used == np.sum(sub) - dropped
     assert tb.warnings["supercritical-draws"] == 3000 - np.sum(sub)
     assert np.isfinite(tb.upper_curve).all() and np.isfinite(tb.lower_curve).all()
-    assert tb.t_plus is not None and tb.upper_curve[-1] <= 0.05
+    # the used draws are those whose bound constants are finite; t_plus is
+    # the first t <= horizon_cap at which the mean over them of
+    # min(1, (v.N / min v) lam^t) is <= alpha, or None if there is none;
+    # each term is nonincreasing in t, so two points decide it
+    v, lam = ens.left_vectors, ens.lambdas
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.mean_matrices, lam, v,
+                                                  np.array([3.0, 2.0]))
+        c_upper = (v @ np.array([3.0, 2.0])) / v_min
+    use = sub & (v_min > 0) & np.isfinite(c_u) & np.isfinite(c_l)
+    assert tb.n_used == np.sum(use)
+
+    def mean_upper(t):
+        return np.sum(np.minimum(1.0, c_upper[use] * lam[use] ** t)) / np.sum(use)
+
+    if tb.t_plus is None:
+        assert tb.times[-1] == 10 ** 6 and mean_upper(10 ** 6) > 0.05
+    else:
+        assert mean_upper(tb.t_plus) <= 0.05
+        assert tb.t_plus == 0 or mean_upper(tb.t_plus - 1) > 0.05
+    assert np.isclose(tb.upper_curve[-1], mean_upper(tb.times[-1]), rtol=1e-12, atol=0)
+
+
+def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
+    # the period-2 pattern {1, 2} -> 3 -> {1, 2} leaves power iteration on
+    # the shifted matrix short of perron_triple's residual limit
+    cap = g.OffspringCap(3, {(1, 3): 2, (2, 3): 2, (3, 1): 2, (3, 2): 2})
+    post = g.PosteriorParams(cap, {p: np.array([3.0, 2.0, 1.0]) for p in cap.kappa})
+    ens = PosteriorEnsemble(post, n_prec=2000, master_seed=7)
+    failed = ens.perron_failures
+    assert failed.any()
+    for r, M in enumerate(ens.mean_matrices):
+        try:
+            g.perron_triple(M)
+        except ValueError:
+            assert failed[r], r
+        else:
+            assert not failed[r], r
+    pop = (1, 1, 1)
+    for est in (g.mc_viability_probability(post, ensemble=ens),
+                g.mc_extinction_probability(post, pop, ensemble=ens),
+                g.mc_time_bounds(post, pop, ensemble=ens)):
+        assert est.warnings["perron-failures"] == np.sum(failed)
+    synthetic = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
+    for ens, post, pop in [(synthetic, synthetic_posterior, (22,)),
+                           (bear_ensemble, bear_ensemble.params, (2, 2, 2, 2, 10))]:
+        assert not ens.perron_failures.any()
+        for est in (g.mc_viability_probability(post, ensemble=ens),
+                    g.mc_extinction_probability(post, pop, ensemble=ens),
+                    g.mc_time_bounds(post, pop, ensemble=ens)):
+            assert est.warnings["perron-failures"] == 0
 
 
 def test_time_bounds_require_a_usable_draw():
@@ -229,14 +303,17 @@ def test_ensemble_rerun_and_prefix_invariance(bear_posterior):
         tb = g.mc_time_bounds(bear_posterior, (1, 1, 1, 1, 1), ensemble=ens)
         return via.value, ext.value, tb.t_minus, tb.t_plus, tb.upper_curve.tobytes()
 
-    small = PosteriorEnsemble(bear_posterior, n_prec=96, master_seed=5)
-    again = PosteriorEnsemble(bear_posterior, n_prec=96, master_seed=5)
+    # the bear posterior is mostly supercritical: at seed 5 the first
+    # subcritical draw is row 219, and the time bounds need one
+    small = PosteriorEnsemble(bear_posterior, n_prec=600, master_seed=5)
+    assert np.sum(small.lambdas < 1) > 0
+    again = PosteriorEnsemble(bear_posterior, n_prec=600, master_seed=5)
     assert outputs(small) == outputs(again)
-    large = PosteriorEnsemble(bear_posterior, n_prec=160, master_seed=5)
+    large = PosteriorEnsemble(bear_posterior, n_prec=1000, master_seed=5)
     for pair in small.pairs:
-        assert np.array_equal(small.law(pair), large.law(pair)[:96])
+        assert np.array_equal(small.law(pair), large.law(pair)[:600])
     for name in ("lambdas", "left_vectors", "extinction_profiles"):
-        assert np.array_equal(getattr(small, name), getattr(large, name)[:96]), name
+        assert np.array_equal(getattr(small, name), getattr(large, name)[:600]), name
 
 
 def test_rerun_with_new_seed_within_error_bound(synthetic_posterior):
@@ -285,7 +362,7 @@ def test_batched_fixed_point_matches_single_draw_oracle(K):
         assert np.all(s[lam <= 1.0] == 1.0)
         n_near += int(np.sum(np.abs(lam - 1.0) < 1e-2))
         for r in range(ens.n_prec):
-            draw = g.sample_parameter_draw(post, SeedSpec(K, r))
+            draw = g.ParameterDraw(post.cap, {p: ens.law(p)[r] for p in ens.pairs})
             oracle = g.minimal_fixed_point(draw)
             assert oracle.converged
             np.testing.assert_allclose(s[r], oracle.s, rtol=0, atol=1e-9)

@@ -190,8 +190,10 @@ def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, v: np.ndarray,
     col_sup = np.zeros((n, K))
     seen = np.zeros((n, K), dtype=bool)
     for (i, j), d in laws.items():
-        ks = np.arange(d.shape[1], dtype=float)
-        val = d[:, 1:] @ (ks[1:] ** 2) - M[:, i - 1, j - 1] ** 2 * (1 - d[:, 0])
+        # summed term by term: sum_k k^2 p(k) - M^2 (1 - p(0)) cancels to 0
+        # on near-point-mass laws
+        ks = np.arange(1, d.shape[1], dtype=float)
+        val = np.sum((ks ** 2 - M[:, i - 1, j - 1, None] ** 2) * d[:, 1:], axis=1)
         col = j - 1
         col_sup[:, col] = np.where(seen[:, col], np.maximum(col_sup[:, col], val), val)
         seen[:, col] = True
@@ -304,8 +306,11 @@ def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float
 
     ``t_plus`` is the smallest t with upper(t) <= alpha (None if not reached
     within ``horizon_cap``); ``t_minus`` the largest t <= t_plus with
-    lower(t) >= 1 - alpha (0 if none or if ``lower`` is None), guaranteeing
-    P(T_ext <= t_minus) <= alpha. Both curves must be nonincreasing in t.
+    lower(t) >= 1 - alpha (0 if none or if ``lower`` is None), so
+    P(T_ext <= t_minus) <= alpha only if ``lower`` truly bounds survival
+    from below, which the second-moment curve of ``survival_bounds`` does
+    not always do (ROADMAP open item 1). Both curves must be nonincreasing
+    in t.
     """
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")

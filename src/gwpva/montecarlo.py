@@ -129,10 +129,13 @@ class MCEstimate:
 class TimeBoundsEstimate:
     """Averaged survival-bound curves and the extinction-time bracket.
 
-    The bracket guarantees P(T_ext <= t_minus) <= alpha and
-    P(T_ext > t_plus) <= alpha under the averaged (lambda < 1 conditioned)
-    posterior, so T_ext falls in (t_minus, t_plus] with probability at
-    least 1 - 2*alpha."""
+    Under the averaged (lambda < 1 conditioned) posterior, t_plus is the
+    first t at which the mean upper curve is <= alpha and t_minus the last
+    t at which the mean lower curve is >= 1 - alpha. Only t_plus rests on a
+    bound: the lower curve is the asymptotic second-moment curve, which can
+    lie above the exact survival probability, so P(T_ext <= t_minus) <=
+    alpha is not guaranteed and (t_minus, t_plus] is not a proven 1 -
+    2*alpha interval (ROADMAP open item 1)."""
 
     t_minus: int
     t_plus: int | None
@@ -389,7 +392,8 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     upper bound and the second-moment lower bound (both clamped to [0, 1]);
     curves are averaged over draws with lambda < 1 and the bracket read off
     at level alpha: t_plus = first t with mean upper <= alpha, t_minus =
-    last t with mean lower >= 1 - alpha.
+    last t with mean lower >= 1 - alpha. The lower curve is asymptotic, not
+    a bound, so t_minus carries no guarantee (see ``TimeBoundsEstimate``).
 
     The bounds divide by the smallest left-eigenvector entry, so a
     subcritical draw whose left vector has an entry <= 0 (a reducible mean

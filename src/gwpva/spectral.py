@@ -77,20 +77,49 @@ def perron_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     M is a stack (n, K, K) of nonnegative matrices. Shifted power iteration
     on A = M + eps*I (eps = 1e-12, to break periodicity), accelerated by
-    normalized repeated squaring (A^(2^60) collapses every matrix onto its
-    dominant eigenspace at once), then a few plain power steps against A
-    to wash out round-off. Returns lam (n,), u (n, K) and v (n, K) with
-    each u and v summing to 1. Each matrix's answer is computed on its
-    own, whichever other matrices share the stack.
+    normalized repeated squaring B <- B @ B / max(B @ B), then a few plain
+    power steps against A to wash out round-off. Returns lam (n,), u (n, K)
+    and v (n, K) with each u and v summing to 1.
+
+    Each matrix stops squaring once its iterate B is rank one to round-off.
+    A rank-one B = u v^T satisfies B @ B = tr(B) B exactly, so B is finished
+    when |B @ B - tr(B) B| <= 4 K eps tr(B) B in every entry, eps being the
+    machine epsilon. The test is entrywise and relative, so an entry of B
+    that is 0 must square to exactly 0, and an entry still decaying towards
+    0 (a reducible pattern) fails it until it underflows to exactly 0, so
+    u and v keep the exact zeros that 60 squarings give them. A periodic
+    pattern whose shift has not yet acted has an iterate near a matrix of
+    higher rank, such as I for period 2, where B @ B and tr(B) B differ by
+    a factor of K, so it keeps squaring. At most 60 squarings are made
+    (A^(2^60)); a matrix that never passes, such as a nilpotent one, takes
+    all 60. Each matrix's answer, including when it stops, is computed on
+    its own, whichever other matrices share the stack.
     """
     K = M.shape[-1]
     A = M + _SHIFT * np.eye(K)
     B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
+    tol = 4 * K * np.finfo(float).eps
+    out = np.empty_like(B)
+    rows = np.arange(len(B))
     for _ in range(60):
-        B = B @ B
+        if not len(rows):
+            break
+        B2 = B @ B
+        # B is spent once squared: it becomes tr(B) B, then the bound, in
+        # place, so the test adds only err to the arrays held
+        B *= np.trace(B, axis1=1, axis2=2)[:, None, None]
+        err = B2 - B
+        np.abs(err, out=err)
+        B *= tol
+        done = (err <= B).all(axis=(1, 2))
+        B = B2
         B /= np.abs(B).max(axis=(1, 2), keepdims=True)
-    u = B.sum(axis=2)
-    v = B.sum(axis=1)
+        if done.any():
+            out[rows[done]] = B[done]
+            rows, B = rows[~done], B[~done]
+    out[rows] = B
+    u = out.sum(axis=2)
+    v = out.sum(axis=1)
     u /= u.sum(axis=1, keepdims=True)
     v /= v.sum(axis=1, keepdims=True)
     for _ in range(8):

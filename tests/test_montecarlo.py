@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gwpva as g
-from gwpva import montecarlo
+from gwpva import montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
@@ -150,11 +150,15 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     # each term is nonincreasing in t, so two points decide it
     v, lam = ens.left_vectors, ens.lambdas
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.mean_matrices, lam, v,
-                                                  np.array([3.0, 2.0]))
+        xi, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.mean_matrices, lam, v,
+                                                   np.array([3.0, 2.0]))
         c_upper = (v @ np.array([3.0, 2.0])) / v_min
     use = sub & (v_min > 0) & np.isfinite(c_u) & np.isfinite(c_l)
     assert tb.n_used == np.sum(use)
+    # draws 335 and 2638 hold near-point-mass laws, on which
+    # sum_k k^2 p(k) - M^2 (1 - p(0)) cancels to 0
+    assert (xi[[335, 2638]] > 0).all()
+    assert tb.warnings["degenerate-xi"] == 0
 
     def mean_upper(t):
         return np.sum(np.minimum(1.0, c_upper[use] * lam[use] ** t)) / np.sum(use)
@@ -167,11 +171,16 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     assert np.isclose(tb.upper_curve[-1], mean_upper(tb.times[-1]), rtol=1e-12, atol=0)
 
 
-def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
-    # the period-2 pattern {1, 2} -> 3 -> {1, 2} leaves power iteration on
-    # the shifted matrix short of perron_triple's residual limit
+def _period_two_posterior():
+    """The period-2 pattern {1, 2} -> 3 -> {1, 2}: power iteration on the
+    shifted matrix leaves some of its draws short of perron_triple's
+    residual limit."""
     cap = g.OffspringCap(3, {(1, 3): 2, (2, 3): 2, (3, 1): 2, (3, 2): 2})
-    post = g.PosteriorParams(cap, {p: np.array([3.0, 2.0, 1.0]) for p in cap.kappa})
+    return g.PosteriorParams(cap, {p: np.array([3.0, 2.0, 1.0]) for p in cap.kappa})
+
+
+def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
+    post = _period_two_posterior()
     ens = PosteriorEnsemble(post, n_prec=2000, master_seed=7)
     failed = ens.perron_failures
     assert failed.any()
@@ -195,6 +204,55 @@ def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
                     g.mc_extinction_probability(post, pop, ensemble=ens),
                     g.mc_time_bounds(post, pop, ensemble=ens)):
             assert est.warnings["perron-failures"] == 0
+
+
+def _perron_full_squaring(M):
+    """perron_batch as a plain loop of all 60 normalized squarings, with no
+    per-draw exit."""
+    K = M.shape[-1]
+    A = M + 1e-12 * np.eye(K)
+    B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
+    for _ in range(60):
+        B = B @ B
+        B /= np.abs(B).max(axis=(1, 2), keepdims=True)
+    u = B.sum(axis=2)
+    v = B.sum(axis=1)
+    u /= u.sum(axis=1, keepdims=True)
+    v /= v.sum(axis=1, keepdims=True)
+    for _ in range(8):
+        u = np.einsum("rij,rj->ri", A, u)
+        v = np.einsum("ri,rij->rj", v, A)
+        u /= u.sum(axis=1, keepdims=True)
+        v /= v.sum(axis=1, keepdims=True)
+    Au = np.einsum("rij,rj->ri", A, u)
+    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - 1e-12
+    return np.maximum(lam, 0.0), u, v
+
+
+def test_perron_batch_matches_full_squaring_reference(bear_ensemble):
+    rng = np.random.default_rng(11)
+    stacks = [bear_ensemble.mean_matrices,
+              PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000,
+                                master_seed=5).mean_matrices,
+              PosteriorEnsemble(_period_two_posterior(), n_prec=2000,
+                                master_seed=7).mean_matrices]
+    for K in range(2, 6):
+        sparse = rng.uniform(size=(400, K, K)) < 0.5
+        stacks.append(rng.uniform(0.0, 2.0, size=(400, K, K)) * sparse)
+    for M in stacks:
+        got = spectral.perron_batch(M)
+        want = _perron_full_squaring(M)
+        for x, y in zip(got, want):
+            assert np.abs(x - y).max() <= 1e-14
+        for x, y in zip(got[1:], want[1:]):
+            assert np.array_equal(x == 0, y == 0)
+        assert np.array_equal(got[0] < 1, want[0] < 1)
+        assert np.array_equal(spectral.perron_residual(M, *got)[1],
+                              spectral.perron_residual(M, *want)[1])
+        # a permuted half of the stack gives the same rows, bit for bit
+        part = rng.permutation(len(M))[:len(M) // 2]
+        for x, y in zip(spectral.perron_batch(M[part]), got):
+            assert np.array_equal(x, y[part])
 
 
 def test_time_bounds_require_a_usable_draw():

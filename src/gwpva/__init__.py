@@ -9,9 +9,8 @@ Monte Carlo integration.
 
 from .baseline import GrowthMoments, log_growth_moments, regression_extinction_interval
 from .extensions import (BetaParams, GammaParams, PoissonLaw,
-                         convolve_survival_reproduction, joint_offspring_posterior,
-                         poisson_extinction_fixed_point, poisson_posterior,
-                         sex_ratio_posterior, thinned_offspring_law)
+                         convolve_survival_reproduction, poisson_extinction_fixed_point,
+                         poisson_posterior, sex_ratio_posterior, thinned_offspring_law)
 from .extinction import (ExtinctionProfile, SurvivalBounds, TimeBounds,
                          extinction_probability, extinction_time_bounds,
                          generating_function, minimal_fixed_point, survival_bounds)
@@ -34,4 +33,4 @@ from .sampling import (SeedSpec, Trajectory, sample_dirichlet, sample_parameter_
                        simulate, simulate_extinction_time)
 from .spectral import SpectralTriple, is_primitive, mean_matrix, perron_triple
 
-__version__ = "1.1.1"
+__version__ = "1.1.2"

@@ -275,7 +275,6 @@ def cmd_simulate(args) -> int:
         K = post.K
         source = {"posterior_sha256": digest}
     else:
-        from .formats import posterior_from_document  # draw file reuses the schema
         text = _read(args.draw)
         try:
             doc = json.loads(text)

@@ -2,20 +2,21 @@
 
 Covers: (a) unobserved offspring sex with a conjugate Beta sex ratio and
 the induced binomially-thinned female offspring law; (b) unbounded Poisson
-offspring with a conjugate Gamma prior on the rate; (c) composition of a
-survival step with a reproduction step into one offspring law; (d) a joint
-Dirichlet law over offspring-type combinations when per-type independence
-is untenable.
+offspring (``PoissonLaw``, defined with the other law kind in ``model``)
+with a conjugate Gamma prior on the rate; (c) composition of a survival
+step with a reproduction step into one offspring law.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
+
+from .extinction import _fixed_point_rows
+from .model import PoissonLaw
 
 __all__ = [
     "BetaParams",
@@ -26,7 +27,6 @@ __all__ = [
     "poisson_posterior",
     "poisson_extinction_fixed_point",
     "convolve_survival_reproduction",
-    "joint_offspring_posterior",
 ]
 
 
@@ -38,8 +38,8 @@ class BetaParams:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Beta parameters must be positive")
+        if not np.isfinite([self.a, self.b]).all() or min(self.a, self.b) <= 0:
+            raise ValueError(f"Beta parameters must be finite and positive: {self}")
 
     @property
     def mean(self) -> float:
@@ -59,8 +59,8 @@ class GammaParams:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("Gamma parameters must be positive")
+        if not np.isfinite([self.shape, self.rate]).all() or min(self.shape, self.rate) <= 0:
+            raise ValueError(f"Gamma parameters must be finite and positive: {self}")
 
     @property
     def mean(self) -> float:
@@ -113,55 +113,16 @@ def poisson_posterior(prior: GammaParams, offspring_counts: Sequence[int]) -> Ga
 
 
 def poisson_extinction_fixed_point(mean: float) -> float:
-    """Minimal root of s = exp(mean * (s - 1)) in [0, 1].
-
-    Equals 1 for mean <= 1 (certain extinction); below 1 the root is found
-    by bracketing, which the single-crossing structure of the pgf makes safe."""
-    if mean < 0:
-        raise ValueError("mean must be nonnegative")
-    if mean <= 1:
-        return 1.0
-
-    def f(s):
-        return math.exp(mean * (s - 1.0)) - s
-
-    # f(0) = e^-mean > 0 and f(1 - eps) < 0 for mean > 1
-    hi = 1.0 - 1e-12
-    if f(hi) >= 0:
-        return 1.0
-    return float(optimize.brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
-
-
-@dataclass(frozen=True)
-class PoissonLaw:
-    """Unbounded Poisson offspring law with rate ``mean``.
-
-    Satisfies the duck-typed law interface used by the per-draw numerics
-    (mean, pgf, pgf_derivative, second_moment, sample_counts)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
-
-    def mean(self) -> float:
-        return self.rate
-
-    def second_moment(self) -> float:
-        return self.rate + self.rate ** 2
-
-    def pgf(self, s: float) -> float:
-        return math.exp(self.rate * (s - 1.0))
-
-    def pgf_derivative(self, s: float) -> float:
-        return self.rate * math.exp(self.rate * (s - 1.0))
-
-    def sample_counts(self, rng: np.random.Generator, n_parents: int) -> dict[int, int]:
-        """Histogram {k: #parents with k offspring} for n_parents parents."""
-        draws = rng.poisson(self.rate, size=n_parents)
-        ks, ns = np.unique(draws, return_counts=True)
-        return {int(k): int(n) for k, n in zip(ks, ns)}
+    """Minimal root of s = exp(mean * (s - 1)) in [0, 1]: exactly 1 for
+    mean <= 1 (certain extinction). The batched ``_fixed_point_rows`` on a
+    Poisson law stack of one draw, with K = 1 and Perron root the mean."""
+    if not np.isfinite(mean) or mean < 0:
+        raise ValueError(f"mean must be finite and nonnegative, got {mean!r}")
+    rate = np.array([float(mean)])
+    s, failed = _fixed_point_rows({(1, 1): rate}, 1, rate)
+    if failed[0]:
+        raise RuntimeError(f"fixed-point solve did not converge for mean {mean!r}")
+    return float(s[0, 0])
 
 
 def convolve_survival_reproduction(p_survival: Sequence[float],
@@ -180,25 +141,3 @@ def convolve_survival_reproduction(p_survival: Sequence[float],
         if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
             raise ValueError("inputs must be probability vectors")
     return np.convolve(ps, pr)
-
-
-def joint_offspring_posterior(prior: Mapping[tuple, float],
-                              counts: Mapping[tuple, int]) -> dict[tuple, float]:
-    """Dirichlet update over joint offspring-type combinations.
-
-    Keys are K-tuples (k_1, ..., k_K) of per-type offspring counts; this
-    drops the per-type independence assumption at the cost of a Dirichlet
-    over the whole product space. Counted combinations must appear in the
-    prior support."""
-    post = {tuple(key): float(a) for key, a in prior.items()}
-    for key, a in post.items():
-        if a <= 0:
-            raise ValueError(f"prior weight for {key} must be positive")
-    for key, n in counts.items():
-        key = tuple(key)
-        if n < 0:
-            raise ValueError(f"negative count for {key}")
-        if key not in post:
-            raise ValueError(f"combination {key} outside the prior support")
-        post[key] += n
-    return post

@@ -4,6 +4,11 @@ For a fixed parameterization the extinction probability starting from one
 type-i individual is the i-th coordinate of the minimal fixed point of the
 offspring generating function phi in [0, 1]^K; independence across founders
 turns a population into the product of per-founder coordinates.
+
+The per-draw kernels ``_pgf``, ``_pgf_jacobian`` and ``_fixed_point_rows``
+live here (the mean matrix is ``spectral.mean_matrices``). Each takes a law
+stack, pair -> (n, kappa+1) categorical rows or (n,) Poisson rates; the
+single-draw functions call them at n = 1 (``model._law_stack``).
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ParameterDraw, PopulationState, _is_categorical
-from .spectral import SpectralTriple, mean_matrix, perron_batch
+from .model import ParameterDraw, PopulationState, _as_abundance, _law_stack
+from .spectral import SpectralTriple, mean_matrices, perron_batch
 
 __all__ = [
     "ExtinctionProfile",
@@ -70,43 +75,143 @@ class TimeBounds:
     alpha: float
 
 
-def generating_function(draw: ParameterDraw, s) -> np.ndarray:
-    """Multi-type offspring pgf phi_i(s) = prod_j sum_k p_ij(k) s_j^k."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (draw.K,):
-        raise ValueError(f"s must have shape ({draw.K},)")
-    out = np.ones(draw.K)
-    for (i, j), law in draw.p.items():
-        if _is_categorical(law):
-            v = np.asarray(law, dtype=float)
-            out[i - 1] *= float(np.polynomial.polynomial.polyval(s[j - 1], v))
-        else:
-            out[i - 1] *= float(law.pgf(s[j - 1]))
+_FP_WARMUP = 32
+_FP_NEWTON_ITERS = 60
+_FP_RESIDUAL_OK = 1e-9
+
+
+def _pair_pgf(d: np.ndarray, x: np.ndarray, derivative: bool = False):
+    """One pair's pgf g(x) row-wise and, if asked, its derivative: Horner's
+    rule for (n, kappa+1) categorical rows d, e^{d (x - 1)} for (n,) Poisson
+    rates d. Only elementwise arithmetic is used, so each row's value is
+    bit-identical whatever the other rows are."""
+    if d.ndim == 1:
+        p = np.exp(d * (x - 1.0))
+        return p, d * p
+    p = d[:, -1].copy()
+    dp = np.zeros_like(x)
+    for k in range(d.shape[1] - 2, -1, -1):
+        if derivative:
+            dp = dp * x + p
+        p = p * x + d[:, k]
+    return p, dp
+
+
+def _pgf(laws: dict, s: np.ndarray) -> np.ndarray:
+    """phi applied draw-wise: s is (n, K) in [0,1]^K and ``laws`` is the law
+    stack of those n draws."""
+    out = np.ones_like(s)
+    for (i, j), d in laws.items():
+        out[:, i - 1] *= _pair_pgf(d, s[:, j - 1])[0]
     return out
 
 
-def _pgf_jacobian(draw: ParameterDraw, s: np.ndarray) -> np.ndarray:
-    """d phi_i / d s_j, using phi_i(s) = prod_j g_ij(s_j)."""
-    K = draw.K
-    g = np.ones((K, K))
-    dg = np.zeros((K, K))
-    for (i, j), law in draw.p.items():
-        if _is_categorical(law):
-            v = np.asarray(law, dtype=float)
-            g[i - 1, j - 1] = np.polynomial.polynomial.polyval(s[j - 1], v)
-            if len(v) > 1:
-                dv = v[1:] * np.arange(1, len(v))
-                dg[i - 1, j - 1] = np.polynomial.polynomial.polyval(s[j - 1], dv)
-        else:
-            g[i - 1, j - 1] = law.pgf(s[j - 1])
-            dg[i - 1, j - 1] = law.pgf_derivative(s[j - 1])
-    J = np.zeros((K, K))
-    for i in range(K):
-        row = g[i]
-        for j in range(K):
-            others = np.prod(np.delete(row, j))
-            J[i, j] = dg[i, j] * others
+def _pgf_jacobian(laws: dict, s: np.ndarray) -> np.ndarray:
+    """d phi_i / d s_j draw-wise, using phi_i(s) = prod_j g_ij(s_j)."""
+    n, K = s.shape
+    g = {(i, j): _pair_pgf(d, s[:, j - 1], derivative=True)
+         for (i, j), d in laws.items()}
+    J = np.zeros((n, K, K))
+    for (i, j), (_, dg) in g.items():
+        col = dg.copy()
+        for (i2, j2), (g2, _) in g.items():
+            if i2 == i and j2 != j:
+                col *= g2
+        J[:, i - 1, j - 1] = col
     return J
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A[r] x[r] = b[r] per row, plus a mask of the rows solved.
+
+    A singular row leaves only itself unsolved (its x is NaN), so the other
+    rows get the same answer as in a batch without it."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full_like(b, np.nan)
+    solved = np.zeros(len(b), dtype=bool)
+    for r in range(len(b)):
+        try:
+            x[r] = np.linalg.solve(A[r:r + 1], b[r:r + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            continue
+        solved[r] = True
+    return x, solved
+
+
+def _fixed_point_rows(laws: dict, K: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal pgf fixed point of each draw of a law stack, plus a per-draw
+    failure mask; ``lam`` holds the draws' Perron roots.
+
+    Each draw is solved on its own, in three stages, so its answer does
+    not depend on which other draws share the stack:
+
+    1. Short-circuit: a draw whose types can all die childless
+       (min phi(0) > 0) and whose lambda <= 1 + 1e-12 is certainly
+       extinct, so s = 1 exactly (the rule of ``minimal_fixed_point``).
+    2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
+       remaining draws. The iterates stay below the minimal root with
+       phi(s) - s >= 0.
+    3. Newton: damped Newton steps on an active set of draws. A step is
+       accepted only if the residual does not increase and
+       phi(s) - s >= -1e-12 stays true, which pins the iterate below the
+       minimal root, so the solve cannot jump to the trivial root 1
+       (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A draw
+       leaves the set when its residual falls below 1e-15, when its
+       Jacobian is singular, or when every damping of its step is
+       rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
+
+    A draw whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as
+    failed."""
+    s = np.zeros((len(lam), K))
+    certain = (_pgf(laws, s).min(axis=1) > 0.0) & (lam <= 1.0 + 1e-12)
+    s[certain] = 1.0
+    rows = np.flatnonzero(~certain)
+    live_laws = {pair: d[rows] for pair, d in laws.items()}
+    x = s[rows]
+    for _ in range(_FP_WARMUP):
+        x = _pgf(live_laws, x)
+    f = _pgf(live_laws, x) - x
+    live = np.abs(f).max(axis=1) >= 1e-15
+    eye = np.eye(K)
+    for _ in range(_FP_NEWTON_ITERS):
+        if not live.all():
+            s[rows[~live]] = x[~live]
+            rows, x, f = rows[live], x[live], f[live]
+            live_laws = {pair: d[live] for pair, d in live_laws.items()}
+        if not len(rows):
+            break
+        worst = np.abs(f).max(axis=1)
+        delta, solved = _solve_rows(_pgf_jacobian(live_laws, x) - eye, -f)
+        accepted = np.zeros(len(rows), dtype=bool)
+        pend = np.flatnonzero(solved)
+        for _halving in range(6):
+            if not len(pend):
+                break
+            x_try = np.clip(x[pend] + delta[pend], 0.0, 1.0)
+            f_try = _pgf({pair: d[pend] for pair, d in live_laws.items()}, x_try) - x_try
+            ok = (np.abs(f_try).max(axis=1) <= worst[pend]) \
+                & (f_try.min(axis=1) >= -1e-12)
+            x[pend[ok]] = x_try[ok]
+            f[pend[ok]] = f_try[ok]
+            accepted[pend[ok]] = True
+            pend = pend[~ok]
+            delta[pend] *= 0.5
+        live = accepted & (np.abs(f).max(axis=1) >= 1e-15)
+    s[rows] = x
+    residual = np.abs(_pgf(laws, s) - s).max(axis=1)
+    return np.clip(s, 0.0, 1.0), residual > _FP_RESIDUAL_OK
+
+
+def generating_function(draw: ParameterDraw, s) -> np.ndarray:
+    """Multi-type offspring pgf phi_i(s) = prod_j g_ij(s_j) of one draw:
+    ``_pgf`` on the draw's law stack at n = 1."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (draw.K,):
+        raise ValueError(f"s must have shape ({draw.K},)")
+    return _pgf(_law_stack(draw), s[None])[0]
 
 
 def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
@@ -122,30 +227,36 @@ def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
     root and prevents jumping to the trivial root at 1. Non-convergence is
     reported in the profile, never raised.
 
-    This scalar solver is kept as the independent oracle that the tests
-    check the batched solver of ``PosteriorEnsemble`` against.
+    This is the oracle the tests check ``_fixed_point_rows`` against: its
+    iteration and Newton polish are its own; phi and its Jacobian are the
+    law-stack kernels ``_pgf`` and ``_pgf_jacobian`` at n = 1.
     """
     K = draw.K
-    if float(generating_function(draw, np.zeros(K)).min()) > 0.0:
-        lam = perron_batch(mean_matrix(draw)[None])[0][0]
+    laws = _law_stack(draw)
+
+    def phi(s):
+        return _pgf(laws, s[None])[0]
+
+    if float(phi(np.zeros(K)).min()) > 0.0:
+        lam = perron_batch(mean_matrices(laws, K))[0][0]
         if lam <= 1.0 + 1e-12:
             ones = np.ones(K)
-            residual = float(np.abs(generating_function(draw, ones) - ones).max())
+            residual = float(np.abs(phi(ones) - ones).max())
             return ExtinctionProfile(s=ones, converged=True, iterations=0,
                                      residual=residual)
     s = np.zeros(K)
     it = 0
     for it in range(1, max_iter + 1):
-        s_new = generating_function(draw, s)
+        s_new = phi(s)
         step = float(np.abs(s_new - s).max())
         s = s_new
         if step < tol:
             break
     for _ in range(60):
-        f = generating_function(draw, s) - s
+        f = phi(s) - s
         if np.abs(f).max() < 1e-15:
             break
-        J = _pgf_jacobian(draw, s) - np.eye(K)
+        J = _pgf_jacobian(laws, s[None])[0] - np.eye(K)
         try:
             delta = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
@@ -153,7 +264,7 @@ def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
         moved = False
         for _halving in range(6):
             s_try = np.clip(s + delta, 0.0, 1.0)
-            f_try = generating_function(draw, s_try) - s_try
+            f_try = phi(s_try) - s_try
             if np.abs(f_try).max() <= np.abs(f).max() and f_try.min() >= -1e-12:
                 s = s_try
                 moved = True
@@ -161,7 +272,7 @@ def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
             delta = delta * 0.5
         if not moved:
             break
-    residual = float(np.abs(generating_function(draw, s) - s).max())
+    residual = float(np.abs(phi(s) - s).max())
     return ExtinctionProfile(s=np.clip(s, 0.0, 1.0), converged=residual < 1e-9,
                              iterations=it, residual=residual)
 
@@ -170,9 +281,7 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
                            population: PopulationState | Sequence[int]) -> float:
     """P(eventual extinction) = prod_i s_i^{N_i} by founder independence."""
     s = profile.s if isinstance(profile, ExtinctionProfile) else np.asarray(profile, float)
-    N = np.asarray(population.N if isinstance(population, PopulationState) else population)
-    if N.shape != s.shape:
-        raise ValueError("population and profile dimension mismatch")
+    N = _as_abundance(population, len(s))
     return float(np.prod(s ** N))
 
 
@@ -217,21 +326,20 @@ def survival_bounds(draw: ParameterDraw, triple: SpectralTriple,
     """
     if triple.lam >= 1:
         raise ValueError(f"survival bounds require lambda < 1, got {triple.lam}")
-    laws = {}
-    for pair, law in draw.p.items():
-        if not _is_categorical(law):
+    laws = _law_stack(draw)
+    for pair, d in laws.items():
+        if d.ndim == 1:
             raise ValueError(f"survival bounds need categorical laws; pair {pair} "
-                             f"holds a {type(law).__name__}")
-        laws[pair] = np.asarray(law, dtype=float)[None]
-    N = np.asarray(population.N if isinstance(population, PopulationState) else population,
-                   dtype=float)
+                             "holds a PoissonLaw")
+    N = _as_abundance(population, draw.K)
     v = triple.v
     vmin, vmax = float(v.min()), float(v.max())
     if vmin <= 0:
         raise ValueError("left eigenvector must be strictly positive (irreducible M)")
     lam = triple.lam
     xi, cU, cL = (float(x[0]) for x in
-                  _bound_constants(laws, mean_matrix(draw)[None], np.array([lam]), v[None], N))
+                  _bound_constants(laws, mean_matrices(laws, draw.K), np.array([lam]),
+                                   v[None], N))
     w = float(v @ N)
 
     def upper(t):

@@ -252,8 +252,11 @@ def parse_prior_config(text: str) -> PriorConfig:
         else:
             raise ParseError(f"{where}: unknown law {law!r}")
     cap = OffspringCap(K, kappa)
-    return PriorConfig(cap=cap, hyper=HyperParams(cap, alpha), poisson=poisson,
-                       warnings=tuple(warnings))
+    try:
+        hyper = HyperParams(cap, alpha)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+    return PriorConfig(cap=cap, hyper=hyper, poisson=poisson, warnings=tuple(warnings))
 
 
 def posterior_to_document(post: PosteriorParams,

@@ -47,8 +47,8 @@ class HyperParams:
             a = np.asarray(a, dtype=float)
             if a.ndim != 1 or len(a) != self.cap.cap_of(*pair) + 1:
                 raise ValueError(f"alpha for {pair} has wrong length")
-            if (a <= 0).any():
-                raise ValueError(f"alpha for {pair} must be strictly positive")
+            if not np.isfinite(a).all() or (a <= 0).any():
+                raise ValueError(f"alpha for {pair} must be finite and strictly positive")
 
     @property
     def K(self) -> int:

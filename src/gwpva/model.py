@@ -21,6 +21,7 @@ __all__ = [
     "LifeTable",
     "PopulationState",
     "ParameterDraw",
+    "PoissonLaw",
     "Violation",
     "validate_life_table",
     "aggregate_counts",
@@ -89,9 +90,6 @@ class LifeTable:
     def count(self, i: int, j: int, k: int, t: int) -> int:
         return self.counts.get((i, j, k, t), 0)
 
-    def observed_pairs(self) -> list[Pair]:
-        return sorted({(i, j) for (i, j, _, _) in self.counts})
-
     def concat(self, other: "LifeTable") -> "LifeTable":
         """Append another table after this one on the time axis."""
         if other.K != self.K:
@@ -127,23 +125,45 @@ class PopulationState:
         return self.total == 0
 
 
-def _is_categorical(law) -> bool:
-    return isinstance(law, (np.ndarray, list, tuple))
+def _as_abundance(population, K: int) -> np.ndarray:
+    """Abundances of a PopulationState or a plain sequence of K counts, as floats."""
+    N = population.N if isinstance(population, PopulationState) else population
+    N = np.asarray(N, dtype=float)
+    if N.shape != (K,):
+        raise ValueError(f"population must have {K} types")
+    return N
+
+
+@dataclass(frozen=True)
+class PoissonLaw:
+    """Unbounded Poisson offspring law; its pgf and mean are the Poisson
+    branch of the law-stack kernels (``extinction._pgf``, ``mean_matrices``)."""
+
+    rate: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.rate) or self.rate < 0:
+            raise ValueError(f"rate must be finite and nonnegative, got {self.rate!r}")
+
+    def sample_counts(self, rng: np.random.Generator, n_parents: int) -> dict[int, int]:
+        """Histogram {k: #parents with k offspring} for n_parents parents."""
+        draws = rng.poisson(self.rate, size=n_parents)
+        ks, ns = np.unique(draws, return_counts=True)
+        return {int(k): int(n) for k, n in zip(ks, ns)}
 
 
 @dataclass(frozen=True)
 class ParameterDraw:
     """One realization of all offspring laws p[i, j].
 
-    Values are probability vectors of length kappa[i, j] + 1 over offspring
-    counts 0..kappa. Forbidden pairs are omitted (point mass at zero).
-    A value may instead be any object exposing ``mean()``, ``pgf(s)``,
-    ``second_moment()`` and ``sample_counts(rng, n)`` (e.g. an unbounded
-    Poisson offspring law); numeric code dispatches on that.
+    A law is either a probability vector of length kappa[i, j] + 1 over
+    offspring counts 0..kappa or a ``PoissonLaw`` (unbounded offspring);
+    anything else is rejected. Forbidden pairs are omitted (point mass at
+    zero).
     """
 
     cap: OffspringCap
-    p: Mapping[Pair, np.ndarray]
+    p: Mapping[Pair, np.ndarray | PoissonLaw]
 
     def __post_init__(self):
         for pair in self.cap.pairs():
@@ -152,18 +172,29 @@ class ParameterDraw:
         for pair, law in self.p.items():
             if self.cap.is_forbidden(*pair):
                 raise ValueError(f"law supplied for forbidden pair {pair}")
-            if _is_categorical(law):
-                v = np.asarray(law, dtype=float)
-                if v.ndim != 1 or len(v) != self.cap.cap_of(*pair) + 1:
-                    raise ValueError(f"law for {pair} has wrong length")
-                if (v < -1e-15).any() or (v > 1 + 1e-12).any():
-                    raise ValueError(f"law for {pair} has entries outside [0,1]")
-                if abs(v.sum() - 1.0) > 1e-12:
-                    raise ValueError(f"law for {pair} sums to {v.sum()!r}, not 1")
+            if isinstance(law, PoissonLaw):
+                continue
+            if not isinstance(law, (np.ndarray, list, tuple)):
+                raise ValueError(f"law for {pair} must be a probability vector or a "
+                                 f"PoissonLaw, not a {type(law).__name__}")
+            v = np.asarray(law, dtype=float)
+            if v.ndim != 1 or len(v) != self.cap.cap_of(*pair) + 1:
+                raise ValueError(f"law for {pair} has wrong length")
+            if (v < -1e-15).any() or (v > 1 + 1e-12).any():
+                raise ValueError(f"law for {pair} has entries outside [0,1]")
+            if abs(v.sum() - 1.0) > 1e-12:
+                raise ValueError(f"law for {pair} sums to {v.sum()!r}, not 1")
 
     @property
     def K(self) -> int:
         return self.cap.K
+
+
+def _law_stack(draw: ParameterDraw) -> dict:
+    """The draw as a law stack of one: pair -> (1, kappa+1) categorical row
+    or (1,) Poisson rate, in sorted pair order as in an ensemble."""
+    return {pair: np.array([law.rate], dtype=float) if isinstance(law, PoissonLaw)
+            else np.asarray(law, dtype=float)[None] for pair, law in sorted(draw.p.items())}
 
 
 @dataclass(frozen=True)

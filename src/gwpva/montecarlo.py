@@ -10,8 +10,9 @@ Determinism: an ensemble draws its rows in order from the one stream
 SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
 stream SeedSpec(master_seed, r + 1), so row r depends only on the rows
 before it: the first n rows do not depend on how many follow, but one row
-cannot be reproduced in isolation. Per-draw quantities are computed row by
-row and reductions are fixed-order numpy sums, so a rerun is bit-identical.
+cannot be reproduced in isolation. Per-draw quantities come from the
+law-stack kernels of ``spectral`` and ``extinction``, row by row, and
+reductions are fixed-order numpy sums, so a rerun is bit-identical.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .extinction import _bound_constants, _bracket_scan
+from .extinction import _bound_constants, _bracket_scan, _fixed_point_rows
 from .inference import HyperParams
-from .model import PopulationState
+from .model import _as_abundance
 from .sampling import _dirichlet_rows
-from .spectral import is_primitive, perron_batch, perron_residual
+from .spectral import is_primitive, mean_matrices, perron_batch, perron_residual
 
 __all__ = [
     "MCEstimate",
@@ -42,9 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_N_PREC = 2500
-_FP_WARMUP = 32
-_FP_NEWTON_ITERS = 60
-_FP_RESIDUAL_OK = 1e-9
 
 
 def error_bound(n_prec: int) -> float:
@@ -52,64 +50,6 @@ def error_bound(n_prec: int) -> float:
     if n_prec < 1:
         raise ValueError("n_prec must be >= 1")
     return 1.0 / (4.0 * np.sqrt(n_prec))
-
-
-def _horner(d: np.ndarray, x: np.ndarray, derivative: bool = False):
-    """Row-wise polynomial sum_k d[:, k] x^k and, if asked, its derivative.
-
-    Horner's rule uses elementwise arithmetic only, so each row's value is
-    bit-identical whatever the other rows are."""
-    p = d[:, -1].copy()
-    dp = np.zeros_like(x)
-    for k in range(d.shape[1] - 2, -1, -1):
-        if derivative:
-            dp = dp * x + p
-        p = p * x + d[:, k]
-    return p, dp
-
-
-def _pgf(laws: dict, s: np.ndarray) -> np.ndarray:
-    """phi applied draw-wise: s is (n, K) in [0,1]^K and ``laws`` maps each
-    pair to the (n, kappa+1) law rows of those n draws."""
-    out = np.ones_like(s)
-    for (i, j), d in laws.items():
-        out[:, i - 1] *= _horner(d, s[:, j - 1])[0]
-    return out
-
-
-def _pgf_jacobian(laws: dict, s: np.ndarray) -> np.ndarray:
-    """d phi_i / d s_j draw-wise, using phi_i(s) = prod_j g_ij(s_j)."""
-    n, K = s.shape
-    g = {(i, j): _horner(d, s[:, j - 1], derivative=True)
-         for (i, j), d in laws.items()}
-    J = np.zeros((n, K, K))
-    for (i, j), (_, dg) in g.items():
-        col = dg.copy()
-        for (i2, j2), (g2, _) in g.items():
-            if i2 == i and j2 != j:
-                col *= g2
-        J[:, i - 1, j - 1] = col
-    return J
-
-
-def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A[r] x[r] = b[r] per row, plus a mask of the rows solved.
-
-    A singular row leaves only itself unsolved (its x is NaN), so the other
-    rows get the same answer as in a batch without it."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    x = np.full_like(b, np.nan)
-    solved = np.zeros(len(b), dtype=bool)
-    for r in range(len(b)):
-        try:
-            x[r] = np.linalg.solve(A[r:r + 1], b[r:r + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            continue
-        solved[r] = True
-    return x, solved
 
 
 @dataclass(frozen=True)
@@ -171,9 +111,9 @@ class PosteriorEnsemble:
     r + 1) if its Dirichlet normalizer is zero (``sampling._dirichlet_rows``):
     the first n draws are the same for any ensemble size, draw 0 is
     sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
-    cannot be reproduced without the draws before it. Heavy derived
-    quantities (mean matrices, dominant eigenpairs, pgf fixed points) are
-    computed lazily on the whole batch.
+    cannot be reproduced without the draws before it. Derived per-draw
+    arrays (mean matrices, dominant eigenpairs, pgf fixed points) are cached
+    properties that call the law-stack kernels on the whole batch.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -195,11 +135,7 @@ class PosteriorEnsemble:
 
     @cached_property
     def mean_matrices(self) -> np.ndarray:
-        M = np.zeros((self.n_prec, self.K, self.K))
-        for (i, j), d in self._laws.items():
-            ks = np.arange(d.shape[1], dtype=float)
-            M[:, i - 1, j - 1] = d @ ks
-        return M
+        return mean_matrices(self._laws, self.K)
 
     @cached_property
     def primitive_warning(self) -> bool:
@@ -233,69 +169,8 @@ class PosteriorEnsemble:
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
-        """Minimal pgf fixed point per draw, plus a per-draw failure mask.
-
-        Each draw is solved on its own, in three stages, so its answer does
-        not depend on n_prec or on which other draws share the batch:
-
-        1. Short-circuit: a draw whose types can all die childless
-           (min phi(0) > 0) and whose lambda <= 1 + 1e-12 is certainly
-           extinct, so s = 1 exactly (the rule of
-           ``extinction.minimal_fixed_point``).
-        2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
-           remaining draws. The iterates stay below the minimal root with
-           phi(s) - s >= 0.
-        3. Newton: damped Newton steps on an active set of draws. A step is
-           accepted only if the residual does not increase and
-           phi(s) - s >= -1e-12 stays true, which pins the iterate below the
-           minimal root, so the solve cannot jump to the trivial root 1
-           (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A draw
-           leaves the set when its residual falls below 1e-15, when its
-           Jacobian is singular, or when every damping of its step is
-           rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
-
-        A draw whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged
-        as failed."""
-        n, K = self.n_prec, self.K
-        s = np.zeros((n, K))
-        certain = (_pgf(self._laws, s).min(axis=1) > 0.0) \
-            & (self.lambdas <= 1.0 + 1e-12)
-        s[certain] = 1.0
-        rows = np.flatnonzero(~certain)
-        laws = {pair: d[rows] for pair, d in self._laws.items()}
-        x = s[rows]
-        for _ in range(_FP_WARMUP):
-            x = _pgf(laws, x)
-        f = _pgf(laws, x) - x
-        live = np.abs(f).max(axis=1) >= 1e-15
-        eye = np.eye(K)
-        for _ in range(_FP_NEWTON_ITERS):
-            if not live.all():
-                s[rows[~live]] = x[~live]
-                rows, x, f = rows[live], x[live], f[live]
-                laws = {pair: d[live] for pair, d in laws.items()}
-            if not len(rows):
-                break
-            worst = np.abs(f).max(axis=1)
-            delta, solved = _solve_rows(_pgf_jacobian(laws, x) - eye, -f)
-            accepted = np.zeros(len(rows), dtype=bool)
-            pend = np.flatnonzero(solved)
-            for _halving in range(6):
-                if not len(pend):
-                    break
-                x_try = np.clip(x[pend] + delta[pend], 0.0, 1.0)
-                f_try = _pgf({pair: d[pend] for pair, d in laws.items()}, x_try) - x_try
-                ok = (np.abs(f_try).max(axis=1) <= worst[pend]) \
-                    & (f_try.min(axis=1) >= -1e-12)
-                x[pend[ok]] = x_try[ok]
-                f[pend[ok]] = f_try[ok]
-                accepted[pend[ok]] = True
-                pend = pend[~ok]
-                delta[pend] *= 0.5
-            live = accepted & (np.abs(f).max(axis=1) >= 1e-15)
-        s[rows] = x
-        residual = np.abs(_pgf(self._laws, s) - s).max(axis=1)
-        return np.clip(s, 0.0, 1.0), residual > _FP_RESIDUAL_OK
+        """Minimal pgf fixed point and failure flag per draw."""
+        return _fixed_point_rows(self._laws, self.K, self.lambdas)
 
     @property
     def extinction_profiles(self) -> np.ndarray:
@@ -304,12 +179,6 @@ class PosteriorEnsemble:
     @property
     def fixed_point_failures(self) -> np.ndarray:
         return self._fixed_point[1]
-
-
-def _as_abundance(population) -> np.ndarray:
-    if isinstance(population, PopulationState):
-        return np.asarray(population.N, dtype=float)
-    return np.asarray(population, dtype=float)
 
 
 def mc_viability_probability(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -332,9 +201,7 @@ def mc_extinction_probability(params: HyperParams, population,
                               ensemble: PosteriorEnsemble | None = None) -> MCEstimate:
     """Posterior mean of P(eventual extinction | parameters) for a population."""
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
-    N = _as_abundance(population)
-    if N.shape != (ens.K,):
-        raise ValueError(f"population must have {ens.K} types")
+    N = _as_abundance(population, ens.K)
     s = ens.extinction_profiles
     bad = ens.fixed_point_failures
     per_draw = np.prod(s ** N[None, :], axis=1)
@@ -366,9 +233,7 @@ def mc_short_time_abundance(params: HyperParams, initial, horizon: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
-    N0 = _as_abundance(initial)
-    if N0.shape != (ens.K,):
-        raise ValueError(f"initial state must have {ens.K} types")
+    N0 = _as_abundance(initial, ens.K)
     x = np.broadcast_to(N0, (ens.n_prec, ens.K)).copy()
     out = []
     for t in range(horizon + 1):
@@ -404,9 +269,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
-    N = _as_abundance(population)
-    if N.shape != (ens.K,):
-        raise ValueError(f"population must have {ens.K} types")
+    N = _as_abundance(population, ens.K)
     lam = ens.lambdas
     sub = lam < 1.0
     n_sub = int(np.sum(sub))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inference import HyperParams
-from .model import LifeTable, OffspringCap, ParameterDraw, PopulationState, _is_categorical
+from .model import LifeTable, OffspringCap, ParameterDraw, PoissonLaw, PopulationState
 
 __all__ = [
     "SeedSpec",
@@ -160,19 +160,15 @@ def _step(draw: ParameterDraw, N: tuple[int, ...], t: int, rng: np.random.Genera
         if n_parents == 0:
             continue
         law = draw.p[(i, j)]
-        if _is_categorical(law):
-            v = np.asarray(law, dtype=float)
-            c = rng.multinomial(n_parents, v / v.sum())
-            for k, n in enumerate(c):
-                if n:
-                    counts[(i, j, k, t)] = int(n)
-                    new[j - 1] += k * int(n)
+        if isinstance(law, PoissonLaw):
+            ks = sorted(law.sample_counts(rng, n_parents).items())
         else:
-            ks = law.sample_counts(rng, n_parents)
-            for k, n in sorted(ks.items()):
-                if n:
-                    counts[(i, j, k, t)] = int(n)
-                    new[j - 1] += k * int(n)
+            v = np.asarray(law, dtype=float)
+            ks = enumerate(rng.multinomial(n_parents, v / v.sum()))
+        for k, n in ks:
+            if n:
+                counts[(i, j, k, t)] = int(n)
+                new[j - 1] += k * int(n)
     return tuple(new)
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterDraw, _is_categorical
+from .model import ParameterDraw, _law_stack
 
-__all__ = ["SpectralTriple", "mean_matrix", "perron_batch", "perron_residual",
-           "perron_triple", "is_primitive"]
+__all__ = ["SpectralTriple", "mean_matrix", "mean_matrices", "perron_batch",
+           "perron_residual", "perron_triple", "is_primitive"]
 
 _SHIFT = 1e-12
 
@@ -37,17 +37,29 @@ class SpectralTriple:
     residual: float = 0.0
 
 
-def mean_matrix(draw: ParameterDraw) -> np.ndarray:
-    """Mean offspring matrix M[i, j] = sum_k k p[i, j](k)."""
-    K = draw.K
-    M = np.zeros((K, K))
-    for (i, j), law in draw.p.items():
-        if _is_categorical(law):
-            v = np.asarray(law, dtype=float)
-            M[i - 1, j - 1] = float(np.arange(len(v)) @ v)
+def mean_matrices(laws: dict, K: int) -> np.ndarray:
+    """Mean offspring matrix of each draw of a law stack, (n, K, K).
+
+    ``laws`` maps each pair to its (n, kappa+1) categorical rows, with mean
+    sum_k k p(k), or to its (n,) Poisson rates, their own means. An empty
+    stack is one draw with no pairs.
+    """
+    n = max((len(d) for d in laws.values()), default=1)
+    M = np.zeros((n, K, K))
+    for (i, j), d in laws.items():
+        if d.ndim == 1:
+            M[:, i - 1, j - 1] = d
         else:
-            M[i - 1, j - 1] = float(law.mean())
+            # NumPy takes a one-row product as a dot product, which sums in another
+            # order than the matrix-vector product of a stack: double a lone row
+            rows = d if len(d) > 1 else np.repeat(d, 2, axis=0)
+            M[:, i - 1, j - 1] = (rows @ np.arange(d.shape[1], dtype=float))[:len(d)]
     return M
+
+
+def mean_matrix(draw: ParameterDraw) -> np.ndarray:
+    """Mean offspring matrix M[i, j] of one draw: ``mean_matrices`` at n = 1."""
+    return mean_matrices(_law_stack(draw), draw.K)[0]
 
 
 def is_primitive(M: np.ndarray) -> bool:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import gwpva as g
+from gwpva.extinction import _pgf_jacobian
+from gwpva.model import _law_stack
 from gwpva.sampling import SeedSpec
 
 
@@ -40,34 +42,71 @@ def test_poisson_posterior():
         g.poisson_posterior(post, [-1])
 
 
+def _poisson_bisection(mean):
+    # bisection oracle for the minimal root of s = exp(mean (s - 1))
+    if mean <= 1:
+        return 1.0
+    lo, hi = 0.0, 1.0 - 1e-13
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if math.exp(mean * (mid - 1.0)) - mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def test_poisson_extinction_fixed_point():
     assert g.poisson_extinction_fixed_point(0.5) == 1.0
     assert g.poisson_extinction_fixed_point(1.0) == 1.0
     s = g.poisson_extinction_fixed_point(2.0)
-    # bisection oracle for s = exp(2(s-1))
-    lo, hi = 0.0, 1.0 - 1e-13
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if math.exp(2.0 * (mid - 1.0)) - mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    assert abs(s - (lo + hi) / 2) <= 1e-9
+    assert abs(s - _poisson_bisection(2.0)) <= 1e-9
     assert s == pytest.approx(0.2032, abs=5e-4)
     with pytest.raises(ValueError):
         g.poisson_extinction_fixed_point(-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            g.poisson_extinction_fixed_point(bad)
+
+
+@pytest.mark.parametrize("mean", [0.5, 1.0, 1.00001, 1.00005, 1.5, 2, 5, 20, 50])
+def test_poisson_extinction_fixed_point_matches_bisection(mean):
+    # just above criticality the root sits within 1e-4 of 1, where a
+    # bracket test at 1 - 1e-12 sees no sign change
+    s = g.poisson_extinction_fixed_point(mean)
+    if mean <= 1:
+        assert s == 1.0
+    assert abs(s - _poisson_bisection(mean)) <= 1e-9
 
 
 def test_poisson_law_interface():
+    # the law keeps only its rate and its sampler; its mean, pgf and pgf
+    # derivative are the Poisson branch of the law-stack kernels
     law = g.PoissonLaw(2.0)
-    assert law.mean() == 2.0
-    assert law.second_moment() == pytest.approx(6.0)
-    assert law.pgf(1.0) == pytest.approx(1.0)
-    assert law.pgf_derivative(1.0) == pytest.approx(2.0)
+    draw = g.ParameterDraw(g.OffspringCap(1, {(1, 1): 1}), {(1, 1): law})
+    assert g.mean_matrix(draw)[0, 0] == 2.0
+    assert g.generating_function(draw, [1.0]) == pytest.approx([1.0])
+    assert g.generating_function(draw, [0.5]) == pytest.approx([math.exp(-1.0)], rel=1e-15)
+    J = _pgf_jacobian(_law_stack(draw), np.array([[1.0], [0.5]]))
+    assert J[:, 0, 0] == pytest.approx([2.0, 2.0 * math.exp(-1.0)], rel=1e-15)
     counts = law.sample_counts(SeedSpec(4, 0).rng(), 500)
     assert sum(counts.values()) == 500
     mean = sum(k * n for k, n in counts.items()) / 500
     assert mean == pytest.approx(2.0, abs=0.2)
+
+
+def test_nonfinite_parameters_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            g.GammaParams(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            g.GammaParams(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            g.BetaParams(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            g.BetaParams(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            g.PoissonLaw(bad)
 
 
 def test_poisson_law_in_draw_and_simulation():
@@ -78,6 +117,16 @@ def test_poisson_law_in_draw_and_simulation():
     assert prof.s[0] == pytest.approx(1.0, abs=1e-9)
     traj = g.simulate(draw, g.PopulationState((30,)), 10, SeedSpec(6, 0))
     assert traj.extinct_at is not None or traj.final.total >= 0
+    # supercritical: the scalar oracle and the batched n = 1 solver agree
+    draw = g.ParameterDraw(cap, {(1, 1): g.PoissonLaw(2.0)})
+    assert g.mean_matrix(draw) == pytest.approx(np.array([[2.0]]))
+    prof = g.minimal_fixed_point(draw)
+    assert prof.converged
+    assert abs(prof.s[0] - g.poisson_extinction_fixed_point(2.0)) <= 1e-12
+    assert abs(prof.s[0] - _poisson_bisection(2.0)) <= 1e-9
+    traj = g.simulate(draw, g.PopulationState((3,)), 5, SeedSpec(6, 0))
+    # the first generation records one offspring count per founder
+    assert sum(n for (_, _, _, t), n in traj.table.counts.items() if t == 0) == 3
 
 
 def test_convolve_survival_reproduction_exact():
@@ -91,25 +140,3 @@ def test_convolve_survival_reproduction_exact():
         g.convolve_survival_reproduction([0.4, 0.5, 0.1], [1.0])
     with pytest.raises(ValueError):
         g.convolve_survival_reproduction([0.4, 0.7], [1.0])
-
-
-def test_joint_offspring_posterior():
-    prior = {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}
-    post = g.joint_offspring_posterior(prior, {(1, 0): 3, (0, 1): 2})
-    assert post == {(0, 0): 1.0, (1, 0): 4.0, (0, 1): 3.0}
-    with pytest.raises(ValueError, match="outside the prior support"):
-        g.joint_offspring_posterior(prior, {(2, 2): 1})
-    with pytest.raises(ValueError, match="negative"):
-        g.joint_offspring_posterior(prior, {(1, 0): -1})
-    with pytest.raises(ValueError, match="positive"):
-        g.joint_offspring_posterior({(0,): 0.0}, {})
-
-
-def test_joint_posterior_marginal_matches_independent_update():
-    # with a product prior and marginal counts, the joint marginal mean for
-    # type 1 equals the plain Dirichlet marginal mean
-    prior = {(a, b): 1.0 for a in range(2) for b in range(2)}
-    post = g.joint_offspring_posterior(prior, {(1, 0): 6, (1, 1): 2, (0, 0): 4})
-    total = sum(post.values())
-    mean_type1 = sum(k[0] * a for k, a in post.items()) / total
-    assert mean_type1 == pytest.approx((1 + 1 + 6 + 2) / 16.0)

@@ -17,6 +17,20 @@ def test_generating_function_quadratic():
     draw = _k1_draw([0.25, 0.0, 0.75])
     s = np.array([0.5])
     assert g.generating_function(draw, s) == pytest.approx([0.25 + 0.75 * 0.25])
+    # K = 2 by hand: phi_1(s) = (.5 + .5 s_1)(.2 + .3 s_2 + .5 s_2^2),
+    # phi_2(s) = .4 + .6 s_1
+    cap = g.OffspringCap(2, {(1, 1): 1, (1, 2): 2, (2, 1): 1})
+    draw = g.ParameterDraw(cap, {(1, 1): [0.5, 0.5], (1, 2): [0.2, 0.3, 0.5],
+                                 (2, 1): [0.4, 0.6]})
+    phi = g.generating_function(draw, [0.5, 0.25])
+    assert phi == pytest.approx([0.75 * 0.30625, 0.7], rel=1e-15)
+    # a categorical and a Poisson pair in one row; type 2 has no offspring
+    cap = g.OffspringCap(2, {(1, 1): 2, (1, 2): 1})
+    draw = g.ParameterDraw(cap, {(1, 1): [0.25, 0.0, 0.75], (1, 2): g.PoissonLaw(1.5)})
+    phi = g.generating_function(draw, [0.5, 0.2])
+    assert phi == pytest.approx([0.4375 * np.exp(1.5 * (0.2 - 1.0)), 1.0], rel=1e-15)
+    with pytest.raises(ValueError, match="shape"):
+        g.generating_function(draw, [0.5])
 
 
 def test_minimal_fixed_point_quadratic_exact():

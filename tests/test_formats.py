@@ -109,6 +109,21 @@ def test_parse_prior_config_rejections():
         g.parse_prior_config(_config([{"i": 1, "j": 1, "law": "zeta"}]))
 
 
+def test_parse_prior_config_rejects_nonfinite():
+    # JSON's NaN and Infinity literals reach the parser as floats
+    for bad in (float("nan"), float("inf")):
+        for entry in ({"i": 2, "j": 1, "kappa": 2, "prior": {"rule": "alpha",
+                                                             "alpha": [1.0, bad, 1.0]}},
+                      {"i": 2, "j": 1, "kappa": 1, "prior": {"rule": "expert", "weight": bad,
+                                                             "guess": [0.5, 0.5]}}):
+            with pytest.raises(ParseError, match=r"\(2, 1\) must be finite"):
+                g.parse_prior_config(_config([{"i": 1, "j": 1, "kappa": 1}, entry]))
+        with pytest.raises(ParseError, match=r"pairs\[1\].*finite"):
+            g.parse_prior_config(_config([
+                {"i": 1, "j": 1, "kappa": 1},
+                {"i": 2, "j": 2, "law": "poisson", "prior": {"shape": bad, "rate": 1.0}}]))
+
+
 def test_posterior_document_roundtrip(bear_posterior):
     doc = g.posterior_to_document(
         bear_posterior, poisson={(1, 1): g.GammaParams(4.0, 4.0)},

@@ -67,6 +67,14 @@ def test_posterior_update_rejects_bad_counts():
         g.posterior_update(prior, g.LifeTable(1, 0, {(1, 1, 0, 0): -2}))
 
 
+def test_hyperparams_reject_nonfinite_alpha():
+    # NaN and Infinity parse from JSON; neither is a Dirichlet concentration
+    cap = g.OffspringCap(1, {(1, 1): 2})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"alpha for \(1, 1\) must be finite"):
+            g.HyperParams(cap, {(1, 1): np.array([1.0, bad, 1.0])})
+
+
 def test_posterior_update_ignores_zero_rows_outside_support():
     # a k=0 record on a forbidden pair is vacuous and must not raise
     cap = g.OffspringCap(2, {(1, 2): 1})

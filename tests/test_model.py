@@ -76,6 +76,10 @@ def test_parameter_draw_validation():
     with pytest.raises(ValueError, match="forbidden"):
         g.ParameterDraw(g.OffspringCap(2, {(1, 2): 1}),
                         {(1, 2): np.array([1.0, 0.0]), (2, 1): np.array([1.0])})
+    # a law is a probability vector or a PoissonLaw, nothing else
+    g.ParameterDraw(cap, {(1, 1): g.PoissonLaw(1.5)})
+    with pytest.raises(ValueError, match="PoissonLaw"):
+        g.ParameterDraw(cap, {(1, 1): 1.5})
 
 
 def test_life_table_concat_offsets_times():

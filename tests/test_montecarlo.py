@@ -4,6 +4,7 @@ import pytest
 import gwpva as g
 from gwpva import montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
+from gwpva.extinction import _pgf
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
@@ -76,6 +77,15 @@ def test_single_draw_is_ensemble_of_one(synthetic_posterior, bear_posterior):
         draw = g.sample_parameter_draw(post, SeedSpec(seed, 0))
         for pair in ens.pairs:
             assert np.array_equal(draw.p[pair], ens.law(pair)[0])
+    # the single-draw mean matrix and pgf are the law-stack kernels at n = 1,
+    # so each equals its ensemble row bit for bit
+    ens = PosteriorEnsemble(bear_posterior, n_prec=300, master_seed=2024)
+    s = np.random.default_rng(0).random((ens.n_prec, ens.K))
+    phi = _pgf(ens._laws, s)
+    for r in range(ens.n_prec):
+        draw = g.ParameterDraw(bear_posterior.cap, {p: ens.law(p)[r] for p in ens.pairs})
+        assert np.array_equal(g.mean_matrix(draw), ens.mean_matrices[r])
+        assert np.array_equal(g.generating_function(draw, s[r]), phi[r])
 
 
 def test_ensemble_underflow_cap_raises():

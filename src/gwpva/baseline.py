@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, stats
 
 __all__ = ["GrowthMoments", "log_growth_moments", "regression_extinction_interval"]
 
@@ -50,6 +49,8 @@ def regression_extinction_interval(abundances: Sequence[float], level: float = 0
     and reports the (floor, ceil) of the times, counted from the last
     observation, where the band's lower and upper edges cross log N = 0.
     Requires a declining fit (negative slope); raises ValueError otherwise."""
+    from scipy import optimize, special
+
     N = np.asarray(abundances, dtype=float)
     if N.ndim != 1 or len(N) < 3:
         raise ValueError("need at least three abundances")
@@ -67,7 +68,7 @@ def regression_extinction_interval(abundances: Sequence[float], level: float = 0
         raise ValueError(f"fitted slope {slope:.4g} is nonnegative; no predicted decline")
     resid = y - (intercept + slope * t)
     s2 = float(resid @ resid) / (n - 2)
-    t_crit = float(stats.t.ppf((1 + level) / 2, n - 2))
+    t_crit = float(special.stdtrit(n - 2, (1 + level) / 2))
     t_bar = float(t.mean())
     sxx = float(((t - t_bar) ** 2).sum())
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import log_growth_moments, regression_extinction_interval
+from .extensions import poisson_posterior
 from .formats import (FORMAT_VERSION, ParseError, format_life_table,
                       parse_abundance_series, parse_life_table, parse_prior_config,
                       posterior_from_document, posterior_to_document)
@@ -128,7 +129,6 @@ def cmd_fit(args) -> int:
         raise CliError(str(e), kind="validation") from None
     poisson_post = dict(config.poisson)
     for (i, j), g in config.poisson.items():
-        from .extensions import poisson_posterior
         per_parent = []
         for (ti, tj, k, t), n in table.counts.items():
             if (ti, tj) == (i, j):

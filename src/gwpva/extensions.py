@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .extinction import _fixed_point_rows
 from .model import PoissonLaw
@@ -46,9 +45,11 @@ class BetaParams:
         return self.a / (self.a + self.b)
 
     def credible_interval(self, level: float = 0.90) -> tuple[float, float]:
+        from scipy import special
+
         lo = (1 - level) / 2
-        d = stats.beta(self.a, self.b)
-        return float(d.ppf(lo)), float(d.ppf(1 - lo))
+        return (float(special.betaincinv(self.a, self.b, lo)),
+                float(special.betaincinv(self.a, self.b, 1 - lo)))
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,14 @@ class GammaParams:
         return self.shape / self.rate
 
     def credible_interval(self, level: float = 0.90) -> tuple[float, float]:
+        from scipy import special
+
+        # multiply by the scale, as scipy.stats does: dividing by the rate
+        # differs in the last bit
         lo = (1 - level) / 2
-        d = stats.gamma(self.shape, scale=1.0 / self.rate)
-        return float(d.ppf(lo)), float(d.ppf(1 - lo))
+        scale = 1.0 / self.rate
+        return (float(special.gammaincinv(self.shape, lo) * scale),
+                float(special.gammaincinv(self.shape, 1 - lo) * scale))
 
 
 def sex_ratio_posterior(prior: BetaParams, females: int, males: int) -> BetaParams:
@@ -85,6 +91,8 @@ def thinned_offspring_law(law: Sequence[float], p_female: float) -> np.ndarray:
     Each of k total offspring is independently female with probability
     p_female, so the female count given k is Binomial(k, p_female) and the
     marginal is the binomial thinning of ``law``."""
+    from scipy import stats
+
     q = np.asarray(law, dtype=float)
     if not 0 <= p_female <= 1:
         raise ValueError("p_female must be in [0,1]")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .model import LifeTable, OffspringCap, Pair, ParameterDraw, aggregate_counts
 
@@ -128,14 +127,17 @@ def credible_interval(alpha: np.ndarray, k: int, level: float = 0.90) -> tuple[f
     The Dirichlet marginal is Beta(alpha_k, sum - alpha_k); the interval is
     its (1-level)/2 and (1+level)/2 quantiles.
     """
+    from scipy import special
+
     a = np.asarray(alpha, dtype=float)
     if not 0 <= k < len(a):
         raise ValueError(f"category {k} outside 0..{len(a) - 1}")
     if not 0 < level < 1:
         raise ValueError("level must be in (0,1)")
     lo = (1 - level) / 2
-    dist = stats.beta(a[k], a.sum() - a[k])
-    return float(dist.ppf(lo)), float(dist.ppf(1 - lo))
+    b = a.sum() - a[k]
+    return (float(special.betaincinv(a[k], b, lo)),
+            float(special.betaincinv(a[k], b, 1 - lo)))
 
 
 def marginal_mean(alpha: np.ndarray, k: int) -> float:
@@ -162,6 +164,8 @@ def scenario_draws(params: HyperParams, quantiles: Sequence[float]) -> list[Scen
     categories is *not* guaranteed; these are marginal, not joint, quantiles
     and are intended for sensitivity display, not inference).
     """
+    from scipy import special
+
     out = []
     for q in quantiles:
         if not 0 < q < 1:
@@ -169,8 +173,7 @@ def scenario_draws(params: HyperParams, quantiles: Sequence[float]) -> list[Scen
         laws = {}
         for pair, a in params.alpha.items():
             a = np.asarray(a, dtype=float)
-            tot = a.sum()
-            v = np.array([stats.beta(ak, tot - ak).ppf(q) for ak in a])
+            v = special.betaincinv(a, a.sum() - a, q)
             if v.sum() <= 0:
                 raise ValueError(f"degenerate scenario at q={q} for pair {pair}")
             laws[pair] = v / v.sum()

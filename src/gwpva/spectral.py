@@ -42,7 +42,9 @@ def mean_matrices(laws: dict, K: int) -> np.ndarray:
 
     ``laws`` maps each pair to its (n, kappa+1) categorical rows, with mean
     sum_k k p(k), or to its (n,) Poisson rates, their own means. An empty
-    stack is one draw with no pairs.
+    stack is one draw with no pairs. The categorical sum is taken term by
+    term in order of k with elementwise arithmetic only, so each row's mean
+    is bit-identical whatever the other rows are.
     """
     n = max((len(d) for d in laws.values()), default=1)
     M = np.zeros((n, K, K))
@@ -50,10 +52,9 @@ def mean_matrices(laws: dict, K: int) -> np.ndarray:
         if d.ndim == 1:
             M[:, i - 1, j - 1] = d
         else:
-            # NumPy takes a one-row product as a dot product, which sums in another
-            # order than the matrix-vector product of a stack: double a lone row
-            rows = d if len(d) > 1 else np.repeat(d, 2, axis=0)
-            M[:, i - 1, j - 1] = (rows @ np.arange(d.shape[1], dtype=float))[:len(d)]
+            m = M[:, i - 1, j - 1]  # a view: the sum accumulates in M
+            for k in range(1, d.shape[1]):
+                m += k * d[:, k]
     return M
 
 

@@ -56,3 +56,24 @@ def test_regression_interval_custom_times():
     a = g.regression_extinction_interval(N)
     b = g.regression_extinction_interval(N, times=[10, 11, 12, 13, 14])
     assert a == b
+
+
+def test_regression_t_critical_value_matches_scipy_stats(monkeypatch):
+    from scipy import special, stats
+
+    seen = []
+    stdtrit = special.stdtrit
+
+    def recording(df, q):
+        seen.append((df, q, stdtrit(df, q)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(special, "stdtrit", recording)
+    series = [synthetic_abundances(), 100.0 * 0.7 ** np.arange(4),
+              80.0 * 0.9 ** np.arange(30) * (1 + 0.1 * np.sin(np.arange(30)))]
+    for N in series:
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99):
+            g.regression_extinction_interval(N, level=level)
+            df, q, t_crit = seen.pop()
+            assert (df, q) == (len(N) - 2, (1 + level) / 2)
+            assert t_crit == stats.t.ppf(q, df)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +235,26 @@ def test_bear_end_to_end(tmp_path, capsys):
     assert main(["viability", "--posterior", str(posterior), "--seed", "2024",
                  "--nprec", "500"]) == 0
     assert "P(lambda > 1 | data)" in capsys.readouterr().out
+
+
+def _scipy_modules_loaded(code: str) -> list[str]:
+    """SciPy modules in sys.modules after running ``code`` in a fresh interpreter
+    (this test session has SciPy loaded already)."""
+    src = str(Path(g.__file__).resolve().parents[1])
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_import_loads_no_scipy():
+    assert _scipy_modules_loaded("import gwpva, gwpva.cli") == []
+
+
+def test_viability_on_fitted_posterior_loads_no_scipy(bear_posterior, tmp_path):
+    posterior = tmp_path / "bear_posterior.json"
+    posterior.write_text(json.dumps(g.posterior_to_document(bear_posterior)))
+    argv = ["viability", "--posterior", str(posterior), "--seed", "2024", "--nprec", "500"]
+    code = f"import gwpva.cli\nassert gwpva.cli.main({argv!r}) == 0"
+    assert _scipy_modules_loaded(code) == []

@@ -19,6 +19,22 @@ def test_sex_ratio_posterior():
         g.sex_ratio_posterior(g.BetaParams(1.0, 1.0), -1, 0)
 
 
+def test_beta_and_gamma_credible_intervals_match_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    shapes = (0.05, 0.5, 1.0, 2.5, 17.0, 140.5, 4000.0)
+    for x in shapes:
+        for y in shapes:
+            beta = stats.beta(x, y)
+            gamma = stats.gamma(x, scale=1.0 / y)
+            for level in (0.5, 0.8, 0.9, 0.95, 0.99):
+                lo = (1 - level) / 2
+                assert g.BetaParams(x, y).credible_interval(level) == (
+                    beta.ppf(lo), beta.ppf(1 - lo))
+                assert g.GammaParams(x, y).credible_interval(level) == (
+                    gamma.ppf(lo), gamma.ppf(1 - lo))
+
+
 def test_thinned_offspring_law_edges():
     law = np.array([0.2, 0.5, 0.3])
     assert g.thinned_offspring_law(law, 1.0) == pytest.approx(law)

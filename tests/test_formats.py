@@ -139,6 +139,24 @@ def test_posterior_document_roundtrip(bear_posterior):
     assert cat["mean"] == pytest.approx([4 / 22, 18 / 22])
 
 
+def test_posterior_document_credible_intervals_match_scipy_stats(bear_posterior,
+                                                                  synthetic_posterior):
+    from scipy import stats
+
+    gammas = {(1, 1): g.GammaParams(4.0, 4.0), (2, 2): g.GammaParams(0.5, 17.0),
+              (3, 3): g.GammaParams(140.5, 0.25)}
+    lo = (1 - 0.90) / 2  # the document's default level, as the library rounds it
+    for post in (bear_posterior, synthetic_posterior):
+        doc = g.posterior_to_document(post, poisson=gammas)
+        entry = {(p["law"], p["i"], p["j"]): p["credible_90"] for p in doc["pairs"]}
+        for pair, a in post.alpha.items():
+            want = [[stats.beta(ak, a.sum() - ak).ppf(q) for q in (lo, 1 - lo)] for ak in a]
+            assert entry[("categorical", *pair)] == want
+        for pair, gp in gammas.items():
+            d = stats.gamma(gp.shape, scale=1.0 / gp.rate)
+            assert entry[("poisson", *pair)] == [d.ppf(lo), d.ppf(1 - lo)]
+
+
 def test_posterior_from_document_rejections():
     with pytest.raises(ParseError):
         g.posterior_from_document({"format_version": 0})

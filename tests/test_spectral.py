@@ -73,3 +73,15 @@ def test_bear_perron_root_solves_characteristic_polynomial(bear_posterior):
     assert abs(residual) <= 1e-9
     assert lam > 1  # posterior-mean dynamics are supercritical
     assert not tri.primitive_warning
+
+
+def test_mean_matrices_prefix_invariant_for_wide_laws():
+    # a law with 10 categories: a BLAS matrix-vector product may sum a row in
+    # an order that depends on the row's place in the stack
+    from gwpva.montecarlo import PosteriorEnsemble
+
+    prior = g.prior_noninformative(g.OffspringCap(1, {(1, 1): 9}))
+    full = PosteriorEnsemble(prior, n_prec=1200, master_seed=5).mean_matrices
+    for n in range(1, 60):
+        part = PosteriorEnsemble(prior, n_prec=n, master_seed=5).mean_matrices
+        assert np.array_equal(part, full[:n]), n

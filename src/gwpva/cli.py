@@ -24,7 +24,8 @@ from .formats import (FORMAT_VERSION, ParseError, format_life_table,
                       parse_abundance_series, parse_life_table, parse_prior_config,
                       posterior_from_document, posterior_to_document)
 from .inference import posterior_update, scenario_draws
-from .model import PopulationState, abundances_from_table, validate_life_table
+from .model import (LifeTable, PopulationState, abundances_from_table,
+                    validate_life_table)
 from .montecarlo import (PosteriorEnsemble, effective_population_size,
                          mc_extinction_probability, mc_reintroduction,
                          mc_short_time_abundance, mc_time_bounds,
@@ -116,24 +117,31 @@ def cmd_fit(args) -> int:
         table = parse_life_table(table_text, K=config.cap.K)
     except ParseError as e:
         raise CliError(str(e), kind="parse") from None
+    # a Poisson pair has no cap: its records are checked only for sign and
+    # update its Gamma prior, not the Dirichlet posterior
+    poisson = config.poisson
     hard = [v for v in validate_life_table(table, config.cap)
             if v.kind in ("negative-count", "offspring-exceeds-cap",
-                          "forbidden-pair", "type-mismatch")]
+                          "forbidden-pair", "type-mismatch")
+            and not (v.kind == "forbidden-pair" and v.location[:2] in poisson)]
     if hard:
         v = hard[0]
         raise CliError(f"invalid life table: {v.kind} at {v.location}: {v.message}",
                        kind="validation")
+    categorical = LifeTable(table.K, table.horizon,
+                            {key: n for key, n in table.counts.items()
+                             if key[:2] not in poisson})
     try:
-        post = posterior_update(config.hyper, table)
+        post = posterior_update(config.hyper, categorical)
     except ValueError as e:
         raise CliError(str(e), kind="validation") from None
-    poisson_post = dict(config.poisson)
-    for (i, j), g in config.poisson.items():
+    poisson_post = {}
+    for pair, g in poisson.items():
         per_parent = []
-        for (ti, tj, k, t), n in table.counts.items():
-            if (ti, tj) == (i, j):
+        for (i, j, k, t), n in table.counts.items():
+            if (i, j) == pair:
                 per_parent.extend([k] * n)
-        poisson_post[(i, j)] = poisson_posterior(g, per_parent)
+        poisson_post[pair] = poisson_posterior(g, per_parent)
     meta = {"table_sha256": _sha256(table_text), "prior_sha256": _sha256(prior_text),
             "table_horizon": table.horizon}
     doc = posterior_to_document(post, poisson=poisson_post, meta=meta)

@@ -5,10 +5,14 @@ type-i individual is the i-th coordinate of the minimal fixed point of the
 offspring generating function phi in [0, 1]^K; independence across founders
 turns a population into the product of per-founder coordinates.
 
-The per-draw kernels ``_pgf``, ``_pgf_jacobian`` and ``_fixed_point_rows``
-live here (the mean matrix is ``spectral.mean_matrices``). Each takes a law
-stack, pair -> (n, kappa+1) categorical rows or (n,) Poisson rates; the
-single-draw functions call them at n = 1 (``model._law_stack``).
+The per-draw kernels live here (the mean matrix is
+``spectral.mean_matrices``). They take a law stack, pair -> (n, kappa+1)
+categorical rows or (n,) Poisson rates, and the single-draw functions call
+them at n = 1 (``model._law_stack``). The pgf ``_phi`` and its Jacobian
+``_jacobian_entries`` work coefficient-major, draws along the last axis
+(``_coefficient_major``); ``_pgf`` and ``_pgf_jacobian`` are their dense
+(n, ...) views. ``_fixed_point_rows`` does its linear algebra with one
+row-batched M-matrix elimination, ``_mmatrix_lu``.
 """
 
 from __future__ import annotations
@@ -80,70 +84,152 @@ _FP_NEWTON_ITERS = 60
 _FP_RESIDUAL_OK = 1e-9
 
 
+def _coefficient_major(laws: dict) -> dict:
+    """A law stack with each categorical pair's (n, kappa+1) rows as a
+    (kappa+1, n) array, coefficient k of every draw in row k (a transposed
+    view); Poisson rates stay (n,). The pgf kernels take this layout."""
+    return {pair: d if d.ndim == 1 else d.T for pair, d in laws.items()}
+
+
 def _pair_pgf(d: np.ndarray, x: np.ndarray, derivative: bool = False):
-    """One pair's pgf g(x) row-wise and, if asked, its derivative: Horner's
-    rule for (n, kappa+1) categorical rows d, e^{d (x - 1)} for (n,) Poisson
-    rates d. Only elementwise arithmetic is used, so each row's value is
-    bit-identical whatever the other rows are."""
+    """One pair's pgf g(x) draw-wise and, if asked, its derivative: Horner's
+    rule for coefficient-major (kappa+1, n) categorical coefficients d,
+    e^{d (x - 1)} for (n,) Poisson rates d. Only elementwise arithmetic is
+    used, so each draw's value is bit-identical whatever the other draws
+    are."""
     if d.ndim == 1:
         p = np.exp(d * (x - 1.0))
         return p, d * p
-    p = d[:, -1].copy()
-    dp = np.zeros_like(x)
-    for k in range(d.shape[1] - 2, -1, -1):
+    p = d[-1].copy()
+    dp = np.zeros_like(x) if derivative else None
+    for k in range(len(d) - 2, -1, -1):
         if derivative:
             dp = dp * x + p
-        p = p * x + d[:, k]
+        p = p * x + d[k]
     return p, dp
 
 
-def _pgf(laws: dict, s: np.ndarray) -> np.ndarray:
-    """phi applied draw-wise: s is (n, K) in [0,1]^K and ``laws`` is the law
-    stack of those n draws."""
+def _phi(claws: dict, s: np.ndarray) -> np.ndarray:
+    """phi applied draw-wise, coefficient-major: s is (K, n) in [0,1]^K, row
+    j holding s_j of every draw, and ``claws`` is the ``_coefficient_major``
+    law stack of those n draws; the result is (K, n) too."""
     out = np.ones_like(s)
-    for (i, j), d in laws.items():
-        out[:, i - 1] *= _pair_pgf(d, s[:, j - 1])[0]
+    for (i, j), d in claws.items():
+        out[i - 1] *= _pair_pgf(d, s[j - 1])[0]
     return out
 
 
-def _pgf_jacobian(laws: dict, s: np.ndarray) -> np.ndarray:
-    """d phi_i / d s_j draw-wise, using phi_i(s) = prod_j g_ij(s_j)."""
-    n, K = s.shape
-    g = {(i, j): _pair_pgf(d, s[:, j - 1], derivative=True)
-         for (i, j), d in laws.items()}
-    J = np.zeros((n, K, K))
+def _pgf(laws: dict, s: np.ndarray) -> np.ndarray:
+    """phi applied draw-wise to an (n, K) s, ``laws`` being the law stack of
+    those n draws: the dense view of ``_phi``."""
+    return _phi(_coefficient_major(laws), s.T).T
+
+
+def _jacobian_entries(claws: dict, s: np.ndarray) -> dict:
+    """d phi_i / d s_j draw-wise for each pair (i, j) of a coefficient-major
+    law stack at a (K, n) s, an (n,) vector: g_ij'(s_j) times the other
+    g_ij2(s_j2) of row i, using phi_i(s) = prod_j g_ij(s_j). Entries of
+    pairs outside the stack are 0."""
+    g = {(i, j): _pair_pgf(d, s[j - 1], derivative=True)
+         for (i, j), d in claws.items()}
+    out = {}
     for (i, j), (_, dg) in g.items():
         col = dg.copy()
         for (i2, j2), (g2, _) in g.items():
             if i2 == i and j2 != j:
                 col *= g2
+        out[(i, j)] = col
+    return out
+
+
+def _pgf_jacobian(laws: dict, s: np.ndarray) -> np.ndarray:
+    """d phi_i / d s_j draw-wise at an (n, K) s as a dense (n, K, K) stack:
+    the entries of ``_jacobian_entries`` put in place."""
+    n, K = s.shape
+    J = np.zeros((n, K, K))
+    for (i, j), col in _jacobian_entries(_coefficient_major(laws), s.T).items():
         J[:, i - 1, j - 1] = col
     return J
 
 
-def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A[r] x[r] = b[r] per row, plus a mask of the rows solved.
-
-    A singular row leaves only itself unsolved (its x is NaN), so the other
-    rows get the same answer as in a batch without it."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    x = np.full_like(b, np.nan)
-    solved = np.zeros(len(b), dtype=bool)
-    for r in range(len(b)):
-        try:
-            x[r] = np.linalg.solve(A[r:r + 1], b[r:r + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            continue
-        solved[r] = True
-    return x, solved
+def _shifted_negation(c: float, entries: dict, K: int, n: int) -> list:
+    """c I - A coefficient-major, for a nonnegative A given by its (n,)
+    entries per pair (i, j): entry [i][j] is an (n,) vector, or None where
+    A has no pair, off the diagonal."""
+    B = [[None] * K for _ in range(K)]
+    for (i, j), a in entries.items():
+        B[i - 1][j - 1] = c - a if i == j else -a
+    for i in range(K):
+        if B[i][i] is None:
+            B[i][i] = np.full(n, c)
+    return B
 
 
-def _fixed_point_rows(laws: dict, K: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mmatrix_lu(A: list) -> tuple[list, np.ndarray]:
+    """Gaussian elimination without pivoting of a row-batched Z-matrix.
+
+    A is coefficient-major: A[i][j] is an (n,) vector holding entry (i, j)
+    of each of n K x K matrices, or None where every matrix has a 0 there;
+    the diagonal is never None. Returns the factors in the same layout (L
+    below the diagonal with an implicit unit diagonal, U on and above it;
+    fill-in replaces a None) and a mask of the rows whose pivots are all
+    > 0, except the last, which may be 0.
+
+    A Z-matrix is a nonsingular M-matrix exactly when all its pivots are
+    positive, and an M-matrix, possibly singular, when the first K - 1 are
+    positive and the last is >= 0 (Berman & Plemmons, *Nonnegative Matrices
+    in the Mathematical Sciences*, 1979, ch. 6). On an M-matrix elimination
+    without pivoting is stable. For M >= 0 this decides lambda(M) <= c on
+    c I - M. Only elementwise arithmetic is used, so each row's factors are
+    bit-identical whatever the other rows are; a row with a nonpositive
+    pivot gets meaningless factors, which touch no other row.
+    """
+    K = len(A)
+    F = [row[:] for row in A]
+    ok = np.ones(len(F[0][0]), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(K):
+            piv = F[k][k]
+            ok &= (piv > 0.0) if k < K - 1 else (piv >= 0.0)
+            for i in range(k + 1, K):
+                if F[i][k] is None:
+                    continue
+                lik = F[i][k] = F[i][k] / piv
+                for j in range(k + 1, K):
+                    if F[k][j] is None:
+                        continue
+                    F[i][j] = -(lik * F[k][j]) if F[i][j] is None \
+                        else F[i][j] - lik * F[k][j]
+    return F, ok
+
+
+def _mmatrix_solve(A: list, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A[r] x[r] = b[r] per draw r by ``_mmatrix_lu``, plus a mask of
+    the draws solved: those whose pivots are all > 0, the last one included.
+
+    b and x are coefficient-major (K, n). A draw not solved leaves only
+    itself unsolved (its x is meaningless, possibly not finite), and every
+    other draw's x is bit-identical to its x in a stack without it."""
+    F, ok = _mmatrix_lu(A)
+    K = len(F)
+    ok &= F[K - 1][K - 1] > 0.0
+    y = list(b)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(1, K):
+            for k in range(i):
+                if F[i][k] is not None:
+                    y[i] = y[i] - F[i][k] * y[k]
+        for i in range(K - 1, -1, -1):
+            for j in range(i + 1, K):
+                if F[i][j] is not None:
+                    y[i] = y[i] - F[i][j] * y[j]
+            y[i] = y[i] / F[i][i]
+    return np.stack(y), ok
+
+
+def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimal pgf fixed point of each draw of a law stack, plus a per-draw
-    failure mask; ``lam`` holds the draws' Perron roots.
+    failure mask; M holds the draws' (n, K, K) mean matrices.
 
     Each draw is solved on its own, in three stages, so its answer does
     not depend on which other draws share the stack:
@@ -151,58 +237,72 @@ def _fixed_point_rows(laws: dict, K: int, lam: np.ndarray) -> tuple[np.ndarray, 
     1. Short-circuit: a draw whose types can all die childless
        (min phi(0) > 0) and whose lambda <= 1 + 1e-12 is certainly
        extinct, so s = 1 exactly (the rule of ``minimal_fixed_point``).
+       lambda <= c is decided without the Perron root, as c I - M being an
+       M-matrix (``_mmatrix_lu``); at K = 1 this is M <= c exactly.
     2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
        remaining draws. The iterates stay below the minimal root with
        phi(s) - s >= 0.
-    3. Newton: damped Newton steps on an active set of draws. A step is
-       accepted only if the residual does not increase and
+    3. Newton: damped Newton steps on an active set of draws. Below the
+       minimal root q, phi'(s) <= phi'(q) and rho(phi'(q)) < 1 (Athreya &
+       Ney, *Branching Processes*, 1972, ch. V), so I - phi'(s) is a
+       nonsingular M-matrix and each step is solved by ``_mmatrix_solve``.
+       A step is accepted only if the residual does not increase and
        phi(s) - s >= -1e-12 stays true, which pins the iterate below the
        minimal root, so the solve cannot jump to the trivial root 1
        (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A draw
-       leaves the set when its residual falls below 1e-15, when its
-       Jacobian is singular, or when every damping of its step is
+       leaves the set when its residual falls below 1e-15, when I - phi'(s)
+       has a nonpositive pivot, or when every damping of its step is
        rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
 
-    A draw whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as
-    failed."""
-    s = np.zeros((len(lam), K))
-    certain = (_pgf(laws, s).min(axis=1) > 0.0) & (lam <= 1.0 + 1e-12)
-    s[certain] = 1.0
+    The solve runs coefficient-major, on (K, n) iterates (``_phi``). A draw
+    whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as failed."""
+    n = len(M)
+    claws = _coefficient_major(laws)
+    s = np.zeros((K, n))
+    means = {(i, j): M[:, i - 1, j - 1] for (i, j) in laws}
+    certain = (_phi(claws, s).min(axis=0) > 0.0) \
+        & _mmatrix_lu(_shifted_negation(1.0 + 1e-12, means, K, n))[1]
+    s[:, certain] = 1.0
     rows = np.flatnonzero(~certain)
-    live_laws = {pair: d[rows] for pair, d in laws.items()}
-    x = s[rows]
+    live_laws = {pair: d[..., rows] for pair, d in claws.items()}
+    x = s[:, rows]
     for _ in range(_FP_WARMUP):
-        x = _pgf(live_laws, x)
-    f = _pgf(live_laws, x) - x
-    live = np.abs(f).max(axis=1) >= 1e-15
-    eye = np.eye(K)
+        x = _phi(live_laws, x)
+    f = _phi(live_laws, x) - x
+    live = np.abs(f).max(axis=0) >= 1e-15
     for _ in range(_FP_NEWTON_ITERS):
         if not live.all():
-            s[rows[~live]] = x[~live]
-            rows, x, f = rows[live], x[live], f[live]
-            live_laws = {pair: d[live] for pair, d in live_laws.items()}
+            s[:, rows[~live]] = x[:, ~live]
+            rows, x, f = rows[live], x[:, live], f[:, live]
+            live_laws = {pair: d[..., live] for pair, d in live_laws.items()}
         if not len(rows):
             break
-        worst = np.abs(f).max(axis=1)
-        delta, solved = _solve_rows(_pgf_jacobian(live_laws, x) - eye, -f)
+        worst = np.abs(f).max(axis=0)
+        A = _shifted_negation(1.0, _jacobian_entries(live_laws, x), K, len(rows))
+        delta, solved = _mmatrix_solve(A, f)
         accepted = np.zeros(len(rows), dtype=bool)
         pend = np.flatnonzero(solved)
         for _halving in range(6):
             if not len(pend):
                 break
-            x_try = np.clip(x[pend] + delta[pend], 0.0, 1.0)
-            f_try = _pgf({pair: d[pend] for pair, d in live_laws.items()}, x_try) - x_try
-            ok = (np.abs(f_try).max(axis=1) <= worst[pend]) \
-                & (f_try.min(axis=1) >= -1e-12)
-            x[pend[ok]] = x_try[ok]
-            f[pend[ok]] = f_try[ok]
+            if len(pend) == len(rows):
+                x_try = np.clip(x + delta, 0.0, 1.0)
+                f_try = _phi(live_laws, x_try) - x_try
+            else:
+                x_try = np.clip(x[:, pend] + delta[:, pend], 0.0, 1.0)
+                f_try = _phi({pair: d[..., pend] for pair, d in live_laws.items()},
+                             x_try) - x_try
+            ok = (np.abs(f_try).max(axis=0) <= worst[pend]) \
+                & (f_try.min(axis=0) >= -1e-12)
+            x[:, pend[ok]] = x_try[:, ok]
+            f[:, pend[ok]] = f_try[:, ok]
             accepted[pend[ok]] = True
             pend = pend[~ok]
-            delta[pend] *= 0.5
-        live = accepted & (np.abs(f).max(axis=1) >= 1e-15)
-    s[rows] = x
-    residual = np.abs(_pgf(laws, s) - s).max(axis=1)
-    return np.clip(s, 0.0, 1.0), residual > _FP_RESIDUAL_OK
+            delta[:, pend] *= 0.5
+        live = accepted & (np.abs(f).max(axis=0) >= 1e-15)
+    s[:, rows] = x
+    residual = np.abs(_phi(claws, s) - s).max(axis=0)
+    return np.ascontiguousarray(np.clip(s, 0.0, 1.0).T), residual > _FP_RESIDUAL_OK
 
 
 def generating_function(draw: ParameterDraw, s) -> np.ndarray:
@@ -229,13 +329,14 @@ def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
 
     This is the oracle the tests check ``_fixed_point_rows`` against: its
     iteration and Newton polish are its own; phi and its Jacobian are the
-    law-stack kernels ``_pgf`` and ``_pgf_jacobian`` at n = 1.
+    law-stack kernels ``_phi`` and ``_pgf_jacobian`` at n = 1.
     """
     K = draw.K
     laws = _law_stack(draw)
+    claws = _coefficient_major(laws)
 
     def phi(s):
-        return _pgf(laws, s[None])[0]
+        return _phi(claws, s[:, None])[:, 0]
 
     if float(phi(np.zeros(K)).min()) > 0.0:
         lam = perron_batch(mean_matrices(laws, K))[0][0]

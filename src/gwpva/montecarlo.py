@@ -169,8 +169,9 @@ class PosteriorEnsemble:
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
-        """Minimal pgf fixed point and failure flag per draw."""
-        return _fixed_point_rows(self._laws, self.K, self.lambdas)
+        """Minimal pgf fixed point and failure flag per draw; decides
+        lambda <= 1 from the mean matrices, without the Perron pairs."""
+        return _fixed_point_rows(self._laws, self.K, self.mean_matrices)
 
     @property
     def extinction_profiles(self) -> np.ndarray:

@@ -237,6 +237,43 @@ def test_bear_end_to_end(tmp_path, capsys):
     assert "P(lambda > 1 | data)" in capsys.readouterr().out
 
 
+def test_fit_feeds_poisson_pair_counts_to_gamma_update(synthetic_files, tmp_path, capsys):
+    # the synthetic table with a Poisson law on its one pair: every record
+    # updates the Gamma prior, and none is a cap violation
+    prior = tmp_path / "poisson_prior.json"
+    prior.write_text(json.dumps({
+        "format_version": 1, "K": 1,
+        "pairs": [{"i": 1, "j": 1, "law": "poisson", "prior": {"shape": 2.0, "rate": 0.5}}],
+    }))
+    out = tmp_path / "poisson_posterior.json"
+    assert main(["fit", "--table", str(synthetic_files["table"]), "--prior", str(prior),
+                 "--out", str(out)]) == 0
+    counts = synthetic_life_table().counts
+    doc = json.loads(out.read_text())
+    (pair,) = doc["pairs"]
+    assert pair["law"] == "poisson"
+    assert pair["shape"] == 2.0 + sum(k * n for (_, _, k, _), n in counts.items())
+    assert pair["rate"] == 0.5 + sum(counts.values())
+    assert "rate[1,1] ~ Gamma(shape=234, rate=310.5)" in capsys.readouterr().out
+    # a mixed table: the categorical pairs get the same posterior as in an
+    # all-categorical fit, and the Poisson pair's records go to its Gamma
+    table = tmp_path / "bear.csv"
+    table.write_text(g.format_life_table(bear_life_table()))
+    pairs = [{"i": i, "j": j, "kappa": 1} for i, j in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 5))]
+    prior.write_text(json.dumps({
+        "format_version": 1, "K": 5,
+        "pairs": pairs + [{"i": 5, "j": 1, "law": "poisson",
+                           "prior": {"shape": 1.0, "rate": 1.0}}],
+    }))
+    assert main(["fit", "--table", str(table), "--prior", str(prior),
+                 "--out", str(out)]) == 0
+    by_pair = {(p["i"], p["j"]): p for p in json.loads(out.read_text())["pairs"]}
+    assert by_pair[(5, 5)]["alpha"] == [4.0, 73.0]
+    fecundity = {key: n for key, n in bear_life_table().counts.items() if key[:2] == (5, 1)}
+    assert by_pair[(5, 1)]["shape"] == 1.0 + sum(k * n for (_, _, k, _), n in fecundity.items())
+    assert by_pair[(5, 1)]["rate"] == 1.0 + sum(fecundity.values())
+
+
 def _scipy_modules_loaded(code: str) -> list[str]:
     """SciPy modules in sys.modules after running ``code`` in a fresh interpreter
     (this test session has SciPy loaded already)."""

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import gwpva as g
 from gwpva.datasets import synthetic_true_draw
+from gwpva.extinction import _mmatrix_solve
 from gwpva.sampling import SeedSpec
 
 
@@ -162,3 +163,42 @@ def test_extinction_time_bounds_open_ended():
     upper = lambda t: np.full_like(np.asarray(t, dtype=float), 0.5)
     tb = g.extinction_time_bounds(upper, None, alpha=0.05, horizon_cap=2000)
     assert tb.t_plus is None
+
+
+def _random_mmatrices(rng, n, K):
+    """n nonsingular M-matrices c I - B on one random pattern of B >= 0
+    (diagonal included), with c between 1.01 and 3 times rho(B)."""
+    pattern = (rng.random((K, K)) < 0.6) | np.eye(K, dtype=bool)
+    B = rng.uniform(0.1, 1.0, (n, K, K)) * pattern
+    rho = np.abs(np.linalg.eigvals(B)).max(axis=1)
+    c = rho * rng.uniform(1.01, 3.0, n)
+    return c, B, pattern
+
+
+def _entries(A, pattern):
+    """A (n, K, K) stack coefficient-major, None off the pattern."""
+    K = A.shape[-1]
+    return [[A[:, i, j] if i == j or pattern[i, j] else None for j in range(K)]
+            for i in range(K)]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_mmatrix_solve_matches_lapack(K):
+    rng = np.random.default_rng(40 + K)
+    n = 300
+    c, B, pattern = _random_mmatrices(rng, n, K)
+    A = c[:, None, None] * np.eye(K) - B
+    b = rng.uniform(0.1, 1.0, (n, K))
+    x, solved = _mmatrix_solve(_entries(A, pattern), b.T)
+    assert solved.all()
+    want = np.linalg.solve(A, b[..., None])[..., 0]
+    np.testing.assert_allclose(x.T, want, rtol=1e-12, atol=0)
+    # a row c I - B with c < rho(B) is not an M-matrix: some pivot is <= 0,
+    # and only that row is left unsolved, the others keeping their bits
+    bad = A.copy()
+    r = n // 2
+    bad[r] = 0.9 * np.abs(np.linalg.eigvals(B[r])).max() * np.eye(K) - B[r]
+    x_bad, solved_bad = _mmatrix_solve(_entries(bad, pattern), b.T)
+    assert np.flatnonzero(~solved_bad).tolist() == [r]
+    keep = np.arange(n) != r
+    assert np.array_equal(x_bad[:, keep], x[:, keep])

@@ -4,7 +4,7 @@ import pytest
 import gwpva as g
 from gwpva import montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.extinction import _pgf
+from gwpva.extinction import _mmatrix_lu, _pgf, _shifted_negation
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
@@ -441,3 +441,32 @@ def test_extinction_profiles_independent_of_batch(bear_posterior):
     small = PosteriorEnsemble(bear_posterior, n_prec=37, master_seed=5)
     large = PosteriorEnsemble(bear_posterior, n_prec=1200, master_seed=5)
     assert np.array_equal(small.extinction_profiles, large.extinction_profiles[:37])
+
+
+def test_short_circuit_classifier_matches_perron_root(synthetic_posterior, bear_ensemble):
+    # lambda <= 1 + 1e-12 is decided as (1 + 1e-12) I - M being an M-matrix,
+    # with no Perron root; it must pick the same draws as the Perron root
+    c = 1.0 + 1e-12
+    ensembles = [bear_ensemble,
+                 PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024),
+                 PosteriorEnsemble(_period_two_posterior(), n_prec=2000, master_seed=7),
+                 PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5)]
+    for ens in ensembles:
+        M = ens.mean_matrices
+        means = {(i, j): M[:, i - 1, j - 1] for (i, j) in ens.pairs}
+        _, below = _mmatrix_lu(_shifted_negation(c, means, ens.K, ens.n_prec))
+        assert np.array_equal(below, ens.lambdas <= c)
+        childless = _pgf(ens._laws, np.zeros((ens.n_prec, ens.K))).min(axis=1) > 0
+        assert np.all(ens.extinction_profiles[childless & below] == 1.0)
+    # at K = 1 the rule is the float comparison mean <= 1 + 1e-12
+    assert g.poisson_extinction_fixed_point(1.0) == 1.0
+    assert g.poisson_extinction_fixed_point(c) == 1.0
+    assert g.poisson_extinction_fixed_point(np.nextafter(c, 2.0)) < 1.0
+
+
+def test_extinction_profiles_solve_no_perron_pair(bear_posterior):
+    ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
+    ens.extinction_profiles
+    g.mc_reintroduction(bear_posterior, ensemble=ens)
+    g.effective_population_size(bear_posterior, 5, ensemble=ens)
+    assert "_eigen" not in ens.__dict__

@@ -246,9 +246,13 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
        minimal root q, phi'(s) <= phi'(q) and rho(phi'(q)) < 1 (Athreya &
        Ney, *Branching Processes*, 1972, ch. V), so I - phi'(s) is a
        nonsingular M-matrix and each step is solved by ``_mmatrix_solve``.
-       A step is accepted only if the residual does not increase and
-       phi(s) - s >= -1e-12 stays true, which pins the iterate below the
-       minimal root, so the solve cannot jump to the trivial root 1
+       One line search serves every draw: it halves the steps of a mask of
+       pending draws up to six times, evaluating each trial point on every
+       active draw (a draw whose step was not solved steps by 0), and
+       accepts a step only where the draw is pending, the residual does
+       not increase and phi(s) - s >= -1e-12 stays true. The last test
+       pins the iterate below the minimal root, so rounding in a step
+       cannot carry it to the trivial root 1
        (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A draw
        leaves the set when its residual falls below 1e-15, when I - phi'(s)
        has a nonpositive pivot, or when every damping of its step is
@@ -279,25 +283,20 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
             break
         worst = np.abs(f).max(axis=0)
         A = _shifted_negation(1.0, _jacobian_entries(live_laws, x), K, len(rows))
-        delta, solved = _mmatrix_solve(A, f)
+        delta, pend = _mmatrix_solve(A, f)
+        delta[:, ~pend] = 0.0
         accepted = np.zeros(len(rows), dtype=bool)
-        pend = np.flatnonzero(solved)
         for _halving in range(6):
-            if not len(pend):
+            if not pend.any():
                 break
-            if len(pend) == len(rows):
-                x_try = np.clip(x + delta, 0.0, 1.0)
-                f_try = _phi(live_laws, x_try) - x_try
-            else:
-                x_try = np.clip(x[:, pend] + delta[:, pend], 0.0, 1.0)
-                f_try = _phi({pair: d[..., pend] for pair, d in live_laws.items()},
-                             x_try) - x_try
-            ok = (np.abs(f_try).max(axis=0) <= worst[pend]) \
+            x_try = np.clip(x + delta, 0.0, 1.0)
+            f_try = _phi(live_laws, x_try) - x_try
+            ok = pend & (np.abs(f_try).max(axis=0) <= worst) \
                 & (f_try.min(axis=0) >= -1e-12)
-            x[:, pend[ok]] = x_try[:, ok]
-            f[:, pend[ok]] = f_try[:, ok]
-            accepted[pend[ok]] = True
-            pend = pend[~ok]
+            x[:, ok] = x_try[:, ok]
+            f[:, ok] = f_try[:, ok]
+            accepted |= ok
+            pend &= ~ok
             delta[:, pend] *= 0.5
         live = accepted & (np.abs(f).max(axis=0) >= 1e-15)
     s[:, rows] = x

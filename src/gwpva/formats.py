@@ -259,10 +259,30 @@ def parse_prior_config(text: str) -> PriorConfig:
     return PriorConfig(cap=cap, hyper=hyper, poisson=poisson, warnings=tuple(warnings))
 
 
+def _check_poisson_pairs(K: int, categorical, poisson) -> None:
+    """ParseError, a ValueError, if a Poisson pair lies outside 1..K or is
+    one of the ``categorical`` pairs too."""
+    for (i, j) in sorted(poisson):
+        if not (1 <= i <= K and 1 <= j <= K):
+            raise ParseError(f"Poisson pair ({i},{j}) outside 1..{K}")
+        if (i, j) in categorical:
+            raise ParseError(f"pair ({i},{j}) is both categorical and Poisson")
+
+
 def posterior_to_document(post: PosteriorParams,
                           poisson: Mapping[Pair, GammaParams] | None = None,
                           level: float = 0.90, meta: dict | None = None) -> dict:
-    """Render a fitted posterior as a JSON-ready document with summaries."""
+    """Render a fitted posterior as a JSON-ready document with summaries.
+
+    ``mean_matrix`` holds the posterior mean offspring numbers of every
+    pair: the Dirichlet mean of a categorical pair, the Gamma mean
+    shape/rate of a Poisson pair. ValueError if a Poisson pair lies outside
+    1..K or is categorical too."""
+    poisson = poisson or {}
+    _check_poisson_pairs(post.K, post.alpha, poisson)
+    M = posterior_mean_matrix(post)
+    for (i, j), g in poisson.items():
+        M[i - 1, j - 1] = g.mean
     pairs = []
     for (i, j) in sorted(post.alpha):
         a = np.asarray(post.alpha[(i, j)], dtype=float)
@@ -274,7 +294,7 @@ def posterior_to_document(post: PosteriorParams,
             f"credible_{int(round(level * 100))}": [
                 list(credible_interval(a, k, level)) for k in range(len(a))],
         })
-    for (i, j) in sorted(poisson or {}):
+    for (i, j) in sorted(poisson):
         g = poisson[(i, j)]
         pairs.append({
             "i": i, "j": j, "law": "poisson",
@@ -285,7 +305,7 @@ def posterior_to_document(post: PosteriorParams,
         "format_version": FORMAT_VERSION,
         "K": post.K,
         "pairs": pairs,
-        "mean_matrix": [[float(x) for x in row] for row in posterior_mean_matrix(post)],
+        "mean_matrix": [[float(x) for x in row] for row in M],
     }
     if meta:
         doc["meta"] = meta
@@ -293,7 +313,10 @@ def posterior_to_document(post: PosteriorParams,
 
 
 def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, GammaParams]]:
-    """Rebuild posterior parameters from a fitted-posterior document."""
+    """Rebuild posterior parameters from a fitted-posterior document.
+
+    ParseError on the inputs ``posterior_to_document`` rejects: a Poisson
+    pair outside 1..K or on a categorical pair."""
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
     K = doc.get("K")
@@ -317,6 +340,7 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
                 raise ParseError(f"{where}: unknown law {law!r}")
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{where}: {e}") from None
+    _check_poisson_pairs(K, alpha, poisson)
     cap = OffspringCap(K, kappa)
     try:
         return PosteriorParams(cap, alpha), poisson

@@ -6,6 +6,12 @@ expectations of per-draw functionals. One shared ensemble of parameter
 draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
+Each answer computes only the per-draw arrays it reads. Viability and the
+time bounds read the Perron pairs; extinction probability, reintroduction
+and effective population size read the pgf fixed points alone, through
+``_usable_profiles``, and solve no Perron pair; the abundance path reads
+the mean matrices alone.
+
 Determinism: an ensemble draws its rows in order from the one stream
 SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
 stream SeedSpec(master_seed, r + 1), so row r depends only on the rows
@@ -113,7 +119,9 @@ class PosteriorEnsemble:
     sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
     cannot be reproduced without the draws before it. Derived per-draw
     arrays (mean matrices, dominant eigenpairs, pgf fixed points) are cached
-    properties that call the law-stack kernels on the whole batch.
+    properties that call the law-stack kernels on the whole batch, each on
+    first use: the eigenpairs need the mean matrices, and the fixed points
+    need the mean matrices and the laws but no eigenpair.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -182,6 +190,21 @@ class PosteriorEnsemble:
         return self._fixed_point[1]
 
 
+def _usable_profiles(ens: PosteriorEnsemble) -> tuple[np.ndarray, dict]:
+    """The (n_used, K) extinction profiles of the draws whose fixed-point
+    solve converged, and the warnings that count the others:
+    ``fixed-point-failures``, plus ``data-quality`` when more than 1 % of
+    the draws failed. RuntimeError if no draw is left."""
+    bad = ens.fixed_point_failures
+    good = ens.extinction_profiles[~bad]
+    if not len(good):
+        raise RuntimeError("all fixed-point solves failed")
+    warnings = {"fixed-point-failures": int(np.sum(bad))}
+    if np.sum(bad) > 0.01 * ens.n_prec:
+        warnings["data-quality"] = 1
+    return good, warnings
+
+
 def mc_viability_probability(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
                              master_seed: int = 0,
                              ensemble: PosteriorEnsemble | None = None) -> MCEstimate:
@@ -203,21 +226,12 @@ def mc_extinction_probability(params: HyperParams, population,
     """Posterior mean of P(eventual extinction | parameters) for a population."""
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     N = _as_abundance(population, ens.K)
-    s = ens.extinction_profiles
-    bad = ens.fixed_point_failures
+    s, warnings = _usable_profiles(ens)
+    n_used = len(s)
     per_draw = np.prod(s ** N[None, :], axis=1)
-    per_draw = np.where(bad, 0.0, per_draw)
-    n_used = int(ens.n_prec - np.sum(bad))
-    if n_used == 0:
-        raise RuntimeError("all fixed-point solves failed")
     p = float(np.sum(per_draw) / n_used)
-    good_vals = per_draw[~bad]
-    se = float(good_vals.std(ddof=1) / np.sqrt(n_used)) if n_used > 1 else float("nan")
-    warnings = {"fixed-point-failures": int(np.sum(bad)),
-                "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
-                "perron-failures": int(np.sum(ens.perron_failures))}
-    if np.sum(bad) > 0.01 * ens.n_prec:
-        warnings["data-quality"] = 1
+    se = float(per_draw.std(ddof=1) / np.sqrt(n_used)) if n_used > 1 else float("nan")
+    warnings["non-primitive-pattern"] = int(ens.primitive_warning) * ens.n_prec
     return MCEstimate(value=p, std_error=se, n_prec=ens.n_prec, n_used=n_used,
                       master_seed=ens.master_seed, error_bound=error_bound(n_used),
                       warnings=warnings)
@@ -316,20 +330,13 @@ def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
     its posterior spread tells a planner which founder types make a
     reintroduction robust."""
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
-    s = ens.extinction_profiles
-    bad = ens.fixed_point_failures
-    good = s[~bad]
-    n_used = good.shape[0]
-    if n_used == 0:
-        raise RuntimeError("all fixed-point solves failed")
+    good, warnings = _usable_profiles(ens)
+    n_used = len(good)
     mean = np.sum(good, axis=0) / n_used
     se = good.std(axis=0, ddof=1) / np.sqrt(n_used) if n_used > 1 \
         else np.full(ens.K, np.nan)
     edges = np.linspace(0.0, 1.0, bins + 1)
     hists = np.stack([np.histogram(good[:, i], bins=edges)[0] for i in range(ens.K)])
-    warnings = {"fixed-point-failures": int(np.sum(bad))}
-    if np.sum(bad) > 0.01 * ens.n_prec:
-        warnings["data-quality"] = 1
     return ReintroductionSummary(mean=mean, std_error=se, bin_edges=edges,
                                  histograms=hists, n_prec=ens.n_prec, n_used=n_used,
                                  master_seed=ens.master_seed, warnings=warnings)
@@ -348,12 +355,8 @@ def effective_population_size(params: HyperParams, type_index: int,
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     if not 1 <= type_index <= ens.K:
         raise ValueError(f"type_index outside 1..{ens.K}")
-    s = ens.extinction_profiles[:, type_index - 1]
-    bad = ens.fixed_point_failures
-    good = s[~bad]
-    n_used = good.shape[0]
-    if n_used == 0:
-        raise RuntimeError("all fixed-point solves failed")
+    good = _usable_profiles(ens)[0][:, type_index - 1]
+    n_used = len(good)
 
     def pext(n: int) -> float:
         return float(np.sum(good ** n) / n_used)

@@ -274,6 +274,21 @@ def test_fit_feeds_poisson_pair_counts_to_gamma_update(synthetic_files, tmp_path
     assert by_pair[(5, 1)]["rate"] == 1.0 + sum(fecundity.values())
 
 
+def test_fit_document_mean_matrix_holds_poisson_means(synthetic_files, tmp_path):
+    prior = tmp_path / "poisson_prior.json"
+    prior.write_text(json.dumps({
+        "format_version": 1, "K": 1,
+        "pairs": [{"i": 1, "j": 1, "law": "poisson", "prior": {"shape": 2.0, "rate": 1.0}}],
+    }))
+    out = tmp_path / "poisson_posterior.json"
+    assert main(["fit", "--table", str(synthetic_files["table"]), "--prior", str(prior),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (pair,) = doc["pairs"]
+    assert doc["mean_matrix"] == [[pair["shape"] / pair["rate"]]]
+    assert doc["mean_matrix"][0][0] == pytest.approx(0.7524, abs=1e-4)
+
+
 def _scipy_modules_loaded(code: str) -> list[str]:
     """SciPy modules in sys.modules after running ``code`` in a fresh interpreter
     (this test session has SciPy loaded already)."""

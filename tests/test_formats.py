@@ -143,18 +143,41 @@ def test_posterior_document_credible_intervals_match_scipy_stats(bear_posterior,
                                                                   synthetic_posterior):
     from scipy import stats
 
+    # the Gamma pairs are free pairs of the bear pattern; the K = 1
+    # synthetic posterior has no free pair, so only its categorical pair
+    # is checked
     gammas = {(1, 1): g.GammaParams(4.0, 4.0), (2, 2): g.GammaParams(0.5, 17.0),
               (3, 3): g.GammaParams(140.5, 0.25)}
     lo = (1 - 0.90) / 2  # the document's default level, as the library rounds it
-    for post in (bear_posterior, synthetic_posterior):
-        doc = g.posterior_to_document(post, poisson=gammas)
+    for post, poisson in ((bear_posterior, gammas), (synthetic_posterior, {})):
+        doc = g.posterior_to_document(post, poisson=poisson)
         entry = {(p["law"], p["i"], p["j"]): p["credible_90"] for p in doc["pairs"]}
         for pair, a in post.alpha.items():
             want = [[stats.beta(ak, a.sum() - ak).ppf(q) for q in (lo, 1 - lo)] for ak in a]
             assert entry[("categorical", *pair)] == want
-        for pair, gp in gammas.items():
+        for pair, gp in poisson.items():
             d = stats.gamma(gp.shape, scale=1.0 / gp.rate)
             assert entry[("poisson", *pair)] == [d.ppf(lo), d.ppf(1 - lo)]
+
+
+def test_posterior_document_poisson_pairs(bear_posterior, synthetic_posterior):
+    # a Poisson pair's Gamma mean goes into the mean matrix
+    gammas = {(1, 1): g.GammaParams(4.0, 5.0), (2, 2): g.GammaParams(3.0, 4.0)}
+    doc = g.posterior_to_document(bear_posterior, poisson=gammas)
+    want = g.posterior_mean_matrix(bear_posterior)
+    want[0, 0], want[1, 1] = 0.8, 0.75
+    assert np.array_equal(doc["mean_matrix"], want)
+    # a Poisson pair outside 1..K, or on a categorical pair, is rejected
+    # when the document is written and when it is read
+    for post, pair in ((bear_posterior, (6, 1)), (bear_posterior, (1, 0)),
+                       (synthetic_posterior, (1, 1)), (bear_posterior, (1, 2))):
+        with pytest.raises(ValueError, match=rf"\({pair[0]},{pair[1]}\)"):
+            g.posterior_to_document(post, poisson={pair: g.GammaParams(1.0, 1.0)})
+        doc = g.posterior_to_document(post)
+        doc["pairs"].append({"i": pair[0], "j": pair[1], "law": "poisson",
+                             "shape": 1.0, "rate": 1.0})
+        with pytest.raises(ParseError, match=rf"\({pair[0]},{pair[1]}\)"):
+            g.posterior_from_document(doc)
 
 
 def test_posterior_from_document_rejections():

@@ -4,7 +4,7 @@ import pytest
 import gwpva as g
 from gwpva import montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.extinction import _mmatrix_lu, _pgf, _shifted_negation
+from gwpva.extinction import _fixed_point_rows, _mmatrix_lu, _pgf, _shifted_negation
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
@@ -203,17 +203,20 @@ def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
             assert not failed[r], r
     pop = (1, 1, 1)
     for est in (g.mc_viability_probability(post, ensemble=ens),
-                g.mc_extinction_probability(post, pop, ensemble=ens),
                 g.mc_time_bounds(post, pop, ensemble=ens)):
         assert est.warnings["perron-failures"] == np.sum(failed)
+    # the extinction probability reads no lambda, so it counts no Perron failure
+    assert "perron-failures" not in g.mc_extinction_probability(post, pop,
+                                                                ensemble=ens).warnings
     synthetic = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
     for ens, post, pop in [(synthetic, synthetic_posterior, (22,)),
                            (bear_ensemble, bear_ensemble.params, (2, 2, 2, 2, 10))]:
         assert not ens.perron_failures.any()
         for est in (g.mc_viability_probability(post, ensemble=ens),
-                    g.mc_extinction_probability(post, pop, ensemble=ens),
                     g.mc_time_bounds(post, pop, ensemble=ens)):
             assert est.warnings["perron-failures"] == 0
+        assert "perron-failures" not in g.mc_extinction_probability(post, pop,
+                                                                    ensemble=ens).warnings
 
 
 def _perron_full_squaring(M):
@@ -470,3 +473,85 @@ def test_extinction_profiles_solve_no_perron_pair(bear_posterior):
     g.mc_reintroduction(bear_posterior, ensemble=ens)
     g.effective_population_size(bear_posterior, 5, ensemble=ens)
     assert "_eigen" not in ens.__dict__
+
+
+def test_fixed_point_answers_solve_no_perron_pair(bear_posterior):
+    # extinction probability and reintroduction read the fixed points alone
+    ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
+    est = g.mc_extinction_probability(bear_posterior, (2, 2, 2, 2, 10), ensemble=ens)
+    summary = g.mc_reintroduction(bear_posterior, ensemble=ens)
+    assert "_eigen" not in ens.__dict__
+    assert set(est.warnings) == {"fixed-point-failures", "non-primitive-pattern"}
+    assert set(summary.warnings) == {"fixed-point-failures"}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a draw with lambda < 1 whose types cannot all die "
+                          "childless is not short-circuited to s = 1, and the "
+                          "line search holds it near s = 0, where its residual "
+                          "is below _FP_RESIDUAL_OK")
+def test_subcritical_degenerate_draws_are_certainly_extinct():
+    # Draws 2161 and 4200 are near point masses with M close to [[1, 2], [0, 1]]
+    # and lambda just below 1. A type-2 individual has one type-2 child
+    # except with probability ~1e-12, when it has none, so s_2 = 1 is the
+    # only fixed point of s_2 -> phi_2(s), and then s_1 = 1 too: extinction
+    # is certain. Iteration from 0 gains ~1e-12 per step, so phi(s) - s is
+    # ~1e-12 at s ~ 0; a full Newton step lands on s = 1 with residual 0,
+    # but it raises the type-1 residual on the way and the line search
+    # rejects every damping of it.
+    ens = PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=20_000, master_seed=6)
+    rows = [2161, 4200]
+    if not np.all(ens.lambdas[rows] < 1.0):
+        pytest.fail("the draws are no longer subcritical")
+    s, bad = ens.extinction_profiles[rows], ens.fixed_point_failures[rows]
+    assert np.all(bad | (s.min(axis=1) > 1.0 - 1e-6))
+
+
+def _mixed_law_stack(rng, K, n):
+    """n draws of a K-type law stack on a fixed random pattern (the cycle
+    i -> i+1 plus random extra pairs) whose pairs are categorical, with
+    caps 1..3, or Poisson, at least one of each. Each draw is scaled to a
+    random lambda in [0.3, 1.5]: its Poisson rates are multiplied by c and
+    its categorical laws mixed with a point mass at zero, weight 1 - c.
+    Returns the stack and the cap (a Poisson pair has cap 1)."""
+    pairs = sorted({(i, i % K + 1) for i in range(1, K + 1)}
+                   | {(i, j) for i in range(1, K + 1) for j in range(1, K + 1)
+                      if rng.random() < 0.5})
+    poisson = set(pairs[::2])
+    caps = {pair: 1 if pair in poisson else int(rng.integers(1, 4)) for pair in pairs}
+    laws = {pair: np.zeros(n) if pair in poisson else np.zeros((n, caps[pair] + 1))
+            for pair in pairs}
+    for r in range(n):
+        while True:
+            base = {pair: rng.uniform(0.5, 3.0) if pair in poisson
+                    else rng.dirichlet(np.ones(caps[pair] + 1)) for pair in pairs}
+            M = np.zeros((K, K))
+            for (i, j), d in base.items():
+                M[i - 1, j - 1] = d if np.ndim(d) == 0 else d @ np.arange(len(d))
+            lam = float(np.abs(np.linalg.eigvals(M)).max())
+            if lam >= 1.5:
+                break
+        c = rng.uniform(0.3, 1.5) / lam
+        for pair, d in base.items():
+            laws[pair][r] = c * d
+            if pair not in poisson:
+                laws[pair][r, 0] += 1.0 - c
+    return laws, g.OffspringCap(K, caps)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_batched_fixed_point_on_mixed_law_stacks(K):
+    # categorical and Poisson pairs in one stack, through the batched
+    # kernel and the single-draw oracle
+    laws, cap = _mixed_law_stack(np.random.default_rng(200 + K), K, 200)
+    s, bad = _fixed_point_rows(laws, K, spectral.mean_matrices(laws, K))
+    assert not bad.any()
+    assert (_pgf(laws, s) - s).min() >= -1e-12
+    lam = spectral.perron_batch(spectral.mean_matrices(laws, K))[0]
+    assert lam.min() < 0.5 and lam.max() > 1.4
+    for r in range(len(s)):
+        draw = g.ParameterDraw(cap, {pair: g.PoissonLaw(float(d[r])) if d.ndim == 1
+                                     else d[r] for pair, d in laws.items()})
+        oracle = g.minimal_fixed_point(draw)
+        assert oracle.converged
+        np.testing.assert_allclose(s[r], oracle.s, rtol=0, atol=1e-9)

@@ -41,14 +41,13 @@ def log_growth_moments(abundances: Sequence[float]) -> GrowthMoments:
 
 
 def regression_extinction_interval(abundances: Sequence[float], level: float = 0.90,
-                                   times: Sequence[float] | None = None,
-                                   search_horizon: float = 10 ** 6) -> tuple[int, int]:
+                                   times: Sequence[float] | None = None) -> tuple[int, int]:
     """Naive extinction window from a linear fit of log N(t) on t.
 
     Fits OLS, builds the ``level`` confidence band for the mean response,
     and reports the (floor, ceil) of the times, counted from the last
-    observation, where the band's lower and upper edges cross log N = 0.
-    Requires a declining fit (negative slope); raises ValueError otherwise."""
+    observation, where the band's lower and upper edges cross log N = 0
+    (searched up to 10^6 past it). Requires a declining fit; ValueError otherwise."""
     from scipy import optimize, special
 
     N = np.asarray(abundances, dtype=float)
@@ -81,7 +80,7 @@ def regression_extinction_interval(abundances: Sequence[float], level: float = 0
         f = lambda x: intercept + slope * x + sign * band(x)
         if f(t_last) <= 0:
             return t_last
-        return float(optimize.brentq(f, t_last, t_last + search_horizon))
+        return float(optimize.brentq(f, t_last, t_last + 10 ** 6))
 
     lo = crossing(-1.0)
     hi = crossing(+1.0)

@@ -179,8 +179,12 @@ def _mmatrix_lu(A: list) -> tuple[list, np.ndarray]:
     positive, and an M-matrix, possibly singular, when the first K - 1 are
     positive and the last is >= 0 (Berman & Plemmons, *Nonnegative Matrices
     in the Mathematical Sciences*, 1979, ch. 6). On an M-matrix elimination
-    without pivoting is stable. For M >= 0 this decides lambda(M) <= c on
-    c I - M. Only elementwise arithmetic is used, so each row's factors are
+    without pivoting is stable. For M >= 0, c I - M so decides lambda(M) < c
+    exactly but only suffices for lambda(M) <= c: a singular, reducible
+    M-matrix can have a zero pivot before the last. M = [[1, 1], [0, 0]] has
+    lambda = 1 but a first pivot 0 at c = 1, as have 176 of 3 000 two-type
+    alpha = 1e-3 draws; at c = 1 + 1e-12 the mask matches the Perron root.
+    Only elementwise arithmetic is used, so each row's factors are
     bit-identical whatever the other rows are; a row with a nonpositive
     pivot gets meaningless factors, which touch no other row.
     """
@@ -201,6 +205,15 @@ def _mmatrix_lu(A: list) -> tuple[list, np.ndarray]:
                     F[i][j] = -(lik * F[k][j]) if F[i][j] is None \
                         else F[i][j] - lik * F[k][j]
     return F, ok
+
+
+def _lambda_below(pairs, M: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks lambda(M) < c and lambda(M) <= c of an (n, K, K) stack M, 0
+    outside ``pairs``, by one ``_mmatrix_lu`` of c I - M: the one criticality
+    rule, read at c = 1 for lambda < 1 and at 1 + 1e-12 for lambda <= 1."""
+    means = {(i, j): M[:, i - 1, j - 1] for (i, j) in pairs}
+    F, at_most = _mmatrix_lu(_shifted_negation(c, means, M.shape[-1], len(M)))
+    return at_most & (F[-1][-1] > 0.0), at_most
 
 
 def _mmatrix_solve(A: list, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +247,11 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
     Each draw is solved on its own, in three stages, so its answer does
     not depend on which other draws share the stack:
 
-    1. Short-circuit: a draw whose types can all die childless
-       (min phi(0) > 0) and whose lambda <= 1 + 1e-12 is certainly
+    1. Short-circuit: a draw with lambda < 1, or with lambda <= 1 + 1e-12
+       and types that can all die childless (min phi(0) > 0), is certainly
        extinct, so s = 1 exactly (the rule of ``minimal_fixed_point``).
-       lambda <= c is decided without the Perron root, as c I - M being an
-       M-matrix (``_mmatrix_lu``); at K = 1 this is M <= c exactly.
+       ``_lambda_below`` decides both without the Perron root; at K = 1
+       they are M < 1 and M <= 1 + 1e-12 exactly.
     2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
        remaining draws. The iterates stay below the minimal root with
        phi(s) - s >= 0.
@@ -263,9 +276,8 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
     n = len(M)
     claws = _coefficient_major(laws)
     s = np.zeros((K, n))
-    means = {(i, j): M[:, i - 1, j - 1] for (i, j) in laws}
-    certain = (_phi(claws, s).min(axis=0) > 0.0) \
-        & _mmatrix_lu(_shifted_negation(1.0 + 1e-12, means, K, n))[1]
+    certain = _lambda_below(laws, M, 1.0)[0] | ((_phi(claws, s).min(axis=0) > 0.0)
+                                                & _lambda_below(laws, M, 1.0 + 1e-12)[1])
     s[:, certain] = 1.0
     rows = np.flatnonzero(~certain)
     live_laws = {pair: d[..., rows] for pair, d in claws.items()}
@@ -313,14 +325,13 @@ def generating_function(draw: ParameterDraw, s) -> np.ndarray:
     return _pgf(_law_stack(draw), s[None])[0]
 
 
-def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
-                        max_iter: int = 5000) -> ExtinctionProfile:
+def minimal_fixed_point(draw: ParameterDraw) -> ExtinctionProfile:
     """Minimal fixed point of phi in [0, 1]^K.
 
-    Subcritical and critical draws where every type can die childless are
-    certainly extinct, so s = 1 is returned exactly (the iterative scheme
-    converges only at rate O(1/t) at criticality). Otherwise monotone
-    iteration from 0 converges to the minimal root from below; near-critical
+    Draws with lambda < 1, or <= 1 + 1e-12 where every type can die
+    childless, are certainly extinct: s = 1 exactly (iteration is O(1/t) at
+    criticality). Otherwise 5 000 monotone steps from 0, or until a step is
+    < 1e-14, converge to the minimal root from below; near-critical
     draws are polished with a damped Newton step accepted only while
     phi(s) - s stays nonnegative, which pins the iterate below the minimal
     root and prevents jumping to the trivial root at 1. Non-convergence is
@@ -337,20 +348,18 @@ def minimal_fixed_point(draw: ParameterDraw, tol: float = 1e-14,
     def phi(s):
         return _phi(claws, s[:, None])[:, 0]
 
-    if float(phi(np.zeros(K)).min()) > 0.0:
-        lam = perron_batch(mean_matrices(laws, K))[0][0]
-        if lam <= 1.0 + 1e-12:
-            ones = np.ones(K)
-            residual = float(np.abs(phi(ones) - ones).max())
-            return ExtinctionProfile(s=ones, converged=True, iterations=0,
-                                     residual=residual)
+    lam = perron_batch(mean_matrices(laws, K))[0][0]
+    if lam < 1.0 or (lam <= 1.0 + 1e-12 and float(phi(np.zeros(K)).min()) > 0.0):
+        ones = np.ones(K)
+        residual = float(np.abs(phi(ones) - ones).max())
+        return ExtinctionProfile(s=ones, converged=True, iterations=0,
+                                 residual=residual)
     s = np.zeros(K)
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 5001):
         s_new = phi(s)
         step = float(np.abs(s_new - s).max())
         s = s_new
-        if step < tol:
+        if step < 1e-14:
             break
     for _ in range(60):
         f = phi(s) - s

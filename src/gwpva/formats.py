@@ -271,7 +271,7 @@ def _check_poisson_pairs(K: int, categorical, poisson) -> None:
 
 def posterior_to_document(post: PosteriorParams,
                           poisson: Mapping[Pair, GammaParams] | None = None,
-                          level: float = 0.90, meta: dict | None = None) -> dict:
+                          meta: dict | None = None) -> dict:
     """Render a fitted posterior as a JSON-ready document with summaries.
 
     ``mean_matrix`` holds the posterior mean offspring numbers of every
@@ -291,15 +291,14 @@ def posterior_to_document(post: PosteriorParams,
             "i": i, "j": j, "law": "categorical",
             "alpha": [float(x) for x in a],
             "mean": [float(x / tot) for x in a],
-            f"credible_{int(round(level * 100))}": [
-                list(credible_interval(a, k, level)) for k in range(len(a))],
+            "credible_90": [list(credible_interval(a, k, 0.90)) for k in range(len(a))],
         })
     for (i, j) in sorted(poisson):
         g = poisson[(i, j)]
         pairs.append({
             "i": i, "j": j, "law": "poisson",
             "shape": g.shape, "rate": g.rate, "mean": g.mean,
-            f"credible_{int(round(level * 100))}": list(g.credible_interval(level)),
+            "credible_90": list(g.credible_interval(0.90)),
         })
     doc = {
         "format_version": FORMAT_VERSION,
@@ -315,8 +314,8 @@ def posterior_to_document(post: PosteriorParams,
 def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, GammaParams]]:
     """Rebuild posterior parameters from a fitted-posterior document.
 
-    ParseError on the inputs ``posterior_to_document`` rejects: a Poisson
-    pair outside 1..K or on a categorical pair."""
+    ParseError on a pair outside 1..K, a Poisson pair on a categorical
+    pair, or a pair given twice with the same law."""
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
     K = doc.get("K")
@@ -326,10 +325,11 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
     alpha: dict[Pair, np.ndarray] = {}
     poisson: dict[Pair, GammaParams] = {}
     for idx, entry in enumerate(doc.get("pairs", [])):
-        where = f"pairs[{idx}]"
         try:
             i, j = int(entry["i"]), int(entry["j"])
             law = entry.get("law", "categorical")
+            if (i, j) in (poisson if law == "poisson" else alpha):
+                raise ValueError(f"duplicate pair ({i},{j})")
             if law == "categorical":
                 a = np.asarray(entry["alpha"], dtype=float)
                 kappa[(i, j)] = len(a) - 1
@@ -337,12 +337,11 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
             elif law == "poisson":
                 poisson[(i, j)] = GammaParams(float(entry["shape"]), float(entry["rate"]))
             else:
-                raise ParseError(f"{where}: unknown law {law!r}")
+                raise ValueError(f"unknown law {law!r}")
         except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{where}: {e}") from None
+            raise ParseError(f"pairs[{idx}]: {e}") from None
     _check_poisson_pairs(K, alpha, poisson)
-    cap = OffspringCap(K, kappa)
     try:
-        return PosteriorParams(cap, alpha), poisson
+        return PosteriorParams(OffspringCap(K, kappa), alpha), poisson
     except ValueError as e:
         raise ParseError(str(e)) from None

@@ -6,11 +6,11 @@ expectations of per-draw functionals. One shared ensemble of parameter
 draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
-Each answer computes only the per-draw arrays it reads. Viability and the
-time bounds read the Perron pairs; extinction probability, reintroduction
-and effective population size read the pgf fixed points alone, through
-``_usable_profiles``, and solve no Perron pair; the abundance path reads
-the mean matrices alone.
+Each answer computes only the per-draw arrays it reads. Only the time
+bounds solve Perron pairs; viability reads the fixed point's elimination
+test of lambda <= 1 + 1e-12; extinction probability, reintroduction and
+effective population size read the pgf fixed points alone, through
+``_usable_profiles``; the abundance path reads the mean matrices alone.
 
 Determinism: an ensemble draws its rows in order from the one stream
 SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .extinction import _bound_constants, _bracket_scan, _fixed_point_rows
+from .extinction import _bound_constants, _bracket_scan, _fixed_point_rows, _lambda_below
 from .inference import HyperParams
 from .model import _as_abundance
 from .sampling import _dirichlet_rows
@@ -102,7 +102,7 @@ class ReintroductionSummary:
     mean: np.ndarray
     std_error: np.ndarray
     bin_edges: np.ndarray
-    histograms: np.ndarray  # (K, bins) counts of s_i over draws
+    histograms: np.ndarray  # (K, 100) counts of s_i over equal bins of [0, 1]
     n_prec: int
     n_used: int
     master_seed: int
@@ -118,10 +118,10 @@ class PosteriorEnsemble:
     the first n draws are the same for any ensemble size, draw 0 is
     sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
     cannot be reproduced without the draws before it. Derived per-draw
-    arrays (mean matrices, dominant eigenpairs, pgf fixed points) are cached
-    properties that call the law-stack kernels on the whole batch, each on
-    first use: the eigenpairs need the mean matrices, and the fixed points
-    need the mean matrices and the laws but no eigenpair.
+    arrays (mean matrices, criticality mask, eigenpairs, pgf fixed points)
+    are cached properties that call the law-stack kernels on the whole
+    batch, each on first use: the fixed points need the laws and the mean
+    matrices, the others the mean matrices alone.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -155,6 +155,11 @@ class PosteriorEnsemble:
         return not is_primitive(pattern)
 
     @cached_property
+    def _not_supercritical(self) -> np.ndarray:
+        """Draws with lambda <= 1 + 1e-12, by ``extinction._lambda_below``."""
+        return _lambda_below(self.pairs, self.mean_matrices, 1.0 + 1e-12)[1]
+
+    @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dominant eigenvalue, right and left eigenvectors per draw."""
         return perron_batch(self.mean_matrices)
@@ -162,18 +167,6 @@ class PosteriorEnsemble:
     @property
     def lambdas(self) -> np.ndarray:
         return self._eigen[0]
-
-    @property
-    def left_vectors(self) -> np.ndarray:
-        return self._eigen[2]
-
-    @cached_property
-    def perron_failures(self) -> np.ndarray:
-        """Draws whose Perron pair misses ``perron_triple``'s residual limit.
-
-        The estimates keep these draws and count them under the
-        ``perron-failures`` warning."""
-        return ~perron_residual(self.mean_matrices, *self._eigen)[1]
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
@@ -208,13 +201,11 @@ def _usable_profiles(ens: PosteriorEnsemble) -> tuple[np.ndarray, dict]:
 def mc_viability_probability(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
                              master_seed: int = 0,
                              ensemble: PosteriorEnsemble | None = None) -> MCEstimate:
-    """Posterior probability that the population is viable (lambda > 1)."""
+    """Posterior probability that the population is viable (lambda > 1 + 1e-12)."""
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
-    hits = (ens.lambdas > 1.0).astype(float)
-    p = float(np.sum(hits) / ens.n_prec)
+    p = float(np.sum(~ens._not_supercritical) / ens.n_prec)
     se = float(np.sqrt(max(p * (1 - p), 0.0) / ens.n_prec))
-    warnings = {"non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
-                "perron-failures": int(np.sum(ens.perron_failures))}
+    warnings = {"non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
     return MCEstimate(value=p, std_error=se, n_prec=ens.n_prec, n_used=ens.n_prec,
                       master_seed=ens.master_seed, error_bound=error_bound(ens.n_prec),
                       warnings=warnings)
@@ -274,6 +265,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     at level alpha: t_plus = first t with mean upper <= alpha, t_minus =
     last t with mean lower >= 1 - alpha. The lower curve is asymptotic, not
     a bound, so t_minus carries no guarantee (see ``TimeBoundsEstimate``).
+    Draws whose Perron pair misses its residual limit count as ``perron-failures``.
 
     The bounds divide by the smallest left-eigenvector entry, so a
     subcritical draw whose left vector has an entry <= 0 (a reducible mean
@@ -285,13 +277,12 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise ValueError("alpha must be in (0, 0.5)")
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     N = _as_abundance(population, ens.K)
-    lam = ens.lambdas
+    lam, u, v = ens._eigen
     sub = lam < 1.0
     n_sub = int(np.sum(sub))
     if n_sub == 0:
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
     # degenerate rows may divide by zero or overflow; they are left out below
-    v = ens.left_vectors
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, v, N)
     use = sub & (v.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
@@ -313,7 +304,8 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                 "degenerate-eigenvector": int(n_sub - n_used),
                 "degenerate-xi": int(np.sum(~(xi[use] > 0))),
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
-                "perron-failures": int(np.sum(ens.perron_failures))}
+                "perron-failures": int(np.sum(~perron_residual(ens.mean_matrices,
+                                                               lam, u, v)[1]))}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
                               times=times, upper_curve=upper_curve,
                               lower_curve=lower_curve, n_prec=ens.n_prec,
@@ -322,7 +314,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
 
 
 def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
-                      master_seed: int = 0, bins: int = 100,
+                      master_seed: int = 0,
                       ensemble: PosteriorEnsemble | None = None) -> ReintroductionSummary:
     """Posterior distribution of per-founder extinction probabilities.
 
@@ -335,7 +327,7 @@ def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
     mean = np.sum(good, axis=0) / n_used
     se = good.std(axis=0, ddof=1) / np.sqrt(n_used) if n_used > 1 \
         else np.full(ens.K, np.nan)
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, 101)
     hists = np.stack([np.histogram(good[:, i], bins=edges)[0] for i in range(ens.K)])
     return ReintroductionSummary(mean=mean, std_error=se, bin_edges=edges,
                                  histograms=hists, n_prec=ens.n_prec, n_used=n_used,

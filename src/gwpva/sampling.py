@@ -28,6 +28,8 @@ __all__ = [
     "simulate_extinction_time",
 ]
 
+_OVERFLOW_CAP = 10 ** 12  # simulations stop once a population exceeds it
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -172,13 +174,12 @@ def _step(draw: ParameterDraw, N: tuple[int, ...], t: int, rng: np.random.Genera
     return tuple(new)
 
 
-def simulate(draw: ParameterDraw, initial: PopulationState, horizon: int, seed,
-             overflow_cap: int = 10 ** 12) -> Trajectory:
+def simulate(draw: ParameterDraw, initial: PopulationState, horizon: int, seed) -> Trajectory:
     """Simulate the branching process for ``horizon`` steps.
 
     Offspring are realized pair-by-pair with multinomial draws over parent
     counts, which is distributionally identical to summing independent
-    per-individual offspring. Stops early at extinction or overflow.
+    per-individual offspring. Stops early at extinction or overflow (``_OVERFLOW_CAP``).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -195,7 +196,7 @@ def simulate(draw: ParameterDraw, initial: PopulationState, horizon: int, seed,
         if sum(N) == 0:
             extinct_at = t
             break
-        if sum(N) > overflow_cap:
+        if sum(N) > _OVERFLOW_CAP:
             truncated = True
             break
         N = _step(draw, N, t, rng, counts)
@@ -210,14 +211,13 @@ def simulate(draw: ParameterDraw, initial: PopulationState, horizon: int, seed,
 
 
 def simulate_extinction_time(draw: ParameterDraw, initial: PopulationState, seed,
-                             max_time: int = 10 ** 6,
-                             overflow_cap: int = 10 ** 12) -> int | None:
+                             max_time: int = 10 ** 6) -> int | None:
     """First time the population is empty; None if censored at max_time
-    or stopped by the overflow cap (an exploding path)."""
+    or stopped by ``_OVERFLOW_CAP`` (an exploding path)."""
     rng = _as_rng(seed)
     N = initial.N
     for t in range(1, max_time + 1):
-        if sum(N) > overflow_cap:
+        if sum(N) > _OVERFLOW_CAP:
             return None
         N = _step(draw, N, t - 1, rng, {})
         if sum(N) == 0:

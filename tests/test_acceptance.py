@@ -19,6 +19,7 @@ from gwpva.datasets import (bear_cap, bear_life_table, bear_population_2016,
                             synthetic_life_table, synthetic_true_draw)
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
+from gwpva.spectral import perron_batch
 
 from conftest import record_acceptance
 
@@ -324,8 +325,10 @@ def test_criterion_09_property_suite():
                         re.mean.tobytes(), re.histograms.tobytes()))
     large = PosteriorEnsemble(bear, n_prec=1000, master_seed=9)
     prefix = all(np.array_equal(ens.law(p), large.law(p)[:600]) for p in ens.pairs)
-    for name in ("lambdas", "left_vectors", "extinction_profiles"):
+    for name in ("lambdas", "extinction_profiles"):
         prefix &= np.array_equal(getattr(ens, name), getattr(large, name)[:600])
+    prefix &= np.array_equal(perron_batch(ens.mean_matrices)[2],
+                             perron_batch(large.mean_matrices)[2][:600])
     checks["f:bit-determinism"] = outputs[0] == outputs[1] and prefix
 
     elapsed = time.perf_counter() - t0

@@ -54,6 +54,16 @@ def test_missing_file_is_io_error(capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "io"
 
 
+def test_malformed_posterior_is_parse_error(tmp_path, capsys):
+    # two entries for one pair, and a categorical pair outside 1..K
+    for pairs in ([{"i": 1, "j": 1, "alpha": [1.0, 2.0]}] * 2,
+                  [{"i": 1, "j": 2, "alpha": [1.0, 2.0]}]):
+        posterior = tmp_path / "posterior.json"
+        posterior.write_text(json.dumps({"format_version": 1, "K": 1, "pairs": pairs}))
+        assert main(["viability", "--posterior", str(posterior), "--seed", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "parse"
+
+
 def test_viability_and_extinction(synthetic_files, tmp_path, capsys):
     out = tmp_path / "via.json"
     assert main(["viability", "--posterior", str(synthetic_files["posterior"]),

@@ -186,3 +186,23 @@ def test_posterior_from_document_rejections():
     with pytest.raises(ParseError):
         g.posterior_from_document({"format_version": 1, "K": 1,
                                    "pairs": [{"i": 1, "j": 1, "law": "zeta"}]})
+
+
+def test_posterior_from_document_names_the_bad_entry_once(bear_posterior):
+    # a pair given twice with the same law is an error, not a silent overwrite
+    for law, entry in (("categorical", {"alpha": [1.0, 2.0]}),
+                       ("poisson", {"shape": 1.0, "rate": 1.0})):
+        one = {"i": 1, "j": 1, "law": law, **entry}
+        with pytest.raises(ParseError, match=r"^pairs\[1\]: duplicate pair \(1,1\)$"):
+            g.posterior_from_document({"format_version": 1, "K": 1, "pairs": [one, one]})
+    doc = g.posterior_to_document(bear_posterior)
+    doc["pairs"].append(dict(doc["pairs"][0]))
+    with pytest.raises(ParseError, match=rf"^pairs\[{len(doc['pairs']) - 1}\]: duplicate"):
+        g.posterior_from_document(doc)
+    with pytest.raises(ParseError, match=r"^pairs\[0\]: unknown law 'zeta'$"):
+        g.posterior_from_document({"format_version": 1, "K": 1,
+                                   "pairs": [{"i": 1, "j": 1, "law": "zeta"}]})
+    # a categorical pair outside 1..K is a parse error too
+    with pytest.raises(ParseError, match=r"\(1,2\) outside 1\.\.1"):
+        g.posterior_from_document({"format_version": 1, "K": 1,
+                                   "pairs": [{"i": 1, "j": 2, "alpha": [1.0, 1.0]}]})

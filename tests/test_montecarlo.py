@@ -4,7 +4,7 @@ import pytest
 import gwpva as g
 from gwpva import montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.extinction import _fixed_point_rows, _mmatrix_lu, _pgf, _shifted_negation
+from gwpva.extinction import _fixed_point_rows, _lambda_below, _pgf
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
@@ -145,8 +145,9 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     # left vector has zero entries; their bound constants divide by zero
     post = _tiny_alpha_posterior()
     ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
-    v_min = ens.left_vectors.min(axis=1)
-    sub = ens.lambdas < 1
+    lam, _, v = spectral.perron_batch(ens.mean_matrices)
+    v_min = v.min(axis=1)
+    sub = lam < 1
     assert np.sum(sub & (v_min <= 0)) > 0
     tb = g.mc_time_bounds(post, (3, 2), ensemble=ens)
     dropped = tb.warnings["degenerate-eigenvector"]
@@ -158,7 +159,6 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     # the first t <= horizon_cap at which the mean over them of
     # min(1, (v.N / min v) lam^t) is <= alpha, or None if there is none;
     # each term is nonincreasing in t, so two points decide it
-    v, lam = ens.left_vectors, ens.lambdas
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xi, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.mean_matrices, lam, v,
                                                    np.array([3.0, 2.0]))
@@ -192,7 +192,8 @@ def _period_two_posterior():
 def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
     post = _period_two_posterior()
     ens = PosteriorEnsemble(post, n_prec=2000, master_seed=7)
-    failed = ens.perron_failures
+    M = ens.mean_matrices
+    failed = ~spectral.perron_residual(M, *spectral.perron_batch(M))[1]
     assert failed.any()
     for r, M in enumerate(ens.mean_matrices):
         try:
@@ -202,21 +203,22 @@ def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
         else:
             assert not failed[r], r
     pop = (1, 1, 1)
+    assert g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"] \
+        == np.sum(failed)
+    # viability and the extinction probability solve no Perron pair, so
+    # they count no Perron failure
     for est in (g.mc_viability_probability(post, ensemble=ens),
-                g.mc_time_bounds(post, pop, ensemble=ens)):
-        assert est.warnings["perron-failures"] == np.sum(failed)
-    # the extinction probability reads no lambda, so it counts no Perron failure
-    assert "perron-failures" not in g.mc_extinction_probability(post, pop,
-                                                                ensemble=ens).warnings
+                g.mc_extinction_probability(post, pop, ensemble=ens)):
+        assert "perron-failures" not in est.warnings
     synthetic = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
     for ens, post, pop in [(synthetic, synthetic_posterior, (22,)),
                            (bear_ensemble, bear_ensemble.params, (2, 2, 2, 2, 10))]:
-        assert not ens.perron_failures.any()
+        M = ens.mean_matrices
+        assert spectral.perron_residual(M, *spectral.perron_batch(M))[1].all()
+        assert g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"] == 0
         for est in (g.mc_viability_probability(post, ensemble=ens),
-                    g.mc_time_bounds(post, pop, ensemble=ens)):
-            assert est.warnings["perron-failures"] == 0
-        assert "perron-failures" not in g.mc_extinction_probability(post, pop,
-                                                                    ensemble=ens).warnings
+                    g.mc_extinction_probability(post, pop, ensemble=ens)):
+            assert "perron-failures" not in est.warnings
 
 
 def _perron_full_squaring(M):
@@ -383,8 +385,10 @@ def test_ensemble_rerun_and_prefix_invariance(bear_posterior):
     large = PosteriorEnsemble(bear_posterior, n_prec=1000, master_seed=5)
     for pair in small.pairs:
         assert np.array_equal(small.law(pair), large.law(pair)[:600])
-    for name in ("lambdas", "left_vectors", "extinction_profiles"):
+    for name in ("lambdas", "extinction_profiles"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:600]), name
+    assert np.array_equal(spectral.perron_batch(small.mean_matrices)[2],
+                          spectral.perron_batch(large.mean_matrices)[2][:600])
 
 
 def test_rerun_with_new_seed_within_error_bound(synthetic_posterior):
@@ -447,20 +451,26 @@ def test_extinction_profiles_independent_of_batch(bear_posterior):
 
 
 def test_short_circuit_classifier_matches_perron_root(synthetic_posterior, bear_ensemble):
-    # lambda <= 1 + 1e-12 is decided as (1 + 1e-12) I - M being an M-matrix,
-    # with no Perron root; it must pick the same draws as the Perron root
+    # lambda <= 1 + 1e-12 and lambda < 1 are decided by elimination on
+    # c I - M, with no Perron root; they must pick the same draws as the
+    # Perron root, up to its round-off at lambda = 1
     c = 1.0 + 1e-12
+    tiny = PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5)
     ensembles = [bear_ensemble,
                  PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024),
                  PosteriorEnsemble(_period_two_posterior(), n_prec=2000, master_seed=7),
-                 PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5)]
+                 tiny]
     for ens in ensembles:
-        M = ens.mean_matrices
-        means = {(i, j): M[:, i - 1, j - 1] for (i, j) in ens.pairs}
-        _, below = _mmatrix_lu(_shifted_negation(c, means, ens.K, ens.n_prec))
-        assert np.array_equal(below, ens.lambdas <= c)
+        lam = ens.lambdas
+        assert np.array_equal(ens._not_supercritical, lam <= c)
+        sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+        if ens is tiny:
+            assert np.all(np.abs(lam[sub != (lam < 1.0)] - 1.0) <= 1.2e-16)
+        else:
+            assert np.array_equal(sub, lam < 1.0)
         childless = _pgf(ens._laws, np.zeros((ens.n_prec, ens.K))).min(axis=1) > 0
-        assert np.all(ens.extinction_profiles[childless & below] == 1.0)
+        certain = sub | (childless & ens._not_supercritical)
+        assert np.all(ens.extinction_profiles[certain] == 1.0)
     # at K = 1 the rule is the float comparison mean <= 1 + 1e-12
     assert g.poisson_extinction_fixed_point(1.0) == 1.0
     assert g.poisson_extinction_fixed_point(c) == 1.0
@@ -475,6 +485,15 @@ def test_extinction_profiles_solve_no_perron_pair(bear_posterior):
     assert "_eigen" not in ens.__dict__
 
 
+def test_viability_solves_no_perron_pair(bear_posterior):
+    # viability reads the lambda <= 1 + 1e-12 mask of the fixed point's rule
+    ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
+    est = g.mc_viability_probability(bear_posterior, ensemble=ens)
+    assert "_eigen" not in ens.__dict__
+    assert set(est.warnings) == {"non-primitive-pattern"}
+    assert est.value == np.sum(ens.lambdas > 1.0 + 1e-12) / ens.n_prec
+
+
 def test_fixed_point_answers_solve_no_perron_pair(bear_posterior):
     # extinction probability and reintroduction read the fixed points alone
     ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
@@ -485,26 +504,25 @@ def test_fixed_point_answers_solve_no_perron_pair(bear_posterior):
     assert set(summary.warnings) == {"fixed-point-failures"}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a draw with lambda < 1 whose types cannot all die "
-                          "childless is not short-circuited to s = 1, and the "
-                          "line search holds it near s = 0, where its residual "
-                          "is below _FP_RESIDUAL_OK")
 def test_subcritical_degenerate_draws_are_certainly_extinct():
-    # Draws 2161 and 4200 are near point masses with M close to [[1, 2], [0, 1]]
-    # and lambda just below 1. A type-2 individual has one type-2 child
-    # except with probability ~1e-12, when it has none, so s_2 = 1 is the
-    # only fixed point of s_2 -> phi_2(s), and then s_1 = 1 too: extinction
-    # is certain. Iteration from 0 gains ~1e-12 per step, so phi(s) - s is
-    # ~1e-12 at s ~ 0; a full Newton step lands on s = 1 with residual 0,
-    # but it raises the type-1 residual on the way and the line search
-    # rejects every damping of it.
-    ens = PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=20_000, master_seed=6)
+    # Draws 2161 and 4200 at seed 6 are near point masses with M close to
+    # [[1, 2], [0, 1]] and lambda just below 1. A type-2 individual has one
+    # type-2 child except with probability ~1e-12, when it has none, so
+    # s_2 = 1 is the only fixed point of s_2 -> phi_2(s), and then s_1 = 1
+    # too: extinction is certain. Iteration from 0 gains only ~1e-12 per
+    # step, so every draw with lambda < 1 must be short-circuited to s = 1,
+    # whether or not its types can all die childless.
+    post = _tiny_alpha_posterior()
+    for n, seed in ((3000, 5), (20_000, 6)):
+        ens = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
+        sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+        assert np.all(ens.extinction_profiles[sub] == 1.0)
+        assert not ens.fixed_point_failures[sub].any()
     rows = [2161, 4200]
-    if not np.all(ens.lambdas[rows] < 1.0):
-        pytest.fail("the draws are no longer subcritical")
-    s, bad = ens.extinction_profiles[rows], ens.fixed_point_failures[rows]
-    assert np.all(bad | (s.min(axis=1) > 1.0 - 1e-6))
+    assert sub[rows].all() and np.all(ens.lambdas[rows] < 1.0)
+    for r in rows:
+        draw = g.ParameterDraw(post.cap, {p: ens.law(p)[r] for p in ens.pairs})
+        assert np.all(g.minimal_fixed_point(draw).s == 1.0)
 
 
 def _mixed_law_stack(rng, K, n):

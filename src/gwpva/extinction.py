@@ -52,11 +52,10 @@ class SurvivalBounds:
     """Pointwise bounds on P(population alive at time t) for a subcritical draw.
 
     ``upper(t)`` is the Markov bound lambda^t sum_j v_j N_j / min(v);
-    ``lower(t)`` the second-moment bound
+    ``lower(t)`` the second-moment curve
     (max v / min v)^2 * ((1 - lambda) / xi) * lambda^(t+1) * sum_j v_j N_j,
-    with xi = sum_j (v_j^2 / min v) * sup_i sum_{k>=1} (k^2 - M_ij^2) p_ij(k).
-    Both are clamped to [0, 1]. ``lower_exact(t)`` is the sharper
-    non-asymptotic bound available in the single-type case.
+    with xi = sum_j (v_j^2 / min v) * sup_i sum_{k>=1} (k^2 - M_ij^2) p_ij(k),
+    and 0 where xi <= 0. Both are clamped to [0, 1].
     """
 
     lam: float
@@ -64,7 +63,6 @@ class SurvivalBounds:
     weighted_size: float
     upper: Callable[[np.ndarray], np.ndarray]
     lower: Callable[[np.ndarray], np.ndarray]
-    lower_exact: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -425,56 +423,47 @@ def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, v: np.ndarray,
     return xi, cU, cL
 
 
+def _bound_curves(lam: np.ndarray, cU: np.ndarray, cL: np.ndarray, ts):
+    """Draw-averaged survival-bound curves at the times ts: the means over n
+    draws of upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam,
+    0, 1), from the (n,) arrays of ``_bound_constants``. The mean is NumPy's
+    axis-0 sum divided by n, so at n = 1 it is the draw's own curve bit for
+    bit. ts may have any shape."""
+    ts = np.asarray(ts, dtype=float)
+    lam, cU, cL = (np.reshape(a, (-1,) + (1,) * ts.ndim) for a in (lam, cU, cL))
+    pw = lam ** ts
+    upper = np.sum(np.minimum(1.0, cU * pw), axis=0) / len(pw)
+    lower = np.sum(np.clip(cL * pw * lam, 0.0, 1.0), axis=0) / len(pw)
+    return upper, lower
+
+
 def survival_bounds(draw: ParameterDraw, triple: SpectralTriple,
                     population: PopulationState | Sequence[int]) -> SurvivalBounds:
     """Upper and lower bounds on the survival curve of a subcritical draw.
 
-    The constants come from ``_bound_constants`` on the draw alone. Only
+    The n = 1 view of ``mc_time_bounds``: lambda < 1 is decided by
+    ``_lambda_below``, the constants come from ``_bound_constants`` on the
+    draw alone and the curves are ``_bound_curves`` of that one draw. Only
     categorical laws are supported: a draw holding any other law (such as
     a ``PoissonLaw``) raises ValueError naming its pair.
     """
-    if triple.lam >= 1:
-        raise ValueError(f"survival bounds require lambda < 1, got {triple.lam}")
     laws = _law_stack(draw)
+    M = mean_matrices(laws, draw.K)
+    if not _lambda_below(laws, M, 1.0)[0][0]:
+        raise ValueError(f"survival bounds require lambda < 1, got {triple.lam}")
     for pair, d in laws.items():
         if d.ndim == 1:
             raise ValueError(f"survival bounds need categorical laws; pair {pair} "
                              "holds a PoissonLaw")
     N = _as_abundance(population, draw.K)
     v = triple.v
-    vmin, vmax = float(v.min()), float(v.max())
-    if vmin <= 0:
+    if v.min() <= 0:
         raise ValueError("left eigenvector must be strictly positive (irreducible M)")
-    lam = triple.lam
-    xi, cU, cL = (float(x[0]) for x in
-                  _bound_constants(laws, mean_matrices(laws, draw.K), np.array([lam]),
-                                   v[None], N))
-    w = float(v @ N)
-
-    def upper(t):
-        t = np.asarray(t, dtype=float)
-        return np.minimum(1.0, cU * lam ** t)
-
-    lower = lower_exact = None
-    if xi > 0:
-        r2 = (vmax / vmin) ** 2
-
-        def lower(t):
-            t = np.asarray(t, dtype=float)
-            return np.clip(cL * lam ** t * lam, 0.0, 1.0)
-
-        def lower_exact(t):
-            # non-asymptotic second-moment (Paley-Zygmund style) bound whose
-            # large-t limit is the geometric lower() curve
-            t = np.asarray(t, dtype=float)
-            num = lam ** (2 * t) * w ** 2
-            den = xi * lam ** (t - 1) * (1 - lam ** t) / (1 - lam) * w + num
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(den > 0, r2 * num / den, 1.0)
-            return np.clip(out, 0.0, 1.0)
-
-    return SurvivalBounds(lam=lam, xi=xi, weighted_size=w,
-                          upper=upper, lower=lower, lower_exact=lower_exact)
+    lam = np.array([triple.lam])
+    xi, cU, cL = _bound_constants(laws, M, lam, v[None], N)
+    return SurvivalBounds(lam=triple.lam, xi=float(xi[0]), weighted_size=float(v @ N),
+                          upper=lambda t: _bound_curves(lam, cU, cL, t)[0],
+                          lower=lambda t: _bound_curves(lam, cU, cL, t)[1])
 
 
 _SCAN_MIN_BLOCK = 32
@@ -497,8 +486,11 @@ def _bracket_scan(curves: Callable, alpha: float, horizon_cap: int):
     in a different order.
 
     Returns (t_minus, t_plus, times, upper_curve, lower_curve), the curves
-    ending at t_plus (or at ``horizon_cap`` when t_plus is None).
+    ending at t_plus (or at ``horizon_cap`` when t_plus is None). ValueError
+    unless 0 < alpha < 0.5.
     """
+    if not 0 < alpha < 0.5:
+        raise ValueError("alpha must be in (0, 0.5)")
     parts = []
     t_plus = None
     t0, width = 0, _SCAN_MIN_BLOCK
@@ -529,8 +521,6 @@ def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float
     not always do (ROADMAP open item 1). Both curves must be nonincreasing
     in t.
     """
-    if not 0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
 
     def curves(ts):
         u = np.asarray(upper(ts), dtype=float)

@@ -6,11 +6,14 @@ expectations of per-draw functionals. One shared ensemble of parameter
 draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
-Each answer computes only the per-draw arrays it reads. Only the time
-bounds solve Perron pairs; viability reads the fixed point's elimination
-test of lambda <= 1 + 1e-12; extinction probability, reintroduction and
-effective population size read the pgf fixed points alone, through
-``_usable_profiles``; the abundance path reads the mean matrices alone.
+Each answer computes only the per-draw arrays it reads. Every answer that
+needs the side of 1 on which lambda lies reads the fixed point's
+elimination rule (``extinction._lambda_below``): viability its test of
+lambda <= 1 + 1e-12, the time bounds their lambda < 1 mask. Only the time
+bounds solve Perron pairs, for the values of lambda and the eigenvector;
+extinction probability, reintroduction and effective population size read
+the pgf fixed points alone, through ``_usable_profiles``; the abundance
+path reads the mean matrices alone.
 
 Determinism: an ensemble draws its rows in order from the one stream
 SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
@@ -28,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .extinction import _bound_constants, _bracket_scan, _fixed_point_rows, _lambda_below
+from .extinction import (_bound_constants, _bound_curves, _bracket_scan,
+                         _fixed_point_rows, _lambda_below)
 from .inference import HyperParams
 from .model import _as_abundance
 from .sampling import _dirichlet_rows
@@ -260,12 +264,15 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     """Extinction-time bracket from posterior-averaged survival bounds.
 
     Per subcritical draw the survival curve is bracketed by the spectral
-    upper bound and the second-moment lower bound (both clamped to [0, 1]);
+    upper bound and the second-moment lower curve (both clamped to [0, 1]);
     curves are averaged over draws with lambda < 1 and the bracket read off
     at level alpha: t_plus = first t with mean upper <= alpha, t_minus =
     last t with mean lower >= 1 - alpha. The lower curve is asymptotic, not
     a bound, so t_minus carries no guarantee (see ``TimeBoundsEstimate``).
-    Draws whose Perron pair misses its residual limit count as ``perron-failures``.
+    lambda < 1 is decided by ``extinction._lambda_below``, the rule of the
+    fixed point; the Perron pairs give only the values of lambda and the
+    eigenvector. Draws whose Perron pair misses its residual limit count as
+    ``perron-failures``.
 
     The bounds divide by the smallest left-eigenvector entry, so a
     subcritical draw whose left vector has an entry <= 0 (a reducible mean
@@ -273,15 +280,13 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     finite, is left out of the average and counted under the
     ``degenerate-eigenvector`` warning. ``n_used`` is the number of draws
     averaged; RuntimeError is raised if none is left."""
-    if not 0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
     ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
     N = _as_abundance(population, ens.K)
-    lam, u, v = ens._eigen
-    sub = lam < 1.0
+    sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
     n_sub = int(np.sum(sub))
     if n_sub == 0:
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
+    lam, u, v = ens._eigen
     # degenerate rows may divide by zero or overflow; they are left out below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, v, N)
@@ -291,15 +296,8 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise RuntimeError("no subcritical draw has a usable left eigenvector; "
                            "time bounds are undefined")
     lam_s, cU, cL = lam[use], cU[use], cL[use]
-
-    def curves(ts):
-        pw = lam_s[:, None] ** ts[None, :]
-        ubar = np.sum(np.minimum(1.0, cU[:, None] * pw), axis=0) / n_used
-        lbar = np.sum(np.clip(cL[:, None] * pw * lam_s[:, None], 0.0, 1.0), axis=0) / n_used
-        return ubar, lbar
-
-    t_minus, t_plus, times, upper_curve, lower_curve = _bracket_scan(curves, alpha,
-                                                                     horizon_cap)
+    t_minus, t_plus, times, upper_curve, lower_curve = _bracket_scan(
+        lambda ts: _bound_curves(lam_s, cU, cL, ts), alpha, horizon_cap)
     warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
                 "degenerate-eigenvector": int(n_sub - n_used),
                 "degenerate-xi": int(np.sum(~(xi[use] > 0))),

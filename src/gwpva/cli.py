@@ -211,8 +211,9 @@ def cmd_time_bounds(args) -> int:
             lines.append(f"{int(t)},{float(u)!r},{float(lo)!r}")
         Path(args.curves).write_text("\n".join(lines) + "\n")
     tp = "open-ended" if res.t_plus is None else str(res.t_plus)
-    print(f"extinction time in ({res.t_minus}, {tp}] with probability "
-          f">= {_fmt(1 - 2 * res.alpha)} (subcritical draws: {res.n_used}/{res.n_prec})")
+    print(f"extinction time in ({res.t_minus}, {tp}]: P(T > t_plus) <= {_fmt(res.alpha)} "
+          "under the averaged upper bound; t_minus carries no guarantee "
+          f"(subcritical draws: {res.n_used}/{res.n_prec})")
     for line in _warn_lines(res.warnings):
         print(line)
     return 0

@@ -51,10 +51,12 @@ class ExtinctionProfile:
 class SurvivalBounds:
     """Pointwise bounds on P(population alive at time t) for a subcritical draw.
 
-    ``upper(t)`` is the Markov bound lambda^t sum_j v_j N_j / min(v);
+    Both weight the population by the right Perron vector u (M u = lambda
+    u), because N(t) u / lambda^t is a martingale under E[N(t)] = N(0) M^t.
+    ``upper(t)`` is the Markov bound lambda^t sum_j u_j N_j / min(u);
     ``lower(t)`` the second-moment curve
-    (max v / min v)^2 * ((1 - lambda) / xi) * lambda^(t+1) * sum_j v_j N_j,
-    with xi = sum_j (v_j^2 / min v) * sup_i sum_{k>=1} (k^2 - M_ij^2) p_ij(k),
+    (max u / min u)^2 * ((1 - lambda) / xi) * lambda^(t+1) * sum_j u_j N_j,
+    with xi = sum_j (u_j^2 / min u) * sup_i sum_{k>=1} (k^2 - M_ij^2) p_ij(k),
     and 0 where xi <= 0. Both are clamped to [0, 1].
     """
 
@@ -67,10 +69,10 @@ class SurvivalBounds:
 
 @dataclass(frozen=True)
 class TimeBounds:
-    """Extinction-time bracket: P(T_ext <= t_minus) <= alpha and
-    P(T_ext > t_plus) <= alpha, so T_ext lies in (t_minus, t_plus] with
-    probability at least 1 - 2*alpha. ``t_plus`` is None when the upper
-    survival bound never falls below alpha within the search horizon."""
+    """Extinction-time bracket of ``extinction_time_bounds``: P(T_ext >
+    t_plus) <= alpha when the upper curve bounds survival, P(T_ext <=
+    t_minus) <= alpha only when the lower one does too. ``t_plus`` is None
+    when the upper curve never reaches alpha within the search horizon."""
 
     t_minus: int
     t_plus: int | None
@@ -392,17 +394,17 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
     return float(np.prod(s ** N))
 
 
-def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, v: np.ndarray,
+def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, u: np.ndarray,
                      N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-draw xi (see ``SurvivalBounds``) and the constants of
     upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam, 0, 1).
 
     The n draws are given by ``laws`` (each pair's (n, kappa+1) categorical
     law rows), their mean matrices M (n, K, K), Perron roots lam (n,) and
-    left eigenvectors v (n, K), at any positive scale; N is the (K,)
+    right eigenvectors u (n, K), at any positive scale; N is the (K,)
     population. cL is 0 where xi <= 0.
     """
-    n, K = v.shape
+    n, K = u.shape
     col_sup = np.zeros((n, K))
     seen = np.zeros((n, K), dtype=bool)
     for (i, j), d in laws.items():
@@ -413,13 +415,13 @@ def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, v: np.ndarray,
         col = j - 1
         col_sup[:, col] = np.where(seen[:, col], np.maximum(col_sup[:, col], val), val)
         seen[:, col] = True
-    vmin = v.min(axis=1)
-    vmax = v.max(axis=1)
-    xi = np.sum(np.where(seen, (v ** 2 / vmin[:, None]) * col_sup, 0.0), axis=1)
-    w = v @ N
+    umin = u.min(axis=1)
+    umax = u.max(axis=1)
+    xi = np.sum(np.where(seen, (u ** 2 / umin[:, None]) * col_sup, 0.0), axis=1)
+    w = u @ N
     pos = xi > 0
-    cU = w / vmin
-    cL = np.where(pos, (vmax / vmin) ** 2 * (1 - lam) / np.where(pos, xi, 1.0) * w, 0.0)
+    cU = w / umin
+    cL = np.where(pos, (umax / umin) ** 2 * (1 - lam) / np.where(pos, xi, 1.0) * w, 0.0)
     return xi, cU, cL
 
 
@@ -456,12 +458,12 @@ def survival_bounds(draw: ParameterDraw, triple: SpectralTriple,
             raise ValueError(f"survival bounds need categorical laws; pair {pair} "
                              "holds a PoissonLaw")
     N = _as_abundance(population, draw.K)
-    v = triple.v
-    if v.min() <= 0:
-        raise ValueError("left eigenvector must be strictly positive (irreducible M)")
+    u = triple.u
+    if u.min() <= 0:
+        raise ValueError("right eigenvector must be strictly positive (irreducible M)")
     lam = np.array([triple.lam])
-    xi, cU, cL = _bound_constants(laws, M, lam, v[None], N)
-    return SurvivalBounds(lam=triple.lam, xi=float(xi[0]), weighted_size=float(v @ N),
+    xi, cU, cL = _bound_constants(laws, M, lam, u[None], N)
+    return SurvivalBounds(lam=triple.lam, xi=float(xi[0]), weighted_size=float(u @ N),
                           upper=lambda t: _bound_curves(lam, cU, cL, t)[0],
                           lower=lambda t: _bound_curves(lam, cU, cL, t)[1])
 

@@ -6,14 +6,15 @@ expectations of per-draw functionals. One shared ensemble of parameter
 draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
-Each answer computes only the per-draw arrays it reads. Every answer that
-needs the side of 1 on which lambda lies reads the fixed point's
-elimination rule (``extinction._lambda_below``): viability its test of
-lambda <= 1 + 1e-12, the time bounds their lambda < 1 mask. Only the time
-bounds solve Perron pairs, for the values of lambda and the eigenvector;
-extinction probability, reintroduction and effective population size read
-the pgf fixed points alone, through ``_usable_profiles``; the abundance
-path reads the mean matrices alone.
+Each answer computes only the per-draw arrays it reads. Viability and the
+time bounds decide on which side of 1 lambda lies by the fixed point's
+elimination rule; only the time bounds solve Perron pairs, for their
+values. Extinction probability, reintroduction and effective population
+size read the pgf fixed points alone, through ``_usable_profiles``; the
+abundance path reads the mean matrices alone. An answer builds its
+ensemble from (params, n_prec, master_seed), or reads the one passed as
+``ensemble=`` and ignores n_prec and master_seed; params must then be None
+or ``ensemble.params`` itself.
 
 Determinism: an ensemble draws its rows in order from the one stream
 SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
@@ -82,10 +83,10 @@ class TimeBoundsEstimate:
     Under the averaged (lambda < 1 conditioned) posterior, t_plus is the
     first t at which the mean upper curve is <= alpha and t_minus the last
     t at which the mean lower curve is >= 1 - alpha. Only t_plus rests on a
-    bound: the lower curve is the asymptotic second-moment curve, which can
-    lie above the exact survival probability, so P(T_ext <= t_minus) <=
-    alpha is not guaranteed and (t_minus, t_plus] is not a proven 1 -
-    2*alpha interval (ROADMAP open item 1)."""
+    bound, P(T_ext > t_plus) <= alpha, for any K: the lower curve is the
+    asymptotic second-moment curve, which can lie above the exact survival
+    probability, so P(T_ext <= t_minus) <= alpha is not guaranteed and
+    (t_minus, t_plus] is not a proven 1 - 2*alpha interval."""
 
     t_minus: int
     t_plus: int | None
@@ -187,6 +188,16 @@ class PosteriorEnsemble:
         return self._fixed_point[1]
 
 
+def _ensemble(params: HyperParams | None, n_prec: int, master_seed: int,
+              ensemble: PosteriorEnsemble | None) -> PosteriorEnsemble:
+    """The ensemble an answer reads, by the rule of the module docstring."""
+    if ensemble is None:
+        return PosteriorEnsemble(params, n_prec, master_seed)
+    if params is not None and params is not ensemble.params:
+        raise ValueError("params is not ensemble.params; pass that or None")
+    return ensemble
+
+
 def _usable_profiles(ens: PosteriorEnsemble) -> tuple[np.ndarray, dict]:
     """The (n_used, K) extinction profiles of the draws whose fixed-point
     solve converged, and the warnings that count the others:
@@ -206,7 +217,7 @@ def mc_viability_probability(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
                              master_seed: int = 0,
                              ensemble: PosteriorEnsemble | None = None) -> MCEstimate:
     """Posterior probability that the population is viable (lambda > 1 + 1e-12)."""
-    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
+    ens = _ensemble(params, n_prec, master_seed, ensemble)
     p = float(np.sum(~ens._not_supercritical) / ens.n_prec)
     se = float(np.sqrt(max(p * (1 - p), 0.0) / ens.n_prec))
     warnings = {"non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
@@ -219,7 +230,7 @@ def mc_extinction_probability(params: HyperParams, population,
                               n_prec: int = DEFAULT_N_PREC, master_seed: int = 0,
                               ensemble: PosteriorEnsemble | None = None) -> MCEstimate:
     """Posterior mean of P(eventual extinction | parameters) for a population."""
-    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
+    ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
     s, warnings = _usable_profiles(ens)
     n_used = len(s)
@@ -242,7 +253,7 @@ def mc_short_time_abundance(params: HyperParams, initial, horizon: int,
     the conditional mean is not included."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
+    ens = _ensemble(params, n_prec, master_seed, ensemble)
     N0 = _as_abundance(initial, ens.K)
     x = np.broadcast_to(N0, (ens.n_prec, ens.K)).copy()
     out = []
@@ -263,24 +274,22 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                    ensemble: PosteriorEnsemble | None = None) -> TimeBoundsEstimate:
     """Extinction-time bracket from posterior-averaged survival bounds.
 
-    Per subcritical draw the survival curve is bracketed by the spectral
-    upper bound and the second-moment lower curve (both clamped to [0, 1]);
-    curves are averaged over draws with lambda < 1 and the bracket read off
-    at level alpha: t_plus = first t with mean upper <= alpha, t_minus =
-    last t with mean lower >= 1 - alpha. The lower curve is asymptotic, not
-    a bound, so t_minus carries no guarantee (see ``TimeBoundsEstimate``).
-    lambda < 1 is decided by ``extinction._lambda_below``, the rule of the
-    fixed point; the Perron pairs give only the values of lambda and the
-    eigenvector. Draws whose Perron pair misses its residual limit count as
-    ``perron-failures``.
+    Per draw with lambda < 1 (``extinction._lambda_below``) the survival
+    curve is bracketed by the spectral upper bound and the second-moment
+    lower curve (both clamped to [0, 1]); curves are averaged over those
+    draws and the bracket read off at level alpha: t_plus = first t with
+    mean upper <= alpha, t_minus = last t with mean lower >= 1 - alpha. The
+    lower curve is asymptotic, not a bound, so t_minus carries no guarantee
+    (see ``TimeBoundsEstimate``). Draws whose Perron pair misses its
+    residual limit count as ``perron-failures``.
 
-    The bounds divide by the smallest left-eigenvector entry, so a
-    subcritical draw whose left vector has an entry <= 0 (a reducible mean
+    The bounds divide by the smallest entry of the right Perron vector u,
+    so a subcritical draw whose u has an entry <= 0 (a reducible mean
     matrix), or whose entries are so lopsided that a bound constant is not
     finite, is left out of the average and counted under the
     ``degenerate-eigenvector`` warning. ``n_used`` is the number of draws
     averaged; RuntimeError is raised if none is left."""
-    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
+    ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
     sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
     n_sub = int(np.sum(sub))
@@ -289,11 +298,11 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     lam, u, v = ens._eigen
     # degenerate rows may divide by zero or overflow; they are left out below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, v, N)
-    use = sub & (v.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
+        xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, u, N)
+    use = sub & (u.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
     n_used = int(np.sum(use))
     if n_used == 0:
-        raise RuntimeError("no subcritical draw has a usable left eigenvector; "
+        raise RuntimeError("no subcritical draw has a usable right eigenvector; "
                            "time bounds are undefined")
     lam_s, cU, cL = lam[use], cU[use], cL[use]
     t_minus, t_plus, times, upper_curve, lower_curve = _bracket_scan(
@@ -319,7 +328,7 @@ def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
     s_i is the probability that the line of one type-i founder dies out;
     its posterior spread tells a planner which founder types make a
     reintroduction robust."""
-    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
+    ens = _ensemble(params, n_prec, master_seed, ensemble)
     good, warnings = _usable_profiles(ens)
     n_used = len(good)
     mean = np.sum(good, axis=0) / n_used
@@ -342,7 +351,7 @@ def effective_population_size(params: HyperParams, type_index: int,
     ``max_founders`` founders do not reach it)."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0,1)")
-    ens = ensemble or PosteriorEnsemble(params, n_prec, master_seed)
+    ens = _ensemble(params, n_prec, master_seed, ensemble)
     if not 1 <= type_index <= ens.K:
         raise ValueError(f"type_index outside 1..{ens.K}")
     good = _usable_profiles(ens)[0][:, type_index - 1]
@@ -351,15 +360,12 @@ def effective_population_size(params: HyperParams, type_index: int,
     def pext(n: int) -> float:
         return float(np.sum(good ** n) / n_used)
 
-    # E[s^n] is nonincreasing in n: gallop then bisect
-    if pext(1) < threshold:
-        return 1
-    lo, hi = 1, 2
+    # E[s^n] falls with n from E[s^0] = 1: gallop up to max_founders, bisect
+    lo, hi = 0, 1
     while pext(hi) >= threshold:
-        lo = hi
-        hi *= 2
-        if hi > max_founders:
+        if hi >= max_founders:
             return None
+        lo, hi = hi, min(2 * hi, max_founders)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pext(mid) >= threshold:

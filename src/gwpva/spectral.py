@@ -1,10 +1,11 @@
 """Perron-Frobenius analysis of the mean offspring matrix.
 
 The mean matrix M[i, j] of an offspring parameterization drives first-order
-population dynamics: E[N(t)] = N(0) M^t. Its dominant eigenvalue lambda,
-right eigenvector u (reproductive value, as a row-space object) and left
-eigenvector v govern growth, viability, and the survival bounds.
-Normalization: sum_i u_i = 1 and sum_i u_i v_i = 1.
+population dynamics: E[N(t)] = N(0) M^t. Its dominant eigenvalue lambda
+governs growth and viability. The right eigenvector u (M u = lambda u, the
+reproductive values) weights the population in the survival bounds, as
+N(t) u / lambda^t is a martingale; the left eigenvector v is the stable
+type distribution. Normalization: sum_i u_i = 1 and sum_i u_i v_i = 1.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ import gwpva as g
 from gwpva.datasets import (bear_cap, bear_life_table, bear_population_2016,
                             synthetic_abundances, synthetic_cap,
                             synthetic_life_table, synthetic_true_draw)
+from gwpva.extinction import _lambda_below, _pgf
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
-from gwpva.spectral import perron_batch
+from gwpva.spectral import mean_matrices, perron_batch
 
 from conftest import record_acceptance
 
@@ -336,6 +337,42 @@ def test_criterion_09_property_suite():
     detail = "; ".join(f"{k} {'ok' if v else 'FAILED'}" for k, v in checks.items())
     record_acceptance("9", ok, f"{detail}; {elapsed:.0f}s")
     assert ok, checks
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_multitype_upper_bound_dominates_exact_survival(K):
+    # 9(e) for K >= 2 against an exact oracle: phi^(t)(0)_i is the
+    # probability that the line of one type-i founder is extinct by t, so
+    # 1 - prod_i phi^(t)(0)_i^N_i is the exact survival curve. Laws on
+    # {0, 1, 2} with Dirichlet weights spread over orders of magnitude give
+    # lopsided mean matrices, whose left and right Perron vectors differ.
+    rng = np.random.default_rng(K)
+    pairs = [(i, j) for i in range(1, K + 1) for j in range(1, K + 1)]
+    n, horizon = 300, 200
+    laws = {}
+    for pair in pairs:
+        d = np.stack([rng.dirichlet(a) for a in np.exp(rng.normal(0, 2, (n, 3)))])
+        d[:, 1:] *= rng.uniform(0, 1.5 / K, (n, 1))
+        d[:, 0] = 1 - d[:, 1:].sum(axis=1)
+        laws[pair] = d
+    M = mean_matrices(laws, K)
+    sub = np.flatnonzero(_lambda_below(pairs, M, 1.0)[0])
+    assert len(sub) >= 200
+    N = np.zeros((n, K))
+    N[np.arange(n), rng.integers(0, K, n)] = rng.integers(1, 6, n)  # one founder type
+    q = np.zeros((n, K))
+    exact = np.empty((n, horizon))
+    for t in range(horizon):
+        exact[:, t] = 1 - np.prod(q ** N, axis=1)
+        q = _pgf(laws, q)
+    cap = g.OffspringCap(K, {pair: 2 for pair in pairs})
+    ts = np.arange(horizon)
+    worst = -np.inf
+    for r in sub:
+        draw = g.ParameterDraw(cap, {pair: laws[pair][r] for pair in pairs})
+        sb = g.survival_bounds(draw, g.perron_triple(M[r]), N[r].astype(int))
+        worst = max(worst, float(np.max(exact[r] - sb.upper(ts))))
+    assert worst <= 1e-12
 
 
 def test_criterion_10_extensions():

@@ -93,7 +93,10 @@ def test_time_bounds_and_curves(synthetic_files, tmp_path, capsys):
     header, *rows = curves.read_text().splitlines()
     assert header == "t,upper,lower"
     assert len(rows) >= doc["t_plus"]
-    capsys.readouterr()
+    # only the upper end rests on a bound, so no two-sided level is claimed
+    printed = capsys.readouterr().out
+    assert "P(T > t_plus) <= 0.05" in printed and "t_minus carries no guarantee" in printed
+    assert "probability >=" not in printed
 
 
 def test_time_bounds_curves_cells_are_plain_floats(synthetic_files, tmp_path, capsys):
@@ -314,9 +317,19 @@ def test_cold_import_loads_no_scipy():
     assert _scipy_modules_loaded("import gwpva, gwpva.cli") == []
 
 
-def test_viability_on_fitted_posterior_loads_no_scipy(bear_posterior, tmp_path):
+def test_mc_subcommands_on_fitted_posterior_load_no_scipy(bear_posterior, tmp_path):
     posterior = tmp_path / "bear_posterior.json"
     posterior.write_text(json.dumps(g.posterior_to_document(bear_posterior)))
-    argv = ["viability", "--posterior", str(posterior), "--seed", "2024", "--nprec", "500"]
-    code = f"import gwpva.cli\nassert gwpva.cli.main({argv!r}) == 0"
+    common = ["--posterior", str(posterior), "--seed", "2024"]
+    mc = common + ["--nprec", "500"]
+    pop = ["--pop", "2,2,2,2,10"]
+    runs = [["viability"] + mc,
+            ["extinction"] + mc + pop,
+            ["time-bounds"] + mc + pop,
+            ["reintroduce"] + mc + ["--type", "5"],
+            ["predict"] + mc + pop + ["--horizon", "3"],
+            ["simulate"] + common + pop + ["--horizon", "3", "--reps", "5",
+                                           "--out", str(tmp_path / "paths.csv")]]
+    code = "import gwpva.cli\n" + "".join(f"assert gwpva.cli.main({argv!r}) == 0\n"
+                                         for argv in runs)
     assert _scipy_modules_loaded(code) == []

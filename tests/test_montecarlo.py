@@ -142,28 +142,28 @@ def test_time_bounds_requires_subcritical_mass():
 @pytest.mark.filterwarnings("error")
 def test_time_bounds_leave_out_degenerate_eigenvectors():
     # the alpha = 1e-3 posterior puts mass on reducible mean matrices whose
-    # left vector has zero entries; their bound constants divide by zero
+    # right vector has zero entries; their bound constants divide by zero
     post = _tiny_alpha_posterior()
     ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
-    lam, _, v = spectral.perron_batch(ens.mean_matrices)
-    v_min = v.min(axis=1)
+    lam, u, _ = spectral.perron_batch(ens.mean_matrices)
+    u_min = u.min(axis=1)
     sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
-    assert np.sum(sub & (v_min <= 0)) > 0
+    assert np.sum(sub & (u_min <= 0)) > 0
     tb = g.mc_time_bounds(post, (3, 2), ensemble=ens)
     dropped = tb.warnings["degenerate-eigenvector"]
-    assert dropped >= np.sum(sub & (v_min <= 0))
+    assert dropped >= np.sum(sub & (u_min <= 0))
     assert tb.n_used == np.sum(sub) - dropped
     assert tb.warnings["supercritical-draws"] == 3000 - np.sum(sub)
     assert np.isfinite(tb.upper_curve).all() and np.isfinite(tb.lower_curve).all()
     # the used draws are those whose bound constants are finite; t_plus is
     # the first t <= horizon_cap at which the mean over them of
-    # min(1, (v.N / min v) lam^t) is <= alpha, or None if there is none;
+    # min(1, (u.N / min u) lam^t) is <= alpha, or None if there is none;
     # each term is nonincreasing in t, so two points decide it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xi, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.mean_matrices, lam, v,
+        xi, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.mean_matrices, lam, u,
                                                    np.array([3.0, 2.0]))
-        c_upper = (v @ np.array([3.0, 2.0])) / v_min
-    use = sub & (v_min > 0) & np.isfinite(c_u) & np.isfinite(c_l)
+        c_upper = (u @ np.array([3.0, 2.0])) / u_min
+    use = sub & (u_min > 0) & np.isfinite(c_u) & np.isfinite(c_l)
     assert tb.n_used == np.sum(use)
     # draws 335 and 2638 hold near-point-mass laws, on which
     # sum_k k^2 p(k) - M^2 (1 - p(0)) cancels to 0
@@ -271,11 +271,11 @@ def test_perron_batch_matches_full_squaring_reference(bear_ensemble):
 
 
 def test_time_bounds_require_a_usable_draw():
-    # two unlinked types: every left vector is (1, 0)
+    # two unlinked types: every right vector is (1, 0)
     cap = g.OffspringCap(2, {(1, 1): 1, (2, 2): 1})
     big = {(1, 1): 1e8 * np.array([0.5, 0.5]) + 1e-8,
            (2, 2): 1e8 * np.array([0.7, 0.3]) + 1e-8}
-    with pytest.raises(RuntimeError, match="usable left eigenvector"):
+    with pytest.raises(RuntimeError, match="usable right eigenvector"):
         g.mc_time_bounds(g.PosteriorParams(cap, big), (2, 2), n_prec=50, master_seed=3)
 
 
@@ -367,6 +367,36 @@ def test_effective_population_size_edges():
                                        master_seed=1, max_founders=1000) is None
     sup = _degenerate_posterior([0.0, 0.0, 1.0])
     assert g.effective_population_size(sup, 1, 0.999, n_prec=100, master_seed=1) == 1
+
+
+def test_answers_reject_params_other_than_the_ensembles(synthetic_posterior,
+                                                        bear_posterior):
+    ens = PosteriorEnsemble(synthetic_posterior, n_prec=50, master_seed=1)
+    answers = [lambda p: g.mc_viability_probability(p, ensemble=ens),
+               lambda p: g.mc_extinction_probability(p, (3,), ensemble=ens),
+               lambda p: g.mc_short_time_abundance(p, (3,), 2, ensemble=ens),
+               lambda p: g.mc_time_bounds(p, (3,), ensemble=ens),
+               lambda p: g.mc_reintroduction(p, ensemble=ens),
+               lambda p: g.effective_population_size(p, 1, ensemble=ens)]
+    for answer in answers:
+        with pytest.raises(ValueError, match="ensemble"):
+            answer(bear_posterior)
+        answer(synthetic_posterior)
+        answer(None)
+
+
+def test_effective_population_size_tries_max_founders():
+    # the answer 701 lies between the last doubling (512) and the next
+    # (1024 > max_founders), so max_founders itself must be tried
+    post = g.PosteriorParams(g.OffspringCap(1, {(1, 1): 2}),
+                             {(1, 1): np.array([300.0, 390.0, 310.0])})
+    ens = PosteriorEnsemble(post, n_prec=500, master_seed=1)
+    assert not ens.fixed_point_failures.any()
+    s = ens.extinction_profiles[:, 0]
+    threshold = float(np.sum(s ** 700) / len(s))
+    for cap, expected in [(10 ** 6, 701), (1000, 701), (701, 701), (700, None)]:
+        assert g.effective_population_size(post, 1, threshold, max_founders=cap,
+                                           ensemble=ens) == expected
 
 
 def test_ensemble_rerun_and_prefix_invariance(bear_posterior):

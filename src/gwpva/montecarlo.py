@@ -8,13 +8,13 @@ consistent with each other.
 
 Each answer computes only the per-draw arrays it reads. Viability and the
 time bounds decide on which side of 1 lambda lies by the fixed point's
-elimination rule; only the time bounds solve Perron pairs, for their
-values. Extinction probability, reintroduction and effective population
-size read the pgf fixed points alone, through ``_usable_profiles``; the
-abundance path reads the mean matrices alone. An answer builds its
-ensemble from (params, n_prec, master_seed), or reads the one passed as
-``ensemble=`` and ignores n_prec and master_seed; params must then be None
-or ``ensemble.params`` itself.
+elimination rule; only the time bounds solve Perron pairs, for the values
+of their lambda < 1 draws alone. Extinction probability, reintroduction
+and effective population size read the pgf fixed points alone, through
+``_usable_profiles``; the abundance path reads the mean matrices alone.
+An answer builds its ensemble from (params, n_prec, master_seed), or reads
+the one passed as ``ensemble=`` and ignores n_prec and master_seed; params
+must then be None or ``ensemble.params`` itself.
 
 Determinism: an ensemble draws its rows in order from the one stream
 SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
@@ -122,11 +122,12 @@ class PosteriorEnsemble:
     r + 1) if its Dirichlet normalizer is zero (``sampling._dirichlet_rows``):
     the first n draws are the same for any ensemble size, draw 0 is
     sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
-    cannot be reproduced without the draws before it. Derived per-draw
-    arrays (mean matrices, criticality mask, eigenpairs, pgf fixed points)
-    are cached properties that call the law-stack kernels on the whole
-    batch, each on first use: the fixed points need the laws and the mean
-    matrices, the others the mean matrices alone.
+    cannot be reproduced without the draws before it. The mean matrices,
+    criticality mask and pgf fixed points are cached properties that call
+    the law-stack kernels on the whole batch, each on first use: the fixed
+    points need the laws and the mean matrices, the others the mean
+    matrices alone. Perron pairs are solved per draw, only for the draws an
+    answer asks for (``_perron``), and kept; ``lambdas`` asks for them all.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -139,6 +140,11 @@ class PosteriorEnsemble:
         self.pairs = sorted(params.alpha)
         self.K = params.K
         self._laws = _dirichlet_rows(params, self.master_seed, self.n_prec)
+        # the (lam, u, v) memo of ``_perron``: row r holds draw r's pair once
+        # _perron_solved[r] is set
+        self._perron_pairs = (np.empty(self.n_prec), np.empty((self.n_prec, self.K)),
+                              np.empty((self.n_prec, self.K)))
+        self._perron_solved = np.zeros(self.n_prec, dtype=bool)
 
     def law(self, pair) -> np.ndarray:
         """(n_prec, kappa+1) array of sampled laws for one pair."""
@@ -164,14 +170,22 @@ class PosteriorEnsemble:
         """Draws with lambda <= 1 + 1e-12, by ``extinction._lambda_below``."""
         return _lambda_below(self.pairs, self.mean_matrices, 1.0 + 1e-12)[1]
 
-    @cached_property
-    def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dominant eigenvalue, right and left eigenvectors per draw."""
-        return perron_batch(self.mean_matrices)
+    def _perron(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dominant eigenvalue, right and left eigenvectors of the draws with
+        the given indices. ``perron_batch`` runs once on those not yet
+        solved; its rows are independent, so a draw's pair has the same bits
+        whichever draws are solved with it."""
+        todo = rows[~self._perron_solved[rows]]
+        if len(todo):
+            for out, x in zip(self._perron_pairs,
+                              perron_batch(self.mean_matrices.take(todo, axis=0))):
+                out[todo] = x
+            self._perron_solved[todo] = True
+        return tuple(a.take(rows, axis=0) for a in self._perron_pairs)
 
     @property
     def lambdas(self) -> np.ndarray:
-        return self._eigen[0]
+        return self._perron(np.arange(self.n_prec))[0]
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,8 +294,9 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     draws and the bracket read off at level alpha: t_plus = first t with
     mean upper <= alpha, t_minus = last t with mean lower >= 1 - alpha. The
     lower curve is asymptotic, not a bound, so t_minus carries no guarantee
-    (see ``TimeBoundsEstimate``). Draws whose Perron pair misses its
-    residual limit count as ``perron-failures``.
+    (see ``TimeBoundsEstimate``). Perron pairs are solved for the lambda < 1
+    draws alone, so ``perron-failures`` counts the lambda < 1 draws whose
+    Perron pair misses its residual limit.
 
     The bounds divide by the smallest entry of the right Perron vector u,
     so a subcritical draw whose u has an entry <= 0 (a reducible mean
@@ -295,11 +310,14 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     n_sub = int(np.sum(sub))
     if n_sub == 0:
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
-    lam, u, v = ens._eigen
+    rows = np.flatnonzero(sub)
+    lam, u, v = ens._perron(rows)
+    M = ens.mean_matrices.take(rows, axis=0)
+    laws = {p: d.take(rows, axis=0) for p, d in ens._laws.items()}
     # degenerate rows may divide by zero or overflow; they are left out below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xi, cU, cL = _bound_constants(ens._laws, ens.mean_matrices, lam, u, N)
-    use = sub & (u.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
+        xi, cU, cL = _bound_constants(laws, M, lam, u, N)
+    use = (u.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
     n_used = int(np.sum(use))
     if n_used == 0:
         raise RuntimeError("no subcritical draw has a usable right eigenvector; "
@@ -311,8 +329,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                 "degenerate-eigenvector": int(n_sub - n_used),
                 "degenerate-xi": int(np.sum(~(xi[use] > 0))),
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
-                "perron-failures": int(np.sum(~perron_residual(ens.mean_matrices,
-                                                               lam, u, v)[1]))}
+                "perron-failures": int(np.sum(~perron_residual(M, lam, u, v)[1]))}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
                               times=times, upper_curve=upper_curve,
                               lower_curve=lower_curve, n_prec=ens.n_prec,

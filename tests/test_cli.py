@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,15 @@ def synthetic_files(tmp_path_factory):
     assert main(["fit", "--table", str(table), "--prior", str(prior),
                  "--out", str(posterior)]) == 0
     return {"dir": d, "table": table, "prior": prior, "posterior": posterior}
+
+
+def test_version_matches_pyproject():
+    # __version__ is the tool_version of every --out provenance; tomllib
+    # needs Python 3.11, so the version line is read by a regex
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
+    assert found is not None
+    assert g.__version__ == found.group(1)
 
 
 def test_fit_writes_expected_posterior(synthetic_files):

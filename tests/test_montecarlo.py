@@ -203,8 +203,12 @@ def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
         else:
             assert not failed[r], r
     pop = (1, 1, 1)
-    assert g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"] \
-        == np.sum(failed)
+    # the time bounds solve only their lambda < 1 draws' pairs and count the
+    # failures among those
+    sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+    count = g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"]
+    assert count == np.sum(failed & sub)
+    assert 0 < count < np.sum(failed)
     # viability and the extinction probability solve no Perron pair, so
     # they count no Perron failure
     for est in (g.mc_viability_probability(post, ensemble=ens),
@@ -512,14 +516,14 @@ def test_extinction_profiles_solve_no_perron_pair(bear_posterior):
     ens.extinction_profiles
     g.mc_reintroduction(bear_posterior, ensemble=ens)
     g.effective_population_size(bear_posterior, 5, ensemble=ens)
-    assert "_eigen" not in ens.__dict__
+    assert not ens._perron_solved.any()
 
 
 def test_viability_solves_no_perron_pair(bear_posterior):
     # viability reads the lambda <= 1 + 1e-12 mask of the fixed point's rule
     ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
     est = g.mc_viability_probability(bear_posterior, ensemble=ens)
-    assert "_eigen" not in ens.__dict__
+    assert not ens._perron_solved.any()
     assert set(est.warnings) == {"non-primitive-pattern"}
     assert est.value == np.sum(ens.lambdas > 1.0 + 1e-12) / ens.n_prec
 
@@ -529,9 +533,32 @@ def test_fixed_point_answers_solve_no_perron_pair(bear_posterior):
     ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
     est = g.mc_extinction_probability(bear_posterior, (2, 2, 2, 2, 10), ensemble=ens)
     summary = g.mc_reintroduction(bear_posterior, ensemble=ens)
-    assert "_eigen" not in ens.__dict__
+    assert not ens._perron_solved.any()
     assert set(est.warnings) == {"fixed-point-failures", "non-primitive-pattern"}
     assert set(summary.warnings) == {"fixed-point-failures"}
+
+
+def test_time_bounds_solve_only_subcritical_perron_pairs(bear_ensemble):
+    # a cold time-bounds call solves the Perron pairs of its lambda < 1 rows
+    # alone, and gives the same bits as one that finds every pair solved; the
+    # horizon cap keeps the alpha = 1e-3 scan, open-ended, to 10^4 steps
+    cases = [(bear_ensemble.params, bear_ensemble.n_prec, bear_ensemble.master_seed,
+              (2, 2, 2, 2, 10)),
+             (_period_two_posterior(), 2000, 7, (1, 1, 1)),
+             (_tiny_alpha_posterior(), 3000, 5, (3, 2))]
+    for post, n, seed, pop in cases:
+        cold = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
+        got = g.mc_time_bounds(post, pop, horizon_cap=10 ** 4, ensemble=cold)
+        sub = _lambda_below(cold.pairs, cold.mean_matrices, 1.0)[0]
+        assert np.array_equal(cold._perron_solved, sub)
+        warm = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
+        warm.lambdas
+        want = g.mc_time_bounds(post, pop, horizon_cap=10 ** 4, ensemble=warm)
+        assert (got.t_minus, got.t_plus, got.n_used, got.warnings) \
+            == (want.t_minus, want.t_plus, want.n_used, want.warnings)
+        for name in ("times", "upper_curve", "lower_curve"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(cold.lambdas, spectral.perron_batch(cold.mean_matrices)[0])
 
 
 def test_subcritical_degenerate_draws_are_certainly_extinct():

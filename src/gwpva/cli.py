@@ -221,6 +221,12 @@ def cmd_time_bounds(args) -> int:
 
 def cmd_reintroduce(args) -> int:
     post, digest = _load_posterior(args.posterior)
+    # checked before the ensemble solves every draw's fixed point; the
+    # messages are those of effective_population_size
+    if not 0 < args.threshold < 1:
+        raise CliError("threshold must be in (0,1)")
+    if not 1 <= args.type <= post.K:
+        raise CliError(f"type_index outside 1..{post.K}")
     ens = PosteriorEnsemble(post, n_prec=args.nprec, master_seed=args.seed)
     summary = mc_reintroduction(post, ensemble=ens)
     eff = effective_population_size(post, args.type, threshold=args.threshold,
@@ -279,6 +285,8 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     if (args.posterior is None) == (args.draw is None):
         raise CliError("exactly one of --posterior or --draw is required")
+    if args.reps < 1:
+        raise CliError(f"--reps must be >= 1, got {args.reps}")
     if args.posterior:
         post, digest = _load_posterior(args.posterior)
         K = post.K

@@ -96,26 +96,39 @@ def _pair_pgf(d: np.ndarray, x: np.ndarray, derivative: bool = False):
     rule for coefficient-major (kappa+1, n) categorical coefficients d,
     e^{d (x - 1)} for (n,) Poisson rates d. Only elementwise arithmetic is
     used, so each draw's value is bit-identical whatever the other draws
-    are."""
+    are. Either result may be a view of d, so callers never write into
+    them."""
     if d.ndim == 1:
         p = np.exp(d * (x - 1.0))
         return p, d * p
-    p = d[-1].copy()
-    dp = np.zeros_like(x) if derivative else None
+    p = d[-1]
+    dp = None
     for k in range(len(d) - 2, -1, -1):
         if derivative:
-            dp = dp * x + p
+            # Horner's first step 0 * x + p is p for finite x
+            dp = p if dp is None else dp * x + p
         p = p * x + d[k]
+    if derivative and dp is None:
+        dp = np.zeros_like(x)
     return p, dp
 
 
 def _phi(claws: dict, s: np.ndarray) -> np.ndarray:
     """phi applied draw-wise, coefficient-major: s is (K, n) in [0,1]^K, row
     j holding s_j of every draw, and ``claws`` is the ``_coefficient_major``
-    law stack of those n draws; the result is (K, n) too."""
-    out = np.ones_like(s)
+    law stack of those n draws; the result is (K, n) too. A row's first
+    pair factor is assigned rather than multiplied into 1, which gives the
+    same bits; a type with no pair has phi_i = 1."""
+    out = np.empty_like(s)
+    started = np.zeros(len(s), dtype=bool)
     for (i, j), d in claws.items():
-        out[i - 1] *= _pair_pgf(d, s[j - 1])[0]
+        g = _pair_pgf(d, s[j - 1])[0]
+        if started[i - 1]:
+            out[i - 1] *= g
+        else:
+            out[i - 1] = g
+            started[i - 1] = True
+    out[~started] = 1.0
     return out
 
 
@@ -134,10 +147,10 @@ def _jacobian_entries(claws: dict, s: np.ndarray) -> dict:
          for (i, j), d in claws.items()}
     out = {}
     for (i, j), (_, dg) in g.items():
-        col = dg.copy()
+        col = dg
         for (i2, j2), (g2, _) in g.items():
             if i2 == i and j2 != j:
-                col *= g2
+                col = col * g2
         out[(i, j)] = col
     return out
 
@@ -272,7 +285,17 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
        rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
 
     The solve runs coefficient-major, on (K, n) iterates (``_phi``). A draw
-    whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as failed."""
+    whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as failed.
+
+    Data moves along the draw axis by index, never by boolean mask: the
+    active set is compacted with ``take`` on the indices of the draws that
+    stay, and a line-search halving swaps in the trial arrays when every
+    draw accepts and merges them with ``np.where`` only when some draw is
+    rejected. Every step is elementwise per draw, so a gather, a swap or a
+    merge moves a draw's values unchanged; steps are halved for every draw,
+    but the trial point of a draw no longer pending is never accepted.
+    Each draw's iterates therefore have the same bits as under masked
+    assignment."""
     n = len(M)
     claws = _coefficient_major(laws)
     s = np.zeros((K, n))
@@ -280,23 +303,26 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
                                                 & _lambda_below(laws, M, 1.0 + 1e-12)[1])
     s[:, certain] = 1.0
     rows = np.flatnonzero(~certain)
-    live_laws = {pair: d[..., rows] for pair, d in claws.items()}
-    x = s[:, rows]
+    live_laws = {pair: d.take(rows, axis=-1) for pair, d in claws.items()}
+    x = s.take(rows, axis=1)
     for _ in range(_FP_WARMUP):
         x = _phi(live_laws, x)
     f = _phi(live_laws, x) - x
     live = np.abs(f).max(axis=0) >= 1e-15
     for _ in range(_FP_NEWTON_ITERS):
         if not live.all():
-            s[:, rows[~live]] = x[:, ~live]
-            rows, x, f = rows[live], x[:, live], f[:, live]
-            live_laws = {pair: d[..., live] for pair, d in live_laws.items()}
+            done = np.flatnonzero(~live)
+            s[:, rows.take(done)] = x.take(done, axis=1)
+            keep = np.flatnonzero(live)
+            rows, x, f = rows.take(keep), x.take(keep, axis=1), f.take(keep, axis=1)
+            live_laws = {pair: d.take(keep, axis=-1) for pair, d in live_laws.items()}
         if not len(rows):
             break
         worst = np.abs(f).max(axis=0)
         A = _shifted_negation(1.0, _jacobian_entries(live_laws, x), K, len(rows))
         delta, pend = _mmatrix_solve(A, f)
-        delta[:, ~pend] = 0.0
+        if not pend.all():
+            delta = np.where(pend, delta, 0.0)
         accepted = np.zeros(len(rows), dtype=bool)
         for _halving in range(6):
             if not pend.any():
@@ -305,11 +331,13 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
             f_try = _phi(live_laws, x_try) - x_try
             ok = pend & (np.abs(f_try).max(axis=0) <= worst) \
                 & (f_try.min(axis=0) >= -1e-12)
-            x[:, ok] = x_try[:, ok]
-            f[:, ok] = f_try[:, ok]
+            if ok.all():
+                x, f = x_try, f_try
+            else:
+                x, f = np.where(ok, x_try, x), np.where(ok, f_try, f)
             accepted |= ok
             pend &= ~ok
-            delta[:, pend] *= 0.5
+            delta *= 0.5
         live = accepted & (np.abs(f).max(axis=0) >= 1e-15)
     s[:, rows] = x
     residual = np.abs(_phi(claws, s) - s).max(axis=0)
@@ -487,14 +515,24 @@ def _bracket_scan(curves: Callable, alpha: float, horizon_cap: int):
     whatever the block width, except for a one-column block, which it sums
     in a different order.
 
+    An open-ended bracket is found without scanning to ``horizon_cap``.
+    After the first 512-wide block that does not close, the 32 columns
+    ending at ``horizon_cap`` are evaluated once, with the same bits the
+    scan would give them. If upper(horizon_cap) > alpha, no t <= horizon_cap
+    has upper <= alpha, because the curve is nonincreasing, so t_plus is
+    None; the scan then stops at the end of the first block that shows
+    lower < 1 - alpha, and t_minus, the last t with lower >= 1 - alpha, is
+    the one a scan to ``horizon_cap`` would find.
+
     Returns (t_minus, t_plus, times, upper_curve, lower_curve), the curves
-    ending at t_plus (or at ``horizon_cap`` when t_plus is None). ValueError
-    unless 0 < alpha < 0.5.
+    ending at t_plus, or, when t_plus is None, where the scan stopped (at
+    ``horizon_cap`` at the latest). ValueError unless 0 < alpha < 0.5.
     """
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     parts = []
     t_plus = None
+    open_ended, dropped = None, False  # open_ended: None until probed
     t0, width = 0, _SCAN_MIN_BLOCK
     while t0 <= horizon_cap and t_plus is None:
         keep = min(width, horizon_cap + 1 - t0)
@@ -504,7 +542,14 @@ def _bracket_scan(curves: Callable, alpha: float, horizon_cap: int):
         if len(hit):
             t_plus, keep = int(ts[hit[0]]), hit[0] + 1
         parts.append((ts[:keep], upper[:keep], lower[:keep]))
-        t0, width = t0 + keep, min(2 * width, _SCAN_MAX_BLOCK)
+        dropped = dropped or bool(np.any(lower[:keep] < 1 - alpha))
+        t0 = t0 + keep
+        if open_ended is None and width == _SCAN_MAX_BLOCK and t0 <= horizon_cap:
+            end = np.arange(horizon_cap + 1 - _SCAN_MIN_BLOCK, horizon_cap + 1)
+            open_ended = bool(curves(end)[0][-1] > alpha)
+        if open_ended and dropped:
+            break
+        width = min(2 * width, _SCAN_MAX_BLOCK)
     times, upper_curve, lower_curve = (np.concatenate(x) for x in zip(*parts))
     ok = np.flatnonzero(lower_curve >= 1 - alpha)
     t_minus = int(times[ok[-1]]) if len(ok) else 0

@@ -294,9 +294,11 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     draws and the bracket read off at level alpha: t_plus = first t with
     mean upper <= alpha, t_minus = last t with mean lower >= 1 - alpha. The
     lower curve is asymptotic, not a bound, so t_minus carries no guarantee
-    (see ``TimeBoundsEstimate``). Perron pairs are solved for the lambda < 1
-    draws alone, so ``perron-failures`` counts the lambda < 1 draws whose
-    Perron pair misses its residual limit.
+    (see ``TimeBoundsEstimate``). The curves end at t_plus or, when t_plus
+    is None, where the scan stopped (``extinction._bracket_scan``), which
+    can be well before ``horizon_cap``. Perron pairs are solved for the
+    lambda < 1 draws alone, so ``perron-failures`` counts the lambda < 1
+    draws whose Perron pair misses its residual limit.
 
     The bounds divide by the smallest entry of the right Perron vector u,
     so a subcritical draw whose u has an entry <= 0 (a reducible mean

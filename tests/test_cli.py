@@ -157,6 +157,22 @@ def test_reintroduce(synthetic_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reintroduce_checks_arguments_before_sampling(synthetic_files, monkeypatch,
+                                                     capsys):
+    # a bad --threshold or --type fails before any draw's fixed point is solved
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("PosteriorEnsemble built before the arguments were checked")
+
+    monkeypatch.setattr("gwpva.cli.PosteriorEnsemble", no_ensemble)
+    for flags, message in ((["--type", "1", "--threshold", "0"], "threshold must be in (0,1)"),
+                           (["--type", "1", "--threshold", "1"], "threshold must be in (0,1)"),
+                           (["--type", "2"], "type_index outside 1..1"),
+                           (["--type", "0"], "type_index outside 1..1")):
+        assert main(["reintroduce", "--posterior", str(synthetic_files["posterior"]),
+                     "--seed", "3", "--nprec", "300"] + flags) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": message, "kind": "error"}
+
+
 def test_simulate_is_byte_reproducible(synthetic_files, tmp_path, capsys):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -191,6 +207,18 @@ def test_simulate_fixed_draw_and_table_out(synthetic_files, tmp_path, capsys):
                  str(synthetic_files["posterior"]), "--pop", "50",
                  "--horizon", "1", "--seed", "1"]) == 2
     capsys.readouterr()
+
+
+def test_simulate_rejects_reps_below_one(synthetic_files, tmp_path, capsys):
+    # no path means no life table for --table-out: a one-line JSON error
+    table_out = tmp_path / "sim_table.csv"
+    for reps in ("0", "-2"):
+        assert main(["simulate", "--posterior", str(synthetic_files["posterior"]),
+                     "--pop", "22", "--horizon", "3", "--seed", "1", "--reps", reps,
+                     "--table-out", str(table_out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"--reps must be >= 1, got {reps}", "kind": "error"}
+        assert not table_out.exists()
 
 
 def test_baseline_from_table_and_series(synthetic_files, tmp_path, capsys):

@@ -159,6 +159,26 @@ def test_extinction_time_bounds_open_ended():
     assert tb.t_plus is None
 
 
+def test_open_ended_scan_stops_once_lower_curve_drops():
+    # after its first 512-wide block (t = 480..991) the scan reads the 32
+    # times ending at horizon_cap; upper > alpha there makes it open-ended,
+    # and the scan goes on only to the end of the block where the lower
+    # curve falls below 1 - alpha, which fixes t_minus
+    seen = []
+
+    def upper(t):
+        seen.append(np.asarray(t))
+        return np.full_like(np.asarray(t, dtype=float), 0.5)
+
+    def lower(t):
+        return np.where(np.asarray(t) < 1200, 1.0, 0.0)
+
+    tb = g.extinction_time_bounds(upper, lower, alpha=0.05, horizon_cap=10 ** 6)
+    assert (tb.t_minus, tb.t_plus) == (1199, None)
+    read = np.unique(np.concatenate(seen))
+    assert np.array_equal(read, np.r_[0:1504, 10 ** 6 - 31:10 ** 6 + 1])
+
+
 def _random_mmatrices(rng, n, K):
     """n nonsingular M-matrices c I - B on one random pattern of B >= 0
     (diagonal included), with c between 1.01 and 3 times rho(B)."""

@@ -174,7 +174,10 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
         return np.sum(np.minimum(1.0, c_upper[use] * lam[use] ** t)) / np.sum(use)
 
     if tb.t_plus is None:
-        assert tb.times[-1] == 10 ** 6 and mean_upper(10 ** 6) > 0.05
+        # the scan learns this from the curve at 10^6 and stops at the end of
+        # its first 512-wide block, t = 991, the lower curve being below
+        # 1 - alpha by then
+        assert mean_upper(10 ** 6) > 0.05 and tb.times[-1] == 991
     else:
         assert mean_upper(tb.t_plus) <= 0.05
         assert tb.t_plus == 0 or mean_upper(tb.t_plus - 1) > 0.05
@@ -284,7 +287,11 @@ def test_time_bounds_require_a_usable_draw():
 
 
 def _reference_scan(curves, alpha, horizon_cap):
-    """The bracket scan on full 512-step blocks, trimmed to horizon_cap + 1."""
+    """The bracket scan on full 512-step blocks, trimmed to horizon_cap + 1.
+
+    An open-ended scan past t = 991, where ``_bracket_scan``'s first 512-wide
+    block ends, stops at the first of its block ends 991, 1503, 2015, ... at
+    or after the first t with lower < 1 - alpha."""
     uppers, lowers = [], []
     for t0 in range(0, horizon_cap + 1, 512):
         u, lo = curves(np.arange(t0, t0 + 512))
@@ -297,6 +304,9 @@ def _reference_scan(curves, alpha, horizon_cap):
     hit = np.flatnonzero(upper <= alpha)
     t_plus = int(hit[0]) if len(hit) else None
     end = len(upper) if t_plus is None else t_plus + 1
+    drop = np.flatnonzero(lower < 1 - alpha)
+    if t_plus is None and horizon_cap > 991 and len(drop):
+        end = min(end, 992 + 512 * -(-max(drop[0] - 991, 0) // 512))
     ok = np.flatnonzero(lower[:end] >= 1 - alpha)
     return (int(ok[-1]) if len(ok) else 0, t_plus, np.arange(end),
             upper[:end], lower[:end])
@@ -482,6 +492,34 @@ def test_extinction_profiles_independent_of_batch(bear_posterior):
     small = PosteriorEnsemble(bear_posterior, n_prec=37, master_seed=5)
     large = PosteriorEnsemble(bear_posterior, n_prec=1200, master_seed=5)
     assert np.array_equal(small.extinction_profiles, large.extinction_profiles[:37])
+
+
+def test_rejected_draws_keep_their_own_bits():
+    # on the alpha = 1e-3 posterior the line search accepts the steps of
+    # some draws and rejects others in one halving (draw 2549, whose type 1
+    # dies out surely and whose type 2 does not, is rejected outright); each
+    # draw's profile and failure flag must not depend on the draws that
+    # share its stack
+    ens = PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5)
+    s, failed = ens.extinction_profiles, ens.fixed_point_failures
+    laws, M = ens._laws, ens.mean_matrices
+
+    def alone(rows):
+        return _fixed_point_rows({p: d[rows] for p, d in laws.items()}, ens.K, M[rows])
+
+    # both halves of a permuted stack
+    for half in np.split(np.random.default_rng(5).permutation(ens.n_prec), 2):
+        s_half, failed_half = alone(half)
+        assert s_half.tobytes() == s[half].tobytes()
+        assert np.array_equal(failed_half, failed[half])
+    # a stack of one for every draw with some types surely extinct and some
+    # not, where the rejected steps are
+    mixed = np.flatnonzero(np.any(s == 1.0, axis=1) & ~np.all(s == 1.0, axis=1))
+    assert 2549 in mixed and len(mixed) > 300
+    for r in mixed:
+        s_one, failed_one = alone([r])
+        assert s_one.tobytes() == s[[r]].tobytes()
+        assert failed_one[0] == failed[r]
 
 
 def test_short_circuit_classifier_matches_perron_root(synthetic_posterior, bear_ensemble):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ParameterDraw, PopulationState, _as_abundance, _law_stack
-from .spectral import SpectralTriple, mean_matrices, perron_batch
+from .spectral import mean_matrices, perron_triple
 
 __all__ = [
     "ExtinctionProfile",
@@ -39,12 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExtinctionProfile:
-    """Per-type extinction probabilities s with solver diagnostics."""
+    """Per-type extinction probabilities s of one draw; ``converged`` is False
+    where ``_fixed_point_rows`` flags the draw as failed."""
 
     s: np.ndarray
     converged: bool
-    iterations: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -262,9 +261,9 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
 
     1. Short-circuit: a draw with lambda < 1, or with lambda <= 1 + 1e-12
        and types that can all die childless (min phi(0) > 0), is certainly
-       extinct, so s = 1 exactly (the rule of ``minimal_fixed_point``).
-       ``_lambda_below`` decides both without the Perron root; at K = 1
-       they are M < 1 and M <= 1 + 1e-12 exactly.
+       extinct, so s = 1 exactly; iteration from 0 would converge only as
+       O(1/t) at criticality. ``_lambda_below`` decides both without the
+       Perron root; at K = 1 they are M < 1 and M <= 1 + 1e-12 exactly.
     2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
        remaining draws. The iterates stay below the minimal root with
        phi(s) - s >= 0.
@@ -354,64 +353,12 @@ def generating_function(draw: ParameterDraw, s) -> np.ndarray:
 
 
 def minimal_fixed_point(draw: ParameterDraw) -> ExtinctionProfile:
-    """Minimal fixed point of phi in [0, 1]^K.
-
-    Draws with lambda < 1, or <= 1 + 1e-12 where every type can die
-    childless, are certainly extinct: s = 1 exactly (iteration is O(1/t) at
-    criticality). Otherwise 5 000 monotone steps from 0, or until a step is
-    < 1e-14, converge to the minimal root from below; near-critical
-    draws are polished with a damped Newton step accepted only while
-    phi(s) - s stays nonnegative, which pins the iterate below the minimal
-    root and prevents jumping to the trivial root at 1. Non-convergence is
-    reported in the profile, never raised.
-
-    This is the oracle the tests check ``_fixed_point_rows`` against: its
-    iteration and Newton polish are its own; phi and its Jacobian are the
-    law-stack kernels ``_phi`` and ``_pgf_jacobian`` at n = 1.
-    """
-    K = draw.K
+    """Minimal fixed point of phi in [0, 1]^K: ``_fixed_point_rows`` on the
+    draw's law stack at n = 1, so s equals the ensemble's row for this draw
+    bit for bit. Non-convergence is reported in the profile, never raised."""
     laws = _law_stack(draw)
-    claws = _coefficient_major(laws)
-
-    def phi(s):
-        return _phi(claws, s[:, None])[:, 0]
-
-    lam = perron_batch(mean_matrices(laws, K))[0][0]
-    if lam < 1.0 or (lam <= 1.0 + 1e-12 and float(phi(np.zeros(K)).min()) > 0.0):
-        ones = np.ones(K)
-        residual = float(np.abs(phi(ones) - ones).max())
-        return ExtinctionProfile(s=ones, converged=True, iterations=0,
-                                 residual=residual)
-    s = np.zeros(K)
-    for it in range(1, 5001):
-        s_new = phi(s)
-        step = float(np.abs(s_new - s).max())
-        s = s_new
-        if step < 1e-14:
-            break
-    for _ in range(60):
-        f = phi(s) - s
-        if np.abs(f).max() < 1e-15:
-            break
-        J = _pgf_jacobian(laws, s[None])[0] - np.eye(K)
-        try:
-            delta = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            break
-        moved = False
-        for _halving in range(6):
-            s_try = np.clip(s + delta, 0.0, 1.0)
-            f_try = phi(s_try) - s_try
-            if np.abs(f_try).max() <= np.abs(f).max() and f_try.min() >= -1e-12:
-                s = s_try
-                moved = True
-                break
-            delta = delta * 0.5
-        if not moved:
-            break
-    residual = float(np.abs(phi(s) - s).max())
-    return ExtinctionProfile(s=np.clip(s, 0.0, 1.0), converged=residual < 1e-9,
-                             iterations=it, residual=residual)
+    s, failed = _fixed_point_rows(laws, draw.K, mean_matrices(laws, draw.K))
+    return ExtinctionProfile(s=s[0], converged=not failed[0])
 
 
 def extinction_probability(profile: ExtinctionProfile | np.ndarray,
@@ -467,25 +414,27 @@ def _bound_curves(lam: np.ndarray, cU: np.ndarray, cL: np.ndarray, ts):
     return upper, lower
 
 
-def survival_bounds(draw: ParameterDraw, triple: SpectralTriple,
+def survival_bounds(draw: ParameterDraw,
                     population: PopulationState | Sequence[int]) -> SurvivalBounds:
     """Upper and lower bounds on the survival curve of a subcritical draw.
 
     The n = 1 view of ``mc_time_bounds``: lambda < 1 is decided by
-    ``_lambda_below``, the constants come from ``_bound_constants`` on the
-    draw alone and the curves are ``_bound_curves`` of that one draw. Only
+    ``_lambda_below``, the Perron pair is ``perron_triple`` of the draw's
+    mean matrix, the constants come from ``_bound_constants`` on the draw
+    alone and the curves are ``_bound_curves`` of that one draw. Only
     categorical laws are supported: a draw holding any other law (such as
     a ``PoissonLaw``) raises ValueError naming its pair.
     """
     laws = _law_stack(draw)
     M = mean_matrices(laws, draw.K)
     if not _lambda_below(laws, M, 1.0)[0][0]:
-        raise ValueError(f"survival bounds require lambda < 1, got {triple.lam}")
+        raise ValueError("survival bounds require lambda < 1")
     for pair, d in laws.items():
         if d.ndim == 1:
             raise ValueError(f"survival bounds need categorical laws; pair {pair} "
                              "holds a PoissonLaw")
     N = _as_abundance(population, draw.K)
+    triple = perron_triple(M[0])
     u = triple.u
     if u.min() <= 0:
         raise ValueError("right eigenvector must be strictly positive (irreducible M)")
@@ -526,10 +475,13 @@ def _bracket_scan(curves: Callable, alpha: float, horizon_cap: int):
 
     Returns (t_minus, t_plus, times, upper_curve, lower_curve), the curves
     ending at t_plus, or, when t_plus is None, where the scan stopped (at
-    ``horizon_cap`` at the latest). ValueError unless 0 < alpha < 0.5.
+    ``horizon_cap`` at the latest). ValueError unless 0 < alpha < 0.5 and
+    horizon_cap >= 0.
     """
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
+    if horizon_cap < 0:
+        raise ValueError("horizon_cap must be >= 0")
     parts = []
     t_plus = None
     open_ended, dropped = None, False  # open_ended: None until probed

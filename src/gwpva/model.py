@@ -131,6 +131,8 @@ def _as_abundance(population, K: int) -> np.ndarray:
     N = np.asarray(N, dtype=float)
     if N.shape != (K,):
         raise ValueError(f"population must have {K} types")
+    if not np.all(np.isfinite(N) & (N >= 0)):
+        raise ValueError("abundances must be finite and nonnegative")
     return N
 
 

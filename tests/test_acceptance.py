@@ -298,8 +298,7 @@ def test_criterion_09_property_suite():
             if float(np.arange(kap + 1) @ p) < 0.95:
                 break
         d = g.ParameterDraw(g.OffspringCap(1, {(1, 1): kap}), {(1, 1): p})
-        tri = g.perron_triple(g.mean_matrix(d))
-        sb = g.survival_bounds(d, tri, (10,))
+        sb = g.survival_bounds(d, (10,))
         path_rng = np.random.default_rng(1000 + trial)
         N = np.full(paths, 10)
         for t in range(1, horizon + 1):
@@ -370,7 +369,7 @@ def test_multitype_upper_bound_dominates_exact_survival(K):
     worst = -np.inf
     for r in sub:
         draw = g.ParameterDraw(cap, {pair: laws[pair][r] for pair in pairs})
-        sb = g.survival_bounds(draw, g.perron_triple(M[r]), N[r].astype(int))
+        sb = g.survival_bounds(draw, N[r].astype(int))
         worst = max(worst, float(np.max(exact[r] - sb.upper(ts))))
     assert worst <= 1e-12
 

@@ -133,7 +133,8 @@ def test_poisson_law_in_draw_and_simulation():
     assert prof.s[0] == pytest.approx(1.0, abs=1e-9)
     traj = g.simulate(draw, g.PopulationState((30,)), 10, SeedSpec(6, 0))
     assert traj.extinct_at is not None or traj.final.total >= 0
-    # supercritical: the scalar oracle and the batched n = 1 solver agree
+    # supercritical: both n = 1 views of the batched solver agree with each
+    # other and with bisection
     draw = g.ParameterDraw(cap, {(1, 1): g.PoissonLaw(2.0)})
     assert g.mean_matrix(draw) == pytest.approx(np.array([[2.0]]))
     prof = g.minimal_fixed_point(draw)

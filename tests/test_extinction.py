@@ -60,8 +60,9 @@ def test_extinction_probability_founder_independence():
     prof = g.minimal_fixed_point(_k1_draw([0.25, 0.0, 0.75]))
     assert g.extinction_probability(prof, (3,)) == pytest.approx((1 / 3) ** 3, rel=1e-9)
     assert g.extinction_probability(prof, (0,)) == 1.0
-    with pytest.raises(ValueError):
-        g.extinction_probability(prof, (1, 1))
+    for bad in [(1, 1), (-3,), (np.nan,)]:
+        with pytest.raises(ValueError):
+            g.extinction_probability(prof, bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -92,8 +93,7 @@ def test_k1_fixed_point_matches_bisection(weights):
 
 def test_survival_bounds_shapes_and_monotonicity():
     draw = synthetic_true_draw()
-    tri = g.perron_triple(g.mean_matrix(draw))
-    sb = g.survival_bounds(draw, tri, (22,))
+    sb = g.survival_bounds(draw, (22,))
     assert sb.lam == pytest.approx(0.75)
     ts = np.arange(0, 50)
     U, L = sb.upper(ts), sb.lower(ts)
@@ -104,9 +104,8 @@ def test_survival_bounds_shapes_and_monotonicity():
 
 def test_survival_bounds_requires_subcritical():
     draw = _k1_draw([0.1, 0.1, 0.8])  # mean 1.7
-    tri = g.perron_triple(g.mean_matrix(draw))
     with pytest.raises(ValueError, match="lambda < 1"):
-        g.survival_bounds(draw, tri, (5,))
+        g.survival_bounds(draw, (5,))
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
@@ -126,7 +125,7 @@ def test_single_draw_bounds_match_batch_of_one(K):
         if tri.lam >= 1:
             continue
         tb = g.mc_time_bounds(post, N, n_prec=1, master_seed=seed)
-        sb = g.survival_bounds(draw, tri, N)
+        sb = g.survival_bounds(draw, N)
         single = g.extinction_time_bounds(sb.upper, sb.lower, alpha=0.05)
         assert (tb.t_minus, tb.t_plus) == (single.t_minus, single.t_plus)
         np.testing.assert_allclose(tb.upper_curve, sb.upper(tb.times), rtol=0, atol=1e-12)
@@ -137,9 +136,8 @@ def test_single_draw_bounds_match_batch_of_one(K):
 
 def test_survival_bounds_rejects_poisson_law():
     draw = g.ParameterDraw(g.OffspringCap(1, {(1, 1): 3}), {(1, 1): g.PoissonLaw(0.5)})
-    tri = g.perron_triple(g.mean_matrix(draw))
     with pytest.raises(ValueError, match=r"pair \(1, 1\)"):
-        g.survival_bounds(draw, tri, (3,))
+        g.survival_bounds(draw, (3,))
 
 
 def test_extinction_time_bounds_from_curves():
@@ -151,6 +149,8 @@ def test_extinction_time_bounds_from_curves():
     assert tb.t_minus == 0
     with pytest.raises(ValueError):
         g.extinction_time_bounds(upper, lower, alpha=0.7)
+    with pytest.raises(ValueError, match="horizon_cap"):
+        g.extinction_time_bounds(upper, lower, alpha=0.05, horizon_cap=-1)
 
 
 def test_extinction_time_bounds_open_ended():

@@ -24,7 +24,7 @@ from .formats import (FORMAT_VERSION, ParseError, format_life_table,
                       parse_abundance_series, parse_life_table, parse_prior_config,
                       posterior_from_document, posterior_to_document)
 from .inference import posterior_update, scenario_draws
-from .model import (LifeTable, PopulationState, abundances_from_table,
+from .model import (LifeTable, ParameterDraw, PopulationState, abundances_from_table,
                     validate_life_table)
 from .montecarlo import (PosteriorEnsemble, effective_population_size,
                          mc_extinction_probability, mc_reintroduction,
@@ -93,17 +93,31 @@ def _parse_pop(text: str, K: int) -> PopulationState:
         raise CliError(str(e)) from None
 
 
-def _provenance(args, **digests) -> dict:
-    prov = {"format_version": FORMAT_VERSION, "tool_version": __version__}
-    for name in ("seed", "nprec", "alpha", "level", "threshold", "horizon", "reps"):
-        if hasattr(args, name.replace("-", "_")):
-            prov[name] = getattr(args, name.replace("-", "_"))
-    prov.update(digests)
-    return prov
+def _answer(args, doc: dict, lines: list[str], warnings: dict | None = None,
+            **digests) -> int:
+    """Finish a subcommand: write ``doc`` (plus ``warnings``, if given, and a
+    provenance record of the tool, the run's arguments and the input
+    ``digests``) to --out, print ``lines``, then one line per nonzero warning."""
+    prov = {"format_version": FORMAT_VERSION, "tool_version": __version__, **digests}
+    for name in ("seed", "nprec", "alpha", "level", "threshold", "horizon"):
+        if hasattr(args, name):
+            prov[name] = getattr(args, name)
+    doc = {**doc, "provenance": prov}
+    if warnings is not None:
+        doc["warnings"] = warnings
+    _write_out(args.out, doc)
+    for line in lines:
+        print(line)
+    for k, v in sorted((warnings or {}).items()):
+        if v:
+            print(f"warning: {k} = {v}")
+    return 0
 
 
-def _warn_lines(warnings: dict) -> list[str]:
-    return [f"warning: {k} = {v}" for k, v in sorted(warnings.items()) if v]
+def _estimate_doc(quantity: str, est, **extra) -> dict:
+    """The ``--out`` fields of an ``MCEstimate``."""
+    return {"quantity": quantity, **extra, "value": est.value, "std_error": est.std_error,
+            "error_bound": est.error_bound, "n_prec": est.n_prec, "n_used": est.n_used}
 
 
 # ---- subcommands -----------------------------------------------------------
@@ -164,17 +178,10 @@ def cmd_fit(args) -> int:
 def cmd_viability(args) -> int:
     post, digest = _load_posterior(args.posterior)
     est = mc_viability_probability(post, n_prec=args.nprec, master_seed=args.seed)
-    doc = {"quantity": "viability_probability", "value": est.value,
-           "std_error": est.std_error, "error_bound": est.error_bound,
-           "n_prec": est.n_prec, "n_used": est.n_used, "warnings": est.warnings,
-           "provenance": _provenance(args, posterior_sha256=digest)}
-    _write_out(args.out, doc)
-    print(f"P(lambda > 1 | data) = {_fmt(est.value)} "
-          f"(std error {_fmt(est.std_error)}, worst-case {_fmt(est.error_bound)}, "
-          f"n_prec {est.n_prec})")
-    for line in _warn_lines(est.warnings):
-        print(line)
-    return 0
+    return _answer(args, _estimate_doc("viability_probability", est), [
+        f"P(lambda > 1 | data) = {_fmt(est.value)} (std error {_fmt(est.std_error)}, "
+        f"worst-case {_fmt(est.error_bound)}, n_prec {est.n_prec})"],
+        est.warnings, posterior_sha256=digest)
 
 
 def cmd_extinction(args) -> int:
@@ -182,17 +189,11 @@ def cmd_extinction(args) -> int:
     pop = _parse_pop(args.pop, post.K)
     est = mc_extinction_probability(post, pop, n_prec=args.nprec,
                                     master_seed=args.seed)
-    doc = {"quantity": "extinction_probability", "population": list(pop.N),
-           "value": est.value, "std_error": est.std_error,
-           "error_bound": est.error_bound, "n_prec": est.n_prec,
-           "n_used": est.n_used, "warnings": est.warnings,
-           "provenance": _provenance(args, posterior_sha256=digest)}
-    _write_out(args.out, doc)
-    print(f"P(extinction | data, N={list(pop.N)}) = {_fmt(est.value)} "
-          f"(std error {_fmt(est.std_error)}, n_prec {est.n_prec})")
-    for line in _warn_lines(est.warnings):
-        print(line)
-    return 0
+    doc = _estimate_doc("extinction_probability", est, population=list(pop.N))
+    return _answer(args, doc, [
+        f"P(extinction | data, N={list(pop.N)}) = {_fmt(est.value)} "
+        f"(std error {_fmt(est.std_error)}, n_prec {est.n_prec})"],
+        est.warnings, posterior_sha256=digest)
 
 
 def cmd_time_bounds(args) -> int:
@@ -200,23 +201,20 @@ def cmd_time_bounds(args) -> int:
     pop = _parse_pop(args.pop, post.K)
     res = mc_time_bounds(post, pop, alpha=args.alpha, n_prec=args.nprec,
                          master_seed=args.seed)
-    doc = {"quantity": "extinction_time_bounds", "population": list(pop.N),
-           "alpha": res.alpha, "t_minus": res.t_minus, "t_plus": res.t_plus,
-           "n_prec": res.n_prec, "n_used": res.n_used, "warnings": res.warnings,
-           "provenance": _provenance(args, posterior_sha256=digest)}
-    _write_out(args.out, doc)
     if args.curves:
         lines = ["t,upper,lower"]
         for t, u, lo in zip(res.times, res.upper_curve, res.lower_curve):
             lines.append(f"{int(t)},{float(u)!r},{float(lo)!r}")
         Path(args.curves).write_text("\n".join(lines) + "\n")
+    doc = {"quantity": "extinction_time_bounds", "population": list(pop.N),
+           "alpha": res.alpha, "t_minus": res.t_minus, "t_plus": res.t_plus,
+           "n_prec": res.n_prec, "n_used": res.n_used}
     tp = "open-ended" if res.t_plus is None else str(res.t_plus)
-    print(f"extinction time in ({res.t_minus}, {tp}]: P(T > t_plus) <= {_fmt(res.alpha)} "
-          "under the averaged upper bound; t_minus carries no guarantee "
-          f"(subcritical draws: {res.n_used}/{res.n_prec})")
-    for line in _warn_lines(res.warnings):
-        print(line)
-    return 0
+    return _answer(args, doc, [
+        f"extinction time in ({res.t_minus}, {tp}]: P(T > t_plus) <= {_fmt(res.alpha)} "
+        "under the averaged upper bound; t_minus carries no guarantee "
+        f"(subcritical draws: {res.n_used}/{res.n_prec})"],
+        res.warnings, posterior_sha256=digest)
 
 
 def cmd_reintroduce(args) -> int:
@@ -231,15 +229,6 @@ def cmd_reintroduce(args) -> int:
     summary = mc_reintroduction(post, ensemble=ens)
     eff = effective_population_size(post, args.type, threshold=args.threshold,
                                     ensemble=ens)
-    doc = {"quantity": "reintroduction", "threshold": args.threshold,
-           "type": args.type,
-           "effective_population_size": eff,
-           "mean_extinction_by_type": [float(x) for x in summary.mean],
-           "std_error": [float(x) for x in summary.std_error],
-           "n_prec": summary.n_prec, "n_used": summary.n_used,
-           "warnings": summary.warnings,
-           "provenance": _provenance(args, posterior_sha256=digest)}
-    _write_out(args.out, doc)
     if args.hist:
         lines = ["bin_lo,bin_hi," + ",".join(f"type_{i+1}" for i in range(post.K))]
         for b in range(summary.histograms.shape[1]):
@@ -247,17 +236,20 @@ def cmd_reintroduce(args) -> int:
             row += [str(int(summary.histograms[i, b])) for i in range(post.K)]
             lines.append(",".join(row))
         Path(args.hist).write_text("\n".join(lines) + "\n")
-    means = " ".join(_fmt(x) for x in summary.mean)
-    print(f"posterior mean per-founder extinction probability by type: {means}")
+    doc = {"quantity": "reintroduction", "threshold": args.threshold, "type": args.type,
+           "effective_population_size": eff,
+           "mean_extinction_by_type": [float(x) for x in summary.mean],
+           "std_error": [float(x) for x in summary.std_error],
+           "n_prec": summary.n_prec, "n_used": summary.n_used}
+    printed = ["posterior mean per-founder extinction probability by type: "
+               + " ".join(_fmt(x) for x in summary.mean)]
     if eff is None:
-        print(f"no founder count of type {args.type} reaches extinction risk "
-              f"< {_fmt(args.threshold)}")
+        printed.append(f"no founder count of type {args.type} reaches extinction risk "
+                       f"< {_fmt(args.threshold)}")
     else:
-        print(f"effective population size (type {args.type}, threshold "
-              f"{_fmt(args.threshold)}): {eff}")
-    for line in _warn_lines(summary.warnings):
-        print(line)
-    return 0
+        printed.append(f"effective population size (type {args.type}, threshold "
+                       f"{_fmt(args.threshold)}): {eff}")
+    return _answer(args, doc, printed, summary.warnings, posterior_sha256=digest)
 
 
 def cmd_predict(args) -> int:
@@ -270,16 +262,13 @@ def cmd_predict(args) -> int:
            "curve": [{"t": t, "mean": [float(x) for x in est.value],
                       "std_error": [float(x) for x in est.std_error]}
                      for t, est in enumerate(curve)],
-           "n_prec": curve[0].n_prec,
-           "provenance": _provenance(args, posterior_sha256=digest)}
-    _write_out(args.out, doc)
-    print("t  " + "  ".join(f"E[N_{i+1}] (se)" for i in range(post.K)))
+           "n_prec": curve[0].n_prec}
+    lines = ["t  " + "  ".join(f"E[N_{i+1}] (se)" for i in range(post.K))]
     for t, est in enumerate(curve):
-        cells = "  ".join(f"{_fmt(m)} ({_fmt(s)})"
-                          for m, s in zip(np.atleast_1d(est.value),
-                                          np.atleast_1d(est.std_error)))
-        print(f"{t}  {cells}")
-    return 0
+        lines.append(f"{t}  " + "  ".join(
+            f"{_fmt(m)} ({_fmt(s)})" for m, s in zip(np.atleast_1d(est.value),
+                                                    np.atleast_1d(est.std_error))))
+    return _answer(args, doc, lines, posterior_sha256=digest)
 
 
 def cmd_simulate(args) -> int:
@@ -287,41 +276,18 @@ def cmd_simulate(args) -> int:
         raise CliError("exactly one of --posterior or --draw is required")
     if args.reps < 1:
         raise CliError(f"--reps must be >= 1, got {args.reps}")
-    if args.posterior:
-        post, digest = _load_posterior(args.posterior)
-        K = post.K
-        source = {"posterior_sha256": digest}
-    else:
-        text = _read(args.draw)
-        try:
-            doc = json.loads(text)
-            fixed, poisson = posterior_from_document(doc)
-        except (json.JSONDecodeError, ParseError) as e:
-            raise CliError(f"{args.draw}: {e}", kind="parse") from None
-        if poisson:
-            raise CliError("--draw supports categorical laws only", kind="unsupported")
-        from .model import ParameterDraw
-        laws = {}
-        for pair, a in fixed.alpha.items():
-            a = np.asarray(a, dtype=float)
-            laws[pair] = a / a.sum()
-        draw = ParameterDraw(fixed.cap, laws)
-        K = fixed.cap.K
-        source = {"draw_sha256": _sha256(text)}
-    pop = _parse_pop(args.pop, K)
-    traj_lines = ["rep,t," + ",".join(f"N_{i+1}" for i in range(K))]
-    first_table = None
+    post, _ = _load_posterior(args.posterior or args.draw)
+    draw = None
+    if args.draw:  # a posterior document whose alphas, normalized, are the laws
+        draw = ParameterDraw(post.cap, {pair: a / a.sum() for pair, a in post.alpha.items()})
+    pop = _parse_pop(args.pop, post.K)
+    traj_lines = ["rep,t," + ",".join(f"N_{i+1}" for i in range(post.K))]
     for rep in range(args.reps):
-        seed = SeedSpec(args.seed, rep)
-        if args.posterior:
-            rng = seed.rng()
-            rep_draw = sample_parameter_draw(post, rng)
-            traj = simulate(rep_draw, pop, args.horizon, rng)
-        else:
-            traj = simulate(draw, pop, args.horizon, seed)
+        rng = SeedSpec(args.seed, rep).rng()
+        traj = simulate(draw or sample_parameter_draw(post, rng), pop, args.horizon, rng)
         for st in traj.states:
             traj_lines.append(f"{rep},{st.time}," + ",".join(str(n) for n in st.N))
-        if first_table is None:
+        if rep == 0:
             first_table = traj.table
     if args.out:
         Path(args.out).write_text("\n".join(traj_lines) + "\n")
@@ -338,10 +304,13 @@ def cmd_baseline(args) -> int:
     text = _read(args.table)
     try:
         if args.series:
-            _, N = parse_abundance_series(text)
+            t, N = parse_abundance_series(text)
+            # the log-growth moments take consecutive observations as one step apart
+            if np.any(np.diff(t) != 1):
+                raise CliError("--series needs consecutive times t, t + 1, ...",
+                               kind="validation")
         else:
-            table = parse_life_table(text)
-            states = abundances_from_table(table)
+            states = abundances_from_table(parse_life_table(text))
             N = np.array([s.total for s in states], dtype=float)
     except (ParseError, ValueError) as e:
         raise CliError(str(e), kind="parse") from None
@@ -354,13 +323,12 @@ def cmd_baseline(args) -> int:
         raise CliError(str(e), kind="validation") from None
     doc = {"quantity": "baseline", "r_d": moments.r_d, "v_r": moments.v_r,
            "n_ratios": moments.n_ratios, "level": args.level,
-           "regression_interval": list(interval),
-           "provenance": _provenance(args, table_sha256=_sha256(text))}
-    _write_out(args.out, doc)
-    print(f"log growth rate: mean {_fmt(moments.r_d)}, variance {_fmt(moments.v_r)}")
-    print(f"naive regression extinction window ({int(args.level * 100)}% band): "
-          f"{interval[0]} to {interval[1]} steps after the last observation")
-    return 0
+           "regression_interval": list(interval)}
+    return _answer(args, doc, [
+        f"log growth rate: mean {_fmt(moments.r_d)}, variance {_fmt(moments.v_r)}",
+        f"naive regression extinction window ({int(args.level * 100)}% band): "
+        f"{interval[0]} to {interval[1]} steps after the last observation"],
+        table_sha256=_sha256(text))
 
 
 def cmd_scenarios(args) -> int:
@@ -378,14 +346,13 @@ def cmd_scenarios(args) -> int:
            "scenarios": [{"label": sc.label, "quantile": sc.quantile,
                           "laws": {f"{i},{j}": [float(x) for x in v]
                                    for (i, j), v in sorted(sc.draw.p.items())}}
-                         for sc in scenarios],
-           "provenance": _provenance(args, posterior_sha256=digest)}
-    _write_out(args.out, doc)
+                         for sc in scenarios]}
+    lines = []
     for sc in scenarios:
-        print(f"scenario {sc.label} (quantile {_fmt(sc.quantile)}):")
-        for (i, j), v in sorted(sc.draw.p.items()):
-            print(f"  p[{i},{j}] = ({', '.join(_fmt(x) for x in v)})")
-    return 0
+        lines.append(f"scenario {sc.label} (quantile {_fmt(sc.quantile)}):")
+        lines += [f"  p[{i},{j}] = ({', '.join(_fmt(x) for x in v)})"
+                  for (i, j), v in sorted(sc.draw.p.items())]
+    return _answer(args, doc, lines, posterior_sha256=digest)
 
 
 # ---- parser ----------------------------------------------------------------

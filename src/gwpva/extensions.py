@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def _equal_tailed(quantile, level: float) -> tuple[float, float]:
+    """Equal-tailed interval (quantile(lo), quantile(1 - lo)), lo = (1 - level) / 2."""
+    if not 0 < level < 1:
+        raise ValueError("level must be in (0,1)")
+    lo = (1 - level) / 2
+    return float(quantile(lo)), float(quantile(1 - lo))
+
+
 @dataclass(frozen=True)
 class BetaParams:
     """Beta(a, b) prior/posterior, e.g. for the probability a newborn is female."""
@@ -47,9 +55,7 @@ class BetaParams:
     def credible_interval(self, level: float = 0.90) -> tuple[float, float]:
         from scipy import special
 
-        lo = (1 - level) / 2
-        return (float(special.betaincinv(self.a, self.b, lo)),
-                float(special.betaincinv(self.a, self.b, 1 - lo)))
+        return _equal_tailed(lambda q: special.betaincinv(self.a, self.b, q), level)
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,8 @@ class GammaParams:
 
         # multiply by the scale, as scipy.stats does: dividing by the rate
         # differs in the last bit
-        lo = (1 - level) / 2
         scale = 1.0 / self.rate
-        return (float(special.gammaincinv(self.shape, lo) * scale),
-                float(special.gammaincinv(self.shape, 1 - lo) * scale))
+        return _equal_tailed(lambda q: special.gammaincinv(self.shape, q) * scale, level)
 
 
 def sex_ratio_posterior(prior: BetaParams, females: int, males: int) -> BetaParams:

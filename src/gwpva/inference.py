@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .extensions import BetaParams
 from .model import LifeTable, OffspringCap, Pair, ParameterDraw, aggregate_counts
 
 __all__ = [
@@ -127,17 +128,10 @@ def credible_interval(alpha: np.ndarray, k: int, level: float = 0.90) -> tuple[f
     The Dirichlet marginal is Beta(alpha_k, sum - alpha_k); the interval is
     its (1-level)/2 and (1+level)/2 quantiles.
     """
-    from scipy import special
-
     a = np.asarray(alpha, dtype=float)
     if not 0 <= k < len(a):
         raise ValueError(f"category {k} outside 0..{len(a) - 1}")
-    if not 0 < level < 1:
-        raise ValueError("level must be in (0,1)")
-    lo = (1 - level) / 2
-    b = a.sum() - a[k]
-    return (float(special.betaincinv(a[k], b, lo)),
-            float(special.betaincinv(a[k], b, 1 - lo)))
+    return BetaParams(a[k], a.sum() - a[k]).credible_interval(level)
 
 
 def marginal_mean(alpha: np.ndarray, k: int) -> float:

@@ -109,8 +109,9 @@ class PopulationState:
     time: int = 0
 
     def __post_init__(self):
-        if any(n < 0 for n in self.N):
-            raise ValueError("abundances must be nonnegative")
+        if not all(n >= 0 and float(n).is_integer() for n in self.N):
+            raise ValueError("abundances must be nonnegative integers")
+        object.__setattr__(self, "N", tuple(int(n) for n in self.N))
 
     @property
     def K(self) -> int:
@@ -131,9 +132,7 @@ def _as_abundance(population, K: int) -> np.ndarray:
     N = np.asarray(N, dtype=float)
     if N.shape != (K,):
         raise ValueError(f"population must have {K} types")
-    if not np.all(np.isfinite(N) & (N >= 0)):
-        raise ValueError("abundances must be finite and nonnegative")
-    return N
+    return np.asarray(PopulationState(tuple(N)).N, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -206,6 +205,15 @@ class Violation:
     message: str
 
 
+def _parent_totals(table: LifeTable) -> dict[tuple[int, int], dict[int, int]]:
+    """Parents classified per row: (i, t) -> {j: sum_k n[i, j](k, t)}."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j, k, t), n in table.counts.items():
+        row = rows.setdefault((i, t), {})
+        row[j] = row.get(j, 0) + n
+    return rows
+
+
 def validate_life_table(table: LifeTable, cap: OffspringCap) -> list[Violation]:
     """Report every structural violation in a life table.
 
@@ -225,15 +233,8 @@ def validate_life_table(table: LifeTable, cap: OffspringCap) -> list[Violation]:
             kind = "forbidden-pair" if cap.is_forbidden(i, j) else "offspring-exceeds-cap"
             out.append(Violation(kind, (i, j, k, t), f"k={k} > kappa={cap.cap_of(i, j)}"))
     # row-consistency among child types actually observed for each parent type
-    sums: dict[tuple[int, int, int], int] = {}
-    for (i, j, k, t), n in table.counts.items():
-        sums[(i, t, j)] = sums.get((i, t, j), 0) + n
-    by_row: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, t, j), s in sums.items():
-        by_row.setdefault((i, t), {})[j] = s
-    for (i, t), row in sorted(by_row.items()):
-        vals = set(row.values())
-        if len(vals) > 1:
+    for (i, t), row in sorted(_parent_totals(table).items()):
+        if len(set(row.values())) > 1:
             out.append(Violation(
                 "row-inconsistent", (i, t),
                 f"parent totals differ across child types: { {j: row[j] for j in sorted(row)} }"))
@@ -252,32 +253,16 @@ def abundances_from_table(table: LifeTable) -> list[PopulationState]:
     """Recover abundances N(t) for t = 0..T+1 from a complete table.
 
     N_i(t) is the parent total of type i at time t (identical across
-    observed child types, else the table is rejected); N_j(t+1) is the
-    offspring total sum_i sum_k k * n[i, j](k, t).
+    observed child types, else the table is rejected); otherwise, and at
+    T+1, N_j(t) is the offspring total sum_i sum_k k * n[i, j](k, t-1).
     """
-    bad = [v for v in validate_life_table(table, OffspringCap.full(table.K, 10**18))
-           if v.kind == "row-inconsistent"]
-    if bad:
-        raise ValueError(f"row-inconsistent table at (type, time) {bad[0].location}")
-    T, K = table.horizon, table.K
-    N = np.zeros((T + 2, K), dtype=object)  # exact integer arithmetic
+    rows = _parent_totals(table)
+    for (i, t), row in sorted(rows.items()):
+        if len(set(row.values())) > 1:
+            raise ValueError(f"row-inconsistent table at (type, time) {(i, t)}")
+    N = [[0] * table.K for _ in range(table.horizon + 2)]
     for (i, j, k, t), n in table.counts.items():
         N[t + 1][j - 1] += k * n
-    # parent totals: take the (consistent) per-type sum from any child type
-    parents = np.zeros((T + 1, K), dtype=object)
-    seen = np.zeros((T + 1, K), dtype=bool)
-    tmp: dict[tuple[int, int, int], int] = {}
-    for (i, j, k, t), n in table.counts.items():
-        tmp[(i, j, t)] = tmp.get((i, j, t), 0) + n
-    for (i, j, t), s in tmp.items():
-        parents[t][i - 1] = s
-        seen[t][i - 1] = True
-    # observed parent totals override offspring-derived values at t >= 1
-    out = []
-    for t in range(T + 2):
-        if t <= T:
-            row = tuple(int(parents[t][c]) if seen[t][c] else int(N[t][c]) for c in range(K))
-        else:
-            row = tuple(int(x) for x in N[t])
-        out.append(PopulationState(row, time=t))
-    return out
+    for (i, t), row in rows.items():
+        N[t][i - 1] = next(iter(row.values()))
+    return [PopulationState(tuple(row), time=t) for t, row in enumerate(N)]

@@ -212,8 +212,13 @@ def simulate(draw: ParameterDraw, initial: PopulationState, horizon: int, seed) 
 
 def simulate_extinction_time(draw: ParameterDraw, initial: PopulationState, seed,
                              max_time: int = 10 ** 6) -> int | None:
-    """First time the population is empty; None if censored at max_time
-    or stopped by ``_OVERFLOW_CAP`` (an exploding path)."""
+    """First time the population is empty (0 for an extinct start, as
+    ``simulate``'s ``extinct_at``); None if censored at max_time or stopped
+    by ``_OVERFLOW_CAP`` (an exploding path)."""
+    if initial.K != draw.K:
+        raise ValueError("initial state dimension mismatch")
+    if initial.extinct:
+        return 0
     rng = _as_rng(seed)
     N = initial.N
     for t in range(1, max_time + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -209,6 +210,26 @@ def test_simulate_fixed_draw_and_table_out(synthetic_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_draw_is_read_as_a_posterior_document(synthetic_files, tmp_path, capsys):
+    # --draw goes through the posterior reader: the same parse and Poisson
+    # errors as --posterior
+    draw = tmp_path / "draw.json"
+    draw.write_text("{not json")
+    assert main(["simulate", "--draw", str(draw), "--pop", "3", "--horizon", "2",
+                 "--seed", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "parse" and err["error"].startswith(f"{draw}: invalid JSON: ")
+    draw.write_text(json.dumps({
+        "format_version": 1, "K": 1,
+        "pairs": [{"i": 1, "j": 1, "law": "poisson", "shape": 2.0, "rate": 3.0}]}))
+    for source in ("--draw", "--posterior"):
+        assert main(["simulate", source, str(draw), "--pop", "3", "--horizon", "2",
+                     "--seed", "1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "posterior contains Poisson-rate pairs; Monte Carlo subcommands "
+                     "support categorical posteriors only", "kind": "unsupported"}
+
+
 def test_simulate_rejects_reps_below_one(synthetic_files, tmp_path, capsys):
     # no path means no life table for --table-out: a one-line JSON error
     table_out = tmp_path / "sim_table.csv"
@@ -248,6 +269,26 @@ def test_baseline_rejects_growth(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "validation"
 
 
+def test_baseline_rejects_series_without_unit_steps(tmp_path, capsys):
+    # the log-growth moments assume one step between observations, so the
+    # synthetic decline observed every second step is refused, not read as
+    # the t = 0..5 answer (9 to 12 steps); the regression on the stated
+    # times would give (19, 24)
+    N = (100, 75, 59, 43, 33, 22)
+    assert g.regression_extinction_interval(N, times=range(0, 12, 2)) == (19, 24)
+    for times in (range(0, 12, 2), (0, 1, 2, 4, 5, 6), (5, 4, 3, 2, 1, 0)):
+        series = tmp_path / "uneven.csv"
+        series.write_text("t,N\n" + "".join(f"{t},{n}\n" for t, n in zip(times, N)))
+        out = tmp_path / "base.json"
+        assert main(["baseline", "--table", str(series), "--series",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "--series needs consecutive times t, t + 1, ...", "kind": "validation"}
+        assert not out.exists()
+
+
 def test_scenarios(synthetic_files, tmp_path, capsys):
     out = tmp_path / "sc.json"
     assert main(["scenarios", "--posterior", str(synthetic_files["posterior"]),
@@ -260,6 +301,49 @@ def test_scenarios(synthetic_files, tmp_path, capsys):
         assert sum(law) == pytest.approx(1.0)
     assert main(["scenarios", "--posterior", str(synthetic_files["posterior"]),
                  "--quantiles", "zero"]) == 2
+    capsys.readouterr()
+
+
+_MC_KEYS = {"quantity", "n_prec", "n_used", "warnings", "provenance"}
+_ESTIMATE_KEYS = _MC_KEYS | {"value", "std_error", "error_bound"}
+
+
+@pytest.mark.parametrize("command, flags, keys, prov_args", [
+    ("viability", [], _ESTIMATE_KEYS, {"seed": 2024, "nprec": 300}),
+    ("extinction", ["--pop", "22"], _ESTIMATE_KEYS | {"population"},
+     {"seed": 2024, "nprec": 300}),
+    ("time-bounds", ["--pop", "22", "--alpha", "0.1"],
+     _MC_KEYS | {"population", "alpha", "t_minus", "t_plus"},
+     {"seed": 2024, "nprec": 300, "alpha": 0.1}),
+    ("reintroduce", ["--type", "1", "--threshold", "0.2"],
+     _MC_KEYS | {"threshold", "type", "effective_population_size",
+                 "mean_extinction_by_type", "std_error"},
+     {"seed": 2024, "nprec": 300, "threshold": 0.2}),
+    ("predict", ["--pop", "22", "--horizon", "2"],
+     {"quantity", "population", "horizon", "curve", "n_prec", "provenance"},
+     {"seed": 2024, "nprec": 300, "horizon": 2}),
+    ("scenarios", ["--quantiles", "0.1,0.9"], {"quantity", "scenarios", "provenance"}, {}),
+    ("baseline", ["--level", "0.8"],
+     {"quantity", "r_d", "v_r", "n_ratios", "level", "regression_interval", "provenance"},
+     {"level": 0.8}),
+])
+def test_out_schema_and_provenance(synthetic_files, tmp_path, capsys, command, flags, keys,
+                                   prov_args):
+    if command == "baseline":
+        source, digest = synthetic_files["table"], "table_sha256"
+        argv = [command, "--table", str(source)]
+    else:
+        source, digest = synthetic_files["posterior"], "posterior_sha256"
+        argv = [command, "--posterior", str(source)]
+        if command != "scenarios":
+            argv += ["--seed", "2024", "--nprec", "300"]
+    out = tmp_path / "out.json"
+    assert main(argv + flags + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == keys
+    assert doc["provenance"] == {
+        "format_version": 1, "tool_version": g.__version__,
+        digest: hashlib.sha256(source.read_text().encode()).hexdigest(), **prov_args}
     capsys.readouterr()
 
 

@@ -35,6 +35,15 @@ def test_beta_and_gamma_credible_intervals_match_scipy_stats_bit_for_bit():
                     gamma.ppf(lo), gamma.ppf(1 - lo))
 
 
+def test_beta_and_gamma_credible_intervals_check_the_level():
+    # the (0,1) check of inference.credible_interval; 1.5 gave (nan, nan)
+    # and -1 an interval (inf, 0.0) before
+    for level in (0, 1, 1.5, -1):
+        for params in (g.BetaParams(2, 3), g.GammaParams(2, 3)):
+            with pytest.raises(ValueError, match=r"level must be in \(0,1\)"):
+                params.credible_interval(level)
+
+
 def test_thinned_offspring_law_edges():
     law = np.array([0.2, 0.5, 0.3])
     assert g.thinned_offspring_law(law, 1.0) == pytest.approx(law)

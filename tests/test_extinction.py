@@ -60,7 +60,7 @@ def test_extinction_probability_founder_independence():
     prof = g.minimal_fixed_point(_k1_draw([0.25, 0.0, 0.75]))
     assert g.extinction_probability(prof, (3,)) == pytest.approx((1 / 3) ** 3, rel=1e-9)
     assert g.extinction_probability(prof, (0,)) == 1.0
-    for bad in [(1, 1), (-3,), (np.nan,)]:
+    for bad in [(1, 1), (-3,), (np.nan,), (2.5,)]:
         with pytest.raises(ValueError):
             g.extinction_probability(prof, bad)
 

@@ -62,6 +62,13 @@ def test_population_state():
     assert g.PopulationState((0, 0)).extinct
     with pytest.raises(ValueError):
         g.PopulationState((-1, 2))
+    # one abundance rule: nonnegative integers, whatever their Python type
+    for bad in (2.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="abundances must be nonnegative integers"):
+            g.PopulationState((1, bad))
+    s = g.PopulationState((np.int64(3), 22.0))
+    assert s.N == (3, 22)
+    assert [type(n) for n in s.N] == [int, int]
 
 
 def test_parameter_draw_validation():

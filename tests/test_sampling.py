@@ -96,6 +96,13 @@ def test_simulate_extinction_time_censoring():
                           {(1, 1): np.array([0.0, 0.0, 1.0])})
     assert g.simulate_extinction_time(sup, g.PopulationState((4,)), SeedSpec(2, 1),
                                       max_time=50) is None
+    # an extinct start is extinct at 0, as simulate's extinct_at says
+    empty = g.PopulationState((0,))
+    assert g.simulate_extinction_time(sub, empty, SeedSpec(2, 0)) == 0
+    assert g.simulate(sub, empty, 3, SeedSpec(2, 0)).extinct_at == 0
+    # founders of a type the draw does not have are refused, not ignored
+    with pytest.raises(ValueError, match="initial state dimension mismatch"):
+        g.simulate_extinction_time(sub, g.PopulationState((3, 1000)), SeedSpec(1, 0))
 
 
 def test_simulate_validates_inputs():

@@ -8,6 +8,7 @@ under-cover; it is provided as the comparison baseline, not as advice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,17 +26,25 @@ class GrowthMoments:
     n_ratios: int
 
 
+def _log_abundances(abundances: Sequence[float], least: int) -> np.ndarray:
+    """log N of a one-dimensional series of at least ``least`` finite,
+    positive abundances; ValueError otherwise."""
+    N = np.asarray(abundances, dtype=float)
+    if N.ndim != 1 or len(N) < least:
+        raise ValueError(f"need at least {least} abundances")
+    if not np.isfinite(N).all():
+        raise ValueError("abundances must be finite")
+    if (N <= 0).any():
+        raise ValueError("abundances must be positive (drop post-extinction zeros)")
+    return np.log(N)
+
+
 def log_growth_moments(abundances: Sequence[float]) -> GrowthMoments:
     """Sample moments of log(N(t+1) / N(t)) over consecutive observations.
 
     Variance is the unbiased sample variance (NaN with a single ratio).
-    All abundances must be positive: a zero has no log growth rate."""
-    N = np.asarray(abundances, dtype=float)
-    if N.ndim != 1 or len(N) < 2:
-        raise ValueError("need at least two abundances")
-    if (N <= 0).any():
-        raise ValueError("abundances must be positive (drop post-extinction zeros)")
-    r = np.diff(np.log(N))
+    All abundances must be finite and positive: a zero has no log growth rate."""
+    r = np.diff(_log_abundances(abundances, 2))
     v = float(r.var(ddof=1)) if len(r) > 1 else float("nan")
     return GrowthMoments(r_d=float(r.mean()), v_r=v, n_ratios=len(r))
 
@@ -46,42 +55,68 @@ def regression_extinction_interval(abundances: Sequence[float], level: float = 0
 
     Fits OLS, builds the ``level`` confidence band for the mean response,
     and reports the (floor, ceil) of the times, counted from the last
-    observation, where the band's lower and upper edges cross log N = 0
-    (searched up to 10^6 past it). Requires a declining fit; ValueError otherwise."""
-    from scipy import optimize, special
+    observation, where the band's lower and upper edges cross log N = 0.
 
-    N = np.asarray(abundances, dtype=float)
-    if N.ndim != 1 or len(N) < 3:
-        raise ValueError("need at least three abundances")
-    if (N <= 0).any():
-        raise ValueError("abundances must be positive")
+    With y = t - mean(t), the fitted line L = mean(log N) + b y and
+    k = t_crit * sqrt(s^2), an edge L -/+ k sqrt(1/n + y^2/Sxx) meets
+    log N = 0 at a root of the quadratic a y^2 + 2 h y + c = 0 with
+
+        a = b^2 - k^2/Sxx,   h = mean(log N) b,   c = mean(log N)^2 - k^2/n,
+
+    whose roots are those of both edges (L <= 0 where the upper edge
+    crosses, L >= 0 where the lower does). The roots are taken in the
+    cancellation-free form q/a and c/q, q = -(h + sign(h) sqrt(h^2 - ac)).
+    An edge at or below 0 at the last observation crosses there. Otherwise
+    it must reach 0 within 10^6 steps after it, and then exactly one root
+    lies in that bracket: the upper edge is convex, and the lower edge is
+    concave and decreasing after mean(t), so each changes sign there once.
+
+    ValueError unless abundances are finite and positive and ``times``
+    (default 0, 1, ...) finite and strictly increasing; for a fit that does
+    not decline; and for a band that does not reach log N = 0 within 10^6
+    steps after the last observation."""
+    from scipy import special
+
+    logn = _log_abundances(abundances, 3)
     if not 0 < level < 1:
         raise ValueError("level must be in (0,1)")
-    t = np.arange(len(N), dtype=float) if times is None else np.asarray(times, dtype=float)
-    if t.shape != N.shape:
+    n = len(logn)
+    t = np.arange(n, dtype=float) if times is None else np.asarray(times, dtype=float)
+    if t.shape != logn.shape:
         raise ValueError("times and abundances must align")
-    y = np.log(N)
-    n = len(y)
-    slope, intercept = np.polyfit(t, y, 1)
-    if slope >= 0:
-        raise ValueError(f"fitted slope {slope:.4g} is nonnegative; no predicted decline")
-    resid = y - (intercept + slope * t)
+    if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+        raise ValueError("times must be finite and strictly increasing")
+    t_bar, logn_bar = float(t.mean()), float(logn.mean())
+    dt = t - t_bar
+    sxx = float(dt @ dt)
+    b = float(dt @ (logn - logn_bar)) / sxx
+    if b >= 0:
+        raise ValueError(f"fitted slope {b:.4g} is nonnegative; no predicted decline")
+    resid = logn - (logn_bar + b * dt)
     s2 = float(resid @ resid) / (n - 2)
     t_crit = float(special.stdtrit(n - 2, (1 + level) / 2))
-    t_bar = float(t.mean())
-    sxx = float(((t - t_bar) ** 2).sum())
-
-    def band(x: float) -> float:
-        return t_crit * np.sqrt(s2 * (1.0 / n + (x - t_bar) ** 2 / sxx))
-
+    k2 = t_crit * t_crit * s2
+    a, h, c = b * b - k2 / sxx, logn_bar * b, logn_bar * logn_bar - k2 / n
+    q = -(h + math.copysign(math.sqrt(max(h * h - a * c, 0.0)), h))
+    # a = 0 leaves the one root c/q; q = 0 needs h = 0 and ac = 0, leaving y = 0 at most
+    roots = [t_bar + r for r in ([c / q] if q else [0.0]) + ([q / a] if a and q else [])]
     t_last = float(t[-1])
+    t_end = t_last + 10 ** 6
 
     def crossing(sign: float) -> float:
-        f = lambda x: intercept + slope * x + sign * band(x)
+        def f(x: float) -> float:
+            y = x - t_bar
+            return logn_bar + b * y + sign * math.sqrt(k2 * (1 / n + y * y / sxx))
+
         if f(t_last) <= 0:
             return t_last
-        return float(optimize.brentq(f, t_last, t_last + 10 ** 6))
+        if f(t_end) > 0:
+            raise ValueError(f"the {level:g} confidence band does not reach log N = 0 "
+                             "within 10^6 steps after the last observation")
+        # the root on this edge (sign of L), then the one in the bracket; clipping
+        # undoes the round-off of a crossing next to either end
+        x = min(roots, key=lambda x: (sign * (logn_bar + b * (x - t_bar)) > 0,
+                                      max(t_last - x, x - t_end, 0.0)))
+        return min(max(x, t_last), t_end)
 
-    lo = crossing(-1.0)
-    hi = crossing(+1.0)
-    return int(np.floor(lo - t_last)), int(np.ceil(hi - t_last))
+    return math.floor(crossing(-1.0) - t_last), math.ceil(crossing(+1.0) - t_last)

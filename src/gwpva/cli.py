@@ -314,8 +314,7 @@ def cmd_baseline(args) -> int:
             N = np.array([s.total for s in states], dtype=float)
     except (ParseError, ValueError) as e:
         raise CliError(str(e), kind="parse") from None
-    if N[-1] <= 0:
-        N = N[:-1]  # a trailing extinct observation has no log growth rate
+    N = np.trim_zeros(N, "b")  # observations after extinction have no log growth rate
     try:
         moments = log_growth_moments(N)
         interval = regression_extinction_interval(N, level=args.level)

@@ -269,6 +269,41 @@ def test_baseline_rejects_growth(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "validation"
 
 
+def test_baseline_band_that_never_closes(tmp_path, capsys):
+    series = tmp_path / "short.csv"
+    series.write_text("t,N\n0,100\n1,70\n2,50\n")
+    assert main(["baseline", "--table", str(series), "--series", "--level", "0.99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "the 0.99 confidence band does not reach log N = 0 within 10^6 steps "
+                 "after the last observation", "kind": "validation"}
+
+
+def test_baseline_drops_every_post_extinction_zero(tmp_path, capsys):
+    counts = (100, 75, 59, 43, 30)
+    outs = []
+    for tail in ((), (0,), (0, 0)):
+        series = tmp_path / "series.csv"
+        series.write_text("t,N\n" + "".join(
+            f"{t},{n}\n" for t, n in enumerate(counts + tail)))
+        outs.append(tmp_path / f"base{len(tail)}.json")
+        assert main(["baseline", "--table", str(series), "--series",
+                     "--out", str(outs[-1])]) == 0
+    docs = [json.loads(out.read_text()) for out in outs]
+    for doc in docs[1:]:
+        assert (doc["r_d"], doc["v_r"], doc["n_ratios"], doc["regression_interval"]) == (
+            docs[0]["r_d"], docs[0]["v_r"], docs[0]["n_ratios"], docs[0]["regression_interval"])
+    capsys.readouterr()
+
+    # a zero followed by a positive count is not an extinction
+    series.write_text("t,N\n0,100\n1,75\n2,0\n3,30\n4,0\n")
+    assert main(["baseline", "--table", str(series), "--series"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "abundances must be positive (drop post-extinction zeros)",
+        "kind": "validation"}
+
+
 def test_baseline_rejects_series_without_unit_steps(tmp_path, capsys):
     # the log-growth moments assume one step between observations, so the
     # synthetic decline observed every second step is refused, not read as
@@ -455,3 +490,17 @@ def test_mc_subcommands_on_fitted_posterior_load_no_scipy(bear_posterior, tmp_pa
     code = "import gwpva.cli\n" + "".join(f"assert gwpva.cli.main({argv!r}) == 0\n"
                                          for argv in runs)
     assert _scipy_modules_loaded(code) == []
+
+
+def test_baseline_loads_scipy_special_only(synthetic_files):
+    # the regression window takes its t critical value from scipy.special and
+    # closes the band in closed form: no root finder, no scipy.stats or linalg
+    table = str(synthetic_files["table"])
+    for code in ("import gwpva\nassert gwpva.regression_extinction_interval("
+                 "[100, 75, 59, 43, 33, 22]) == (9, 12)",
+                 "import gwpva.cli\n"
+                 f"assert gwpva.cli.main(['baseline', '--table', {table!r}]) == 0"):
+        loaded = _scipy_modules_loaded(code)
+        assert "scipy.special" in loaded
+        for absent in ("scipy.optimize", "scipy.stats", "scipy.linalg"):
+            assert not any(m == absent or m.startswith(absent + ".") for m in loaded)

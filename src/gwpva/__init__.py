@@ -23,7 +23,7 @@ from .inference import (HyperParams, PosteriorParams, Scenario, credible_interva
                         scenario_draws)
 from .model import (LifeTable, OffspringCap, ParameterDraw, PopulationState,
                     Violation, abundances_from_table, aggregate_counts,
-                    validate_life_table)
+                    record_violations, row_violations, validate_life_table)
 from .montecarlo import (MCEstimate, PosteriorEnsemble, ReintroductionSummary,
                          TimeBoundsEstimate, effective_population_size, error_bound,
                          mc_extinction_probability, mc_reintroduction,
@@ -33,4 +33,4 @@ from .sampling import (SeedSpec, Trajectory, sample_dirichlet, sample_parameter_
                        simulate, simulate_extinction_time)
 from .spectral import SpectralTriple, is_primitive, mean_matrix, perron_triple
 
-__version__ = "1.2.2"
+__version__ = "1.2.3"

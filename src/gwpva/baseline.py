@@ -34,8 +34,12 @@ def _log_abundances(abundances: Sequence[float], least: int) -> np.ndarray:
         raise ValueError(f"need at least {least} abundances")
     if not np.isfinite(N).all():
         raise ValueError("abundances must be finite")
-    if (N <= 0).any():
-        raise ValueError("abundances must be positive (drop post-extinction zeros)")
+    bad = np.flatnonzero(N <= 0)
+    if len(bad):
+        i = bad[0]
+        drop = "; drop post-extinction zeros" if (N[i:] == 0).all() else ""
+        raise ValueError(f"abundances must be positive, got N = {N[i]:g} at position {i} "
+                         f"(from 0){drop}")
     return np.log(N)
 
 

@@ -24,8 +24,7 @@ from .formats import (FORMAT_VERSION, ParseError, format_life_table,
                       parse_abundance_series, parse_life_table, parse_prior_config,
                       posterior_from_document, posterior_to_document)
 from .inference import posterior_update, scenario_draws
-from .model import (LifeTable, ParameterDraw, PopulationState, abundances_from_table,
-                    validate_life_table)
+from .model import LifeTable, ParameterDraw, PopulationState, abundances_from_table
 from .montecarlo import (PosteriorEnsemble, effective_population_size,
                          mc_extinction_probability, mc_reintroduction,
                          mc_short_time_abundance, mc_time_bounds,
@@ -131,31 +130,21 @@ def cmd_fit(args) -> int:
         table = parse_life_table(table_text, K=config.cap.K)
     except ParseError as e:
         raise CliError(str(e), kind="parse") from None
-    # a Poisson pair has no cap: its records are checked only for sign and
-    # update its Gamma prior, not the Dirichlet posterior
+    # a Poisson pair has no cap: its records update its Gamma prior, not the
+    # Dirichlet posterior, so they are not judged against the cap
     poisson = config.poisson
-    hard = [v for v in validate_life_table(table, config.cap)
-            if v.kind in ("negative-count", "offspring-exceeds-cap",
-                          "forbidden-pair", "type-mismatch")
-            and not (v.kind == "forbidden-pair" and v.location[:2] in poisson)]
-    if hard:
-        v = hard[0]
-        raise CliError(f"invalid life table: {v.kind} at {v.location}: {v.message}",
-                       kind="validation")
-    categorical = LifeTable(table.K, table.horizon,
-                            {key: n for key, n in table.counts.items()
-                             if key[:2] not in poisson})
+    categorical, records = {}, {pair: ([], []) for pair in poisson}  # (k, parents)
+    for (i, j, k, t), n in table.counts.items():
+        if (i, j) in records:
+            records[(i, j)][0].append(k)
+            records[(i, j)][1].append(n)
+        else:
+            categorical[(i, j, k, t)] = n
     try:
-        post = posterior_update(config.hyper, categorical)
+        post = posterior_update(config.hyper, LifeTable(table.K, table.horizon, categorical))
     except ValueError as e:
         raise CliError(str(e), kind="validation") from None
-    poisson_post = {}
-    for pair, g in poisson.items():
-        per_parent = []
-        for (i, j, k, t), n in table.counts.items():
-            if (i, j) == pair:
-                per_parent.extend([k] * n)
-        poisson_post[pair] = poisson_posterior(g, per_parent)
+    poisson_post = {pair: poisson_posterior(g, *records[pair]) for pair, g in poisson.items()}
     meta = {"table_sha256": _sha256(table_text), "prior_sha256": _sha256(prior_text),
             "table_horizon": table.horizon}
     doc = posterior_to_document(post, poisson=poisson_post, meta=meta)
@@ -219,16 +208,11 @@ def cmd_time_bounds(args) -> int:
 
 def cmd_reintroduce(args) -> int:
     post, digest = _load_posterior(args.posterior)
-    # checked before the ensemble solves every draw's fixed point; the
-    # messages are those of effective_population_size
-    if not 0 < args.threshold < 1:
-        raise CliError("threshold must be in (0,1)")
-    if not 1 <= args.type <= post.K:
-        raise CliError(f"type_index outside 1..{post.K}")
     ens = PosteriorEnsemble(post, n_prec=args.nprec, master_seed=args.seed)
-    summary = mc_reintroduction(post, ensemble=ens)
+    # first: it checks --threshold and --type before any fixed point is solved
     eff = effective_population_size(post, args.type, threshold=args.threshold,
                                     ensemble=ens)
+    summary = mc_reintroduction(post, ensemble=ens)
     if args.hist:
         lines = ["bin_lo,bin_hi," + ",".join(f"type_{i+1}" for i in range(post.K))]
         for b in range(summary.histograms.shape[1]):
@@ -325,7 +309,7 @@ def cmd_baseline(args) -> int:
            "regression_interval": list(interval)}
     return _answer(args, doc, [
         f"log growth rate: mean {_fmt(moments.r_d)}, variance {_fmt(moments.v_r)}",
-        f"naive regression extinction window ({int(args.level * 100)}% band): "
+        f"naive regression extinction window ({args.level * 100:g}% band): "
         f"{interval[0]} to {interval[1]} steps after the last observation"],
         table_sha256=_sha256(text))
 

@@ -111,17 +111,19 @@ def thinned_offspring_law(law: Sequence[float], p_female: float) -> np.ndarray:
     return out
 
 
-def poisson_posterior(prior: GammaParams, offspring_counts: Sequence[int]) -> GammaParams:
+def poisson_posterior(prior: GammaParams, offspring_counts: Sequence[int],
+                      parents: Sequence[int] | None = None) -> GammaParams:
     """Conjugate Gamma update of a Poisson offspring rate.
 
-    ``offspring_counts`` holds one entry per observed parent (its number of
-    offspring); the posterior is Gamma(shape + sum, rate + #parents)."""
-    c = np.asarray(offspring_counts)
-    if len(c) == 0:
-        return prior
-    if (c < 0).any():
-        raise ValueError("offspring counts must be nonnegative")
-    return GammaParams(prior.shape + float(c.sum()), prior.rate + float(len(c)))
+    ``offspring_counts[r]`` is the number of offspring of each of
+    ``parents[r]`` observed parents (default one entry per parent); the
+    posterior is Gamma(shape + sum of offspring, rate + #parents)."""
+    # in floats, which are exact up to 2^53 and cannot wrap around as int64 can
+    c = np.asarray(offspring_counts, dtype=float)
+    w = np.ones(len(c)) if parents is None else np.asarray(parents, dtype=float)
+    if (c < 0).any() or (w < 0).any():
+        raise ValueError("offspring and parent counts must be nonnegative")
+    return GammaParams(prior.shape + float(c @ w), prior.rate + float(w.sum()))
 
 
 def poisson_extinction_fixed_point(mean: float) -> float:

@@ -11,7 +11,6 @@ README); unknown keys are rejected so that typos fail loudly.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -36,31 +35,43 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-_TABLE_HEADER = ["i", "j", "k", "t", "count"]
+_TABLE_HEADER = "i,j,k,t,count"
 
 
 class ParseError(ValueError):
     """Malformed input file; message carries the line or field at fault."""
 
 
-def parse_life_table(text: str, K: int | None = None) -> LifeTable:
-    """Parse life-table CSV; K defaults to the largest type index seen."""
-    counts: dict[tuple[int, int, int, int], int] = {}
-    lines = text.splitlines()
+def _csv_rows(text: str, header: str):
+    """Yield (line number, fields) for each data line of a CSV ``text``.
+
+    ``#`` starts a comment and blank lines are skipped; the first other
+    line must be ``header`` (matched case-insensitively) and every later
+    one must have as many fields. Each ParseError names its line."""
+    names = header.lower().split(",")
     header_seen = False
-    first: dict[tuple, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = [f.strip() for f in next(csv.reader(io.StringIO(line)))]
+        fields = [f.strip() for f in next(csv.reader([line]))]
         if not header_seen:
-            if [f.lower() for f in fields] != _TABLE_HEADER:
-                raise ParseError(f"line {lineno}: expected header {','.join(_TABLE_HEADER)}")
+            if [f.lower() for f in fields] != names:
+                raise ParseError(f"line {lineno}: expected header {header}")
             header_seen = True
-            continue
-        if len(fields) != 5:
-            raise ParseError(f"line {lineno}: expected 5 fields, got {len(fields)}")
+        elif len(fields) != len(names):
+            raise ParseError(f"line {lineno}: expected {len(names)} fields, got {len(fields)}")
+        else:
+            yield lineno, fields
+    if not header_seen:
+        raise ParseError("empty input: missing header")
+
+
+def parse_life_table(text: str, K: int | None = None) -> LifeTable:
+    """Parse life-table CSV; K defaults to the largest type index seen."""
+    counts: dict[tuple[int, int, int, int], int] = {}
+    first: dict[tuple, int] = {}
+    for lineno, fields in _csv_rows(text, _TABLE_HEADER):
         try:
             i, j, k, t, n = (int(f) for f in fields)
         except ValueError:
@@ -74,12 +85,8 @@ def parse_life_table(text: str, K: int | None = None) -> LifeTable:
                 f"(first at line {first[key]})")
         counts[key] = n
         first[key] = lineno
-    if not header_seen:
-        raise ParseError("empty input: missing header")
-    if not counts:
-        return LifeTable(K if K is not None else 1, 0, {})
-    inferred = max(max(i for i, _, _, _ in counts), max(j for _, j, _, _ in counts))
-    horizon = max(t for _, _, _, t in counts)
+    inferred = max((max(i, j) for i, j, _, _ in counts), default=1)
+    horizon = max((t for _, _, _, t in counts), default=0)
     try:
         return LifeTable(K if K is not None else inferred, horizon, counts)
     except ValueError as e:
@@ -88,7 +95,7 @@ def parse_life_table(text: str, K: int | None = None) -> LifeTable:
 
 def format_life_table(table: LifeTable) -> str:
     """Serialize to CSV; parse_life_table is its exact inverse."""
-    out = [",".join(_TABLE_HEADER)]
+    out = [_TABLE_HEADER]
     for (i, j, k, t), n in sorted(table.counts.items()):
         out.append(f"{i},{j},{k},{t},{n}")
     return "\n".join(out) + "\n"
@@ -97,22 +104,10 @@ def format_life_table(table: LifeTable) -> str:
 def parse_abundance_series(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an abundance series CSV with header ``t,N``."""
     ts, Ns = [], []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if [f.lower() for f in fields] != ["t", "n"]:
-                raise ParseError(f"line {lineno}: expected header t,N")
-            header_seen = True
-            continue
-        if len(fields) != 2:
-            raise ParseError(f"line {lineno}: expected 2 fields")
+    for lineno, (t, N) in _csv_rows(text, "t,N"):
         try:
-            ts.append(float(fields[0]))
-            Ns.append(float(fields[1]))
+            ts.append(float(t))
+            Ns.append(float(N))
         except ValueError:
             raise ParseError(f"line {lineno}: fields must be numeric") from None
     if not Ns:

@@ -13,7 +13,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .extensions import BetaParams
-from .model import LifeTable, OffspringCap, Pair, ParameterDraw, aggregate_counts
+from .model import (LifeTable, OffspringCap, Pair, ParameterDraw, aggregate_counts,
+                    record_violations)
 
 __all__ = [
     "HyperParams",
@@ -93,22 +94,17 @@ def prior_expert(weight: float, guess: Sequence[float]) -> np.ndarray:
 
 
 def posterior_update(prior: HyperParams, table: LifeTable) -> PosteriorParams:
-    """Exact conjugate update from observed transition counts."""
-    agg = aggregate_counts(table)
+    """Exact conjugate update from observed transition counts.
+
+    ValueError naming the first of the table's ``record_violations``
+    against the prior's cap, before any count is summed."""
+    bad = record_violations(table, prior.cap)
+    if bad:
+        raise ValueError(f"invalid life table: {bad[0]}")
     post = {pair: np.asarray(a, dtype=float).copy() for pair, a in prior.alpha.items()}
-    for (i, j, k), n in agg.items():
-        if n < 0:
-            raise ValueError(f"negative count for (i={i}, j={j}, k={k})")
-        if (i, j) not in post:
-            # a forbidden pair guarantees k = 0, so such records are vacuous;
-            # any k > 0 count contradicts the structure
-            if k > 0 and n > 0:
-                raise ValueError(f"counts observed on forbidden pair ({i},{j})")
-            continue
-        if k >= len(post[(i, j)]):
-            raise ValueError(
-                f"count at k={k} exceeds cap {len(post[(i, j)]) - 1} for pair ({i},{j})")
-        post[(i, j)][k] += n
+    for (i, j, k), n in aggregate_counts(table).items():
+        if (i, j) in post:  # a forbidden pair's records all have k = 0
+            post[(i, j)][k] += n
     return PosteriorParams(prior.cap, post)
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "ParameterDraw",
     "PoissonLaw",
     "Violation",
+    "record_violations",
+    "row_violations",
     "validate_life_table",
     "aggregate_counts",
     "abundances_from_table",
@@ -204,6 +206,9 @@ class Violation:
     location: tuple
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.kind} at {self.location}: {self.message}"
+
 
 def _parent_totals(table: LifeTable) -> dict[tuple[int, int], dict[int, int]]:
     """Parents classified per row: (i, t) -> {j: sum_k n[i, j](k, t)}."""
@@ -214,31 +219,37 @@ def _parent_totals(table: LifeTable) -> dict[tuple[int, int], dict[int, int]]:
     return rows
 
 
-def validate_life_table(table: LifeTable, cap: OffspringCap) -> list[Violation]:
-    """Report every structural violation in a life table.
-
-    Violations are data, not exceptions: an empty list means valid.
-    Checks negative counts, offspring beyond the cap, counts on forbidden
-    transitions, and row-consistency (for fixed i and t the number of
-    classified parents must agree across observed child types).
-    """
-    out: list[Violation] = []
+def record_violations(table: LifeTable, cap: OffspringCap) -> list[Violation]:
+    """Per-record violations in key order: a negative count, and k above the
+    cap (``forbidden-pair`` where it is 0), whatever the count; k = 0 is
+    always allowed. Only a ``type-mismatch`` if table and cap K differ."""
     if cap.K != table.K:
-        out.append(Violation("type-mismatch", (), f"table K={table.K}, cap K={cap.K}"))
-        return out
+        return [Violation("type-mismatch", (), f"table K={table.K}, cap K={cap.K}")]
+    out: list[Violation] = []
     for (i, j, k, t), n in sorted(table.counts.items()):
         if n < 0:
             out.append(Violation("negative-count", (i, j, k, t), f"count {n} < 0"))
-        if k > cap.cap_of(i, j):
-            kind = "forbidden-pair" if cap.is_forbidden(i, j) else "offspring-exceeds-cap"
-            out.append(Violation(kind, (i, j, k, t), f"k={k} > kappa={cap.cap_of(i, j)}"))
-    # row-consistency among child types actually observed for each parent type
-    for (i, t), row in sorted(_parent_totals(table).items()):
-        if len(set(row.values())) > 1:
-            out.append(Violation(
-                "row-inconsistent", (i, t),
-                f"parent totals differ across child types: { {j: row[j] for j in sorted(row)} }"))
+        kappa = cap.cap_of(i, j)
+        if k > kappa:
+            kind = "forbidden-pair" if kappa == 0 else "offspring-exceeds-cap"
+            out.append(Violation(kind, (i, j, k, t), f"k={k} exceeds cap kappa={kappa}"))
     return out
+
+
+def row_violations(table: LifeTable) -> list[Violation]:
+    """Row-consistency: for fixed i and t the number of classified parents
+    must agree across the child types observed."""
+    return [Violation("row-inconsistent", (i, t), "parent totals differ across "
+                      f"child types: { {j: row[j] for j in sorted(row)} }")
+            for (i, t), row in sorted(_parent_totals(table).items())
+            if len(set(row.values())) > 1]
+
+
+def validate_life_table(table: LifeTable, cap: OffspringCap) -> list[Violation]:
+    """Every structural violation, as data (an empty list means valid): the
+    ``record_violations``, then, if the K match, the ``row_violations``."""
+    out = record_violations(table, cap)
+    return out if cap.K != table.K else out + row_violations(table)
 
 
 def aggregate_counts(table: LifeTable) -> dict[tuple[int, int, int], int]:
@@ -253,16 +264,16 @@ def abundances_from_table(table: LifeTable) -> list[PopulationState]:
     """Recover abundances N(t) for t = 0..T+1 from a complete table.
 
     N_i(t) is the parent total of type i at time t (identical across
-    observed child types, else the table is rejected); otherwise, and at
-    T+1, N_j(t) is the offspring total sum_i sum_k k * n[i, j](k, t-1).
+    observed child types: ValueError naming the first of the
+    ``row_violations`` otherwise); otherwise, and at T+1, N_j(t) is the
+    offspring total sum_i sum_k k * n[i, j](k, t-1).
     """
-    rows = _parent_totals(table)
-    for (i, t), row in sorted(rows.items()):
-        if len(set(row.values())) > 1:
-            raise ValueError(f"row-inconsistent table at (type, time) {(i, t)}")
+    bad = row_violations(table)
+    if bad:
+        raise ValueError(f"invalid life table: {bad[0]}")
     N = [[0] * table.K for _ in range(table.horizon + 2)]
     for (i, j, k, t), n in table.counts.items():
         N[t + 1][j - 1] += k * n
-    for (i, t), row in rows.items():
+    for (i, t), row in _parent_totals(table).items():
         N[t][i - 1] = next(iter(row.values()))
     return [PopulationState(tuple(row), time=t) for t, row in enumerate(N)]

@@ -22,6 +22,21 @@ def test_log_growth_moments_edge_cases():
         g.log_growth_moments([10.0, 0.0, 5.0])
 
 
+def test_nonpositive_abundance_is_named_with_its_position():
+    # a zero followed by a positive count is not an extinction, so dropping
+    # trailing zeros is advised only where the rest are zeros
+    for fit in (g.log_growth_moments, g.regression_extinction_interval):
+        with pytest.raises(ValueError, match=r"^abundances must be positive, got N = 0 at "
+                                             r"position 2 \(from 0\)$"):
+            fit([100, 75, 0, 30, 0])
+        with pytest.raises(ValueError, match=r"^abundances must be positive, got N = 0 at "
+                                             r"position 3 \(from 0\); drop post-extinction "
+                                             r"zeros$"):
+            fit([100, 75, 30, 0, 0])
+        with pytest.raises(ValueError, match=r"got N = -4 at position 1 \(from 0\)$"):
+            fit([100, -4, 30, 0])
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_log_growth_moments_rejects_nonfinite_abundances(bad):
     with pytest.raises(ValueError, match="abundances must be finite"):

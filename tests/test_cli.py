@@ -59,6 +59,19 @@ def test_fit_rejects_invalid_table(tmp_path, synthetic_files, capsys):
     assert "offspring-exceeds-cap" in err["error"]
 
 
+@pytest.mark.parametrize("pop, message", [
+    ("2.5", "--pop must be comma-separated integers, got '2.5'"),
+    ("22,3", "--pop needs 1 entries, got 2"),
+    ("-1", "abundances must be nonnegative integers"),
+])
+def test_pop_rejections(synthetic_files, capsys, pop, message):
+    assert main(["extinction", "--posterior", str(synthetic_files["posterior"]),
+                 f"--pop={pop}", "--seed", "1", "--nprec", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message, "kind": "error"}
+
+
 def test_missing_file_is_io_error(capsys):
     assert main(["viability", "--posterior", "/nonexistent.json",
                  "--seed", "1"]) == 2
@@ -158,13 +171,14 @@ def test_reintroduce(synthetic_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_reintroduce_checks_arguments_before_sampling(synthetic_files, monkeypatch,
-                                                     capsys):
-    # a bad --threshold or --type fails before any draw's fixed point is solved
-    def no_ensemble(*args, **kwargs):
-        raise AssertionError("PosteriorEnsemble built before the arguments were checked")
+def test_reintroduce_checks_arguments_before_fixed_point(synthetic_files, monkeypatch,
+                                                        capsys):
+    # a bad --threshold or --type fails before any draw's fixed point is
+    # solved, with the messages of effective_population_size
+    def no_fixed_point(*args, **kwargs):
+        raise AssertionError("fixed point solved before the arguments were checked")
 
-    monkeypatch.setattr("gwpva.cli.PosteriorEnsemble", no_ensemble)
+    monkeypatch.setattr("gwpva.montecarlo._fixed_point_rows", no_fixed_point)
     for flags, message in ((["--type", "1", "--threshold", "0"], "threshold must be in (0,1)"),
                            (["--type", "1", "--threshold", "1"], "threshold must be in (0,1)"),
                            (["--type", "2"], "type_index outside 1..1"),
@@ -296,12 +310,22 @@ def test_baseline_drops_every_post_extinction_zero(tmp_path, capsys):
             docs[0]["r_d"], docs[0]["v_r"], docs[0]["n_ratios"], docs[0]["regression_interval"])
     capsys.readouterr()
 
-    # a zero followed by a positive count is not an extinction
+    # a zero followed by a positive count is not an extinction; the message
+    # names the zero and its position
     series.write_text("t,N\n0,100\n1,75\n2,0\n3,30\n4,0\n")
     assert main(["baseline", "--table", str(series), "--series"]) == 2
     assert json.loads(capsys.readouterr().err) == {
-        "error": "abundances must be positive (drop post-extinction zeros)",
+        "error": "abundances must be positive, got N = 0 at position 2 (from 0)",
         "kind": "validation"}
+
+
+@pytest.mark.parametrize("level, label", [("0.29", "29%"), ("0.995", "99.5%"),
+                                          ("0.9", "90%")])
+def test_baseline_band_label_is_not_truncated(synthetic_files, capsys, level, label):
+    # 0.29 * 100 is 28.999...: the label rounds, it does not truncate
+    assert main(["baseline", "--table", str(synthetic_files["table"]),
+                 "--level", level]) == 0
+    assert f"naive regression extinction window ({label} band): " in capsys.readouterr().out
 
 
 def test_baseline_rejects_series_without_unit_steps(tmp_path, capsys):
@@ -442,6 +466,24 @@ def test_fit_feeds_poisson_pair_counts_to_gamma_update(synthetic_files, tmp_path
     fecundity = {key: n for key, n in bear_life_table().counts.items() if key[:2] == (5, 1)}
     assert by_pair[(5, 1)]["shape"] == 1.0 + sum(k * n for (_, _, k, _), n in fecundity.items())
     assert by_pair[(5, 1)]["rate"] == 1.0 + sum(fecundity.values())
+
+
+def test_fit_poisson_update_sums_records_without_expanding_parents(tmp_path, capsys):
+    # 10^12 parents per record: the Gamma update reads sum(k * n) and sum(n),
+    # not one list entry per parent
+    table = tmp_path / "many.csv"
+    table.write_text("i,j,k,t,count\n1,1,0,0,1000000000000\n1,1,3,0,1000000000000\n")
+    prior = tmp_path / "poisson_prior.json"
+    prior.write_text(json.dumps({
+        "format_version": 1, "K": 1,
+        "pairs": [{"i": 1, "j": 1, "law": "poisson", "prior": {"shape": 2.0, "rate": 0.5}}],
+    }))
+    out = tmp_path / "poisson_posterior.json"
+    assert main(["fit", "--table", str(table), "--prior", str(prior),
+                 "--out", str(out)]) == 0
+    (pair,) = json.loads(out.read_text())["pairs"]
+    assert (pair["shape"], pair["rate"]) == (2.0 + 3 * 10 ** 12, 0.5 + 2 * 10 ** 12)
+    capsys.readouterr()
 
 
 def test_fit_document_mean_matrix_holds_poisson_means(synthetic_files, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def test_parse_abundance_series():
     assert Ns.tolist() == [100.0, 75.0]
     with pytest.raises(ParseError):
         g.parse_abundance_series("t,N\n")
+
+
+def test_abundance_series_reads_lines_as_life_tables_do():
+    # one line reader: comments, blank lines, a case-insensitive header,
+    # and the line named in every error
+    ts, Ns = g.parse_abundance_series("# counts\nT,n\n\n0,100  # spring\n1, 75\n")
+    assert (ts.tolist(), Ns.tolist()) == ([0.0, 1.0], [100.0, 75.0])
+    for text, message in (("t,count\n0,1\n", "line 1: expected header t,N"),
+                          ("t,N\n0,1\n1,2,3\n", "line 3: expected 2 fields, got 3"),
+                          ("t,N\n0,x\n", "line 2: fields must be numeric"),
+                          ("# only comments\n", "empty input: missing header")):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            g.parse_abundance_series(text)
 
 
 def _config(pairs):

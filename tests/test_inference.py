@@ -67,6 +67,33 @@ def test_posterior_update_rejects_bad_counts():
         g.posterior_update(prior, g.LifeTable(1, 0, {(1, 1, 0, 0): -2}))
 
 
+def test_posterior_update_judges_each_record_before_summing():
+    # -1 and 2 parents at k = 0 sum to a positive count over time, but the
+    # -1 record is still a negative count
+    prior = g.prior_noninformative(g.OffspringCap(1, {(1, 1): 2}))
+    table = g.LifeTable(1, 1, {(1, 1, 0, 0): -1, (1, 1, 0, 1): 2, (1, 1, 1, 0): 1})
+    with pytest.raises(ValueError, match=r"^invalid life table: negative-count at "
+                                         r"\(1, 1, 0, 0\): count -1 < 0$"):
+        g.posterior_update(prior, table)
+    assert [v.kind for v in g.validate_life_table(table, prior.cap)] == ["negative-count"]
+
+
+def test_posterior_update_rejects_what_validate_rejects_per_record():
+    cap = g.OffspringCap(2, {(1, 2): 1})
+    prior = g.prior_noninformative(cap)
+    # a zero count is still a record: k > 0 on a forbidden pair is refused
+    table = g.LifeTable(2, 0, {(1, 2, 1, 0): 4, (2, 1, 1, 0): 0})
+    with pytest.raises(ValueError, match=r"forbidden-pair at \(2, 1, 1, 0\)"):
+        g.posterior_update(prior, table)
+    # so is a table with another number of types than the cap
+    with pytest.raises(ValueError, match="type-mismatch at \\(\\): table K=3, cap K=2"):
+        g.posterior_update(prior, g.LifeTable(3, 0, {(1, 2, 1, 0): 4}))
+    # row consistency is not a per-record rule: the update does not judge it
+    table = g.LifeTable(2, 0, {(1, 2, 1, 0): 4, (1, 1, 0, 0): 3})
+    assert [v.kind for v in g.validate_life_table(table, cap)] == ["row-inconsistent"]
+    assert g.posterior_update(prior, table).alpha[(1, 2)] == pytest.approx([1.0, 5.0])
+
+
 def test_hyperparams_reject_nonfinite_alpha():
     # NaN and Infinity parse from JSON; neither is a Dirichlet concentration
     cap = g.OffspringCap(1, {(1, 1): 2})

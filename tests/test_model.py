@@ -36,6 +36,23 @@ def test_validate_flags_negative_cap_and_forbidden():
     assert {"offspring-exceeds-cap", "forbidden-pair", "negative-count"} <= kinds
 
 
+def test_validate_is_record_then_row_violations():
+    cap = g.OffspringCap(2, {(1, 1): 2, (1, 2): 1})
+    t = g.LifeTable(2, 0, {(1, 2, 0, 0): 5, (1, 1, 0, 0): 4, (1, 1, 3, 0): 0,
+                           (2, 2, 1, 0): 0, (2, 1, 0, 0): 0})
+    records = g.record_violations(t, cap)
+    # judged whatever the count, in key order; k = 0 on a forbidden pair is fine
+    assert [(v.kind, v.location) for v in records] == [
+        ("offspring-exceeds-cap", (1, 1, 3, 0)), ("forbidden-pair", (2, 2, 1, 0))]
+    assert str(records[0]) == "offspring-exceeds-cap at (1, 1, 3, 0): k=3 exceeds cap kappa=2"
+    rows = g.row_violations(t)
+    assert [(v.kind, v.location) for v in rows] == [("row-inconsistent", (1, 0))]
+    assert g.validate_life_table(t, cap) == records + rows
+    # another K: one type-mismatch, and nothing else is judged
+    other = g.OffspringCap(3, {(1, 1): 2})
+    assert [v.kind for v in g.validate_life_table(t, other)] == ["type-mismatch"]
+
+
 def test_validate_accepts_bundled_tables():
     ok = [v for v in g.validate_life_table(synthetic_life_table(), synthetic_cap())]
     assert ok == []

@@ -289,17 +289,17 @@ def cmd_baseline(args) -> int:
     try:
         if args.series:
             t, N = parse_abundance_series(text)
-            # the log-growth moments take consecutive observations as one step apart
-            if np.any(np.diff(t) != 1):
-                raise CliError("--series needs consecutive times t, t + 1, ...",
-                               kind="validation")
         else:
-            states = abundances_from_table(parse_life_table(text))
-            N = np.array([s.total for s in states], dtype=float)
-    except (ParseError, ValueError) as e:
+            table = parse_life_table(text)
+    except ParseError as e:
         raise CliError(str(e), kind="parse") from None
-    N = np.trim_zeros(N, "b")  # observations after extinction have no log growth rate
+    # the log-growth moments take consecutive observations as one step apart
+    if args.series and np.any(np.diff(t) != 1):
+        raise CliError("--series needs consecutive times t, t + 1, ...", kind="validation")
     try:
+        if not args.series:  # a table that parsed can still break a validation rule
+            N = np.array([s.total for s in abundances_from_table(table)], dtype=float)
+        N = np.trim_zeros(N, "b")  # observations after extinction have no log growth rate
         moments = log_growth_moments(N)
         interval = regression_extinction_interval(N, level=args.level)
     except ValueError as e:

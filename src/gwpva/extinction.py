@@ -13,6 +13,10 @@ them at n = 1 (``model._law_stack``). The pgf ``_phi`` and its Jacobian
 (``_coefficient_major``); ``_pgf`` and ``_pgf_jacobian`` are their dense
 (n, ...) views. ``_fixed_point_rows`` does its linear algebra with one
 row-batched M-matrix elimination, ``_mmatrix_lu``.
+
+The survival-bound curves of n draws are averaged by ``_bound_curves``, and
+the extinction-time bracket is found by ``_bracket_search``, which reads
+the curves at a few dozen times rather than at every t up to the bracket.
 """
 
 from __future__ import annotations
@@ -405,12 +409,23 @@ def _bound_curves(lam: np.ndarray, cU: np.ndarray, cL: np.ndarray, ts):
     draws of upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam,
     0, 1), from the (n,) arrays of ``_bound_constants``. The mean is NumPy's
     axis-0 sum divided by n, so at n = 1 it is the draw's own curve bit for
-    bit. ts may have any shape."""
+    bit. ts may have any shape.
+
+    A time's column has the same bits whatever other times share the call,
+    as long as the call has at least two: the axis-0 sum then adds the draws
+    in row order for every column, where a single column is summed
+    pairwise. lam^t is taken once, and the clip and the min are done in one
+    (n, ...) buffer."""
     ts = np.asarray(ts, dtype=float)
     lam, cU, cL = (np.reshape(a, (-1,) + (1,) * ts.ndim) for a in (lam, cU, cL))
     pw = lam ** ts
-    upper = np.sum(np.minimum(1.0, cU * pw), axis=0) / len(pw)
-    lower = np.sum(np.clip(cL * pw * lam, 0.0, 1.0), axis=0) / len(pw)
+    buf = np.multiply(cL, pw)
+    np.multiply(buf, lam, out=buf)
+    np.clip(buf, 0.0, 1.0, out=buf)
+    lower = np.sum(buf, axis=0) / len(pw)
+    np.multiply(cU, pw, out=buf)
+    np.minimum(buf, 1.0, out=buf)
+    upper = np.sum(buf, axis=0) / len(pw)
     return upper, lower
 
 
@@ -445,67 +460,93 @@ def survival_bounds(draw: ParameterDraw,
                           lower=lambda t: _bound_curves(lam, cU, cL, t)[1])
 
 
-_SCAN_MIN_BLOCK = 32
-_SCAN_MAX_BLOCK = 512
+_GALLOP_FIRST = 7  # the first call reads t = 0, 1, 3, ..., 63
+_GALLOP_STEP = 4   # each later gallop call reads the next four t = 2^k - 1
+_REFINE = 15       # times read inside each open bracket per call
+_OPEN_END = 991    # an open-ended curve ends at t = 991 + 512 m or at the cap
+_OPEN_BLOCK = 512
 
 
-def _bracket_scan(curves: Callable, alpha: float, horizon_cap: int):
-    """The bracket scan of ``extinction_time_bounds`` and ``mc_time_bounds``.
+def _bracket_search(curves: Callable, alpha: float,
+                    horizon_cap: int) -> tuple[int, int | None, int]:
+    """The bracket of ``extinction_time_bounds`` and ``mc_time_bounds``.
 
-    ``curves(ts)`` returns the (upper, lower) curves at the times ts. It is
-    called on consecutive blocks from t = 0 whose widths start at 32 and
-    double up to 512 (32, 64, 128, 256, 512, 512, ...), and the scan stops
-    at the first block where upper <= alpha, so a bracket that closes early
-    costs little. No block is narrower than 32 columns, not even the last
-    one before ``horizon_cap``: that block is evaluated at full width and
-    trimmed, so ``curves`` may be called at times up to 31 steps past
-    ``horizon_cap``. The minimum exists because ``mc_time_bounds`` averages
-    draws with NumPy's axis-0 sum, which gives each column the same bits
-    whatever the block width, except for a one-column block, which it sums
-    in a different order.
+    Returns (t_minus, t_plus, length). t_plus is the first t <= horizon_cap
+    with upper(t) <= alpha (None if there is none); t_minus is the last t
+    before ``length`` with lower(t) >= 1 - alpha (0 if there is none).
+    ``length`` is how many times t = 0, 1, ... the curves run: to t_plus
+    when it is set; otherwise to horizon_cap, or, when horizon_cap >= 992,
+    to the first of t = 991, 1503, 2015, ... (every 512 steps) by which
+    lower has fallen below 1 - alpha, since t_minus is fixed by then.
 
-    An open-ended bracket is found without scanning to ``horizon_cap``.
-    After the first 512-wide block that does not close, the 32 columns
-    ending at ``horizon_cap`` are evaluated once, with the same bits the
-    scan would give them. If upper(horizon_cap) > alpha, no t <= horizon_cap
-    has upper <= alpha, because the curve is nonincreasing, so t_plus is
-    None; the scan then stops at the end of the first block that shows
-    lower < 1 - alpha, and t_minus, the last t with lower >= 1 - alpha, is
-    the one a scan to ``horizon_cap`` would find.
-
-    Returns (t_minus, t_plus, times, upper_curve, lower_curve), the curves
-    ending at t_plus, or, when t_plus is None, where the scan stopped (at
-    ``horizon_cap`` at the latest). ValueError unless 0 < alpha < 0.5 and
+    Both curves must be nonincreasing in t, so p, the first t with
+    upper <= alpha, and q, the first with lower < 1 - alpha, each lie in a
+    bracket (lo, hi] that every reading narrows; q matters only up to
+    p + 1. ``curves(ts)`` returns (upper, lower) at sorted times ts, at
+    least two and none past horizon_cap + 1. While upper stays above alpha
+    the search gallops over t = 2^k - 1, seven times in its first call and
+    four in each later one, and reads horizon_cap once upper is above alpha
+    past t = 991, where an open-ended search can stop galloping. Each call
+    also reads up to 15 evenly spaced times inside each bracket still open:
+    p's once the gallop has stopped, q's once lower has fallen below
+    1 - alpha at some time read. ValueError unless 0 < alpha < 0.5 and
     horizon_cap >= 0.
     """
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     if horizon_cap < 0:
         raise ValueError("horizon_cap must be >= 0")
-    parts = []
-    t_plus = None
-    open_ended, dropped = None, False  # open_ended: None until probed
-    t0, width = 0, _SCAN_MIN_BLOCK
-    while t0 <= horizon_cap and t_plus is None:
-        keep = min(width, horizon_cap + 1 - t0)
-        ts = np.arange(t0, t0 + max(keep, _SCAN_MIN_BLOCK))
-        upper, lower = curves(ts)
-        hit = np.flatnonzero(upper[:keep] <= alpha)
-        if len(hit):
-            t_plus, keep = int(ts[hit[0]]), hit[0] + 1
-        parts.append((ts[:keep], upper[:keep], lower[:keep]))
-        dropped = dropped or bool(np.any(lower[:keep] < 1 - alpha))
-        t0 = t0 + keep
-        if open_ended is None and width == _SCAN_MAX_BLOCK and t0 <= horizon_cap:
-            end = np.arange(horizon_cap + 1 - _SCAN_MIN_BLOCK, horizon_cap + 1)
-            open_ended = bool(curves(end)[0][-1] > alpha)
-        if open_ended and dropped:
-            break
-        width = min(2 * width, _SCAN_MAX_BLOCK)
-    times, upper_curve, lower_curve = (np.concatenate(x) for x in zip(*parts))
-    ok = np.flatnonzero(lower_curve >= 1 - alpha)
-    t_minus = int(times[ok[-1]]) if len(ok) else 0
-    return t_minus, t_plus, times, upper_curve, lower_curve
+    lo_p = lo_q = -1
+    p = q = horizon_cap + 1  # the brackets' upper ends
+    k, g_last, cap_read = 0, -1, False
+    while p - lo_p > 1 or (q - lo_q > 1 and lo_q < p):
+        ts = set()
+        if lo_p < horizon_cap and p > g_last:
+            n = _GALLOP_FIRST if k == 0 else _GALLOP_STEP
+            gallop = [min(2 ** j - 1, horizon_cap) for j in range(k, k + n)]
+            ts.update(gallop)
+            k, g_last = k + n, gallop[-1]
+            # pow is slow where lam^t underflows, as it does at a far cap, so
+            # the cap is read only once upper is above alpha past t = 991:
+            # a bracket that closes sooner never pays for it
+            if lo_p > _OPEN_END and not cap_read:
+                ts.add(horizon_cap)
+                cap_read = True
+        elif p - lo_p > 1:
+            ts.update(_inside(lo_p, p))
+        if q <= horizon_cap and q - lo_q > 1 and lo_q < p:
+            ts.update(_inside(lo_q, q))
+        ts = sorted(ts)
+        if len(ts) == 1:
+            ts.append(ts[0] + 1)
+        upper, lower = curves(np.array(ts))
+        for t, u, lo in zip(ts, upper, lower):
+            if t > horizon_cap:
+                continue
+            if u <= alpha:
+                p = min(p, t)
+            else:
+                lo_p = max(lo_p, t)
+            if lo < 1 - alpha:
+                q = min(q, t)
+            else:
+                lo_q = max(lo_q, t)
+    if p <= horizon_cap:
+        length = p + 1
+    elif horizon_cap <= _OPEN_END or q > horizon_cap:
+        length = horizon_cap + 1
+    else:
+        blocks = -(-max(q - _OPEN_END, 0) // _OPEN_BLOCK)
+        length = min(horizon_cap + 1, _OPEN_END + 1 + _OPEN_BLOCK * blocks)
+    t_minus = max(min(q, length) - 1, 0)
+    return t_minus, (p if p <= horizon_cap else None), length
+
+
+def _inside(lo: int, hi: int) -> list[int]:
+    """Every time in (lo, hi), or 15 evenly spaced ones if there are more."""
+    if hi - lo - 1 <= _REFINE:
+        return list(range(lo + 1, hi))
+    return [lo + (hi - lo) * j // (_REFINE + 1) for j in range(1, _REFINE + 1)]
 
 
 def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float,
@@ -518,7 +559,8 @@ def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float
     P(T_ext <= t_minus) <= alpha only if ``lower`` truly bounds survival
     from below, which the second-moment curve of ``survival_bounds`` does
     not always do (ROADMAP open item 1). Both curves must be nonincreasing
-    in t.
+    in t: they are read at a few dozen sorted times, at least two per call
+    and none past horizon_cap + 1 (``_bracket_search``).
     """
 
     def curves(ts):
@@ -526,5 +568,5 @@ def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float
         lo = np.zeros_like(u) if lower is None else np.asarray(lower(ts), dtype=float)
         return u, lo
 
-    t_minus, t_plus, *_ = _bracket_scan(curves, alpha, horizon_cap)
+    t_minus, t_plus, _ = _bracket_search(curves, alpha, horizon_cap)
     return TimeBounds(t_minus=t_minus, t_plus=t_plus, alpha=alpha)

@@ -20,7 +20,7 @@ import numpy as np
 from .extensions import BetaParams, GammaParams, thinned_offspring_law
 from .inference import (HyperParams, PosteriorParams, credible_interval,
                         posterior_mean_matrix, prior_expert, prior_from_moments)
-from .model import LifeTable, OffspringCap, Pair
+from .model import LifeTable, OffspringCap, Pair, _key_problem
 
 __all__ = [
     "ParseError",
@@ -85,11 +85,16 @@ def parse_life_table(text: str, K: int | None = None) -> LifeTable:
                 f"(first at line {first[key]})")
         counts[key] = n
         first[key] = lineno
-    inferred = max((max(i, j) for i, j, _, _ in counts), default=1)
+    if K is None:
+        K = max((max(i, j) for i, j, _, _ in counts), default=1)
     horizon = max((t for _, _, _, t in counts), default=0)
     try:
-        return LifeTable(K if K is not None else inferred, horizon, counts)
+        return LifeTable(K, horizon, counts)
     except ValueError as e:
+        for key, lineno in first.items():  # name the first record the table rejects
+            problem = _key_problem(key, K, horizon)
+            if problem:
+                raise ParseError(f"line {lineno}: {problem}") from None
         raise ParseError(str(e)) from None
 
 

@@ -83,11 +83,10 @@ class LifeTable:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        for (i, j, k, t) in self.counts:
-            if not (1 <= i <= self.K and 1 <= j <= self.K):
-                raise ValueError(f"type pair ({i},{j}) outside 1..{self.K}")
-            if k < 0 or t < 0 or t > self.horizon:
-                raise ValueError(f"bad key (i={i}, j={j}, k={k}, t={t})")
+        for key in self.counts:
+            problem = _key_problem(key, self.K, self.horizon)
+            if problem:
+                raise ValueError(problem)
 
     def count(self, i: int, j: int, k: int, t: int) -> int:
         return self.counts.get((i, j, k, t), 0)
@@ -101,6 +100,17 @@ class LifeTable:
         for (i, j, k, t), n in other.counts.items():
             merged[(i, j, k, t + offset)] = merged.get((i, j, k, t + offset), 0) + n
         return LifeTable(self.K, self.horizon + other.horizon + 1, merged)
+
+
+def _key_problem(key: tuple[int, int, int, int], K: int, horizon: int) -> str | None:
+    """Why (i, j, k, t) cannot key a ``LifeTable`` of K types observed to
+    ``horizon``, or None if it can."""
+    i, j, k, t = key
+    if not (1 <= i <= K and 1 <= j <= K):
+        return f"type pair ({i},{j}) outside 1..{K}"
+    if k < 0 or t < 0 or t > horizon:
+        return f"bad key (i={i}, j={j}, k={k}, t={t})"
+    return None
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .extinction import (_bound_constants, _bound_curves, _bracket_scan,
+from .extinction import (_bound_constants, _bound_curves, _bracket_search,
                          _fixed_point_rows, _lambda_below)
 from .inference import HyperParams
 from .model import _as_abundance
@@ -86,18 +86,53 @@ class TimeBoundsEstimate:
     bound, P(T_ext > t_plus) <= alpha, for any K: the lower curve is the
     asymptotic second-moment curve, which can lie above the exact survival
     probability, so P(T_ext <= t_minus) <= alpha is not guaranteed and
-    (t_minus, t_plus] is not a proven 1 - 2*alpha interval."""
+    (t_minus, t_plus] is not a proven 1 - 2*alpha interval.
+
+    The estimate keeps the averaged draws' Perron roots ``lam`` and bound
+    constants ``c_upper`` and ``c_lower`` (see ``extinction._bound_curves``)
+    and the curve length ``n_times``. ``times`` is 0 .. n_times - 1, and
+    ``upper_curve`` and ``lower_curve`` are computed from those arrays on
+    first read, so an answer that reads only the bracket never pays for
+    them."""
 
     t_minus: int
     t_plus: int | None
     alpha: float
-    times: np.ndarray
-    upper_curve: np.ndarray
-    lower_curve: np.ndarray
+    n_times: int
+    lam: np.ndarray = field(repr=False, compare=False)
+    c_upper: np.ndarray = field(repr=False, compare=False)
+    c_lower: np.ndarray = field(repr=False, compare=False)
     n_prec: int
     n_used: int
     master_seed: int
     warnings: dict = field(default_factory=dict)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_times)
+
+    @cached_property
+    def _curves(self) -> tuple[np.ndarray, np.ndarray]:
+        # blocks of at most 512 times bound the scratch memory; a block of
+        # fewer than two is widened and trimmed (see _bound_curves)
+        parts = []
+        for t0 in range(0, self.n_times, _CURVE_BLOCK):
+            keep = min(_CURVE_BLOCK, self.n_times - t0)
+            ts = np.arange(t0, t0 + max(keep, 2))
+            parts.append([c[:keep] for c in
+                          _bound_curves(self.lam, self.c_upper, self.c_lower, ts)])
+        return tuple(np.concatenate(c) for c in zip(*parts))
+
+    @property
+    def upper_curve(self) -> np.ndarray:
+        return self._curves[0]
+
+    @property
+    def lower_curve(self) -> np.ndarray:
+        return self._curves[1]
+
+
+_CURVE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -294,9 +329,12 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     draws and the bracket read off at level alpha: t_plus = first t with
     mean upper <= alpha, t_minus = last t with mean lower >= 1 - alpha. The
     lower curve is asymptotic, not a bound, so t_minus carries no guarantee
-    (see ``TimeBoundsEstimate``). The curves end at t_plus or, when t_plus
-    is None, where the scan stopped (``extinction._bracket_scan``), which
-    can be well before ``horizon_cap``. Perron pairs are solved for the
+    (see ``TimeBoundsEstimate``). The bracket is found by a search that
+    reads the mean curves at a few dozen times (``extinction._bracket_search``);
+    the full curves are computed only when the estimate's ``upper_curve`` or
+    ``lower_curve`` is read. They end at t_plus or, when t_plus is None, at
+    the length ``_bracket_search`` gives, which can be well before
+    ``horizon_cap``. Perron pairs are solved for the
     lambda < 1 draws alone, so ``perron-failures`` counts the lambda < 1
     draws whose Perron pair misses its residual limit.
 
@@ -325,7 +363,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise RuntimeError("no subcritical draw has a usable right eigenvector; "
                            "time bounds are undefined")
     lam_s, cU, cL = lam[use], cU[use], cL[use]
-    t_minus, t_plus, times, upper_curve, lower_curve = _bracket_scan(
+    t_minus, t_plus, n_times = _bracket_search(
         lambda ts: _bound_curves(lam_s, cU, cL, ts), alpha, horizon_cap)
     warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
                 "degenerate-eigenvector": int(n_sub - n_used),
@@ -333,10 +371,9 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
                 "perron-failures": int(np.sum(~perron_residual(M, lam, u, v)[1]))}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
-                              times=times, upper_curve=upper_curve,
-                              lower_curve=lower_curve, n_prec=ens.n_prec,
-                              n_used=n_used, master_seed=ens.master_seed,
-                              warnings=warnings)
+                              n_times=n_times, lam=lam_s, c_upper=cU, c_lower=cL,
+                              n_prec=ens.n_prec, n_used=n_used,
+                              master_seed=ens.master_seed, warnings=warnings)
 
 
 def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,

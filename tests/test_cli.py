@@ -139,6 +139,21 @@ def test_time_bounds_curves_cells_are_plain_floats(synthetic_files, tmp_path, ca
     capsys.readouterr()
 
 
+def test_time_bounds_answer_does_not_depend_on_curves(synthetic_files, tmp_path, capsys):
+    # the curves are computed only under --curves; the bracket, the --out
+    # document and stdout must be the same either way
+    runs = []
+    for curves in ((), ("--curves", str(tmp_path / "curves.csv"))):
+        out = tmp_path / f"tb{len(runs)}.json"
+        assert main(["time-bounds", "--posterior", str(synthetic_files["posterior"]),
+                     "--pop", "22", "--seed", "2024", "--nprec", "1000",
+                     "--out", str(out), *curves]) == 0
+        runs.append((out.read_text(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert len((tmp_path / "curves.csv").read_text().splitlines()) \
+        == json.loads(runs[0][0])["t_plus"] + 2
+
+
 def test_predict_matches_library(synthetic_files, tmp_path, capsys):
     out = tmp_path / "pred.json"
     assert main(["predict", "--posterior", str(synthetic_files["posterior"]),
@@ -326,6 +341,19 @@ def test_baseline_band_label_is_not_truncated(synthetic_files, capsys, level, la
     assert main(["baseline", "--table", str(synthetic_files["table"]),
                  "--level", level]) == 0
     assert f"naive regression extinction window ({label} band): " in capsys.readouterr().out
+
+
+def test_baseline_reports_an_invalid_table_as_validation(tmp_path, capsys):
+    # the bundled bear table parses, but its parent totals differ across
+    # child types, so it has no abundance series
+    table = tmp_path / "bear.csv"
+    table.write_text(g.format_life_table(bear_life_table()))
+    assert main(["baseline", "--table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "validation"
+    assert err["error"].startswith("invalid life table: row-inconsistent at (5, 0)")
 
 
 def test_baseline_rejects_series_without_unit_steps(tmp_path, capsys):

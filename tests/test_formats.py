@@ -38,6 +38,11 @@ def test_parse_life_table_errors_carry_line_numbers():
         g.parse_life_table("i,j,k,t,count\n1,1,0,0\n")
     with pytest.raises(ParseError, match="missing header"):
         g.parse_life_table("# only comments\n")
+    # keys the table itself rejects name their record's line too
+    with pytest.raises(ParseError, match=r"^line 3: bad key \(i=1, j=1, k=-1, t=0\)$"):
+        g.parse_life_table("i,j,k,t,count\n1,1,0,0,3\n1,1,-1,0,3\n", K=5)
+    with pytest.raises(ParseError, match=r"^line 3: type pair \(1,6\) outside 1\.\.5$"):
+        g.parse_life_table("i,j,k,t,count\n1,1,0,0,3\n1,6,1,0,3\n", K=5)
 
 
 def test_parse_abundance_series():

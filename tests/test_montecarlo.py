@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -178,9 +180,9 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
         return np.sum(np.minimum(1.0, c_upper[use] * lam[use] ** t)) / np.sum(use)
 
     if tb.t_plus is None:
-        # the scan learns this from the curve at 10^6 and stops at the end of
-        # its first 512-wide block, t = 991, the lower curve being below
-        # 1 - alpha by then
+        # the search learns this from the curve at 10^6, and the curves end
+        # at t = 991, the first place an open-ended curve can end, the lower
+        # curve being below 1 - alpha by then
         assert mean_upper(10 ** 6) > 0.05 and tb.times[-1] == 991
     else:
         assert mean_upper(tb.t_plus) <= 0.05
@@ -293,9 +295,9 @@ def test_time_bounds_require_a_usable_draw():
 def _reference_scan(curves, alpha, horizon_cap):
     """The bracket scan on full 512-step blocks, trimmed to horizon_cap + 1.
 
-    An open-ended scan past t = 991, where ``_bracket_scan``'s first 512-wide
-    block ends, stops at the first of its block ends 991, 1503, 2015, ... at
-    or after the first t with lower < 1 - alpha."""
+    An open-ended scan past t = 991, where the first 512-wide block from
+    t = 480 ends, stops at the first of the block ends 991, 1503, 2015, ...
+    at or after the first t with lower < 1 - alpha."""
     uppers, lowers = [], []
     for t0 in range(0, horizon_cap + 1, 512):
         u, lo = curves(np.arange(t0, t0 + 512))
@@ -318,17 +320,18 @@ def _reference_scan(curves, alpha, horizon_cap):
 
 def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_posterior,
                                                    bear_ensemble):
-    scan = montecarlo._bracket_scan
+    search = montecarlo._bracket_search
     widths, expected = [], []
 
     def spy(curves, alpha, horizon_cap):
         def counted(ts):
-            widths.append(len(ts))
+            widths[-1].append(len(ts))
             return curves(ts)
         expected.append(_reference_scan(curves, alpha, horizon_cap))
-        return scan(counted, alpha, horizon_cap)
+        widths.append([])
+        return search(counted, alpha, horizon_cap)
 
-    monkeypatch.setattr(montecarlo, "_bracket_scan", spy)
+    monkeypatch.setattr(montecarlo, "_bracket_search", spy)
     synth = PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024)
     cases = [((22,), synth, 0.05, 10 ** 6)]
     cases += [((2, 2, 2, 2, 10), bear_ensemble, a, 10 ** 6) for a in (0.05, 0.2)]
@@ -338,6 +341,7 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
     # criterion-6 replicates
     true = synthetic_true_draw()
     prior = g.prior_noninformative(synthetic_cap())
+    n_replicates = 0
     for r in range(12):
         traj = g.simulate(true, g.PopulationState((100,)), 5, SeedSpec(2026, r))
         if traj.extinct_at is None and len(traj.states) == 6:
@@ -345,6 +349,7 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
             cases.append(((traj.final.total,),
                           PosteriorEnsemble(post, n_prec=1000, master_seed=2026 * 1000 + r),
                           0.05, 10 ** 6))
+            n_replicates += 1
     t_plus = []
     for pop, ens, alpha, cap in cases:
         tb = g.mc_time_bounds(None, pop, alpha=alpha, horizon_cap=cap, ensemble=ens)
@@ -355,11 +360,30 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
         assert tb.upper_curve.tobytes() == upper.tobytes()
         assert tb.lower_curve.tobytes() == lower.tobytes()
         t_plus.append(tp)
-    assert min(widths) >= 32
+    # two columns keep each column's bits (test_bound_curve_columns_keep_their_bits)
+    assert min(min(w) for w in widths) >= 2
     closed = [t for t in t_plus if t is not None]
     assert min(closed) < 32 and max(closed) > 512
     assert any(32 <= t < 512 for t in closed)
     assert t_plus.count(None) >= 10
+    # the search reads a few dozen columns: bear at alpha = 0.05 closes at
+    # t = 4202, and a criterion-6 replicate near t = 30
+    columns = [sum(w) for w in widths]
+    assert t_plus[1] == 4202 and columns[1] <= 100
+    assert np.mean(columns[-n_replicates:]) <= 32
+
+
+def test_time_bounds_estimate_pickles_its_curves(synthetic_posterior):
+    tb = g.mc_time_bounds(synthetic_posterior, (22,), n_prec=1000, master_seed=2024)
+    unread = pickle.loads(pickle.dumps(tb))  # pickled before the curves are computed
+    curves = {name: getattr(tb, name).tobytes()
+              for name in ("times", "upper_curve", "lower_curve")}
+    for got in (unread, pickle.loads(pickle.dumps(tb))):
+        assert (got.t_minus, got.t_plus, got.n_used, got.warnings) \
+            == (tb.t_minus, tb.t_plus, tb.n_used, tb.warnings)
+        for name, want in curves.items():
+            assert getattr(got, name).tobytes() == want, name
+    assert len(tb.times) == tb.t_plus + 1
 
 
 def test_conditioning_consistency(bear_posterior):

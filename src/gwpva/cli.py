@@ -55,10 +55,23 @@ def _fmt(x: float) -> str:
     return f"{float(x):.4g}"
 
 
+def _json_value(x):
+    """``x`` with every NaN and infinity, which JSON has no token for, as None."""
+    if isinstance(x, float):
+        return x if np.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    return x
+
+
 def _write_out(path: str | None, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as strict JSON: an undefined number, such as
+    the standard error of a single draw, is written as null."""
     if path is None:
         return
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(_json_value(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     Path(path).write_text(payload)
 
 

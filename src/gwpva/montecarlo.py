@@ -89,11 +89,12 @@ class TimeBoundsEstimate:
     (t_minus, t_plus] is not a proven 1 - 2*alpha interval.
 
     The estimate keeps the averaged draws' Perron roots ``lam`` and bound
-    constants ``c_upper`` and ``c_lower`` (see ``extinction._bound_curves``)
-    and the curve length ``n_times``. ``times`` is 0 .. n_times - 1, and
-    ``upper_curve`` and ``lower_curve`` are computed from those arrays on
-    first read, so an answer that reads only the bracket never pays for
-    them."""
+    constants ``c_upper`` and ``c_lower`` (see ``extinction._bound_curves``),
+    the curve length ``n_times``, and in ``searched`` the (times, upper,
+    lower) columns the bracket search read before t = n_times. ``times`` is
+    0 .. n_times - 1, and ``upper_curve`` and ``lower_curve`` are computed on
+    first read, at the times the search did not read, so an answer that
+    reads only the bracket never pays for them."""
 
     t_minus: int
     t_plus: int | None
@@ -102,6 +103,7 @@ class TimeBoundsEstimate:
     lam: np.ndarray = field(repr=False, compare=False)
     c_upper: np.ndarray = field(repr=False, compare=False)
     c_lower: np.ndarray = field(repr=False, compare=False)
+    searched: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
     n_prec: int
     n_used: int
     master_seed: int
@@ -113,15 +115,22 @@ class TimeBoundsEstimate:
 
     @cached_property
     def _curves(self) -> tuple[np.ndarray, np.ndarray]:
-        # blocks of at most 512 times bound the scratch memory; a block of
-        # fewer than two is widened and trimmed (see _bound_curves)
-        parts = []
-        for t0 in range(0, self.n_times, _CURVE_BLOCK):
-            keep = min(_CURVE_BLOCK, self.n_times - t0)
-            ts = np.arange(t0, t0 + max(keep, 2))
-            parts.append([c[:keep] for c in
-                          _bound_curves(self.lam, self.c_upper, self.c_lower, ts)])
-        return tuple(np.concatenate(c) for c in zip(*parts))
+        # a column has the same bits whatever times share its call (see
+        # _bound_curves), so the searched ones are kept and the rest computed
+        # in blocks of at most 512 times, which bound the scratch memory; a
+        # block of one is widened to two and trimmed
+        t_read, *read = self.searched
+        curves = np.empty((2, self.n_times))
+        curves[:, t_read] = read
+        missing = np.setdiff1d(self.times, t_read)
+        for i in range(0, len(missing), _CURVE_BLOCK):
+            ts = missing[i:i + _CURVE_BLOCK]
+            keep = len(ts)
+            if keep == 1:
+                ts = np.append(ts, self.n_times)
+            block = _bound_curves(self.lam, self.c_upper, self.c_lower, ts)
+            curves[:, ts[:keep]] = [c[:keep] for c in block]
+        return curves[0], curves[1]
 
     @property
     def upper_curve(self) -> np.ndarray:
@@ -363,7 +372,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise RuntimeError("no subcritical draw has a usable right eigenvector; "
                            "time bounds are undefined")
     lam_s, cU, cL = lam[use], cU[use], cL[use]
-    t_minus, t_plus, n_times = _bracket_search(
+    t_minus, t_plus, n_times, searched = _bracket_search(
         lambda ts: _bound_curves(lam_s, cU, cL, ts), alpha, horizon_cap)
     warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
                 "degenerate-eigenvector": int(n_sub - n_used),
@@ -372,6 +381,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                 "perron-failures": int(np.sum(~perron_residual(M, lam, u, v)[1]))}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
                               n_times=n_times, lam=lam_s, c_upper=cU, c_lower=cL,
+                              searched=searched,
                               n_prec=ens.n_prec, n_used=n_used,
                               master_seed=ens.master_seed, warnings=warnings)
 

@@ -91,9 +91,10 @@ def perron_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     M is a stack (n, K, K) of nonnegative matrices. Shifted power iteration
     on A = M + eps*I (eps = 1e-12, to break periodicity), accelerated by
-    normalized repeated squaring B <- B @ B / max(B @ B), then a few plain
-    power steps against A to wash out round-off. Returns lam (n,), u (n, K)
-    and v (n, K) with each u and v summing to 1.
+    normalized repeated squaring B <- B @ B / max(B @ B), then up to 8 plain
+    power steps against A to wash out round-off, fewer once a step leaves
+    every u and v unchanged to the bit (a row holding NaN never does).
+    Returns lam (n,), u (n, K) and v (n, K) with each u and v summing to 1.
 
     Each matrix stops squaring once its iterate B is rank one to round-off.
     A rank-one B = u v^T satisfies B @ B = tr(B) B exactly, so B is finished
@@ -137,10 +138,16 @@ def perron_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u /= u.sum(axis=1, keepdims=True)
     v /= v.sum(axis=1, keepdims=True)
     for _ in range(8):
-        u = np.einsum("rij,rj->ri", A, u)
-        v = np.einsum("ri,rij->rj", v, A)
-        u /= u.sum(axis=1, keepdims=True)
-        v /= v.sum(axis=1, keepdims=True)
+        u_next = np.einsum("rij,rj->ri", A, u)
+        v_next = np.einsum("ri,rij->rj", v, A)
+        u_next /= u_next.sum(axis=1, keepdims=True)
+        v_next /= v_next.sum(axis=1, keepdims=True)
+        # a step is a function of each row's own (u, v): once it leaves every
+        # row as it was, the steps left would repeat the same bits
+        repeat = np.array_equal(u_next, u) and np.array_equal(v_next, v)
+        u, v = u_next, v_next
+        if repeat:
+            break
     Au = np.einsum("rij,rj->ri", A, u)
     lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - _SHIFT
     return np.maximum(lam, 0.0), u, v

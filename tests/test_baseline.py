@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gwpva as g
+from gwpva.baseline import _t_critical
 from gwpva.datasets import synthetic_abundances
 
 
@@ -106,25 +107,87 @@ def test_regression_interval_custom_times():
     assert a == b
 
 
-def test_regression_t_critical_value_matches_scipy_stats(monkeypatch):
-    from scipy import special, stats
+# The t with P(|T| <= t) = level at q = (1 + level)/2 taken in double
+# precision, as _t_critical takes it, to 20 digits; made with mpmath 1.3.0:
+#
+#   import mpmath as mp
+#   mp.mp.dps = 40
+#   p = 2 * (1 - mp.mpf((1 + level) / 2))  # P(|T| > t) at the double q
+#   lo, hi = mp.mpf(0), mp.pi / 2  # bisect on theta = atan(t / sqrt(nu))
+#   for _ in range(150):
+#       th = (lo + hi) / 2
+#       if mp.betainc(mp.mpf(nu) / 2, 0.5, 0, mp.cos(th) ** 2, regularized=True) > p:
+#           lo = th
+#       else:
+#           hi = th
+#   t = mp.nstr(mp.sqrt(nu) * mp.tan(lo), 20)
+_T_LEVELS = (0.05, 0.29, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999876247936337, 1 - 1e-6)
+_T_QUANTILES = {
+    1: ("0.078701706824618518252", "0.48989494502247712191", "1.0", "1.376381920471173942",
+         "3.0776835371752541331", "6.3137515146750373979", "12.706204736174693314",
+         "63.656741162871524447", "636.61924876878972983", "51443.164133400301306",
+         "636619.77227807232679"),
+    2: ("0.070799232540478932309", "0.42853763274065507082", "0.81649658092772603273",
+         "1.0606601717798215319", "1.8856180831641270225", "2.9199855803537241703",
+         "4.3026527297494617894", "9.9248432009182886403", "31.599054576445363413",
+         "284.26261321658918506", "999.99924992995471405"),
+    3: ("0.06808752267626954614", "0.40897857833618199637", "0.76489232840434528066",
+         "0.97847231236330465242", "1.6377443536962103222", "2.353363434801822899",
+         "3.1824463052837084359", "5.8409093097333554113", "12.923978636687964322",
+         "56.252454421207165323", "130.15458955229284372"),
+    4: ("0.06672849470075703252", "0.39940777940161910615", "0.74069708411268263298",
+         "0.94096457723518136434", "1.5332062740589440989", "2.1318467863266495285",
+         "2.7764451051977934898", "4.6040948713499920459", "8.6103015813795227571",
+         "26.32437433149378134", "49.458636755203972958"),
+    5: ("0.065914855393024594587", "0.39374507928213109894", "0.72668684380042265302",
+         "0.91954378024082621301", "1.4758840488244812516", "2.0150483733330235417",
+         "2.5705818356363147828", "4.0321429835552271793", "6.8688266258812751318",
+         "17.139899543242949485", "28.47847346218387279"),
+    7: ("0.064988741962488617298", "0.38735708136465102937", "0.71114177808178630563",
+         "0.89602964431376513247", "1.4149239276505086353", "1.8945786050900067854",
+         "2.3646242515927847379", "3.4994832973504932609", "5.4078825208618280539",
+         "10.861747244611865788", "15.767009437159882089"),
+    10: ("0.064298146144283065514", "0.38263139152314377734", "0.69981206131243162734",
+         "0.87905782855058886168", "1.3721836411103357746", "1.8124611228116758693",
+         "2.2281388519862742245", "3.1692726726169507118", "4.5868938587027077385",
+         "7.9546846633125126212", "10.516489956755801042"),
+    28: ("0.063271301418079116799", "0.37566100941320078065", "0.68335284298850582594",
+         "0.85464748558222258313", "1.3125267815926667534", "1.7011309342659311608",
+         "2.0484071417952447346", "2.7632624554614442325", "3.6739064007013183245",
+         "5.2953262095220782129", "6.225413445421939161"),
+    60: ("0.062969627990818125844", "0.37362539202607968737", "0.67860072064813578161",
+         "0.84765300635661493963", "1.2958210935157309149", "1.6706488649046360675",
+         "2.0002978220142601041", "2.660283028855036852", "3.4602004691963915876",
+         "4.765543237345567645", "5.4489478322488691278"),
+    100: ("0.062864358946213203309", "0.37291632155615712058", "0.67695104301147147794",
+         "0.84523042449101624117", "1.2900747613465160976", "1.660234326085339115",
+         "1.9839715185235518946", "2.625890521438017607", "3.3904913111642636132",
+         "4.6005989292742127058", "5.2137275741970978678"),
+    300: ("0.062759261207992778754", "0.37220904674249303175", "0.6753084163073658209",
+         "0.84282101116139387987", "1.2843798675790131941", "1.6499486739376336158",
+         "1.9679030112610866462", "2.5923164108477921856", "3.3232515129742195179",
+         "4.4451905354468102217", "4.995118833315705439"),
+    1000: ("0.062722518278950547732", "0.37196192873778281981", "0.67473516460700943738",
+         "0.84198082216242871548", "1.282398721460924564", "1.646378817285464284",
+         "1.9623390808264081039", "2.5807546980659507706", "3.3002826484239441558",
+         "4.3929367154179957742", "4.9222895234015771401"),
+}
 
-    seen = []
-    stdtrit = special.stdtrit
 
-    def recording(df, q):
-        seen.append((df, q, stdtrit(df, q)))
-        return seen[-1][2]
+def test_t_critical_matches_reference_quantiles():
+    for nu, quantiles in _T_QUANTILES.items():
+        bound = 1e-14 if nu <= 100 else 1e-13
+        for level, want in zip(_T_LEVELS, quantiles, strict=True):
+            assert _t_critical(level, nu) == pytest.approx(float(want), rel=bound, abs=0)
 
-    monkeypatch.setattr(special, "stdtrit", recording)
-    series = [synthetic_abundances(), 100.0 * 0.7 ** np.arange(4),
-              80.0 * 0.9 ** np.arange(30) * (1 + 0.1 * np.sin(np.arange(30)))]
-    for N in series:
-        for level in (0.5, 0.8, 0.9, 0.95, 0.99):
-            g.regression_extinction_interval(N, level=level)
-            df, q, t_crit = seen.pop()
-            assert (df, q) == (len(N) - 2, (1 + level) / 2)
-            assert t_crit == stats.t.ppf(q, df)
+
+def test_t_critical_matches_scipy_stats():
+    from scipy import stats
+
+    for nu in range(1, 101):
+        for level in _T_LEVELS:
+            want = stats.t.ppf((1 + level) / 2, nu)
+            assert _t_critical(level, nu) == pytest.approx(want, rel=2e-14, abs=0)
 
 
 def _brentq_window(abundances, level=0.90, times=None):
@@ -178,6 +241,24 @@ def test_regression_interval_matches_brentq_oracle():
         windows += want != "ValueError"
         errors += want == "ValueError"
     assert windows > 1500 and errors > 300
+
+
+def test_regression_interval_matches_brentq_oracle_on_long_series():
+    # 30 to 300 observations: t_crit at up to 298 degrees of freedom, where
+    # the tail series runs longest
+    rng = np.random.default_rng(20241)
+    windows = errors = 0
+    for _ in range(300):
+        n = int(rng.integers(30, 301))
+        N = (rng.uniform(5, 2000) * rng.uniform(0.9, 1.01) ** np.arange(n)
+             * np.exp(rng.normal(0, rng.uniform(0, 0.5), n)))
+        times = None if rng.random() < 0.7 else np.cumsum(rng.uniform(0.2, 3, n))
+        level = rng.uniform(0.5, 0.99)
+        want = _window_or_error(_brentq_window, N, level, times)
+        assert _window_or_error(g.regression_extinction_interval, N, level, times) == want
+        windows += want != "ValueError"
+        errors += want == "ValueError"
+    assert windows > 200 and errors > 15
 
 
 def test_regression_interval_degenerate_cases_match_brentq_oracle():

@@ -6,7 +6,8 @@ import pytest
 import gwpva as g
 from gwpva import montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.extinction import _fixed_point_rows, _lambda_below, _pgf, _pgf_jacobian
+from gwpva.extinction import (_bound_curves, _fixed_point_rows, _lambda_below, _pgf,
+                              _pgf_jacobian)
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
@@ -283,6 +284,54 @@ def test_perron_batch_matches_full_squaring_reference(bear_ensemble):
             assert np.array_equal(x, y[part])
 
 
+def _perron_eight_steps(M):
+    """perron_batch with all 8 power steps taken."""
+    K = M.shape[-1]
+    A = M + 1e-12 * np.eye(K)
+    B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
+    tol = 4 * K * np.finfo(float).eps
+    out = np.empty_like(B)
+    rows = np.arange(len(B))
+    for _ in range(60):
+        if not len(rows):
+            break
+        B2 = B @ B
+        B *= np.trace(B, axis1=1, axis2=2)[:, None, None]
+        err = np.abs(B2 - B)
+        done = (err <= tol * B).all(axis=(1, 2))
+        B = B2 / np.abs(B2).max(axis=(1, 2), keepdims=True)
+        out[rows[done]] = B[done]
+        rows, B = rows[~done], B[~done]
+    out[rows] = B
+    u = out.sum(axis=2)
+    v = out.sum(axis=1)
+    u /= u.sum(axis=1, keepdims=True)
+    v /= v.sum(axis=1, keepdims=True)
+    for _ in range(8):
+        u = np.einsum("rij,rj->ri", A, u)
+        v = np.einsum("ri,rij->rj", v, A)
+        u /= u.sum(axis=1, keepdims=True)
+        v /= v.sum(axis=1, keepdims=True)
+    Au = np.einsum("rij,rj->ri", A, u)
+    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - 1e-12
+    return np.maximum(lam, 0.0), u, v
+
+
+def test_perron_batch_power_steps_stop_only_where_they_repeat(synthetic_posterior,
+                                                            bear_ensemble):
+    stacks = [bear_ensemble.mean_matrices,
+              PosteriorEnsemble(synthetic_posterior, n_prec=1000, master_seed=7).mean_matrices,
+              PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000,
+                                master_seed=5).mean_matrices,
+              PosteriorEnsemble(_period_two_posterior(), n_prec=2000,
+                                master_seed=7).mean_matrices]
+    # a row holding NaN never repeats, so its stack takes all 8 steps
+    stacks.append(np.concatenate([stacks[0][:50], np.full((1, 5, 5), np.nan)]))
+    for M in stacks:
+        for got, want in zip(spectral.perron_batch(M), _perron_eight_steps(M)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_time_bounds_require_a_usable_draw():
     # two unlinked types: every right vector is (1, 0)
     cap = g.OffspringCap(2, {(1, 1): 1, (2, 2): 1})
@@ -384,6 +433,35 @@ def test_time_bounds_estimate_pickles_its_curves(synthetic_posterior):
         for name, want in curves.items():
             assert getattr(got, name).tobytes() == want, name
     assert len(tb.times) == tb.t_plus + 1
+
+
+def test_curves_compute_only_the_times_the_search_did_not_read(monkeypatch,
+                                                              synthetic_posterior,
+                                                              bear_ensemble):
+    calls = []
+
+    def spy(lam, cU, cL, ts):
+        calls.append(np.array(ts))
+        return _bound_curves(lam, cU, cL, ts)
+
+    monkeypatch.setattr(montecarlo, "_bound_curves", spy)
+    synth = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
+    cases = [((2, 2, 2, 2, 10), bear_ensemble, 0.05, 10 ** 6)]
+    cases += [((22,), synth, alpha, cap) for alpha in (0.05, 0.01)
+              for cap in (10 ** 6, 0, 1, 2, 31, 95, 2000)]
+    for pop, ens, alpha, cap in cases:
+        calls.clear()
+        tb = g.mc_time_bounds(None, pop, alpha=alpha, horizon_cap=cap, ensemble=ens)
+        n_search = len(calls)
+        tb.upper_curve
+        searched = np.concatenate(calls[:n_search])
+        computed = np.concatenate(calls[n_search:] or [np.array([], dtype=int)])
+        computed = computed[computed < tb.n_times]
+        assert np.array_equal(tb.searched[0], np.unique(searched[searched < tb.n_times]))
+        # each time of the curves is computed by the search or, once, after it
+        assert np.array_equal(np.sort(np.concatenate([tb.searched[0], computed])),
+                              np.arange(tb.n_times))
+        assert all(len(ts) >= 2 for ts in calls)
 
 
 def test_conditioning_consistency(bear_posterior):

@@ -25,7 +25,7 @@ from .formats import (FORMAT_VERSION, ParseError, format_life_table,
                       posterior_from_document, posterior_to_document)
 from .inference import posterior_update, scenario_draws
 from .model import LifeTable, ParameterDraw, PopulationState, abundances_from_table
-from .montecarlo import (PosteriorEnsemble, effective_population_size,
+from .montecarlo import (DEFAULT_N_PREC, PosteriorEnsemble, effective_population_size,
                          mc_extinction_probability, mc_reintroduction,
                          mc_short_time_abundance, mc_time_bounds,
                          mc_viability_probability)
@@ -359,7 +359,8 @@ def _add_mc_flags(p, pop: bool = True):
     if pop:
         p.add_argument("--pop", required=True,
                        help="comma-separated abundance per type, e.g. 2,2,2,2,10")
-    p.add_argument("--nprec", type=int, default=2500, help="Monte Carlo replicates")
+    p.add_argument("--nprec", type=int, default=DEFAULT_N_PREC,
+                   help="Monte Carlo replicates")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--out", help="write full machine-readable record (JSON)")
 

@@ -96,7 +96,8 @@ def _coefficient_major(laws: dict) -> dict:
 
 def _pair_pgf(d: np.ndarray, x: np.ndarray, derivative: bool = False):
     """One pair's pgf g(x) draw-wise and, if asked, its derivative: Horner's
-    rule for coefficient-major (kappa+1, n) categorical coefficients d,
+    rule for coefficient-major (kappa+1, n) categorical coefficients d, with
+    kappa >= 1 (``OffspringCap.pairs`` leaves out cap-0 pairs), and
     e^{d (x - 1)} for (n,) Poisson rates d. Only elementwise arithmetic is
     used, so each draw's value is bit-identical whatever the other draws
     are. Either result may be a view of d, so callers never write into
@@ -111,8 +112,6 @@ def _pair_pgf(d: np.ndarray, x: np.ndarray, derivative: bool = False):
             # Horner's first step 0 * x + p is p for finite x
             dp = p if dp is None else dp * x + p
         p = p * x + d[k]
-    if derivative and dp is None:
-        dp = np.zeros_like(x)
     return p, dp
 
 
@@ -404,29 +403,42 @@ def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, u: np.ndarray,
     return xi, cU, cL
 
 
+_CURVE_BLOCK = 512  # times per (n, times) scratch buffer of ``_bound_curves``
+
+
 def _bound_curves(lam: np.ndarray, cU: np.ndarray, cL: np.ndarray, ts):
     """Draw-averaged survival-bound curves at the times ts: the means over n
     draws of upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam,
-    0, 1), from the (n,) arrays of ``_bound_constants``. The mean is NumPy's
-    axis-0 sum divided by n, so at n = 1 it is the draw's own curve bit for
-    bit. ts may have any shape.
+    0, 1), from the (n,) arrays of ``_bound_constants``. ts may have any
+    shape and any number of times, one included.
 
-    A time's column has the same bits whatever other times share the call,
-    as long as the call has at least two: the axis-0 sum then adds the draws
-    in row order for every column, where a single column is summed
-    pairwise. lam^t is taken once, and the clip and the min are done in one
-    (n, ...) buffer."""
+    Each mean is a sum of the draws in row order, divided by n, so a time's
+    value has the same bits whatever other times share the call, and at
+    n = 1 it is the draw's own curve bit for bit. NumPy's axis-0 sum adds
+    the rows in order when a block has two or more columns but sums a lone
+    column pairwise, so a lone column is summed by ``np.cumsum``, which adds
+    in row order. The times are taken in blocks of at most ``_CURVE_BLOCK``,
+    which bound the scratch memory; per block lam^t is taken once, and the
+    clip and the min are done in one (n, block) buffer."""
     ts = np.asarray(ts, dtype=float)
-    lam, cU, cL = (np.reshape(a, (-1,) + (1,) * ts.ndim) for a in (lam, cU, cL))
-    pw = lam ** ts
-    buf = np.multiply(cL, pw)
-    np.multiply(buf, lam, out=buf)
-    np.clip(buf, 0.0, 1.0, out=buf)
-    lower = np.sum(buf, axis=0) / len(pw)
-    np.multiply(cU, pw, out=buf)
-    np.minimum(buf, 1.0, out=buf)
-    upper = np.sum(buf, axis=0) / len(pw)
-    return upper, lower
+    flat = ts.ravel()
+    lam, cU, cL = (np.reshape(a, (-1, 1)) for a in (lam, cU, cL))
+    upper, lower = np.empty(len(flat)), np.empty(len(flat))
+
+    def row_sum(buf):
+        return np.sum(buf, axis=0) if buf.shape[1] > 1 else np.cumsum(buf, axis=0)[-1]
+
+    for i in range(0, len(flat), _CURVE_BLOCK):
+        block = slice(i, i + _CURVE_BLOCK)
+        pw = lam ** flat[block]
+        buf = np.multiply(cL, pw)
+        np.multiply(buf, lam, out=buf)
+        np.clip(buf, 0.0, 1.0, out=buf)
+        lower[block] = row_sum(buf)
+        np.multiply(cU, pw, out=buf)
+        np.minimum(buf, 1.0, out=buf)
+        upper[block] = row_sum(buf)
+    return upper.reshape(ts.shape) / len(lam), lower.reshape(ts.shape) / len(lam)
 
 
 def survival_bounds(draw: ParameterDraw,
@@ -484,15 +496,15 @@ def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
     Both curves must be nonincreasing in t, so p, the first t with
     upper <= alpha, and q, the first with lower < 1 - alpha, each lie in a
     bracket (lo, hi] that every reading narrows; q matters only up to
-    p + 1. ``curves(ts)`` returns (upper, lower) at sorted times ts, at
-    least two and none past horizon_cap + 1. While upper stays above alpha
-    the search gallops over t = 2^k - 1, seven times in its first call and
-    four in each later one, and reads horizon_cap once upper is above alpha
-    past t = 991, where an open-ended search can stop galloping. Each call
-    also reads up to 15 evenly spaced times inside each bracket still open:
-    p's once the gallop has stopped, q's once lower has fallen below
-    1 - alpha at some time read. ValueError unless 0 < alpha < 0.5 and
-    horizon_cap >= 0.
+    p + 1. ``curves(ts)`` returns (upper, lower) at sorted times ts, one or
+    more, none read before and none past horizon_cap. While upper stays
+    above alpha the search gallops over t = 2^k - 1, seven times in its
+    first call and four in each later one, and reads horizon_cap once upper
+    is above alpha past t = 991, where an open-ended search can stop
+    galloping. Each call also reads up to 15 evenly spaced times inside
+    each bracket still open: p's once the gallop has stopped, q's once
+    lower has fallen below 1 - alpha at some time read. ValueError unless
+    0 < alpha < 0.5 and horizon_cap >= 0.
     """
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
@@ -500,8 +512,8 @@ def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
         raise ValueError("horizon_cap must be >= 0")
     lo_p = lo_q = -1
     p = q = horizon_cap + 1  # the brackets' upper ends
-    k, g_last, cap_read = 0, -1, False
-    read = []
+    k, g_last = 0, -1
+    read, seen = [], set()
     while p - lo_p > 1 or (q - lo_q > 1 and lo_q < p):
         ts = set()
         if lo_p < horizon_cap and p > g_last:
@@ -512,21 +524,20 @@ def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
             # pow is slow where lam^t underflows, as it does at a far cap, so
             # the cap is read only once upper is above alpha past t = 991:
             # a bracket that closes sooner never pays for it
-            if lo_p > _OPEN_END and not cap_read:
+            if lo_p > _OPEN_END:
                 ts.add(horizon_cap)
-                cap_read = True
         elif p - lo_p > 1:
             ts.update(_inside(lo_p, p))
         if q <= horizon_cap and q - lo_q > 1 and lo_q < p:
             ts.update(_inside(lo_q, q))
-        ts = sorted(ts)
-        if len(ts) == 1:
-            ts.append(ts[0] + 1)
+        # a gallop time can be the cap or a refining time, read before
+        ts = sorted(ts - seen)
+        if not ts:
+            continue
+        seen.update(ts)
         upper, lower = curves(np.array(ts))
         read.append((ts, upper, lower))
         for t, u, lo in zip(ts, upper, lower):
-            if t > horizon_cap:
-                continue
             if u <= alpha:
                 p = min(p, t)
             else:
@@ -535,13 +546,9 @@ def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
                 q = min(q, t)
             else:
                 lo_q = max(lo_q, t)
-    if p <= horizon_cap:
-        length = p + 1
-    elif horizon_cap <= _OPEN_END or q > horizon_cap:
-        length = horizon_cap + 1
-    else:
-        blocks = -(-max(q - _OPEN_END, 0) // _OPEN_BLOCK)
-        length = min(horizon_cap + 1, _OPEN_END + 1 + _OPEN_BLOCK * blocks)
+    blocks = -(-max(q - _OPEN_END, 0) // _OPEN_BLOCK)
+    length = p + 1 if p <= horizon_cap else \
+        min(horizon_cap + 1, _OPEN_END + 1 + _OPEN_BLOCK * blocks)
     t_minus = max(min(q, length) - 1, 0)
     times, first = np.unique(np.concatenate([r[0] for r in read]), return_index=True)
     first = first[times < length]
@@ -566,8 +573,9 @@ def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float
     P(T_ext <= t_minus) <= alpha only if ``lower`` truly bounds survival
     from below, which the second-moment curve of ``survival_bounds`` does
     not always do (ROADMAP open item 1). Both curves must be nonincreasing
-    in t: they are read at a few dozen sorted times, at least two per call
-    and none past horizon_cap + 1 (``_bracket_search``).
+    in t: they are read at a few dozen times, each once and none past
+    horizon_cap, passed as sorted arrays of one or more times
+    (``_bracket_search``).
     """
 
     def curves(ts):

@@ -50,11 +50,6 @@ class OffspringCap:
             if cap < 0:
                 raise ValueError(f"kappa[{i},{j}] = {cap} is negative")
 
-    @classmethod
-    def full(cls, K: int, cap: int) -> "OffspringCap":
-        """Every transition allowed with the same cap."""
-        return cls(K, {(i, j): cap for i in range(1, K + 1) for j in range(1, K + 1)})
-
     def cap_of(self, i: int, j: int) -> int:
         return self.kappa.get((i, j), 0)
 

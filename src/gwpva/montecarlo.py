@@ -93,8 +93,10 @@ class TimeBoundsEstimate:
     the curve length ``n_times``, and in ``searched`` the (times, upper,
     lower) columns the bracket search read before t = n_times. ``times`` is
     0 .. n_times - 1, and ``upper_curve`` and ``lower_curve`` are computed on
-    first read, at the times the search did not read, so an answer that
-    reads only the bracket never pays for them."""
+    first read, by one ``_bound_curves`` call on the times the search did
+    not read, so an answer that reads only the bracket never pays for them.
+    A curve value's bits depend only on the draws and on t, so the curves
+    equal a single call on ``times``."""
 
     t_minus: int
     t_plus: int | None
@@ -115,21 +117,14 @@ class TimeBoundsEstimate:
 
     @cached_property
     def _curves(self) -> tuple[np.ndarray, np.ndarray]:
-        # a column has the same bits whatever times share its call (see
-        # _bound_curves), so the searched ones are kept and the rest computed
-        # in blocks of at most 512 times, which bound the scratch memory; a
-        # block of one is widened to two and trimmed
+        # a time's value has the same bits whatever times share its call (see
+        # _bound_curves), so the searched ones are kept and only the rest
+        # computed
         t_read, *read = self.searched
         curves = np.empty((2, self.n_times))
         curves[:, t_read] = read
         missing = np.setdiff1d(self.times, t_read)
-        for i in range(0, len(missing), _CURVE_BLOCK):
-            ts = missing[i:i + _CURVE_BLOCK]
-            keep = len(ts)
-            if keep == 1:
-                ts = np.append(ts, self.n_times)
-            block = _bound_curves(self.lam, self.c_upper, self.c_lower, ts)
-            curves[:, ts[:keep]] = [c[:keep] for c in block]
+        curves[:, missing] = _bound_curves(self.lam, self.c_upper, self.c_lower, missing)
         return curves[0], curves[1]
 
     @property
@@ -139,9 +134,6 @@ class TimeBoundsEstimate:
     @property
     def lower_curve(self) -> np.ndarray:
         return self._curves[1]
-
-
-_CURVE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -339,11 +331,11 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     mean upper <= alpha, t_minus = last t with mean lower >= 1 - alpha. The
     lower curve is asymptotic, not a bound, so t_minus carries no guarantee
     (see ``TimeBoundsEstimate``). The bracket is found by a search that
-    reads the mean curves at a few dozen times (``extinction._bracket_search``);
-    the full curves are computed only when the estimate's ``upper_curve`` or
-    ``lower_curve`` is read. They end at t_plus or, when t_plus is None, at
-    the length ``_bracket_search`` gives, which can be well before
-    ``horizon_cap``. Perron pairs are solved for the
+    reads the mean curves at a few dozen times (``extinction._bracket_search``),
+    each once; the other times of the full curves are computed only when the
+    estimate's ``upper_curve`` or ``lower_curve`` is read. They end at
+    t_plus or, when t_plus is None, at the length ``_bracket_search`` gives,
+    which can be well before ``horizon_cap``. Perron pairs are solved for the
     lambda < 1 draws alone, so ``perron-failures`` counts the lambda < 1
     draws whose Perron pair misses its residual limit.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gwpva as g
-from gwpva.cli import main
+from gwpva.cli import build_parser, main
 from gwpva.datasets import bear_life_table, synthetic_life_table
 
 
@@ -37,6 +37,14 @@ def test_version_matches_pyproject():
     found = re.search(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
     assert found is not None
     assert g.__version__ == found.group(1)
+
+
+def test_nprec_default_is_the_library_default():
+    parser = build_parser()
+    for argv in (["viability"], ["extinction", "--pop", "1"], ["time-bounds", "--pop", "1"],
+                 ["reintroduce", "--type", "1"], ["predict", "--pop", "1", "--horizon", "1"]):
+        args = parser.parse_args(argv + ["--posterior", "posterior.json", "--seed", "1"])
+        assert args.nprec == g.montecarlo.DEFAULT_N_PREC, argv[0]
 
 
 def test_fit_writes_expected_posterior(synthetic_files):

@@ -174,30 +174,56 @@ def test_open_ended_scan_stops_once_lower_curve_drops():
 
     tb = g.extinction_time_bounds(upper, lower, alpha=0.05, horizon_cap=10 ** 6)
     assert (tb.t_minus, tb.t_plus) == (1199, None)
-    assert min(len(ts) for ts in seen) >= 2
     read = np.concatenate(seen)
-    assert len(read) <= 100 and read.max() <= 10 ** 6 + 1
+    # each time is read once, and none past horizon_cap
+    assert len(read) <= 100 and len(np.unique(read)) == len(read)
+    assert read.max() == 10 ** 6
+
+
+@pytest.mark.parametrize("step, cap", [(50_000, 10 ** 5), (17_000, 20_000)])
+def test_bracket_search_reads_each_time_once(step, cap):
+    # upper is above alpha past t = 991, so the search reads the cap, and
+    # upper first falls to alpha between it and the last gallop time: a
+    # later gallop time is clamped to the cap, read already (at cap = 20 000
+    # every time of that gallop is)
+    seen = []
+
+    def upper(t):
+        seen.append(np.asarray(t))
+        return np.where(np.asarray(t) < step, 0.5, 0.0)
+
+    tb = g.extinction_time_bounds(upper, None, alpha=0.05, horizon_cap=cap)
+    assert tb.t_plus == step
+    read = np.concatenate(seen)
+    assert len(np.unique(read)) == len(read) and read.max() == cap
+    assert min(len(ts) for ts in seen) >= 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 106, 1000, 9999])
 def test_bound_curve_columns_keep_their_bits(n):
-    # the bracket search reads the curves at a few scattered times and the
-    # full curves are computed in blocks of up to 512: a time's column must
-    # have the same bits in every call of two or more columns. A lone
-    # column is summed pairwise, which differs once n is large.
+    # the bracket search reads the curves at a few scattered times, one
+    # included, and the full curves only at the times it did not read: a
+    # time's column must have the same bits in every call. NumPy sums a lone
+    # column pairwise, which differs from row order once n is large, so a
+    # lone time is the case to pin.
     rng = np.random.default_rng(n)
     lam, c_u, c_l = rng.uniform(0.5, 0.999, n), rng.uniform(1, 50, n), rng.uniform(0, 5, n)
     ref = _bound_curves(lam, c_u, c_l, np.arange(512))
-    for width in range(2, 65):
+    for width in range(1, 65):
         t0 = 7 * width
         blocks = (np.arange(t0, t0 + width), np.sort(rng.choice(512, width, replace=False)))
         for ts in blocks:
             for got, want in zip(_bound_curves(lam, c_u, c_l, ts), ref):
                 assert got.tobytes() == want[ts].tobytes(), (width, ts)
-    lone = [_bound_curves(lam, c_u, c_l, np.array([t])) for t in range(0, 512, 8)]
-    same = all(u.tobytes() == ref[0][t:t + 1].tobytes()
-               for t, (u, _) in zip(range(0, 512, 8), lone))
-    assert same == (n <= 7)
+    for t in range(0, 512, 8):
+        for got, want in zip(_bound_curves(lam, c_u, c_l, np.array([t])), ref):
+            assert got.tobytes() == want[t:t + 1].tobytes(), t
+    # in a call of more than 512 times too, whichever block a time lands in
+    wide = _bound_curves(lam, c_u, c_l, np.arange(1025))
+    back = _bound_curves(lam, c_u, c_l, np.arange(1024, 511, -1))
+    for got, want, rev in zip(wide, ref, back):
+        assert got[:512].tobytes() == want.tobytes()
+        assert got[512:].tobytes() == rev[::-1].tobytes()
 
 
 def _random_mmatrices(rng, n, K):

@@ -370,14 +370,14 @@ def _reference_scan(curves, alpha, horizon_cap):
 def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_posterior,
                                                    bear_ensemble):
     search = montecarlo._bracket_search
-    widths, expected = [], []
+    reads, expected = [], []
 
     def spy(curves, alpha, horizon_cap):
         def counted(ts):
-            widths[-1].append(len(ts))
+            reads[-1].append(np.array(ts))
             return curves(ts)
         expected.append(_reference_scan(curves, alpha, horizon_cap))
-        widths.append([])
+        reads.append([])
         return search(counted, alpha, horizon_cap)
 
     monkeypatch.setattr(montecarlo, "_bracket_search", spy)
@@ -409,15 +409,17 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
         assert tb.upper_curve.tobytes() == upper.tobytes()
         assert tb.lower_curve.tobytes() == lower.tobytes()
         t_plus.append(tp)
-    # two columns keep each column's bits (test_bound_curve_columns_keep_their_bits)
-    assert min(min(w) for w in widths) >= 2
+    # each search reads a time at most once, and none past horizon_cap
+    for read, (*_, cap) in zip(reads, cases):
+        read = np.concatenate(read)
+        assert len(np.unique(read)) == len(read) and read.max() <= cap
     closed = [t for t in t_plus if t is not None]
     assert min(closed) < 32 and max(closed) > 512
     assert any(32 <= t < 512 for t in closed)
     assert t_plus.count(None) >= 10
     # the search reads a few dozen columns: bear at alpha = 0.05 closes at
     # t = 4202, and a criterion-6 replicate near t = 30
-    columns = [sum(w) for w in widths]
+    columns = [sum(len(ts) for ts in r) for r in reads]
     assert t_plus[1] == 4202 and columns[1] <= 100
     assert np.mean(columns[-n_replicates:]) <= 32
 
@@ -455,13 +457,16 @@ def test_curves_compute_only_the_times_the_search_did_not_read(monkeypatch,
         n_search = len(calls)
         tb.upper_curve
         searched = np.concatenate(calls[:n_search])
-        computed = np.concatenate(calls[n_search:] or [np.array([], dtype=int)])
-        computed = computed[computed < tb.n_times]
+        # the curves take one call, on the times the search did not read
+        assert len(calls) == n_search + 1
+        computed = calls[-1]
         assert np.array_equal(tb.searched[0], np.unique(searched[searched < tb.n_times]))
         # each time of the curves is computed by the search or, once, after it
         assert np.array_equal(np.sort(np.concatenate([tb.searched[0], computed])),
                               np.arange(tb.n_times))
-        assert all(len(ts) >= 2 for ts in calls)
+        # the search reads each time at most once, and none past horizon_cap:
+        # on synth at alpha = 0.01 it reads t = 43 once, not again beside 42
+        assert len(np.unique(searched)) == len(searched) and searched.max() <= cap
 
 
 def test_conditioning_consistency(bear_posterior):

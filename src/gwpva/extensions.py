@@ -130,12 +130,12 @@ def poisson_extinction_fixed_point(mean: float) -> float:
     """Minimal root of s = exp(mean * (s - 1)) in [0, 1]: exactly 1 for
     mean <= 1 + 1e-12 (certain extinction; the float comparison, as at
     K = 1 the short-circuit of ``_fixed_point_rows`` is). The batched
-    ``_fixed_point_rows`` on a Poisson law stack of one draw, with K = 1
-    and mean matrix the mean itself."""
+    ``_fixed_point_rows`` on a Poisson law stack of one draw, with K = 1;
+    the pair's mean is the rate itself."""
     if not np.isfinite(mean) or mean < 0:
         raise ValueError(f"mean must be finite and nonnegative, got {mean!r}")
     rate = np.array([float(mean)])
-    s, failed = _fixed_point_rows({(1, 1): rate}, 1, rate[:, None, None])
+    s, failed = _fixed_point_rows({(1, 1): rate}, 1, {(1, 1): rate})
     if failed[0]:
         raise RuntimeError(f"fixed-point solve did not converge for mean {mean!r}")
     return float(s[0, 0])

@@ -5,14 +5,17 @@ type-i individual is the i-th coordinate of the minimal fixed point of the
 offspring generating function phi in [0, 1]^K; independence across founders
 turns a population into the product of per-founder coordinates.
 
-The per-draw kernels live here (the mean matrix is
-``spectral.mean_matrices``). They take a law stack, pair -> (n, kappa+1)
-categorical rows or (n,) Poisson rates, and the single-draw functions call
-them at n = 1 (``model._law_stack``). The pgf ``_phi`` and its Jacobian
-``_jacobian_entries`` work coefficient-major, draws along the last axis
-(``_coefficient_major``); ``_pgf`` and ``_pgf_jacobian`` are their dense
-(n, ...) views. ``_fixed_point_rows`` does its linear algebra with one
-row-batched M-matrix elimination, ``_mmatrix_lu``.
+The per-draw kernels live here. They take a law stack, pair -> (n,
+kappa+1) categorical rows or (n,) Poisson rates, and the stack's pair
+means, pair -> (n,) mean offspring numbers (``spectral.pair_means``), never
+a dense (n, K, K) mean-matrix stack: ``_lambda_below`` reads the pair means
+alone, ``_fixed_point_rows`` and ``_bound_constants`` the laws and the pair
+means. The single-draw functions call them at n = 1 (``model._law_stack``).
+The pgf ``_phi`` and its Jacobian ``_jacobian_entries`` work
+coefficient-major, draws along the last axis (``_coefficient_major``);
+``_pgf`` and ``_pgf_jacobian`` are their dense (n, ...) views.
+``_fixed_point_rows`` does its linear algebra with one row-batched
+M-matrix elimination, ``_mmatrix_lu``.
 
 The survival-bound curves of n draws are averaged by ``_bound_curves``, and
 the extinction-time bracket is found by ``_bracket_search``, which reads
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ParameterDraw, PopulationState, _as_abundance, _law_stack
-from .spectral import mean_matrices, perron_triple
+from .spectral import _n_draws, mean_matrices, pair_means, perron_triple
 
 __all__ = [
     "ExtinctionProfile",
@@ -222,12 +225,12 @@ def _mmatrix_lu(A: list) -> tuple[list, np.ndarray]:
     return F, ok
 
 
-def _lambda_below(pairs, M: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks lambda(M) < c and lambda(M) <= c of an (n, K, K) stack M, 0
-    outside ``pairs``, by one ``_mmatrix_lu`` of c I - M: the one criticality
-    rule, read at c = 1 for lambda < 1 and at 1 + 1e-12 for lambda <= 1."""
-    means = {(i, j): M[:, i - 1, j - 1] for (i, j) in pairs}
-    F, at_most = _mmatrix_lu(_shifted_negation(c, means, M.shape[-1], len(M)))
+def _lambda_below(means: dict, K: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks lambda(M) < c and lambda(M) <= c of the K x K mean matrices M
+    given by their pair means, pair -> (n,), 0 outside those pairs, by one
+    ``_mmatrix_lu`` of c I - M: the one criticality rule, read at c = 1 for
+    lambda < 1 and at 1 + 1e-12 for lambda <= 1."""
+    F, at_most = _mmatrix_lu(_shifted_negation(c, means, K, _n_draws(means)))
     return at_most & (F[-1][-1] > 0.0), at_most
 
 
@@ -241,23 +244,24 @@ def _mmatrix_solve(A: list, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     F, ok = _mmatrix_lu(A)
     K = len(F)
     ok &= F[K - 1][K - 1] > 0.0
-    y = list(b)
+    y = b.copy()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(1, K):
             for k in range(i):
                 if F[i][k] is not None:
-                    y[i] = y[i] - F[i][k] * y[k]
+                    y[i] -= F[i][k] * y[k]
         for i in range(K - 1, -1, -1):
             for j in range(i + 1, K):
                 if F[i][j] is not None:
-                    y[i] = y[i] - F[i][j] * y[j]
-            y[i] = y[i] / F[i][i]
-    return np.stack(y), ok
+                    y[i] -= F[i][j] * y[j]
+            y[i] /= F[i][i]
+    return y, ok
 
 
-def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_point_rows(laws: dict, K: int, means: dict) -> tuple[np.ndarray, np.ndarray]:
     """Minimal pgf fixed point of each draw of a law stack, plus a per-draw
-    failure mask; M holds the draws' (n, K, K) mean matrices.
+    failure mask; ``means`` holds the stack's pair means
+    (``spectral.pair_means``).
 
     Each draw is solved on its own, in three stages, so its answer does
     not depend on which other draws share the stack:
@@ -270,39 +274,26 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
     2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
        remaining draws. The iterates stay below the minimal root with
        phi(s) - s >= 0.
-    3. Newton: damped Newton steps on an active set of draws. Below the
-       minimal root q, phi'(s) <= phi'(q) and rho(phi'(q)) < 1 (Athreya &
-       Ney, *Branching Processes*, 1972, ch. V), so I - phi'(s) is a
-       nonsingular M-matrix and each step is solved by ``_mmatrix_solve``.
-       One line search serves every draw: it halves the steps of a mask of
-       pending draws up to six times, evaluating each trial point on every
-       active draw (a draw whose step was not solved steps by 0), and
-       accepts a step only where the draw is pending, the residual does
-       not increase and phi(s) - s >= -1e-12 stays true. The last test
-       pins the iterate below the minimal root, so rounding in a step
-       cannot carry it to the trivial root 1
-       (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A draw
-       leaves the set when its residual falls below 1e-15, when I - phi'(s)
-       has a nonpositive pivot, or when every damping of its step is
-       rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
+    3. Newton: damped Newton steps (``_newton_step``) on an active set of
+       draws. A draw leaves the set when its residual falls below 1e-15,
+       when I - phi'(s) has a nonpositive pivot, or when every damping of
+       its step is rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
 
     The solve runs coefficient-major, on (K, n) iterates (``_phi``). A draw
     whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as failed.
 
     Data moves along the draw axis by index, never by boolean mask: the
     active set is compacted with ``take`` on the indices of the draws that
-    stay, and a line-search halving swaps in the trial arrays when every
-    draw accepts and merges them with ``np.where`` only when some draw is
-    rejected. Every step is elementwise per draw, so a gather, a swap or a
-    merge moves a draw's values unchanged; steps are halved for every draw,
-    but the trial point of a draw no longer pending is never accepted.
-    Each draw's iterates therefore have the same bits as under masked
-    assignment."""
-    n = len(M)
+    stay, one pair's laws at a time, so the old and the compacted law sets
+    are never both held, and no Jacobian, step or trial array of a Newton
+    step outlives it. Every step is elementwise per draw, so a gather moves
+    a draw's values unchanged, and each draw's iterates have the same bits
+    as under masked assignment."""
+    n = _n_draws(laws)
     claws = _coefficient_major(laws)
     s = np.zeros((K, n))
-    certain = _lambda_below(laws, M, 1.0)[0] | ((_phi(claws, s).min(axis=0) > 0.0)
-                                                & _lambda_below(laws, M, 1.0 + 1e-12)[1])
+    certain = _lambda_below(means, K, 1.0)[0] | ((_phi(claws, s).min(axis=0) > 0.0)
+                                                 & _lambda_below(means, K, 1.0 + 1e-12)[1])
     s[:, certain] = 1.0
     rows = np.flatnonzero(~certain)
     live_laws = {pair: d.take(rows, axis=-1) for pair, d in claws.items()}
@@ -317,33 +308,61 @@ def _fixed_point_rows(laws: dict, K: int, M: np.ndarray) -> tuple[np.ndarray, np
             s[:, rows.take(done)] = x.take(done, axis=1)
             keep = np.flatnonzero(live)
             rows, x, f = rows.take(keep), x.take(keep, axis=1), f.take(keep, axis=1)
-            live_laws = {pair: d.take(keep, axis=-1) for pair, d in live_laws.items()}
+            for pair in live_laws:
+                live_laws[pair] = live_laws[pair].take(keep, axis=-1)
         if not len(rows):
             break
-        worst = np.abs(f).max(axis=0)
-        A = _shifted_negation(1.0, _jacobian_entries(live_laws, x), K, len(rows))
-        delta, pend = _mmatrix_solve(A, f)
-        if not pend.all():
-            delta = np.where(pend, delta, 0.0)
-        accepted = np.zeros(len(rows), dtype=bool)
-        for _halving in range(6):
-            if not pend.any():
-                break
-            x_try = np.clip(x + delta, 0.0, 1.0)
-            f_try = _phi(live_laws, x_try) - x_try
-            ok = pend & (np.abs(f_try).max(axis=0) <= worst) \
-                & (f_try.min(axis=0) >= -1e-12)
-            if ok.all():
-                x, f = x_try, f_try
-            else:
-                x, f = np.where(ok, x_try, x), np.where(ok, f_try, f)
-            accepted |= ok
-            pend &= ~ok
-            delta *= 0.5
-        live = accepted & (np.abs(f).max(axis=0) >= 1e-15)
+        x, f, live = _newton_step(live_laws, x, f)
     s[:, rows] = x
     residual = np.abs(_phi(claws, s) - s).max(axis=0)
     return np.ascontiguousarray(np.clip(s, 0.0, 1.0).T), residual > _FP_RESIDUAL_OK
+
+
+def _newton_step(claws: dict, x: np.ndarray, f: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One damped Newton step of ``_fixed_point_rows`` on every draw of a
+    coefficient-major law stack, at (K, n) iterates x with residuals f =
+    phi(x) - x. Returns the new x and f and a mask of the draws that stay
+    live: those that accepted a step and whose residual is still >= 1e-15.
+
+    Below the minimal root q, phi'(s) <= phi'(q) and rho(phi'(q)) < 1
+    (Athreya & Ney, *Branching Processes*, 1972, ch. V), so I - phi'(x) is
+    a nonsingular M-matrix and the step is solved by ``_mmatrix_solve``.
+    One line search serves every draw: it halves the steps of a mask of
+    pending draws up to six times, evaluating each trial point on every
+    draw (a draw whose step was not solved steps by 0), and accepts a step
+    only where the draw is pending, the residual does not increase and
+    phi(x) - x >= -1e-12 stays true. The last test pins the iterate below
+    the minimal root, so rounding in a step cannot carry it to the trivial
+    root 1 (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A
+    halving swaps in the trial arrays when every draw accepts and merges
+    them with ``np.where`` only when some draw is rejected; steps are
+    halved for every draw, but the trial point of a draw no longer pending
+    is never accepted. The Jacobian is freed once the step is solved, and
+    the step and trial arrays on return, so none is held while the caller
+    compacts its active set."""
+    K, n = x.shape
+    worst = np.abs(f).max(axis=0)
+    delta, pend = _mmatrix_solve(
+        _shifted_negation(1.0, _jacobian_entries(claws, x), K, n), f)
+    if not pend.all():
+        delta = np.where(pend, delta, 0.0)
+    accepted = np.zeros(n, dtype=bool)
+    for _halving in range(6):
+        if not pend.any():
+            break
+        x_try = np.clip(x + delta, 0.0, 1.0)
+        f_try = _phi(claws, x_try) - x_try
+        ok = pend & (np.abs(f_try).max(axis=0) <= worst) \
+            & (f_try.min(axis=0) >= -1e-12)
+        if ok.all():
+            x, f = x_try, f_try
+        else:
+            x, f = np.where(ok, x_try, x), np.where(ok, f_try, f)
+        accepted |= ok
+        pend &= ~ok
+        delta *= 0.5
+    return x, f, accepted & (np.abs(f).max(axis=0) >= 1e-15)
 
 
 def generating_function(draw: ParameterDraw, s) -> np.ndarray:
@@ -360,7 +379,7 @@ def minimal_fixed_point(draw: ParameterDraw) -> ExtinctionProfile:
     draw's law stack at n = 1, so s equals the ensemble's row for this draw
     bit for bit. Non-convergence is reported in the profile, never raised."""
     laws = _law_stack(draw)
-    s, failed = _fixed_point_rows(laws, draw.K, mean_matrices(laws, draw.K))
+    s, failed = _fixed_point_rows(laws, draw.K, pair_means(laws))
     return ExtinctionProfile(s=s[0], converged=not failed[0])
 
 
@@ -372,15 +391,15 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
     return float(np.prod(s ** N))
 
 
-def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, u: np.ndarray,
+def _bound_constants(laws: dict, means: dict, lam: np.ndarray, u: np.ndarray,
                      N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-draw xi (see ``SurvivalBounds``) and the constants of
     upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam, 0, 1).
 
     The n draws are given by ``laws`` (each pair's (n, kappa+1) categorical
-    law rows), their mean matrices M (n, K, K), Perron roots lam (n,) and
-    right eigenvectors u (n, K), at any positive scale; N is the (K,)
-    population. cL is 0 where xi <= 0.
+    law rows), their pair means (pair -> (n,), ``spectral.pair_means``),
+    Perron roots lam (n,) and right eigenvectors u (n, K), at any positive
+    scale; N is the (K,) population. cL is 0 where xi <= 0.
     """
     n, K = u.shape
     col_sup = np.zeros((n, K))
@@ -389,7 +408,7 @@ def _bound_constants(laws: dict, M: np.ndarray, lam: np.ndarray, u: np.ndarray,
         # summed term by term: sum_k k^2 p(k) - M^2 (1 - p(0)) cancels to 0
         # on near-point-mass laws
         ks = np.arange(1, d.shape[1], dtype=float)
-        val = np.sum((ks ** 2 - M[:, i - 1, j - 1, None] ** 2) * d[:, 1:], axis=1)
+        val = np.sum((ks ** 2 - means[(i, j)][:, None] ** 2) * d[:, 1:], axis=1)
         col = j - 1
         col_sup[:, col] = np.where(seen[:, col], np.maximum(col_sup[:, col], val), val)
         seen[:, col] = True
@@ -446,27 +465,28 @@ def survival_bounds(draw: ParameterDraw,
     """Upper and lower bounds on the survival curve of a subcritical draw.
 
     The n = 1 view of ``mc_time_bounds``: lambda < 1 is decided by
-    ``_lambda_below``, the Perron pair is ``perron_triple`` of the draw's
-    mean matrix, the constants come from ``_bound_constants`` on the draw
-    alone and the curves are ``_bound_curves`` of that one draw. Only
+    ``_lambda_below`` on the draw's pair means, the Perron pair is
+    ``perron_triple`` of its mean matrix, the constants come from
+    ``_bound_constants`` on the draw alone and the curves are
+    ``_bound_curves`` of that one draw. Only
     categorical laws are supported: a draw holding any other law (such as
     a ``PoissonLaw``) raises ValueError naming its pair.
     """
     laws = _law_stack(draw)
-    M = mean_matrices(laws, draw.K)
-    if not _lambda_below(laws, M, 1.0)[0][0]:
+    means = pair_means(laws)
+    if not _lambda_below(means, draw.K, 1.0)[0][0]:
         raise ValueError("survival bounds require lambda < 1")
     for pair, d in laws.items():
         if d.ndim == 1:
             raise ValueError(f"survival bounds need categorical laws; pair {pair} "
                              "holds a PoissonLaw")
     N = _as_abundance(population, draw.K)
-    triple = perron_triple(M[0])
+    triple = perron_triple(mean_matrices(laws, draw.K)[0])
     u = triple.u
     if u.min() <= 0:
         raise ValueError("right eigenvector must be strictly positive (irreducible M)")
     lam = np.array([triple.lam])
-    xi, cU, cL = _bound_constants(laws, M, lam, u[None], N)
+    xi, cU, cL = _bound_constants(laws, means, lam, u[None], N)
     return SurvivalBounds(lam=triple.lam, xi=float(xi[0]), weighted_size=float(u @ N),
                           upper=lambda t: _bound_curves(lam, cU, cL, t)[0],
                           lower=lambda t: _bound_curves(lam, cU, cL, t)[1])

@@ -6,12 +6,17 @@ expectations of per-draw functionals. One shared ensemble of parameter
 draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
-Each answer computes only the per-draw arrays it reads. Viability and the
-time bounds decide on which side of 1 lambda lies by the fixed point's
-elimination rule; only the time bounds solve Perron pairs, for the values
-of their lambda < 1 draws alone. Extinction probability, reintroduction
-and effective population size read the pgf fixed points alone, through
-``_usable_profiles``; the abundance path reads the mean matrices alone.
+Each answer computes only the per-draw arrays it reads. Every answer
+reads the mean matrices as the ensemble's pair means, pair -> (n,)
+(``spectral.pair_means``), never as a dense (n, K, K) stack. Viability and
+the time bounds decide on which side of 1 lambda lies by the fixed point's
+elimination rule on the pair means; only the time bounds solve Perron
+pairs, for the values of their lambda < 1 draws alone, and so build dense
+mean matrices for those draws alone. Extinction probability,
+reintroduction and effective population size read the pgf fixed points
+alone, through ``_usable_profiles``; the abundance path reads the mean
+matrices alone, stepping N(t + 1)_j = sum_i N(t)_i M_ij over the present
+pairs.
 An answer builds its ensemble from (params, n_prec, master_seed), or reads
 the one passed as ``ensemble=`` and ignores n_prec and master_seed; params
 must then be None or ``ensemble.params`` itself.
@@ -37,7 +42,7 @@ from .extinction import (_bound_constants, _bound_curves, _bracket_search,
 from .inference import HyperParams
 from .model import _as_abundance
 from .sampling import _dirichlet_rows
-from .spectral import is_primitive, mean_matrices, perron_batch, perron_residual
+from .spectral import _scatter, is_primitive, pair_means, perron_batch, perron_residual
 
 __all__ = [
     "MCEstimate",
@@ -158,12 +163,15 @@ class PosteriorEnsemble:
     r + 1) if its Dirichlet normalizer is zero (``sampling._dirichlet_rows``):
     the first n draws are the same for any ensemble size, draw 0 is
     sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
-    cannot be reproduced without the draws before it. The mean matrices,
+    cannot be reproduced without the draws before it. The pair means,
     criticality mask and pgf fixed points are cached properties that call
     the law-stack kernels on the whole batch, each on first use: the fixed
-    points need the laws and the mean matrices, the others the mean
-    matrices alone. Perron pairs are solved per draw, only for the draws an
-    answer asks for (``_perron``), and kept; ``lambdas`` asks for them all.
+    points need the laws and the pair means, the mask the pair means alone.
+    Perron pairs are solved per draw, only for the draws an answer asks for
+    (``_perron``), on dense mean matrices built for those draws alone, and
+    kept in a memo allocated on the first solve; ``lambdas`` asks for them
+    all. ``mean_matrices``, the dense (n, K, K) stack of every draw, is
+    built only when read, and no answer reads it.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -176,10 +184,6 @@ class PosteriorEnsemble:
         self.pairs = sorted(params.alpha)
         self.K = params.K
         self._laws = _dirichlet_rows(params, self.master_seed, self.n_prec)
-        # the (lam, u, v) memo of ``_perron``: row r holds draw r's pair once
-        # _perron_solved[r] is set
-        self._perron_pairs = (np.empty(self.n_prec), np.empty((self.n_prec, self.K)),
-                              np.empty((self.n_prec, self.K)))
         self._perron_solved = np.zeros(self.n_prec, dtype=bool)
 
     def law(self, pair) -> np.ndarray:
@@ -189,8 +193,14 @@ class PosteriorEnsemble:
     # ---- derived batch quantities ---------------------------------------
 
     @cached_property
+    def pair_means(self) -> dict:
+        """pair -> (n_prec,) mean offspring numbers of the draws."""
+        return pair_means(self._laws)
+
+    @cached_property
     def mean_matrices(self) -> np.ndarray:
-        return mean_matrices(self._laws, self.K)
+        """(n_prec, K, K) dense mean matrices: the pair means scattered."""
+        return _scatter(self.pair_means, self.K, self.n_prec)
 
     @cached_property
     def primitive_warning(self) -> bool:
@@ -204,20 +214,29 @@ class PosteriorEnsemble:
     @cached_property
     def _not_supercritical(self) -> np.ndarray:
         """Draws with lambda <= 1 + 1e-12, by ``extinction._lambda_below``."""
-        return _lambda_below(self.pairs, self.mean_matrices, 1.0 + 1e-12)[1]
+        return _lambda_below(self.pair_means, self.K, 1.0 + 1e-12)[1]
+
+    @cached_property
+    def _perron_memo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (lam, u, v) memo of ``_perron``, allocated on its first call:
+        row r holds draw r's pair once ``_perron_solved[r]`` is set."""
+        return (np.empty(self.n_prec), np.empty((self.n_prec, self.K)),
+                np.empty((self.n_prec, self.K)))
 
     def _perron(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dominant eigenvalue, right and left eigenvectors of the draws with
-        the given indices. ``perron_batch`` runs once on those not yet
-        solved; its rows are independent, so a draw's pair has the same bits
-        whichever draws are solved with it."""
+        the given indices. ``perron_batch`` runs once, on the dense mean
+        matrices of those not yet solved; its rows are independent, so a
+        draw's pair has the same bits whichever draws are solved with it."""
+        memo = self._perron_memo
         todo = rows[~self._perron_solved[rows]]
         if len(todo):
-            for out, x in zip(self._perron_pairs,
-                              perron_batch(self.mean_matrices.take(todo, axis=0))):
+            M = _scatter({p: m.take(todo) for p, m in self.pair_means.items()},
+                         self.K, len(todo))
+            for out, x in zip(memo, perron_batch(M)):
                 out[todo] = x
             self._perron_solved[todo] = True
-        return tuple(a.take(rows, axis=0) for a in self._perron_pairs)
+        return tuple(a.take(rows, axis=0) for a in memo)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -226,8 +245,8 @@ class PosteriorEnsemble:
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
         """Minimal pgf fixed point and failure flag per draw; decides
-        lambda <= 1 from the mean matrices, without the Perron pairs."""
-        return _fixed_point_rows(self._laws, self.K, self.mean_matrices)
+        lambda <= 1 from the pair means, without the Perron pairs."""
+        return _fixed_point_rows(self._laws, self.K, self.pair_means)
 
     @property
     def extinction_profiles(self) -> np.ndarray:
@@ -300,22 +319,46 @@ def mc_short_time_abundance(params: HyperParams, initial, horizon: int,
 
     Per draw the conditional expectation N(0) M^t is exact; averaging over
     draws integrates out parameter uncertainty. Demographic noise around
-    the conditional mean is not included."""
+    the conditional mean is not included.
+
+    A step N(t + 1)_j = sum_i N(t)_i M_ij adds one term per present pair
+    (i, j), in increasing i, to a column that starts at 0, which has the
+    bits of the dense product ``einsum("ri,rij->rj")``: its terms of absent
+    pairs are 0 * N(t)_i = 0 while N(t) is finite, and add nothing. Each
+    step's mean and standard error come from one column sum
+    (``_column_mean_se``)."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     ens = _ensemble(params, n_prec, master_seed, ensemble)
+    n = ens.n_prec
     N0 = _as_abundance(initial, ens.K)
-    x = np.broadcast_to(N0, (ens.n_prec, ens.K)).copy()
+    x = np.broadcast_to(N0, (n, ens.K)).copy()
     out = []
     for t in range(horizon + 1):
-        mean = np.sum(x, axis=0) / ens.n_prec
-        se = x.std(axis=0, ddof=1) / np.sqrt(ens.n_prec) if ens.n_prec > 1 \
-            else np.full(ens.K, np.nan)
-        out.append(MCEstimate(value=mean, std_error=se, n_prec=ens.n_prec,
-                              n_used=ens.n_prec, master_seed=ens.master_seed))
+        mean, se = _column_mean_se(x)
+        out.append(MCEstimate(value=mean, std_error=se, n_prec=n, n_used=n,
+                              master_seed=ens.master_seed))
         if t < horizon:
-            x = np.einsum("ri,rij->rj", x, ens.mean_matrices)
+            step = np.zeros_like(x)
+            for (i, j), m in ens.pair_means.items():
+                step[:, j - 1] += x[:, i - 1] * m
+            x = step
     return out
+
+
+def _column_mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of an (n, K) x and their standard errors
+    std(ddof=1) / sqrt(n), NaN at n = 1, from one column sum: the squared
+    deviations from the mean are summed as ``np.std`` sums them, so both
+    have the bits of ``np.sum(x, axis=0) / n`` and ``x.std(axis=0, ddof=1)
+    / sqrt(n)``."""
+    n = len(x)
+    mean = np.sum(x, axis=0) / n
+    if n == 1:
+        return mean, np.full(x.shape[1], np.nan)
+    dev = x - mean
+    np.square(dev, out=dev)
+    return mean, np.sqrt(np.sum(dev, axis=0) / (n - 1)) / np.sqrt(n)
 
 
 def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
@@ -336,8 +379,9 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     estimate's ``upper_curve`` or ``lower_curve`` is read. They end at
     t_plus or, when t_plus is None, at the length ``_bracket_search`` gives,
     which can be well before ``horizon_cap``. Perron pairs are solved for the
-    lambda < 1 draws alone, so ``perron-failures`` counts the lambda < 1
-    draws whose Perron pair misses its residual limit.
+    lambda < 1 draws alone, on dense mean matrices built for those draws
+    alone, so ``perron-failures`` counts the lambda < 1 draws whose Perron
+    pair misses its residual limit.
 
     The bounds divide by the smallest entry of the right Perron vector u,
     so a subcritical draw whose u has an entry <= 0 (a reducible mean
@@ -347,17 +391,18 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     averaged; RuntimeError is raised if none is left."""
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
-    sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+    sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
     n_sub = int(np.sum(sub))
     if n_sub == 0:
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
     rows = np.flatnonzero(sub)
     lam, u, v = ens._perron(rows)
-    M = ens.mean_matrices.take(rows, axis=0)
+    means = {p: m.take(rows) for p, m in ens.pair_means.items()}
+    M = _scatter(means, ens.K, n_sub)
     laws = {p: d.take(rows, axis=0) for p, d in ens._laws.items()}
     # degenerate rows may divide by zero or overflow; they are left out below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xi, cU, cL = _bound_constants(laws, M, lam, u, N)
+        xi, cU, cL = _bound_constants(laws, means, lam, u, N)
     use = (u.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
     n_used = int(np.sum(use))
     if n_used == 0:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .model import ParameterDraw, _law_stack
 
-__all__ = ["SpectralTriple", "mean_matrix", "mean_matrices", "perron_batch",
-           "perron_residual", "perron_triple", "is_primitive"]
+__all__ = ["SpectralTriple", "mean_matrix", "mean_matrices", "pair_means",
+           "perron_batch", "perron_residual", "perron_triple", "is_primitive"]
 
 _SHIFT = 1e-12
 
@@ -38,25 +38,51 @@ class SpectralTriple:
     residual: float = 0.0
 
 
-def mean_matrices(laws: dict, K: int) -> np.ndarray:
-    """Mean offspring matrix of each draw of a law stack, (n, K, K).
+def _n_draws(stack: dict) -> int:
+    """Number of draws of a law stack or of its pair means, draws along the
+    first axis; an empty stack is one draw with no pairs."""
+    return max((len(d) for d in stack.values()), default=1)
+
+
+def pair_means(laws: dict) -> dict:
+    """Mean offspring number of each pair of a law stack: pair -> (n,) means.
 
     ``laws`` maps each pair to its (n, kappa+1) categorical rows, with mean
-    sum_k k p(k), or to its (n,) Poisson rates, their own means. An empty
-    stack is one draw with no pairs. The categorical sum is taken term by
-    term in order of k with elementwise arithmetic only, so each row's mean
-    is bit-identical whatever the other rows are.
+    sum_k k p(k), or to its (n,) Poisson rates, their own means (returned
+    as they are, so callers never write into them). The categorical sum is
+    taken term by term in order of k, from 0, with elementwise arithmetic
+    only, so each row's mean is bit-identical whatever the other rows are.
+    These means are the one mean kernel: the answers read them by pair, and
+    only a Perron solve needs them as dense matrices (``mean_matrices``).
     """
-    n = max((len(d) for d in laws.values()), default=1)
-    M = np.zeros((n, K, K))
-    for (i, j), d in laws.items():
+    out = {}
+    for pair, d in laws.items():
         if d.ndim == 1:
-            M[:, i - 1, j - 1] = d
+            out[pair] = d
         else:
-            m = M[:, i - 1, j - 1]  # a view: the sum accumulates in M
+            m = out[pair] = np.zeros(len(d))
             for k in range(1, d.shape[1]):
                 m += k * d[:, k]
+    return out
+
+
+def _scatter(means: dict, K: int, n: int) -> np.ndarray:
+    """The (n, K, K) dense stack of pair means, 0 outside their pairs."""
+    M = np.zeros((n, K, K))
+    for (i, j), m in means.items():
+        M[:, i - 1, j - 1] = m
     return M
+
+
+def mean_matrices(laws: dict, K: int) -> np.ndarray:
+    """Mean offspring matrix of each draw of a law stack, (n, K, K): the
+    ``pair_means`` of ``laws`` scattered into a dense stack, 0 outside the
+    stack's pairs. An empty stack is one draw with no pairs. Each entry has
+    the bits of its pair mean. The dense stack holds K^2 entries per draw
+    however few pairs are present, so the ensemble's answers build it only
+    for the draws whose Perron pairs they solve.
+    """
+    return _scatter(pair_means(laws), K, _n_draws(laws))
 
 
 def mean_matrix(draw: ParameterDraw) -> np.ndarray:

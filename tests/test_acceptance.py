@@ -20,7 +20,7 @@ from gwpva.datasets import (bear_cap, bear_life_table, bear_population_2016,
 from gwpva.extinction import _lambda_below, _pgf
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
-from gwpva.spectral import mean_matrices, perron_batch
+from gwpva.spectral import pair_means, perron_batch
 
 from conftest import record_acceptance
 
@@ -354,8 +354,7 @@ def test_multitype_upper_bound_dominates_exact_survival(K):
         d[:, 1:] *= rng.uniform(0, 1.5 / K, (n, 1))
         d[:, 0] = 1 - d[:, 1:].sum(axis=1)
         laws[pair] = d
-    M = mean_matrices(laws, K)
-    sub = np.flatnonzero(_lambda_below(pairs, M, 1.0)[0])
+    sub = np.flatnonzero(_lambda_below(pair_means(laws), K, 1.0)[0])
     assert len(sub) >= 200
     N = np.zeros((n, K))
     N[np.arange(n), rng.integers(0, K, n)] = rng.integers(1, 6, n)  # one founder type

@@ -11,7 +11,8 @@ import pytest
 
 import gwpva as g
 from gwpva.cli import build_parser, main
-from gwpva.datasets import bear_life_table, synthetic_life_table
+from gwpva import spectral
+from gwpva.datasets import bear_cap, bear_life_table, synthetic_life_table
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +487,41 @@ def test_bear_end_to_end(tmp_path, capsys):
     assert main(["viability", "--posterior", str(posterior), "--seed", "2024",
                  "--nprec", "500"]) == 0
     assert "P(lambda > 1 | data)" in capsys.readouterr().out
+
+
+def test_only_time_bounds_builds_dense_mean_matrices(tmp_path, monkeypatch, capsys):
+    # every other answer reads the pair means alone; time-bounds builds dense
+    # mean matrices for its lambda < 1 draws alone
+    table = tmp_path / "bear.csv"
+    table.write_text(g.format_life_table(bear_life_table()))
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"format_version": 1, "K": 5, "pairs": [
+        {"i": i, "j": j, "kappa": kappa}
+        for (i, j), kappa in bear_cap().kappa.items()]}))
+    posterior = tmp_path / "bear_posterior.json"
+    assert main(["fit", "--table", str(table), "--prior", str(prior),
+                 "--out", str(posterior)]) == 0
+    built = []
+    scatter = spectral._scatter
+
+    def spy(means, K, n):
+        built.append(n)
+        return scatter(means, K, n)
+
+    monkeypatch.setattr("gwpva.spectral._scatter", spy)
+    monkeypatch.setattr("gwpva.montecarlo._scatter", spy)
+    common = ["--posterior", str(posterior), "--seed", "2024", "--nprec", "2000"]
+    pop = ["--pop", "2,2,2,2,10"]
+    for argv in (["viability"], ["extinction"] + pop, ["reintroduce", "--type", "5"],
+                 ["predict", "--horizon", "10"] + pop):
+        assert main(argv + common) == 0, argv
+        assert built == [], argv
+    out = tmp_path / "tb.json"
+    assert main(["time-bounds", "--out", str(out)] + pop + common) == 0
+    n_sub = 2000 - json.loads(out.read_text())["warnings"]["supercritical-draws"]
+    assert 0 < n_sub < 200
+    assert built and all(n == n_sub for n in built)
+    capsys.readouterr()
 
 
 def test_fit_feeds_poisson_pair_counts_to_gamma_update(synthetic_files, tmp_path, capsys):

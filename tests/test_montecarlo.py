@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
     lam, u, _ = spectral.perron_batch(ens.mean_matrices)
     u_min = u.min(axis=1)
-    sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+    sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
     assert np.sum(sub & (u_min <= 0)) > 0
     tb = g.mc_time_bounds(post, (3, 2), ensemble=ens)
     dropped = tb.warnings["degenerate-eigenvector"]
@@ -167,7 +168,7 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     # min(1, (u.N / min u) lam^t) is <= alpha, or None if there is none;
     # each term is nonincreasing in t, so two points decide it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xi, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.mean_matrices, lam, u,
+        xi, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.pair_means, lam, u,
                                                    np.array([3.0, 2.0]))
         c_upper = (u @ np.array([3.0, 2.0])) / u_min
     use = sub & (u_min > 0) & np.isfinite(c_u) & np.isfinite(c_l)
@@ -215,7 +216,7 @@ def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
     pop = (1, 1, 1)
     # the time bounds solve only their lambda < 1 draws' pairs and count the
     # failures among those
-    sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+    sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
     count = g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"]
     assert count == np.sum(failed & sub)
     assert 0 < count < np.sum(failed)
@@ -655,10 +656,11 @@ def test_rejected_draws_keep_their_own_bits():
     # share its stack
     ens = PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5)
     s, failed = ens.extinction_profiles, ens.fixed_point_failures
-    laws, M = ens._laws, ens.mean_matrices
+    laws, means = ens._laws, ens.pair_means
 
     def alone(rows):
-        return _fixed_point_rows({p: d[rows] for p, d in laws.items()}, ens.K, M[rows])
+        return _fixed_point_rows({p: d[rows] for p, d in laws.items()}, ens.K,
+                                 {p: m[rows] for p, m in means.items()})
 
     # both halves of a permuted stack
     for half in np.split(np.random.default_rng(5).permutation(ens.n_prec), 2):
@@ -688,7 +690,7 @@ def test_short_circuit_classifier_matches_perron_root(synthetic_posterior, bear_
     for ens in ensembles:
         lam = ens.lambdas
         assert np.array_equal(ens._not_supercritical, lam <= c)
-        sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+        sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
         if ens is tiny:
             assert np.all(np.abs(lam[sub != (lam < 1.0)] - 1.0) <= 1.2e-16)
         else:
@@ -740,7 +742,7 @@ def test_time_bounds_solve_only_subcritical_perron_pairs(bear_ensemble):
     for post, n, seed, pop in cases:
         cold = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
         got = g.mc_time_bounds(post, pop, horizon_cap=10 ** 4, ensemble=cold)
-        sub = _lambda_below(cold.pairs, cold.mean_matrices, 1.0)[0]
+        sub = _lambda_below(cold.pair_means, cold.K, 1.0)[0]
         assert np.array_equal(cold._perron_solved, sub)
         warm = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
         warm.lambdas
@@ -750,6 +752,87 @@ def test_time_bounds_solve_only_subcritical_perron_pairs(bear_ensemble):
         for name in ("times", "upper_curve", "lower_curve"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert np.array_equal(cold.lambdas, spectral.perron_batch(cold.mean_matrices)[0])
+
+
+def test_answers_build_no_dense_stack_and_no_perron_memo(bear_posterior, monkeypatch):
+    # every answer but the time bounds reads the pair means alone; the time
+    # bounds build dense mean matrices for their lambda < 1 draws alone
+    built = []
+
+    def spy(means, K, n):
+        built.append(n)
+        return scatter(means, K, n)
+
+    scatter = spectral._scatter
+    monkeypatch.setattr(spectral, "_scatter", spy)
+    monkeypatch.setattr(montecarlo, "_scatter", spy)
+    ens = PosteriorEnsemble(bear_posterior, n_prec=2000, master_seed=2024)
+    pop = (2, 2, 2, 2, 10)
+    g.mc_viability_probability(bear_posterior, ensemble=ens)
+    g.mc_extinction_probability(bear_posterior, pop, ensemble=ens)
+    g.mc_reintroduction(bear_posterior, ensemble=ens)
+    g.effective_population_size(bear_posterior, 5, ensemble=ens)
+    g.mc_short_time_abundance(bear_posterior, pop, horizon=10, ensemble=ens)
+    assert built == []
+    assert "mean_matrices" not in ens.__dict__
+    assert "_perron_memo" not in ens.__dict__ and not ens._perron_solved.any()
+    tb = g.mc_time_bounds(bear_posterior, pop, ensemble=ens)
+    n_sub = ens.n_prec - tb.warnings["supercritical-draws"]
+    assert 0 < n_sub < ens.n_prec / 10
+    assert built and all(n == n_sub for n in built)
+    assert "mean_matrices" not in ens.__dict__
+
+
+def test_extinction_working_set(bear_posterior):
+    # the bear answer at n_prec 10 000 holds the laws, their pair means and
+    # the Newton working set of the fixed point, never a dense (n, K, K)
+    # stack or a Perron memo (version 1.2.6, which held both, peaked at 9.27
+    # MiB). NumPy reports its buffers to tracemalloc, so the peak is
+    # deterministic
+    g.mc_extinction_probability(bear_posterior, (2, 2, 2, 2, 10), n_prec=10,
+                                master_seed=2024)
+    tracemalloc.start()
+    try:
+        g.mc_extinction_probability(bear_posterior, (2, 2, 2, 2, 10), n_prec=10_000,
+                                    master_seed=2024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2 ** 20, peak / 2 ** 20
+
+
+def _dense_random_posterior():
+    """Three types with every pair present, caps 1..3 and random alphas."""
+    rng = np.random.default_rng(31)
+    cap = g.OffspringCap(3, {(i, j): int(rng.integers(1, 4))
+                             for i in range(1, 4) for j in range(1, 4)})
+    return g.PosteriorParams(cap, {p: rng.uniform(0.2, 5.0, k + 1)
+                                   for p, k in cap.kappa.items()})
+
+
+def test_abundance_path_keeps_dense_bits(bear_ensemble, synthetic_posterior):
+    # the oracle is the dense formulation: N(t + 1) = einsum(N(t), M) per
+    # draw, the mean np.sum / n and the standard error std(ddof=1) / sqrt(n)
+    cases = [(bear_ensemble, (2, 2, 2, 2, 10)),
+             (PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024), (22,)),
+             (PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5), (3, 2)),
+             (PosteriorEnsemble(_dense_random_posterior(), n_prec=3000, master_seed=9),
+              (4, 1, 7))]
+    for ens, pop in cases:
+        got = g.mc_short_time_abundance(ens.params, pop, horizon=10, ensemble=ens)
+        x = np.broadcast_to(np.asarray(pop, dtype=float), (ens.n_prec, ens.K)).copy()
+        for t, est in enumerate(got):
+            assert est.value.tobytes() == (np.sum(x, axis=0) / ens.n_prec).tobytes(), t
+            se = x.std(axis=0, ddof=1) / np.sqrt(ens.n_prec)
+            assert est.std_error.tobytes() == se.tobytes(), t
+            x = np.einsum("ri,rij->rj", x, ens.mean_matrices)
+    one = PosteriorEnsemble(_dense_random_posterior(), n_prec=1, master_seed=9)
+    got = g.mc_short_time_abundance(one.params, (4, 1, 7), horizon=3, ensemble=one)
+    x = np.array([[4.0, 1.0, 7.0]])
+    for est in got:
+        assert est.value.tobytes() == x[0].tobytes()
+        assert np.isnan(est.std_error).all()
+        x = np.einsum("ri,rij->rj", x, one.mean_matrices)
 
 
 def test_subcritical_degenerate_draws_are_certainly_extinct():
@@ -763,7 +846,7 @@ def test_subcritical_degenerate_draws_are_certainly_extinct():
     post = _tiny_alpha_posterior()
     for n, seed in ((3000, 5), (20_000, 6)):
         ens = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
-        sub = _lambda_below(ens.pairs, ens.mean_matrices, 1.0)[0]
+        sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
         assert np.all(ens.extinction_profiles[sub] == 1.0)
         assert not ens.fixed_point_failures[sub].any()
     rows = [2161, 4200]
@@ -809,7 +892,7 @@ def test_batched_fixed_point_on_mixed_law_stacks(K):
     # categorical and Poisson pairs in one stack, through the batched
     # kernel and the oracle
     laws = _mixed_law_stack(np.random.default_rng(200 + K), K, 200)
-    s, bad = _fixed_point_rows(laws, K, spectral.mean_matrices(laws, K))
+    s, bad = _fixed_point_rows(laws, K, spectral.pair_means(laws))
     assert not bad.any()
     assert (_pgf(laws, s) - s).min() >= -1e-12
     lam = spectral.perron_batch(spectral.mean_matrices(laws, K))[0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gwpva as g
+from gwpva import spectral
 from gwpva.datasets import synthetic_true_draw
 
 
@@ -85,3 +86,38 @@ def test_mean_matrices_prefix_invariant_for_wide_laws():
     for n in range(1, 60):
         part = PosteriorEnsemble(prior, n_prec=n, master_seed=5).mean_matrices
         assert np.array_equal(part, full[:n]), n
+
+
+def test_pair_means_equal_a_per_pair_loop(bear_posterior, synthetic_posterior):
+    # the oracle sums each pair's mean draw by draw, term by term in k, in
+    # Python floats; mean_matrices holds those bits at (i, j) and 0 elsewhere
+    from gwpva.montecarlo import PosteriorEnsemble
+
+    cap = g.OffspringCap(2, {(1, 1): 3, (1, 2): 2, (2, 1): 1, (2, 2): 4})
+    tiny = g.PosteriorParams(cap, {p: np.full(k + 1, 1e-3) for p, k in cap.kappa.items()})
+    stacks = [PosteriorEnsemble(post, n_prec=2000, master_seed=seed)._laws
+              for post, seed in ((bear_posterior, 2024), (synthetic_posterior, 7), (tiny, 5))]
+    rng = np.random.default_rng(3)
+    stacks.append({(1, 1): rng.uniform(0.0, 3.0, 50),
+                   (2, 1): rng.dirichlet(np.ones(4), 50)})  # a Poisson and a categorical pair
+    for laws in stacks:
+        K = max(max(pair) for pair in laws)
+        means = spectral.pair_means(laws)
+        M = spectral.mean_matrices(laws, K)
+        assert list(means) == list(laws)
+        present = np.zeros((K, K), dtype=bool)
+        for (i, j), d in laws.items():
+            if d.ndim == 1:
+                want = [float(rate) for rate in d]
+            else:
+                want = []
+                for row in d:
+                    acc = 0.0
+                    for k in range(1, len(row)):
+                        acc = acc + k * float(row[k])
+                    want.append(acc)
+            want = np.array(want)
+            assert means[(i, j)].tobytes() == want.tobytes(), (i, j)
+            assert M[:, i - 1, j - 1].tobytes() == want.tobytes(), (i, j)
+            present[i - 1, j - 1] = True
+        assert not M[:, ~present].any()

@@ -500,18 +500,16 @@ _OPEN_BLOCK = 512
 
 
 def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
-                    ) -> tuple[int, int | None, int, tuple[np.ndarray, ...]]:
+                    ) -> tuple[int, int | None, int]:
     """The bracket of ``extinction_time_bounds`` and ``mc_time_bounds``.
 
-    Returns (t_minus, t_plus, length, read). t_plus is the first t <= horizon_cap
+    Returns (t_minus, t_plus, length). t_plus is the first t <= horizon_cap
     with upper(t) <= alpha (None if there is none); t_minus is the last t
     before ``length`` with lower(t) >= 1 - alpha (0 if there is none).
     ``length`` is how many times t = 0, 1, ... the curves run: to t_plus
     when it is set; otherwise to horizon_cap, or, when horizon_cap >= 992,
     to the first of t = 991, 1503, 2015, ... (every 512 steps) by which
     lower has fallen below 1 - alpha, since t_minus is fixed by then.
-    ``read`` holds the (times, upper, lower) columns read before ``length``,
-    each time once, in increasing order.
 
     Both curves must be nonincreasing in t, so p, the first t with
     upper <= alpha, and q, the first with lower < 1 - alpha, each lie in a
@@ -533,7 +531,7 @@ def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
     lo_p = lo_q = -1
     p = q = horizon_cap + 1  # the brackets' upper ends
     k, g_last = 0, -1
-    read, seen = [], set()
+    seen = set()
     while p - lo_p > 1 or (q - lo_q > 1 and lo_q < p):
         ts = set()
         if lo_p < horizon_cap and p > g_last:
@@ -556,7 +554,6 @@ def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
             continue
         seen.update(ts)
         upper, lower = curves(np.array(ts))
-        read.append((ts, upper, lower))
         for t, u, lo in zip(ts, upper, lower):
             if u <= alpha:
                 p = min(p, t)
@@ -570,10 +567,7 @@ def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
     length = p + 1 if p <= horizon_cap else \
         min(horizon_cap + 1, _OPEN_END + 1 + _OPEN_BLOCK * blocks)
     t_minus = max(min(q, length) - 1, 0)
-    times, first = np.unique(np.concatenate([r[0] for r in read]), return_index=True)
-    first = first[times < length]
-    read = tuple(np.concatenate(c)[first] for c in zip(*read))
-    return t_minus, (p if p <= horizon_cap else None), length, read
+    return t_minus, (p if p <= horizon_cap else None), length
 
 
 def _inside(lo: int, hi: int) -> list[int]:
@@ -603,5 +597,5 @@ def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float
         lo = np.zeros_like(u) if lower is None else np.asarray(lower(ts), dtype=float)
         return u, lo
 
-    t_minus, t_plus = _bracket_search(curves, alpha, horizon_cap)[:2]
+    t_minus, t_plus, _ = _bracket_search(curves, alpha, horizon_cap)
     return TimeBounds(t_minus=t_minus, t_plus=t_plus, alpha=alpha)

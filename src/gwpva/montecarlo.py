@@ -11,8 +11,8 @@ reads the mean matrices as the ensemble's pair means, pair -> (n,)
 (``spectral.pair_means``), never as a dense (n, K, K) stack. Viability and
 the time bounds decide on which side of 1 lambda lies by the fixed point's
 elimination rule on the pair means; only the time bounds solve Perron
-pairs, for the values of their lambda < 1 draws alone, and so build dense
-mean matrices for those draws alone. Extinction probability,
+pairs, for their lambda < 1 draws alone, and so build dense mean matrices
+for those draws alone, once. Extinction probability,
 reintroduction and effective population size read the pgf fixed points
 alone, through ``_usable_profiles``; the abundance path reads the mean
 matrices alone, stepping N(t + 1)_j = sum_i N(t)_i M_ij over the present
@@ -93,15 +93,13 @@ class TimeBoundsEstimate:
     probability, so P(T_ext <= t_minus) <= alpha is not guaranteed and
     (t_minus, t_plus] is not a proven 1 - 2*alpha interval.
 
-    The estimate keeps the averaged draws' Perron roots ``lam`` and bound
-    constants ``c_upper`` and ``c_lower`` (see ``extinction._bound_curves``),
-    the curve length ``n_times``, and in ``searched`` the (times, upper,
-    lower) columns the bracket search read before t = n_times. ``times`` is
-    0 .. n_times - 1, and ``upper_curve`` and ``lower_curve`` are computed on
-    first read, by one ``_bound_curves`` call on the times the search did
-    not read, so an answer that reads only the bracket never pays for them.
-    A curve value's bits depend only on the draws and on t, so the curves
-    equal a single call on ``times``."""
+    The estimate keeps the averaged draws' Perron roots ``lam``, bound
+    constants ``c_upper`` and ``c_lower`` (see ``extinction._bound_curves``)
+    and the curve length ``n_times``. ``times`` is 0 .. n_times - 1, and
+    ``upper_curve`` and ``lower_curve`` are computed on first read, in one
+    ``_bound_curves`` call on ``times``, so an answer that reads only the
+    bracket never pays for them. A curve value's bits depend only on the
+    draws and on t, so the curves agree with the values the search read."""
 
     t_minus: int
     t_plus: int | None
@@ -110,7 +108,6 @@ class TimeBoundsEstimate:
     lam: np.ndarray = field(repr=False, compare=False)
     c_upper: np.ndarray = field(repr=False, compare=False)
     c_lower: np.ndarray = field(repr=False, compare=False)
-    searched: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
     n_prec: int
     n_used: int
     master_seed: int
@@ -122,15 +119,7 @@ class TimeBoundsEstimate:
 
     @cached_property
     def _curves(self) -> tuple[np.ndarray, np.ndarray]:
-        # a time's value has the same bits whatever times share its call (see
-        # _bound_curves), so the searched ones are kept and only the rest
-        # computed
-        t_read, *read = self.searched
-        curves = np.empty((2, self.n_times))
-        curves[:, t_read] = read
-        missing = np.setdiff1d(self.times, t_read)
-        curves[:, missing] = _bound_curves(self.lam, self.c_upper, self.c_lower, missing)
-        return curves[0], curves[1]
+        return _bound_curves(self.lam, self.c_upper, self.c_lower, self.times)
 
     @property
     def upper_curve(self) -> np.ndarray:
@@ -170,8 +159,7 @@ class PosteriorEnsemble:
     Perron pairs are solved per draw, only for the draws an answer asks for
     (``_perron``), on dense mean matrices built for those draws alone, and
     kept in a memo allocated on the first solve; ``lambdas`` asks for them
-    all. ``mean_matrices``, the dense (n, K, K) stack of every draw, is
-    built only when read, and no answer reads it.
+    all.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -198,11 +186,6 @@ class PosteriorEnsemble:
         return pair_means(self._laws)
 
     @cached_property
-    def mean_matrices(self) -> np.ndarray:
-        """(n_prec, K, K) dense mean matrices: the pair means scattered."""
-        return _scatter(self.pair_means, self.K, self.n_prec)
-
-    @cached_property
     def primitive_warning(self) -> bool:
         # Dirichlet draws are a.s. positive wherever the cap allows, so the
         # nonnegative pattern is the cap pattern, shared by every draw
@@ -218,22 +201,24 @@ class PosteriorEnsemble:
 
     @cached_property
     def _perron_memo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (lam, u, v) memo of ``_perron``, allocated on its first call:
-        row r holds draw r's pair once ``_perron_solved[r]`` is set."""
+        """The (lam, u, converged) memo of ``_perron``, allocated on its first
+        call: row r holds draw r's values once ``_perron_solved[r]`` is set."""
         return (np.empty(self.n_prec), np.empty((self.n_prec, self.K)),
-                np.empty((self.n_prec, self.K)))
+                np.empty(self.n_prec, dtype=bool))
 
     def _perron(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dominant eigenvalue, right and left eigenvectors of the draws with
-        the given indices. ``perron_batch`` runs once, on the dense mean
-        matrices of those not yet solved; its rows are independent, so a
-        draw's pair has the same bits whichever draws are solved with it."""
+        """Dominant eigenvalue, right eigenvector and ``perron_residual``'s
+        convergence flag of the draws with the given indices. Both kernels
+        run once, on the dense mean matrices of the draws not yet solved;
+        their rows are independent, so a draw's values have the same bits
+        whichever draws are solved with it. The left vector is not kept."""
         memo = self._perron_memo
         todo = rows[~self._perron_solved[rows]]
         if len(todo):
             M = _scatter({p: m.take(todo) for p, m in self.pair_means.items()},
                          self.K, len(todo))
-            for out, x in zip(memo, perron_batch(M)):
+            lam, u, v = perron_batch(M)
+            for out, x in zip(memo, (lam, u, perron_residual(M, lam, u, v)[1])):
                 out[todo] = x
             self._perron_solved[todo] = True
         return tuple(a.take(rows, axis=0) for a in memo)
@@ -271,9 +256,10 @@ def _usable_profiles(ens: PosteriorEnsemble) -> tuple[np.ndarray, dict]:
     """The (n_used, K) extinction profiles of the draws whose fixed-point
     solve converged, and the warnings that count the others:
     ``fixed-point-failures``, plus ``data-quality`` when more than 1 % of
-    the draws failed. RuntimeError if no draw is left."""
+    the draws failed. RuntimeError if no draw is left. When no draw failed
+    the profiles are the ensemble's own array, not a copy."""
     bad = ens.fixed_point_failures
-    good = ens.extinction_profiles[~bad]
+    good = ens.extinction_profiles[~bad] if bad.any() else ens.extinction_profiles
     if not len(good):
         raise RuntimeError("all fixed-point solves failed")
     warnings = {"fixed-point-failures": int(np.sum(bad))}
@@ -303,9 +289,8 @@ def mc_extinction_probability(params: HyperParams, population,
     N = _as_abundance(population, ens.K)
     s, warnings = _usable_profiles(ens)
     n_used = len(s)
-    per_draw = np.prod(s ** N[None, :], axis=1)
-    p = float(np.sum(per_draw) / n_used)
-    se = float(per_draw.std(ddof=1) / np.sqrt(n_used)) if n_used > 1 else float("nan")
+    p, se = _column_mean_se(np.prod(s ** N, axis=1)[:, None])
+    p, se = float(p[0]), float(se[0])
     warnings["non-primitive-pattern"] = int(ens.primitive_warning) * ens.n_prec
     return MCEstimate(value=p, std_error=se, n_prec=ens.n_prec, n_used=n_used,
                       master_seed=ens.master_seed, error_bound=error_bound(n_used),
@@ -375,13 +360,13 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     lower curve is asymptotic, not a bound, so t_minus carries no guarantee
     (see ``TimeBoundsEstimate``). The bracket is found by a search that
     reads the mean curves at a few dozen times (``extinction._bracket_search``),
-    each once; the other times of the full curves are computed only when the
-    estimate's ``upper_curve`` or ``lower_curve`` is read. They end at
-    t_plus or, when t_plus is None, at the length ``_bracket_search`` gives,
-    which can be well before ``horizon_cap``. Perron pairs are solved for the
-    lambda < 1 draws alone, on dense mean matrices built for those draws
-    alone, so ``perron-failures`` counts the lambda < 1 draws whose Perron
-    pair misses its residual limit.
+    each once; the full curves are computed only when the estimate's
+    ``upper_curve`` or ``lower_curve`` is read. They end at t_plus or, when
+    t_plus is None, at the length ``_bracket_search`` gives, which can be
+    well before ``horizon_cap``. Perron pairs are solved for the lambda < 1
+    draws alone (``PosteriorEnsemble._perron``), so ``perron-failures``
+    counts the lambda < 1 draws whose Perron pair misses its residual
+    limit.
 
     The bounds divide by the smallest entry of the right Perron vector u,
     so a subcritical draw whose u has an entry <= 0 (a reducible mean
@@ -396,9 +381,8 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     if n_sub == 0:
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
     rows = np.flatnonzero(sub)
-    lam, u, v = ens._perron(rows)
+    lam, u, converged = ens._perron(rows)
     means = {p: m.take(rows) for p, m in ens.pair_means.items()}
-    M = _scatter(means, ens.K, n_sub)
     laws = {p: d.take(rows, axis=0) for p, d in ens._laws.items()}
     # degenerate rows may divide by zero or overflow; they are left out below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -409,16 +393,15 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise RuntimeError("no subcritical draw has a usable right eigenvector; "
                            "time bounds are undefined")
     lam_s, cU, cL = lam[use], cU[use], cL[use]
-    t_minus, t_plus, n_times, searched = _bracket_search(
+    t_minus, t_plus, n_times = _bracket_search(
         lambda ts: _bound_curves(lam_s, cU, cL, ts), alpha, horizon_cap)
     warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
                 "degenerate-eigenvector": int(n_sub - n_used),
                 "degenerate-xi": int(np.sum(~(xi[use] > 0))),
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
-                "perron-failures": int(np.sum(~perron_residual(M, lam, u, v)[1]))}
+                "perron-failures": int(np.sum(~converged))}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
                               n_times=n_times, lam=lam_s, c_upper=cU, c_lower=cL,
-                              searched=searched,
                               n_prec=ens.n_prec, n_used=n_used,
                               master_seed=ens.master_seed, warnings=warnings)
 
@@ -434,9 +417,7 @@ def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     good, warnings = _usable_profiles(ens)
     n_used = len(good)
-    mean = np.sum(good, axis=0) / n_used
-    se = good.std(axis=0, ddof=1) / np.sqrt(n_used) if n_used > 1 \
-        else np.full(ens.K, np.nan)
+    mean, se = _column_mean_se(good)
     edges = np.linspace(0.0, 1.0, 101)
     hists = np.stack([np.histogram(good[:, i], bins=edges)[0] for i in range(ens.K)])
     return ReintroductionSummary(mean=mean, std_error=se, bin_edges=edges,

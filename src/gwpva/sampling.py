@@ -12,12 +12,12 @@ size, but a single row cannot be reproduced without the rows before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .inference import HyperParams
-from .model import LifeTable, OffspringCap, ParameterDraw, PoissonLaw, PopulationState
+from .model import LifeTable, ParameterDraw, PoissonLaw, PopulationState
 
 __all__ = [
     "SeedSpec",

@@ -1,6 +1,7 @@
 import pytest
 
 import gwpva as g
+from gwpva import spectral
 from gwpva.datasets import (bear_cap, bear_life_table, synthetic_cap,
                             synthetic_life_table)
 
@@ -12,6 +13,12 @@ ACCEPTANCE_LINES: list[str] = []
 def record_acceptance(criterion: str, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     ACCEPTANCE_LINES.append(f"ACCEPTANCE {criterion}: {status} — {detail}")
+
+
+def dense_mean_matrices(ens):
+    """The (n_prec, K, K) dense mean matrices of an ensemble's draws, which
+    no answer builds: ``spectral.mean_matrices`` of its laws."""
+    return spectral.mean_matrices({p: ens.law(p) for p in ens.pairs}, ens.K)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,4 +1,5 @@
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ from gwpva.extinction import (_bound_curves, _fixed_point_rows, _lambda_below, _
                               _pgf_jacobian)
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
+
+from conftest import dense_mean_matrices
 
 
 def _degenerate_posterior(weights):
@@ -87,9 +90,10 @@ def test_single_draw_is_ensemble_of_one(synthetic_posterior, bear_posterior):
         ens = PosteriorEnsemble(post, n_prec=300, master_seed=seed)
         s = np.random.default_rng(0).random((ens.n_prec, ens.K))
         phi = _pgf(ens._laws, s)
+        M = dense_mean_matrices(ens)
         for r in range(ens.n_prec):
             draw = g.ParameterDraw(post.cap, {p: ens.law(p)[r] for p in ens.pairs})
-            assert np.array_equal(g.mean_matrix(draw), ens.mean_matrices[r])
+            assert np.array_equal(g.mean_matrix(draw), M[r])
             assert np.array_equal(g.generating_function(draw, s[r]), phi[r])
             prof = g.minimal_fixed_point(draw)
             assert prof.s.tobytes() == ens.extinction_profiles[r].tobytes()
@@ -153,7 +157,7 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     # right vector has zero entries; their bound constants divide by zero
     post = _tiny_alpha_posterior()
     ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
-    lam, u, _ = spectral.perron_batch(ens.mean_matrices)
+    lam, u, _ = spectral.perron_batch(dense_mean_matrices(ens))
     u_min = u.min(axis=1)
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
     assert np.sum(sub & (u_min <= 0)) > 0
@@ -203,10 +207,10 @@ def _period_two_posterior():
 def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
     post = _period_two_posterior()
     ens = PosteriorEnsemble(post, n_prec=2000, master_seed=7)
-    M = ens.mean_matrices
+    M = dense_mean_matrices(ens)
     failed = ~spectral.perron_residual(M, *spectral.perron_batch(M))[1]
     assert failed.any()
-    for r, M in enumerate(ens.mean_matrices):
+    for r, M in enumerate(dense_mean_matrices(ens)):
         try:
             g.perron_triple(M)
         except ValueError:
@@ -228,7 +232,7 @@ def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
     synthetic = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
     for ens, post, pop in [(synthetic, synthetic_posterior, (22,)),
                            (bear_ensemble, bear_ensemble.params, (2, 2, 2, 2, 10))]:
-        M = ens.mean_matrices
+        M = dense_mean_matrices(ens)
         assert spectral.perron_residual(M, *spectral.perron_batch(M))[1].all()
         assert g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"] == 0
         for est in (g.mc_viability_probability(post, ensemble=ens),
@@ -261,11 +265,10 @@ def _perron_full_squaring(M):
 
 def test_perron_batch_matches_full_squaring_reference(bear_ensemble):
     rng = np.random.default_rng(11)
-    stacks = [bear_ensemble.mean_matrices,
-              PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000,
-                                master_seed=5).mean_matrices,
-              PosteriorEnsemble(_period_two_posterior(), n_prec=2000,
-                                master_seed=7).mean_matrices]
+    stacks = [dense_mean_matrices(ens) for ens in
+              (bear_ensemble,
+               PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5),
+               PosteriorEnsemble(_period_two_posterior(), n_prec=2000, master_seed=7))]
     for K in range(2, 6):
         sparse = rng.uniform(size=(400, K, K)) < 0.5
         stacks.append(rng.uniform(0.0, 2.0, size=(400, K, K)) * sparse)
@@ -320,12 +323,11 @@ def _perron_eight_steps(M):
 
 def test_perron_batch_power_steps_stop_only_where_they_repeat(synthetic_posterior,
                                                             bear_ensemble):
-    stacks = [bear_ensemble.mean_matrices,
-              PosteriorEnsemble(synthetic_posterior, n_prec=1000, master_seed=7).mean_matrices,
-              PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000,
-                                master_seed=5).mean_matrices,
-              PosteriorEnsemble(_period_two_posterior(), n_prec=2000,
-                                master_seed=7).mean_matrices]
+    stacks = [dense_mean_matrices(ens) for ens in
+              (bear_ensemble,
+               PosteriorEnsemble(synthetic_posterior, n_prec=1000, master_seed=7),
+               PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5),
+               PosteriorEnsemble(_period_two_posterior(), n_prec=2000, master_seed=7))]
     # a row holding NaN never repeats, so its stack takes all 8 steps
     stacks.append(np.concatenate([stacks[0][:50], np.full((1, 5, 5), np.nan)]))
     for M in stacks:
@@ -438,14 +440,14 @@ def test_time_bounds_estimate_pickles_its_curves(synthetic_posterior):
     assert len(tb.times) == tb.t_plus + 1
 
 
-def test_curves_compute_only_the_times_the_search_did_not_read(monkeypatch,
-                                                              synthetic_posterior,
-                                                              bear_ensemble):
+def test_curves_are_one_bound_curves_call_on_times_when_read(monkeypatch,
+                                                             synthetic_posterior,
+                                                             bear_ensemble):
     calls = []
 
     def spy(lam, cU, cL, ts):
-        calls.append(np.array(ts))
-        return _bound_curves(lam, cU, cL, ts)
+        calls.append((np.array(ts), *_bound_curves(lam, cU, cL, ts)))
+        return calls[-1][1:]
 
     monkeypatch.setattr(montecarlo, "_bound_curves", spy)
     synth = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
@@ -455,19 +457,22 @@ def test_curves_compute_only_the_times_the_search_did_not_read(monkeypatch,
     for pop, ens, alpha, cap in cases:
         calls.clear()
         tb = g.mc_time_bounds(None, pop, alpha=alpha, horizon_cap=cap, ensemble=ens)
-        n_search = len(calls)
-        tb.upper_curve
-        searched = np.concatenate(calls[:n_search])
-        # the curves take one call, on the times the search did not read
-        assert len(calls) == n_search + 1
-        computed = calls[-1]
-        assert np.array_equal(tb.searched[0], np.unique(searched[searched < tb.n_times]))
-        # each time of the curves is computed by the search or, once, after it
-        assert np.array_equal(np.sort(np.concatenate([tb.searched[0], computed])),
-                              np.arange(tb.n_times))
+        search = list(calls)
         # the search reads each time at most once, and none past horizon_cap:
         # on synth at alpha = 0.01 it reads t = 43 once, not again beside 42
+        searched = np.concatenate([ts for ts, *_ in search])
         assert len(np.unique(searched)) == len(searched) and searched.max() <= cap
+        # the curves take no call until one is read, then one, on times
+        tb.times
+        assert len(calls) == len(search)
+        upper, lower = tb.upper_curve, tb.lower_curve
+        assert len(calls) == len(search) + 1
+        assert np.array_equal(calls[-1][0], tb.times)
+        # and they hold the bits the search read
+        for ts, up, lo in search:
+            keep = ts < tb.n_times
+            assert upper[ts[keep]].tobytes() == up[keep].tobytes()
+            assert lower[ts[keep]].tobytes() == lo[keep].tobytes()
 
 
 def test_conditioning_consistency(bear_posterior):
@@ -543,8 +548,8 @@ def test_ensemble_rerun_and_prefix_invariance(bear_posterior):
         assert np.array_equal(small.law(pair), large.law(pair)[:600])
     for name in ("lambdas", "extinction_profiles"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:600]), name
-    assert np.array_equal(spectral.perron_batch(small.mean_matrices)[2],
-                          spectral.perron_batch(large.mean_matrices)[2][:600])
+    assert np.array_equal(spectral.perron_batch(dense_mean_matrices(small))[2],
+                          spectral.perron_batch(dense_mean_matrices(large))[2][:600])
 
 
 def test_rerun_with_new_seed_within_error_bound(synthetic_posterior):
@@ -731,6 +736,41 @@ def test_fixed_point_answers_solve_no_perron_pair(bear_posterior):
     assert set(summary.warnings) == {"fixed-point-failures"}
 
 
+def test_usable_profiles_copy_only_when_a_draw_failed(bear_ensemble):
+    good, warnings = montecarlo._usable_profiles(bear_ensemble)
+    assert np.shares_memory(good, bear_ensemble.extinction_profiles)
+    assert warnings == {"fixed-point-failures": 0}
+    # three fixed-point solves of the alpha = 1e-3 posterior fail at seed 6
+    ens = PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=20_000, master_seed=6)
+    failed = ens.fixed_point_failures
+    good, warnings = montecarlo._usable_profiles(ens)
+    assert warnings == {"fixed-point-failures": 3}
+    assert good.shape == (19_997, 2)
+    assert good.tobytes() == ens.extinction_profiles[~failed].tobytes()
+
+
+def test_fixed_point_answers_keep_the_numpy_mean_and_se_bits(bear_posterior):
+    # the oracle: np.sum / n and std(ddof=1) / sqrt(n) over the usable
+    # draws, NaN at n = 1
+    cases = [(bear_posterior, n, seed, (2, 2, 2, 2, 10))
+             for n, seed in ((1, 2024), (2, 9157), (2000, 2024))]
+    cases.append((_tiny_alpha_posterior(), 20_000, 6, (3, 2)))
+    for post, n, seed, pop in cases:
+        ens = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
+        s = ens.extinction_profiles[~ens.fixed_point_failures]
+        per_draw = np.prod(s ** np.asarray(pop, dtype=float), axis=1)
+        est = g.mc_extinction_probability(post, pop, ensemble=ens)
+        summary = g.mc_reintroduction(post, ensemble=ens)
+        assert est.value == np.sum(per_draw) / len(s)
+        assert summary.mean.tobytes() == (np.sum(s, axis=0) / len(s)).tobytes()
+        if len(s) == 1:
+            assert np.isnan(est.std_error) and np.isnan(summary.std_error).all()
+            continue
+        assert est.std_error == per_draw.std(ddof=1) / np.sqrt(len(s))
+        se = s.std(axis=0, ddof=1) / np.sqrt(len(s))
+        assert summary.std_error.tobytes() == se.tobytes()
+
+
 def test_time_bounds_solve_only_subcritical_perron_pairs(bear_ensemble):
     # a cold time-bounds call solves the Perron pairs of its lambda < 1 rows
     # alone, and gives the same bits as one that finds every pair solved; the
@@ -751,16 +791,18 @@ def test_time_bounds_solve_only_subcritical_perron_pairs(bear_ensemble):
             == (want.t_minus, want.t_plus, want.n_used, want.warnings)
         for name in ("times", "upper_curve", "lower_curve"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert np.array_equal(cold.lambdas, spectral.perron_batch(cold.mean_matrices)[0])
+        assert np.array_equal(cold.lambdas,
+                              spectral.perron_batch(dense_mean_matrices(cold))[0])
 
 
 def test_answers_build_no_dense_stack_and_no_perron_memo(bear_posterior, monkeypatch):
-    # every answer but the time bounds reads the pair means alone; the time
-    # bounds build dense mean matrices for their lambda < 1 draws alone
+    # every answer but the time bounds reads the pair means alone; a cold
+    # time-bounds answer builds one dense stack, of its lambda < 1 draws, in
+    # the Perron memo, which also checks the residuals
     built = []
 
     def spy(means, K, n):
-        built.append(n)
+        built.append((n, sys._getframe(1).f_code.co_name))
         return scatter(means, K, n)
 
     scatter = spectral._scatter
@@ -774,13 +816,11 @@ def test_answers_build_no_dense_stack_and_no_perron_memo(bear_posterior, monkeyp
     g.effective_population_size(bear_posterior, 5, ensemble=ens)
     g.mc_short_time_abundance(bear_posterior, pop, horizon=10, ensemble=ens)
     assert built == []
-    assert "mean_matrices" not in ens.__dict__
     assert "_perron_memo" not in ens.__dict__ and not ens._perron_solved.any()
     tb = g.mc_time_bounds(bear_posterior, pop, ensemble=ens)
     n_sub = ens.n_prec - tb.warnings["supercritical-draws"]
     assert 0 < n_sub < ens.n_prec / 10
-    assert built and all(n == n_sub for n in built)
-    assert "mean_matrices" not in ens.__dict__
+    assert built == [(n_sub, "_perron")]
 
 
 def test_extinction_working_set(bear_posterior):
@@ -821,18 +861,19 @@ def test_abundance_path_keeps_dense_bits(bear_ensemble, synthetic_posterior):
     for ens, pop in cases:
         got = g.mc_short_time_abundance(ens.params, pop, horizon=10, ensemble=ens)
         x = np.broadcast_to(np.asarray(pop, dtype=float), (ens.n_prec, ens.K)).copy()
+        M = dense_mean_matrices(ens)
         for t, est in enumerate(got):
             assert est.value.tobytes() == (np.sum(x, axis=0) / ens.n_prec).tobytes(), t
             se = x.std(axis=0, ddof=1) / np.sqrt(ens.n_prec)
             assert est.std_error.tobytes() == se.tobytes(), t
-            x = np.einsum("ri,rij->rj", x, ens.mean_matrices)
+            x = np.einsum("ri,rij->rj", x, M)
     one = PosteriorEnsemble(_dense_random_posterior(), n_prec=1, master_seed=9)
     got = g.mc_short_time_abundance(one.params, (4, 1, 7), horizon=3, ensemble=one)
     x = np.array([[4.0, 1.0, 7.0]])
     for est in got:
         assert est.value.tobytes() == x[0].tobytes()
         assert np.isnan(est.std_error).all()
-        x = np.einsum("ri,rij->rj", x, one.mean_matrices)
+        x = np.einsum("ri,rij->rj", x, dense_mean_matrices(one))
 
 
 def test_subcritical_degenerate_draws_are_certainly_extinct():

@@ -5,6 +5,8 @@ import gwpva as g
 from gwpva import spectral
 from gwpva.datasets import synthetic_true_draw
 
+from conftest import dense_mean_matrices
+
 
 def test_mean_matrix_of_draw():
     M = g.mean_matrix(synthetic_true_draw())
@@ -82,9 +84,9 @@ def test_mean_matrices_prefix_invariant_for_wide_laws():
     from gwpva.montecarlo import PosteriorEnsemble
 
     prior = g.prior_noninformative(g.OffspringCap(1, {(1, 1): 9}))
-    full = PosteriorEnsemble(prior, n_prec=1200, master_seed=5).mean_matrices
+    full = dense_mean_matrices(PosteriorEnsemble(prior, n_prec=1200, master_seed=5))
     for n in range(1, 60):
-        part = PosteriorEnsemble(prior, n_prec=n, master_seed=5).mean_matrices
+        part = dense_mean_matrices(PosteriorEnsemble(prior, n_prec=n, master_seed=5))
         assert np.array_equal(part, full[:n]), n
 
 

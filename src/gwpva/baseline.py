@@ -4,9 +4,8 @@ These are the standard log-growth-rate summaries and the naive
 regression-based extinction window. The regression interval ignores
 demographic stochasticity and parameter uncertainty and is known to
 under-cover; it is provided as the comparison baseline, not as advice.
-Nothing here loads SciPy: the window's Student-t critical value comes from
-the finite series that the t distribution has at integer degrees of
-freedom (``_t_critical``), and its band edges are closed in closed form.
+Nothing here loads SciPy: ``_t_critical`` finds the window's Student-t
+critical value itself, and the band edges are closed in closed form.
 """
 
 from __future__ import annotations
@@ -56,96 +55,68 @@ def log_growth_moments(abundances: Sequence[float]) -> GrowthMoments:
     return GrowthMoments(r_d=float(r.mean()), v_r=v, n_ratios=len(r))
 
 
+def _betacf(a: float, b: float, x: float, x1: float) -> float:
+    """G = 1 + d_1/(1 + d_2/(1 + ...)) in I_x(a, b) = x^a x1^b / (a B(a, b) G),
+    x1 = 1 - x, the regularized incomplete beta function (Numerical Recipes,
+    3rd ed., 6.4); it converges fast where x < (a + 1)/(a + b + 2). Each step
+    takes d_2m and e = 1 + d_2m+1 as a pair, and forms e from x1 near x = 1,
+    where d_2m+1 nears -1 for large a, so that no step cancels digits."""
+    def e(m: int) -> float:
+        p, q = (a + m) * (a + b + m), (a + 2 * m) * (a + 2 * m + 1)
+        return (q - p * x if x < x1 else a * (2 * m + 1 - b) + m * (3 * m + 2 - b) + p * x1) / q
+
+    r = g = e(0)  # r, s: ratios of successive numerators, denominators
+    s = 1.0
+    for m in range(1, 10_000):
+        al, em = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)), e(m)
+        step = (em + al / r) / (em + al / s)
+        r, s, g = (em * r + al) / (r + al), (em * s + al) / (s + al), g * step
+        if abs(step - 1) <= 2.3e-16:
+            break
+    return g
+
+
 def _t_critical(level: float, nu: int) -> float:
     """The Student-t quantile at q = (1 + level)/2 for an integer nu >= 1
-    degrees of freedom, the t with P(|T| <= t) = level, to within a few
-    units in the 15th digit.
+    degrees of freedom, the t with P(|T| <= t) = level, to about 1e-14.
 
-    With x = cos^2 theta = nu/(nu + t^2) and theta = atan(t/sqrt(nu))
-    (Abramowitz & Stegun 26.7.3-4),
-
-        P(|T| <= t) = sin theta sum_{k < nu/2} c_k x^k              (nu even)
-                    = 2/pi (theta + sin theta cos theta
-                            sum_{k < (nu-1)/2} c_k x^k)            (nu odd)
-
-    where c_0 = 1 and c_{k+1}/c_k is (2k+1)/(2k+2) (even) or (2k+2)/(2k+3)
-    (odd). Over all k the series sums to 1, so P(|T| > t) is the same
-    expression over the remaining k, a convergent sum of positive terms.
-    Of the two probabilities the smaller is solved for, 2(1 - q) above
-    q = 0.75 and 2q - 1 up to it, so neither is found by cancellation.
-    Each term is the last one times (1 - y) c_{k+1}/c_k, y = t^2/(nu + t^2),
-    so a rounding of x near 1 is not repeated from term to term, and the
-    terms are added exactly (``math.fsum``).
-
-    Newton steps act on log t and the log of that probability, which is
-    nearly linear in log t in both tails, and stay inside the bracket that
-    the signs seen so far give. They start from Hill's approximation (Comm.
-    ACM 13, 1970, Algorithm 396) with a normal quantile from A&S 26.2.23
-    and two Newton steps on ``math.erfc``, and one or two steps suffice.
-    Each step sums nu/2 terms up to q = 0.75 and about 40/y above it, so
-    the work grows with nu (per call on a 2-vCPU VM: 47 us at nu = 4 and
-    level 0.9; 5 ms at nu = 1000 and 0.6 s at nu = 10^5)."""
+    With x = nu/(nu + t^2), P(|T| > t) = I_x(nu/2, 1/2) = 1 - P(|T| <= t)
+    (Abramowitz & Stegun 26.5.27). Newton steps on log t and the log of the
+    smaller of the two, nearly linear in both tails, stay inside the bracket
+    that the signs seen so far give. They start from the closed forms for
+    nu <= 2, or from z + (z^3 + z)/(4 nu), z the normal quantile (A&S 26.7.5),
+    and ``_betacf`` takes each in steps that depend on t, not on nu."""
     q = (1 + level) / 2
     P = 2 * (1 - q)  # P(|T| > t), exact since q >= 1/2
     tail = P < 0.5
     target = P if tail else 2 * q - 1
     if target == 0:
         return math.inf if tail else 0.0
-    odd, m = nu % 2, nu // 2
-    c_m = 1.0
-    for k in range(m):
-        c_m *= (2 * k + 1 + odd) / (2 * k + 2 + odd)
-    # the density of |T| at t is dens * x^((nu + 1)/2)
-    dens = (2 * math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2))
-            / math.sqrt(nu * math.pi))
+    a = nu / 2
+    if nu < 24:
+        lbeta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    else:  # Stirling's series (A&S 6.1.41, to 1/1188), where lgamma's would cancel digits
+        lbeta = (math.log(math.pi) / 2 - a * math.log1p(0.5 / a) - math.log(a) / 2 + 0.5
+                 + sum(c * (a ** -k - (a + 0.5) ** -k) for c, k in (
+                     (1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7), (1 / 1188, 9))))
 
     def prob(t: float) -> tuple[float, float]:
         """The probability solved for at t, and its derivative in log t."""
-        d = nu + t * t
-        y = t * t / d
-        lx = -math.log1p(t * t / nu)
-        base = 2 / math.pi * t * math.sqrt(nu) / d if odd else t / math.sqrt(d)
-        k, term, total, terms = (m, c_m * math.exp(m * lx), 0.0, []) if tail else (0, 1.0, 0.0, [])
-        # the tail's terms fall by at least x each, so its rest is below term/y
-        while term > 1e-17 * y * total if tail else k < m:
-            terms.append(term)
-            total += term
-            a = term * (2 * k + 1 + odd) / (2 * k + 2 + odd)
-            term = a - a * y
-            k += 1
-        p = base * math.fsum(terms)
-        if odd and not tail:
-            p += 2 / math.pi * math.atan(t / math.sqrt(nu))
-        slope = dens * t * math.exp((nu + 1) / 2 * lx) / p
-        return p, -slope if tail else slope
+        x, y = nu / (nu + t * t), t * t / (nu + t * t)
+        # x^a y^(1/2) / B(a, 1/2), half the density of log |T| at log t
+        front = math.exp(-a * math.log1p(t * t / nu) + math.log(y) / 2 - lbeta)
+        direct = x < (a + 1) / (a + 2.5)
+        r = front / (a * _betacf(a, 0.5, x, y)) if direct else 2 * front / _betacf(0.5, a, y, x)
+        p = r if direct == tail else 1 - r
+        return p, (-2 if tail else 2) * front / p
 
     if nu <= 2:
         t = 1 / math.tan(P * math.pi / 2) if nu == 1 else math.sqrt(2 / (P * (2 - P)) - 2)
     else:
-        a = 1 / (nu - 0.5)
-        b = 48 / (a * a)
-        c = ((20700 * a / b - 98) * a - 16) * a + 96.36
-        d = ((94.5 / (b + c) - 3) / b + 1) * math.sqrt(a * math.pi / 2) * nu
-        y = (d * P) ** (2 / nu)
-        if y > 0.05 + a:
-            w = math.sqrt(-2 * math.log(P / 2))
-            z = w - ((2.515517 + w * (0.802853 + w * 0.010328))
-                     / (1 + w * (1.432788 + w * (0.189269 + w * 0.001308))))
-            for _ in range(2):
-                g = math.erfc(z / math.sqrt(2)) - P
-                z += g * math.sqrt(math.pi / 2) * math.exp(z * z / 2)
-            x = -z
-            if nu < 5:
-                c += 0.3 * (nu - 4.5) * (x + 0.6)
-            c = (((0.05 * d * x - 5) * x - 7) * x - 2) * x + b + c
-            y = (((((0.4 * x * x + 6.3) * x * x + 36) * x * x + 94.5) / c
-                  - x * x - 3) / b + 1) * x
-            y = math.expm1(a * y * y)
-        else:
-            y = (((1 / (((nu + 6) / (nu * y) - 0.089 * d - 0.822) * (nu + 2) * 3)
-                   + 0.5 / (nu + 4)) * y - 1) * (nu + 1) / (nu + 2) + 1 / y)
-        t = math.sqrt(nu * y)
-    t = max(t, 1e-300)
+        from statistics import NormalDist
+        z = NormalDist().inv_cdf(q)
+        t = z + (z ** 3 + z) / (4 * nu)
+    t = max(t, 1e-150)
     lo, hi = 0.0, math.inf
     for _ in range(100):
         p, slope = prob(t)
@@ -171,7 +142,7 @@ def regression_extinction_interval(abundances: Sequence[float], level: float = 0
 
     With y = t - mean(t), the fitted line L = mean(log N) + b y,
     t_crit the Student-t quantile at (1 + level)/2 with n - 2 degrees of
-    freedom (``_t_critical``, within a few units in the 15th digit) and
+    freedom (``_t_critical``, to about 1e-14 relative) and
     k = t_crit * sqrt(s^2), an edge L -/+ k sqrt(1/n + y^2/Sxx) meets
     log N = 0 at a root of the quadratic a y^2 + 2 h y + c = 0 with
 

@@ -17,7 +17,6 @@ __all__ = [
     "synthetic_true_draw",
     "synthetic_life_table",
     "synthetic_abundances",
-    "synthetic_final_state",
     "bear_cap",
     "bear_life_table",
     "bear_population_2016",
@@ -66,10 +65,6 @@ def synthetic_life_table() -> LifeTable:
 def synthetic_abundances() -> tuple[int, ...]:
     """N(0..5) implied by the table: (100, 75, 59, 43, 33, 22)."""
     return _SYNTH_ABUNDANCES
-
-
-def synthetic_final_state() -> PopulationState:
-    return PopulationState((22,), time=5)
 
 
 # ---- central-Pyrenees brown-bear females ----------------------------------

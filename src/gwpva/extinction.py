@@ -13,7 +13,7 @@ alone, ``_fixed_point_rows`` and ``_bound_constants`` the laws and the pair
 means. The single-draw functions call them at n = 1 (``model._law_stack``).
 The pgf ``_phi`` and its Jacobian ``_jacobian_entries`` work
 coefficient-major, draws along the last axis (``_coefficient_major``);
-``_pgf`` and ``_pgf_jacobian`` are their dense (n, ...) views.
+``_pgf`` is the dense (n, K) view of ``_phi``.
 ``_fixed_point_rows`` does its linear algebra with one row-batched
 M-matrix elimination, ``_mmatrix_lu``.
 
@@ -158,16 +158,6 @@ def _jacobian_entries(claws: dict, s: np.ndarray) -> dict:
                 col = col * g2
         out[(i, j)] = col
     return out
-
-
-def _pgf_jacobian(laws: dict, s: np.ndarray) -> np.ndarray:
-    """d phi_i / d s_j draw-wise at an (n, K) s as a dense (n, K, K) stack:
-    the entries of ``_jacobian_entries`` put in place."""
-    n, K = s.shape
-    J = np.zeros((n, K, K))
-    for (i, j), col in _jacobian_entries(_coefficient_major(laws), s.T).items():
-        J[:, i - 1, j - 1] = col
-    return J
 
 
 def _shifted_negation(c: float, entries: dict, K: int, n: int) -> list:

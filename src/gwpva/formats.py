@@ -314,17 +314,21 @@ def posterior_to_document(post: PosteriorParams,
 def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, GammaParams]]:
     """Rebuild posterior parameters from a fitted-posterior document.
 
-    ParseError on a pair outside 1..K, a Poisson pair on a categorical
-    pair, or a pair given twice with the same law."""
+    ParseError on a missing or empty ``pairs`` list, a pair outside 1..K, a
+    Poisson pair on a categorical pair, or a pair given twice with the same
+    law."""
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
     K = doc.get("K")
     if not isinstance(K, int) or K < 1:
         raise ParseError("K must be a positive integer")
+    pairs = doc.get("pairs")
+    if not isinstance(pairs, list) or not pairs:
+        raise ParseError("pairs must be a nonempty list")
     kappa: dict[Pair, int] = {}
     alpha: dict[Pair, np.ndarray] = {}
     poisson: dict[Pair, GammaParams] = {}
-    for idx, entry in enumerate(doc.get("pairs", [])):
+    for idx, entry in enumerate(pairs):
         try:
             i, j = int(entry["i"]), int(entry["j"])
             law = entry.get("law", "categorical")

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 import gwpva as g
 from gwpva import spectral
 from gwpva.datasets import (bear_cap, bear_life_table, synthetic_cap,
                             synthetic_life_table)
+from gwpva.extinction import _coefficient_major, _jacobian_entries
 
 # acceptance tests register one (criterion, status, detail) line each;
 # printed in the terminal summary so the verdicts survive output capture
@@ -19,6 +21,17 @@ def dense_mean_matrices(ens):
     """The (n_prec, K, K) dense mean matrices of an ensemble's draws, which
     no answer builds: ``spectral.mean_matrices`` of its laws."""
     return spectral.mean_matrices({p: ens.law(p) for p in ens.pairs}, ens.K)
+
+
+def dense_pgf_jacobian(laws, s):
+    """d phi_i / d s_j draw-wise at an (n, K) s as a dense (n, K, K) stack,
+    which no answer builds: the entries of ``_jacobian_entries`` put in
+    place."""
+    n, K = s.shape
+    J = np.zeros((n, K, K))
+    for (i, j), col in _jacobian_entries(_coefficient_major(laws), s.T).items():
+        J[:, i - 1, j - 1] = col
+    return J
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,3 +1,5 @@
+import timeit
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,12 @@ def test_regression_interval_custom_times():
 #       else:
 #           hi = th
 #   t = mp.nstr(mp.sqrt(nu) * mp.tan(lo), 20)
+#
+# At nu = 100 000 betainc stops at its term limit (NoConvergence), so there
+# the bisection tests 1 - I_y(1/2, nu/2) > p, y = sin(th)^2, with
+# I_y(1/2, nu/2) = mp.sqrt(y) * mp.hyp2f1(0.5, 1 - mp.mpf(nu) / 2, 1.5, y,
+# maxterms=10 ** 6) / (0.5 * mp.beta(0.5, mp.mpf(nu) / 2)); at nu = 3 000 and
+# 10 000 that form gives the same 20 digits as betainc.
 _T_LEVELS = (0.05, 0.29, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999876247936337, 1 - 1e-6)
 _T_QUANTILES = {
     1: ("0.078701706824618518252", "0.48989494502247712191", "1.0", "1.376381920471173942",
@@ -171,6 +179,18 @@ _T_QUANTILES = {
          "0.84198082216242871548", "1.282398721460924564", "1.646378817285464284",
          "1.9623390808264081039", "2.5807546980659507706", "3.3002826484239441558",
          "4.3929367154179957742", "4.9222895234015771401"),
+    3000: ("0.062712024277908226403", "0.37189136460379653157", "0.67457153733683735585",
+         "0.84174106361987805213", "1.2818338239088423646", "1.6453617078374077695",
+         "1.9607550553224580733", "2.5774691348386079816", "3.2937728806855012288",
+         "4.3782043548759188953", "4.9018185083079712856"),
+    10000: ("0.062708351796963053302", "0.37186667147106243411", "0.67451428448359243359",
+         "0.84165717914165297158", "1.2816362297304776706", "1.6450060180692425337",
+         "1.9602012398906258778", "2.5763210466685285853", "3.2914999659416356914",
+         "4.3730685252275874211", "4.8946886162880501171"),
+    100000: ("0.06270693532678834325", "0.37185714757517005066", "0.67449220355329220583",
+         "0.84162482799690100547", "1.2815600314493611406", "1.6448688647849693034",
+         "1.9599877075346092587", "2.5758784699083749963", "3.2906240314119136577",
+         "4.3710903933306668067", "4.8919433406876003196"),
 }
 
 
@@ -179,6 +199,14 @@ def test_t_critical_matches_reference_quantiles():
         bound = 1e-14 if nu <= 100 else 1e-13
         for level, want in zip(_T_LEVELS, quantiles, strict=True):
             assert _t_critical(level, nu) == pytest.approx(float(want), rel=bound, abs=0)
+
+
+def test_t_critical_cost_does_not_grow_with_nu():
+    # a 100 000-observation series: the continued fraction takes steps that
+    # depend on t, not on nu
+    for level in (0.6, 0.9):
+        best = min(timeit.repeat(lambda: _t_critical(level, 10 ** 5), number=1, repeat=5))
+        assert best < 0.02
 
 
 def test_t_critical_matches_scipy_stats():
@@ -244,8 +272,8 @@ def test_regression_interval_matches_brentq_oracle():
 
 
 def test_regression_interval_matches_brentq_oracle_on_long_series():
-    # 30 to 300 observations: t_crit at up to 298 degrees of freedom, where
-    # the tail series runs longest
+    # 30 to 300 observations, t_crit at up to 298 degrees of freedom, and one
+    # series of 10 000
     rng = np.random.default_rng(20241)
     windows = errors = 0
     for _ in range(300):
@@ -259,6 +287,8 @@ def test_regression_interval_matches_brentq_oracle_on_long_series():
         windows += want != "ValueError"
         errors += want == "ValueError"
     assert windows > 200 and errors > 15
+    N = 5000 * 0.9995 ** np.arange(10_000) * np.exp(rng.normal(0, 0.3, 10_000))
+    assert g.regression_extinction_interval(N) == _brentq_window(N)
 
 
 def test_regression_interval_degenerate_cases_match_brentq_oracle():

@@ -95,6 +95,12 @@ def test_malformed_posterior_is_parse_error(tmp_path, capsys):
         posterior.write_text(json.dumps({"format_version": 1, "K": 1, "pairs": pairs}))
         assert main(["viability", "--posterior", str(posterior), "--seed", "1"]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "parse"
+    # a document with no pairs: every Monte Carlo subcommand names it
+    posterior.write_text(json.dumps({"format_version": 1, "K": 1, "pairs": []}))
+    for argv in (["viability"], ["extinction", "--pop", "1"], ["time-bounds", "--pop", "1"]):
+        assert main([*argv, "--posterior", str(posterior), "--seed", "1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{posterior}: pairs must be a nonempty list", "kind": "parse"}
 
 
 def test_viability_and_extinction(synthetic_files, tmp_path, capsys):

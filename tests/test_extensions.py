@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import gwpva as g
-from gwpva.extinction import _pgf_jacobian
 from gwpva.model import _law_stack
 from gwpva.sampling import SeedSpec
+
+from conftest import dense_pgf_jacobian
 
 
 def test_sex_ratio_posterior():
@@ -112,7 +113,7 @@ def test_poisson_law_interface():
     assert g.mean_matrix(draw)[0, 0] == 2.0
     assert g.generating_function(draw, [1.0]) == pytest.approx([1.0])
     assert g.generating_function(draw, [0.5]) == pytest.approx([math.exp(-1.0)], rel=1e-15)
-    J = _pgf_jacobian(_law_stack(draw), np.array([[1.0], [0.5]]))
+    J = dense_pgf_jacobian(_law_stack(draw), np.array([[1.0], [0.5]]))
     assert J[:, 0, 0] == pytest.approx([2.0, 2.0 * math.exp(-1.0)], rel=1e-15)
     counts = law.sample_counts(SeedSpec(4, 0).rng(), 500)
     assert sum(counts.values()) == 500

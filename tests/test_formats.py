@@ -202,6 +202,10 @@ def test_posterior_document_poisson_pairs(bear_posterior, synthetic_posterior):
 def test_posterior_from_document_rejections():
     with pytest.raises(ParseError):
         g.posterior_from_document({"format_version": 0})
+    # no pair at all is a parse error, not a NumPy one from the sampler
+    for pairs in ({}, {"pairs": None}, {"pairs": {}}, {"pairs": []}):
+        with pytest.raises(ParseError, match=r"^pairs must be a nonempty list$"):
+            g.posterior_from_document({"format_version": 1, "K": 1, **pairs})
     with pytest.raises(ParseError):
         g.posterior_from_document({"format_version": 1, "K": 1,
                                    "pairs": [{"i": 1, "j": 1, "law": "zeta"}]})

@@ -8,12 +8,11 @@ import pytest
 import gwpva as g
 from gwpva import montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.extinction import (_bound_curves, _fixed_point_rows, _lambda_below, _pgf,
-                              _pgf_jacobian)
+from gwpva.extinction import _bound_curves, _fixed_point_rows, _lambda_below, _pgf
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
-from conftest import dense_mean_matrices
+from conftest import dense_mean_matrices, dense_pgf_jacobian
 
 
 def _degenerate_posterior(weights):
@@ -615,7 +614,7 @@ def _oracle_fixed_points(laws, K):
         pending = worst >= 1e-15
         if not pending.any():
             break
-        A = np.where(pending[:, None, None], eye - _pgf_jacobian(live_laws, x), eye)
+        A = np.where(pending[:, None, None], eye - dense_pgf_jacobian(live_laws, x), eye)
         delta = np.linalg.solve(A, np.where(pending[:, None], f, 0.0)[..., None])[..., 0]
         for _halving in range(6):
             x_try = np.clip(x + delta, 0.0, 1.0)

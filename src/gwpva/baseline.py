@@ -4,8 +4,9 @@ These are the standard log-growth-rate summaries and the naive
 regression-based extinction window. The regression interval ignores
 demographic stochasticity and parameter uncertainty and is known to
 under-cover; it is provided as the comparison baseline, not as advice.
-Nothing here loads SciPy: ``_t_critical`` finds the window's Student-t
-critical value itself, and the band edges are closed in closed form.
+Nothing here loads SciPy: ``_t_critical`` takes the window's Student-t
+critical value from the package's Beta quantile, and the band edges are
+closed in closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .extensions import _beta_quantile
 
 __all__ = ["GrowthMoments", "log_growth_moments", "regression_extinction_interval"]
 
@@ -55,81 +58,20 @@ def log_growth_moments(abundances: Sequence[float]) -> GrowthMoments:
     return GrowthMoments(r_d=float(r.mean()), v_r=v, n_ratios=len(r))
 
 
-def _betacf(a: float, b: float, x: float, x1: float) -> float:
-    """G = 1 + d_1/(1 + d_2/(1 + ...)) in I_x(a, b) = x^a x1^b / (a B(a, b) G),
-    x1 = 1 - x, the regularized incomplete beta function (Numerical Recipes,
-    3rd ed., 6.4); it converges fast where x < (a + 1)/(a + b + 2). Each step
-    takes d_2m and e = 1 + d_2m+1 as a pair, and forms e from x1 near x = 1,
-    where d_2m+1 nears -1 for large a, so that no step cancels digits."""
-    def e(m: int) -> float:
-        p, q = (a + m) * (a + b + m), (a + 2 * m) * (a + 2 * m + 1)
-        return (q - p * x if x < x1 else a * (2 * m + 1 - b) + m * (3 * m + 2 - b) + p * x1) / q
-
-    r = g = e(0)  # r, s: ratios of successive numerators, denominators
-    s = 1.0
-    for m in range(1, 10_000):
-        al, em = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)), e(m)
-        step = (em + al / r) / (em + al / s)
-        r, s, g = (em * r + al) / (r + al), (em * s + al) / (s + al), g * step
-        if abs(step - 1) <= 2.3e-16:
-            break
-    return g
-
-
 def _t_critical(level: float, nu: int) -> float:
-    """The Student-t quantile at q = (1 + level)/2 for an integer nu >= 1
-    degrees of freedom, the t with P(|T| <= t) = level, to about 1e-14.
+    """The Student-t quantile at q = (1 + level)/2 for nu >= 1 degrees of
+    freedom, the t with P(|T| <= t) = level, to about 1e-14.
 
-    With x = nu/(nu + t^2), P(|T| > t) = I_x(nu/2, 1/2) = 1 - P(|T| <= t)
-    (Abramowitz & Stegun 26.5.27). Newton steps on log t and the log of the
-    smaller of the two, nearly linear in both tails, stay inside the bracket
-    that the signs seen so far give. They start from the closed forms for
-    nu <= 2, or from z + (z^3 + z)/(4 nu), z the normal quantile (A&S 26.7.5),
-    and ``_betacf`` takes each in steps that depend on t, not on nu."""
+    With x = nu/(nu + t^2), P(|T| > t) = I_x(nu/2, 1/2) (Abramowitz & Stegun
+    26.5.27), so t = sqrt(nu (1 - x)/x) for the Beta quantile x at P(|T| > t),
+    or for the complement 1 - x of the Beta(1/2, nu/2) quantile at level.
+    ``_beta_quantile`` gives both x and 1 - x to full relative precision,
+    from the smaller of the two probabilities, in continued-fraction steps
+    that depend on t, not on nu."""
     q = (1 + level) / 2
     P = 2 * (1 - q)  # P(|T| > t), exact since q >= 1/2
-    tail = P < 0.5
-    target = P if tail else 2 * q - 1
-    if target == 0:
-        return math.inf if tail else 0.0
-    a = nu / 2
-    if nu < 24:
-        lbeta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
-    else:  # Stirling's series (A&S 6.1.41, to 1/1188), where lgamma's would cancel digits
-        lbeta = (math.log(math.pi) / 2 - a * math.log1p(0.5 / a) - math.log(a) / 2 + 0.5
-                 + sum(c * (a ** -k - (a + 0.5) ** -k) for c, k in (
-                     (1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7), (1 / 1188, 9))))
-
-    def prob(t: float) -> tuple[float, float]:
-        """The probability solved for at t, and its derivative in log t."""
-        x, y = nu / (nu + t * t), t * t / (nu + t * t)
-        # x^a y^(1/2) / B(a, 1/2), half the density of log |T| at log t
-        front = math.exp(-a * math.log1p(t * t / nu) + math.log(y) / 2 - lbeta)
-        direct = x < (a + 1) / (a + 2.5)
-        r = front / (a * _betacf(a, 0.5, x, y)) if direct else 2 * front / _betacf(0.5, a, y, x)
-        p = r if direct == tail else 1 - r
-        return p, (-2 if tail else 2) * front / p
-
-    if nu <= 2:
-        t = 1 / math.tan(P * math.pi / 2) if nu == 1 else math.sqrt(2 / (P * (2 - P)) - 2)
-    else:
-        from statistics import NormalDist
-        z = NormalDist().inv_cdf(q)
-        t = z + (z ** 3 + z) / (4 * nu)
-    t = max(t, 1e-150)
-    lo, hi = 0.0, math.inf
-    for _ in range(100):
-        p, slope = prob(t)
-        h = math.log(p / target)
-        if (h > 0) == tail:
-            lo = t
-        else:
-            hi = t
-        nxt = t * math.exp(-h / slope) if slope else math.nan
-        if abs(nxt - t) <= 1e-10 * t:
-            return nxt
-        t = nxt if lo < nxt < hi else 2 * lo if hi == math.inf else (lo + hi) / 2
-    return t
+    x, y = _beta_quantile(nu / 2, 0.5, P) if P < 0.5 else _beta_quantile(0.5, nu / 2, 2 * q - 1)[::-1]
+    return math.sqrt(nu * y / x) if x else math.inf
 
 
 def regression_extinction_interval(abundances: Sequence[float], level: float = 0.90,

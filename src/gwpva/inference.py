@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .extensions import BetaParams
+from .extensions import BetaParams, _beta_quantile
 from .model import (LifeTable, OffspringCap, Pair, ParameterDraw, aggregate_counts,
                     record_violations)
 
@@ -154,8 +154,6 @@ def scenario_draws(params: HyperParams, quantiles: Sequence[float]) -> list[Scen
     categories is *not* guaranteed; these are marginal, not joint, quantiles
     and are intended for sensitivity display, not inference).
     """
-    from scipy import special
-
     out = []
     for q in quantiles:
         if not 0 < q < 1:
@@ -163,7 +161,7 @@ def scenario_draws(params: HyperParams, quantiles: Sequence[float]) -> list[Scen
         laws = {}
         for pair, a in params.alpha.items():
             a = np.asarray(a, dtype=float)
-            v = special.betaincinv(a, a.sum() - a, q)
+            v = np.array([_beta_quantile(ak, a.sum() - ak, q)[0] for ak in a])
             if v.sum() <= 0:
                 raise ValueError(f"degenerate scenario at q={q} for pair {pair}")
             laws[pair] = v / v.sum()

@@ -634,11 +634,43 @@ def test_mc_subcommands_on_fitted_posterior_load_no_scipy(bear_posterior, tmp_pa
 
 
 def test_baseline_loads_no_scipy(synthetic_files):
-    # the regression window takes its t critical value from the integer-df
-    # series in baseline and closes the band in closed form
+    # the regression window takes its t critical value from the package's
+    # Beta quantile and closes the band in closed form
     table = str(synthetic_files["table"])
     for code in ("import gwpva\nassert gwpva.regression_extinction_interval("
                  "[100, 75, 59, 43, 33, 22]) == (9, 12)",
                  "import gwpva.cli\n"
                  f"assert gwpva.cli.main(['baseline', '--table', {table!r}]) == 0"):
         assert _scipy_modules_loaded(code) == []
+
+
+def test_fit_and_scenarios_load_no_scipy(tmp_path):
+    # credible intervals, scenario quantiles and the binomial thinning of a
+    # `thinned` prior come from the package's own incomplete beta and gamma
+    # kernels and math.comb
+    cap = bear_cap()
+    table = tmp_path / "bear.csv"
+    table.write_text(g.format_life_table(bear_life_table()))
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"format_version": 1, "K": cap.K, "pairs": [
+        {"i": i, "j": j, "kappa": cap.cap_of(i, j), "prior": {"rule": "flat"}}
+        for i, j in cap.pairs()]}))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"format_version": 1, "K": cap.K, "pairs": [
+        *({"i": i, "j": j, "kappa": 1} for i, j in ((1, 2), (2, 3), (3, 4), (5, 5))),
+        {"i": 4, "j": 5, "law": "poisson", "prior": {"shape": 2.0, "rate": 1.0}},
+        {"i": 5, "j": 1, "law": "thinned",
+         "prior": {"litter": [0.3, 0.3, 0.3, 0.1], "sex_ratio": [3.0, 2.0], "weight": 4.0}}]}))
+    runs = [["fit", "--table", str(table), "--prior", str(flat),
+             "--out", str(tmp_path / "flat_posterior.json")],
+            ["fit", "--table", str(table), "--prior", str(mixed),
+             "--out", str(tmp_path / "mixed_posterior.json")],
+            ["scenarios", "--posterior", str(tmp_path / "flat_posterior.json"),
+             "--quantiles", "0.05,0.5,0.95",
+             "--out", str(tmp_path / "scenarios.json")]]
+    for argv in runs:
+        code = f"import gwpva.cli\nassert gwpva.cli.main({argv!r}) == 0\n"
+        assert _scipy_modules_loaded(code) == [], argv
+    pairs = json.loads((tmp_path / "mixed_posterior.json").read_text())["pairs"]
+    assert sorted(p["law"] for p in pairs if (p["i"], p["j"]) in ((4, 5), (5, 1))) == [
+        "categorical", "poisson"]

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import gwpva as g
+from gwpva.extensions import _beta_quantile, _gamma_quantile
 from gwpva.model import _law_stack
 from gwpva.sampling import SeedSpec
 
 from conftest import dense_pgf_jacobian
+from quantile_references import (BETA_QUANTILES, GAMMA_QUANTILES, QUANTILE_LEVELS, QUANTILE_QS,
+                                 QUANTILE_SHAPES, beta_reference)
 
 
 def test_sex_ratio_posterior():
@@ -20,20 +23,50 @@ def test_sex_ratio_posterior():
         g.sex_ratio_posterior(g.BetaParams(1.0, 1.0), -1, 0)
 
 
-def test_beta_and_gamma_credible_intervals_match_scipy_stats_bit_for_bit():
+def _bound(*shapes):
+    # SciPy's own worst error on this grid is about 1.1e-14 for the Beta and
+    # 2.4e-14 for the Gamma quantiles, at shape 0.05
+    return 1e-13 if 4000.0 in shapes else 1e-14
+
+
+def test_beta_quantile_matches_reference_quantiles():
+    # x and 1 - x each to full relative precision, the short side down to
+    # 1.4e-50
+    for (a, b), refs in BETA_QUANTILES.items():
+        for q, ref in zip(QUANTILE_QS, refs, strict=True):
+            assert _beta_quantile(a, b, q) == pytest.approx(beta_reference(ref),
+                                                            rel=_bound(a, b), abs=0)
+
+
+def test_beta_and_gamma_credible_intervals_match_reference_quantiles():
     from scipy import stats
 
-    shapes = (0.05, 0.5, 1.0, 2.5, 17.0, 140.5, 4000.0)
-    for x in shapes:
-        for y in shapes:
-            beta = stats.beta(x, y)
-            gamma = stats.gamma(x, scale=1.0 / y)
-            for level in (0.5, 0.8, 0.9, 0.95, 0.99):
-                lo = (1 - level) / 2
-                assert g.BetaParams(x, y).credible_interval(level) == (
-                    beta.ppf(lo), beta.ppf(1 - lo))
-                assert g.GammaParams(x, y).credible_interval(level) == (
-                    gamma.ppf(lo), gamma.ppf(1 - lo))
+    for x in QUANTILE_SHAPES:
+        gamma = dict(zip(QUANTILE_QS, GAMMA_QUANTILES[x], strict=True))
+        for y in QUANTILE_SHAPES:
+            beta = dict(zip(QUANTILE_QS, BETA_QUANTILES[(x, y)], strict=True))
+            for level in QUANTILE_LEVELS:
+                ends = ((1 - level) / 2, 1 - (1 - level) / 2)
+                lo, hi = g.BetaParams(x, y).credible_interval(level)
+                assert (lo, hi) == pytest.approx([beta_reference(beta[q])[0] for q in ends],
+                                                 rel=_bound(x, y), abs=0)
+                assert (lo, hi) == pytest.approx(stats.beta(x, y).ppf(ends), rel=1e-13, abs=0)
+                lo, hi = g.GammaParams(x, y).credible_interval(level)
+                assert (lo, hi) == pytest.approx([float(gamma[q]) / y for q in ends],
+                                                 rel=_bound(x), abs=0)
+                assert (lo, hi) == pytest.approx(stats.gamma(x, scale=1 / y).ppf(ends),
+                                                 rel=1e-13, abs=0)
+
+
+def test_quantiles_at_the_ends_of_their_range():
+    # a level within an ulp of 1 puts the upper end at q = 1
+    assert _beta_quantile(2.0, 3.0, 0.0) == (0.0, 1.0)
+    assert _beta_quantile(2.0, 3.0, 1.0) == (1.0, 0.0)
+    assert _gamma_quantile(2.0, 0.0) == 0.0
+    assert _gamma_quantile(2.0, 1.0) == math.inf
+    level = math.nextafter(1.0, 0.0)
+    assert g.BetaParams(2, 3).credible_interval(level)[1] == 1.0
+    assert g.GammaParams(2, 3).credible_interval(level)[1] == math.inf
 
 
 def test_beta_and_gamma_credible_intervals_check_the_level():

@@ -173,10 +173,12 @@ def test_posterior_document_credible_intervals_match_scipy_stats(bear_posterior,
         entry = {(p["law"], p["i"], p["j"]): p["credible_90"] for p in doc["pairs"]}
         for pair, a in post.alpha.items():
             want = [[stats.beta(ak, a.sum() - ak).ppf(q) for q in (lo, 1 - lo)] for ak in a]
-            assert entry[("categorical", *pair)] == want
+            assert np.array(entry[("categorical", *pair)]) == pytest.approx(
+                np.array(want), rel=1e-13, abs=0)
         for pair, gp in poisson.items():
             d = stats.gamma(gp.shape, scale=1.0 / gp.rate)
-            assert entry[("poisson", *pair)] == [d.ppf(lo), d.ppf(1 - lo)]
+            assert entry[("poisson", *pair)] == pytest.approx([d.ppf(lo), d.ppf(1 - lo)],
+                                                              rel=1e-13, abs=0)
 
 
 def test_posterior_document_poisson_pairs(bear_posterior, synthetic_posterior):

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parents[1] / "src" / "gwpva").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(__file__).parents[1] / "src" / "gwpva"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,3 +36,28 @@ def test_unused_import_check_sees_them():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Top-level package names of every import statement in ``source``, at
+    any depth (function-local imports included)."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_check_sees_local_imports():
+    src = "import numpy as np\n\ndef f():\n    from scipy import special\n    import scipy.stats\n"
+    assert _imported_modules(src) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # SciPy is a test-only oracle: every quantile the package reports comes
+    # from its own incomplete beta and gamma kernels
+    assert "scipy" not in _imported_modules(path.read_text())

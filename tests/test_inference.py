@@ -8,6 +8,9 @@ from scipy import stats
 
 import gwpva as g
 from gwpva.datasets import synthetic_cap, synthetic_life_table
+from gwpva.extensions import _beta_quantile
+
+from quantile_references import QUANTILE_LEVELS, QUANTILE_SHAPES
 
 
 def test_flat_prior_synthetic_posterior(synthetic_posterior):
@@ -142,14 +145,9 @@ def test_scenario_draws_quantiles(bear_posterior):
         g.scenario_draws(bear_posterior, [0.0])
 
 
-# shapes and levels on which the quantiles are pinned to scipy.stats, which
-# is a test-only oracle: the package calls the scipy.special functions that
-# scipy.stats calls, and must get the same bits
-QUANTILE_SHAPES = (0.05, 0.5, 1.0, 2.5, 17.0, 140.5, 4000.0)
-QUANTILE_LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99)
-
-
-def test_credible_interval_matches_scipy_stats_bit_for_bit():
+def test_credible_interval_matches_scipy_stats():
+    # the Dirichlet marginals Beta(alpha_k, sum - alpha_k) on the grid's
+    # shapes; scipy.stats is a test-only oracle, itself within about 1e-14
     for a0 in QUANTILE_SHAPES:
         for a1 in QUANTILE_SHAPES:
             alpha = np.array([a0, a1, 3.0])
@@ -157,21 +155,20 @@ def test_credible_interval_matches_scipy_stats_bit_for_bit():
                 lo = (1 - level) / 2
                 for k in range(3):
                     d = stats.beta(alpha[k], alpha.sum() - alpha[k])
-                    assert g.credible_interval(alpha, k, level) == (d.ppf(lo), d.ppf(1 - lo))
+                    assert g.credible_interval(alpha, k, level) == pytest.approx(
+                        (d.ppf(lo), d.ppf(1 - lo)), rel=1e-13, abs=0)
 
 
-def test_scenario_draws_match_scipy_stats_bit_for_bit(bear_posterior, synthetic_posterior):
-    from scipy import special
-
+def test_scenario_draws_are_renormalised_beta_quantiles(bear_posterior, synthetic_posterior):
     grid = g.HyperParams(g.OffspringCap(1, {(1, 1): len(QUANTILE_SHAPES) - 1}),
                          {(1, 1): np.array(QUANTILE_SHAPES)})
     quantiles = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
     for params in (grid, bear_posterior, synthetic_posterior):
         for sc in g.scenario_draws(params, quantiles):
             for pair, a in params.alpha.items():
-                raw = np.array([stats.beta(ak, a.sum() - ak).ppf(sc.quantile) for ak in a])
-                # one vectorized call gives each category the bits of its own call
-                assert np.array_equal(special.betaincinv(a, a.sum() - a, sc.quantile), raw)
+                raw = np.array([_beta_quantile(ak, a.sum() - ak, sc.quantile)[0] for ak in a])
+                assert raw == pytest.approx(stats.beta(a, a.sum() - a).ppf(sc.quantile),
+                                            rel=1e-13, abs=0)
                 assert np.array_equal(sc.draw.p[pair], raw / raw.sum())
 
 

@@ -214,8 +214,8 @@ def cmd_time_bounds(args) -> int:
     tp = "open-ended" if res.t_plus is None else str(res.t_plus)
     return _answer(args, doc, [
         f"extinction time in ({res.t_minus}, {tp}]: P(T > t_plus) <= {_fmt(res.alpha)} "
-        "under the averaged upper bound; t_minus carries no guarantee "
-        f"(subcritical draws: {res.n_used}/{res.n_prec})"],
+        f"under the averaged upper bound and P(T <= t_minus) <= {_fmt(res.alpha)} "
+        f"under the averaged exact survival (subcritical draws: {res.n_used}/{res.n_prec})"],
         res.warnings, posterior_sha256=digest)
 
 
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("time-bounds", help="extinction-time bracket")
     _add_mc_flags(p)
     p.add_argument("--alpha", type=float, default=0.05, help="risk level per side")
-    p.add_argument("--curves", help="write averaged bound curves (CSV)")
+    p.add_argument("--curves", help="write the mean upper-bound and exact survival curves (CSV)")
     p.set_defaults(func=cmd_time_bounds)
 
     p = sub.add_parser("reintroduce", help="per-type founder risk and effective size")

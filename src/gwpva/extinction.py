@@ -1,4 +1,4 @@
-"""Extinction probabilities, survival bounds and extinction-time bounds.
+"""Extinction probabilities, survival curves and extinction-time bounds.
 
 For a fixed parameterization the extinction probability starting from one
 type-i individual is the i-th coordinate of the minimal fixed point of the
@@ -9,23 +9,25 @@ The per-draw kernels live here. They take a law stack, pair -> (n,
 kappa+1) categorical rows or (n,) Poisson rates, and the stack's pair
 means, pair -> (n,) mean offspring numbers (``spectral.pair_means``), never
 a dense (n, K, K) mean-matrix stack: ``_lambda_below`` reads the pair means
-alone, ``_fixed_point_rows`` and ``_bound_constants`` the laws and the pair
-means. The single-draw functions call them at n = 1 (``model._law_stack``).
+alone, ``_fixed_point_rows`` the laws and the pair means. The single-draw
+functions call them at n = 1 (``model._law_stack``).
 The pgf ``_phi`` and its Jacobian ``_jacobian_entries`` work
-coefficient-major, draws along the last axis (``_coefficient_major``);
-``_pgf`` is the dense (n, K) view of ``_phi``.
+coefficient-major, draws along the last axis (``_coefficient_major``).
 ``_fixed_point_rows`` does its linear algebra with one row-batched
 M-matrix elimination, ``_mmatrix_lu``.
 
-The survival-bound curves of n draws are averaged by ``_bound_curves``, and
-the extinction-time bracket is found by ``_bracket_search``, which reads
-the curves at a few dozen times rather than at every t up to the bracket.
+The survival curve of n draws is averaged two ways: exactly, by iterating
+``_phi`` from 0 (``_extinction_cdf``), and from above, by the Markov bound
+(``_upper_curve``). The first time the bound falls to alpha is found by
+``_first_crossing``, which reads the curve at a few dozen times rather than
+at every t up to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,19 +57,19 @@ class ExtinctionProfile:
 
 @dataclass(frozen=True)
 class SurvivalBounds:
-    """Pointwise bounds on P(population alive at time t) for a subcritical draw.
+    """The survival curve P(population alive at time t) of a subcritical draw
+    and a bound above it.
 
-    Both weight the population by the right Perron vector u (M u = lambda
-    u), because N(t) u / lambda^t is a martingale under E[N(t)] = N(0) M^t.
-    ``upper(t)`` is the Markov bound lambda^t sum_j u_j N_j / min(u);
-    ``lower(t)`` the second-moment curve
-    (max u / min u)^2 * ((1 - lambda) / xi) * lambda^(t+1) * sum_j u_j N_j,
-    with xi = sum_j (u_j^2 / min u) * sup_i sum_{k>=1} (k^2 - M_ij^2) p_ij(k),
-    and 0 where xi <= 0. Both are clamped to [0, 1].
+    ``lower(t)`` is the exact survival 1 - prod_i q_t,i^N_i with q_t =
+    phi^(t)(0) (``_extinction_cdf``), defined at integer t >= 0.
+    ``upper(t)`` is the Markov bound min(1, lambda^t sum_j u_j N_j / min u),
+    with u the right Perron vector (M u = lambda u): N(t) u / lambda^t is a
+    martingale under E[N(t)] = N(0) M^t, so upper(t) >= lower(t) up to
+    rounding. ``weighted_size`` is sum_j u_j N_j, at the scale of
+    ``perron_triple``'s u.
     """
 
     lam: float
-    xi: float
     weighted_size: float
     upper: Callable[[np.ndarray], np.ndarray]
     lower: Callable[[np.ndarray], np.ndarray]
@@ -76,9 +78,10 @@ class SurvivalBounds:
 @dataclass(frozen=True)
 class TimeBounds:
     """Extinction-time bracket of ``extinction_time_bounds``: P(T_ext >
-    t_plus) <= alpha when the upper curve bounds survival, P(T_ext <=
-    t_minus) <= alpha only when the lower one does too. ``t_plus`` is None
-    when the upper curve never reaches alpha within the search horizon."""
+    t_plus) <= alpha when the upper curve bounds survival from above, and
+    P(T_ext <= t_minus) <= alpha when the lower curve bounds it from below.
+    ``t_plus`` is None when the upper curve never reaches alpha within the
+    search horizon."""
 
     t_minus: int
     t_plus: int | None
@@ -135,12 +138,6 @@ def _phi(claws: dict, s: np.ndarray) -> np.ndarray:
             started[i - 1] = True
     out[~started] = 1.0
     return out
-
-
-def _pgf(laws: dict, s: np.ndarray) -> np.ndarray:
-    """phi applied draw-wise to an (n, K) s, ``laws`` being the law stack of
-    those n draws: the dense view of ``_phi``."""
-    return _phi(_coefficient_major(laws), s.T).T
 
 
 def _jacobian_entries(claws: dict, s: np.ndarray) -> dict:
@@ -357,11 +354,11 @@ def _newton_step(claws: dict, x: np.ndarray, f: np.ndarray
 
 def generating_function(draw: ParameterDraw, s) -> np.ndarray:
     """Multi-type offspring pgf phi_i(s) = prod_j g_ij(s_j) of one draw:
-    ``_pgf`` on the draw's law stack at n = 1."""
+    ``_phi`` on the draw's law stack at n = 1."""
     s = np.asarray(s, dtype=float)
     if s.shape != (draw.K,):
         raise ValueError(f"s must have shape ({draw.K},)")
-    return _pgf(_law_stack(draw), s[None])[0]
+    return _phi(_coefficient_major(_law_stack(draw)), s[:, None])[:, 0]
 
 
 def minimal_fixed_point(draw: ParameterDraw) -> ExtinctionProfile:
@@ -381,183 +378,145 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
     return float(np.prod(s ** N))
 
 
-def _bound_constants(laws: dict, means: dict, lam: np.ndarray, u: np.ndarray,
-                     N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-draw xi (see ``SurvivalBounds``) and the constants of
-    upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam, 0, 1).
-
-    The n draws are given by ``laws`` (each pair's (n, kappa+1) categorical
-    law rows), their pair means (pair -> (n,), ``spectral.pair_means``),
-    Perron roots lam (n,) and right eigenvectors u (n, K), at any positive
-    scale; N is the (K,) population. cL is 0 where xi <= 0.
-    """
-    n, K = u.shape
-    col_sup = np.zeros((n, K))
-    seen = np.zeros((n, K), dtype=bool)
-    for (i, j), d in laws.items():
-        # summed term by term: sum_k k^2 p(k) - M^2 (1 - p(0)) cancels to 0
-        # on near-point-mass laws
-        ks = np.arange(1, d.shape[1], dtype=float)
-        val = np.sum((ks ** 2 - means[(i, j)][:, None] ** 2) * d[:, 1:], axis=1)
-        col = j - 1
-        col_sup[:, col] = np.where(seen[:, col], np.maximum(col_sup[:, col], val), val)
-        seen[:, col] = True
-    umin = u.min(axis=1)
-    umax = u.max(axis=1)
-    xi = np.sum(np.where(seen, (u ** 2 / umin[:, None]) * col_sup, 0.0), axis=1)
-    w = u @ N
-    pos = xi > 0
-    cU = w / umin
-    cL = np.where(pos, (umax / umin) ** 2 * (1 - lam) / np.where(pos, xi, 1.0) * w, 0.0)
-    return xi, cU, cL
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 0.5:
+        raise ValueError("alpha must be in (0, 0.5)")
 
 
-_CURVE_BLOCK = 512  # times per (n, times) scratch buffer of ``_bound_curves``
+_CURVE_BLOCK = 512  # times per (n, times) scratch buffer of ``_upper_curve``
 
 
-def _bound_curves(lam: np.ndarray, cU: np.ndarray, cL: np.ndarray, ts):
-    """Draw-averaged survival-bound curves at the times ts: the means over n
-    draws of upper(t) = min(1, cU lam^t) and lower(t) = clip(cL lam^t lam,
-    0, 1), from the (n,) arrays of ``_bound_constants``. ts may have any
-    shape and any number of times, one included.
+def _upper_curve(lam: np.ndarray, cU: np.ndarray, ts) -> np.ndarray:
+    """The draw-averaged Markov bound at the times ts: the mean over n draws
+    of min(1, cU lam^t), from their (n,) Perron roots lam and constants cU =
+    sum_j u_j N_j / min u. ts may have any shape and any number of times,
+    one included.
 
-    Each mean is a sum of the draws in row order, divided by n, so a time's
+    The mean is a sum of the draws in row order, divided by n, so a time's
     value has the same bits whatever other times share the call, and at
-    n = 1 it is the draw's own curve bit for bit. NumPy's axis-0 sum adds
+    n = 1 it is the draw's own bound bit for bit. NumPy's axis-0 sum adds
     the rows in order when a block has two or more columns but sums a lone
     column pairwise, so a lone column is summed by ``np.cumsum``, which adds
     in row order. The times are taken in blocks of at most ``_CURVE_BLOCK``,
-    which bound the scratch memory; per block lam^t is taken once, and the
-    clip and the min are done in one (n, block) buffer."""
+    which bound the scratch memory."""
     ts = np.asarray(ts, dtype=float)
     flat = ts.ravel()
-    lam, cU, cL = (np.reshape(a, (-1, 1)) for a in (lam, cU, cL))
-    upper, lower = np.empty(len(flat)), np.empty(len(flat))
-
-    def row_sum(buf):
-        return np.sum(buf, axis=0) if buf.shape[1] > 1 else np.cumsum(buf, axis=0)[-1]
-
+    lam, cU = np.reshape(lam, (-1, 1)), np.reshape(cU, (-1, 1))
+    out = np.empty(len(flat))
     for i in range(0, len(flat), _CURVE_BLOCK):
         block = slice(i, i + _CURVE_BLOCK)
-        pw = lam ** flat[block]
-        buf = np.multiply(cL, pw)
-        np.multiply(buf, lam, out=buf)
-        np.clip(buf, 0.0, 1.0, out=buf)
-        lower[block] = row_sum(buf)
-        np.multiply(cU, pw, out=buf)
+        buf = lam ** flat[block]
+        np.multiply(cU, buf, out=buf)
         np.minimum(buf, 1.0, out=buf)
-        upper[block] = row_sum(buf)
-    return upper.reshape(ts.shape) / len(lam), lower.reshape(ts.shape) / len(lam)
+        out[block] = np.sum(buf, axis=0) if buf.shape[1] > 1 else np.cumsum(buf, axis=0)[-1]
+    return out.reshape(ts.shape) / len(lam)
+
+
+def _extinction_cdf(claws: dict, N: np.ndarray) -> Iterator[float]:
+    """The mean over n draws of P(T_ext <= t | draw) for t = 0, 1, 2, ...,
+    one value per ``next``; the value at t has cost t steps of ``_phi``.
+
+    ``claws`` is the coefficient-major law stack of the n draws and N the
+    (K,) population. q_t = phi^(t)(0) holds the probabilities that the line
+    of one founder of each type is extinct by t (Harris, *The Theory of
+    Branching Processes*, 1963; Athreya & Ney, *Branching Processes*, 1972,
+    ch. V), so by founder independence P(T_ext <= t | draw) =
+    prod_i q_t,i^N_i, for categorical and Poisson laws alike. Each draw's
+    value is elementwise, so it has the same bits whatever the other draws
+    are, and the mean is one fixed-order sum, NumPy's sum of the (n,)
+    values, divided by n."""
+    n = max((d.shape[-1] for d in claws.values()), default=1)
+    q = np.zeros((len(N), n))
+    exponent = np.reshape(N, (-1, 1))
+    while True:
+        yield float(np.sum(np.prod(q ** exponent, axis=0)) / n)
+        q = _phi(claws, q)
+
+
+def _survival_curve(claws: dict, N: np.ndarray, n_times: int) -> np.ndarray:
+    """The mean exact survival 1 - F(t) at t = 0 .. n_times - 1, with F the
+    mean CDF of ``_extinction_cdf``."""
+    return 1.0 - np.fromiter(islice(_extinction_cdf(claws, N), n_times), float, n_times)
 
 
 def survival_bounds(draw: ParameterDraw,
                     population: PopulationState | Sequence[int]) -> SurvivalBounds:
-    """Upper and lower bounds on the survival curve of a subcritical draw.
+    """The exact survival curve of a subcritical draw and its Markov bound.
 
     The n = 1 view of ``mc_time_bounds``: lambda < 1 is decided by
     ``_lambda_below`` on the draw's pair means, the Perron pair is
-    ``perron_triple`` of its mean matrix, the constants come from
-    ``_bound_constants`` on the draw alone and the curves are
-    ``_bound_curves`` of that one draw. Only
-    categorical laws are supported: a draw holding any other law (such as
-    a ``PoissonLaw``) raises ValueError naming its pair.
+    ``perron_triple`` of its mean matrix, ``upper`` is ``_upper_curve`` and
+    ``lower`` is ``_survival_curve`` of the draw alone, so ``lower`` has the
+    bits of the estimate's ``lower_curve`` at n_prec = 1. Categorical and
+    Poisson laws are both taken. ValueError unless lambda < 1 and u > 0
+    (an irreducible M); ``lower`` raises it unless every t is an integer
+    >= 0.
     """
     laws = _law_stack(draw)
-    means = pair_means(laws)
-    if not _lambda_below(means, draw.K, 1.0)[0][0]:
+    if not _lambda_below(pair_means(laws), draw.K, 1.0)[0][0]:
         raise ValueError("survival bounds require lambda < 1")
-    for pair, d in laws.items():
-        if d.ndim == 1:
-            raise ValueError(f"survival bounds need categorical laws; pair {pair} "
-                             "holds a PoissonLaw")
     N = _as_abundance(population, draw.K)
     triple = perron_triple(mean_matrices(laws, draw.K)[0])
     u = triple.u
     if u.min() <= 0:
         raise ValueError("right eigenvector must be strictly positive (irreducible M)")
     lam = np.array([triple.lam])
-    xi, cU, cL = _bound_constants(laws, means, lam, u[None], N)
-    return SurvivalBounds(lam=triple.lam, xi=float(xi[0]), weighted_size=float(u @ N),
-                          upper=lambda t: _bound_curves(lam, cU, cL, t)[0],
-                          lower=lambda t: _bound_curves(lam, cU, cL, t)[1])
+    cU = (u[None] @ N) / u.min()
+    claws = _coefficient_major(laws)
+
+    def lower(t):
+        ts = np.asarray(t)
+        if not np.issubdtype(ts.dtype, np.integer) or (ts < 0).any():
+            raise ValueError("the exact survival curve takes integer times t >= 0")
+        return _survival_curve(claws, N, int(ts.max(initial=-1)) + 1)[ts]
+
+    return SurvivalBounds(lam=triple.lam, weighted_size=float(u @ N),
+                          upper=lambda t: _upper_curve(lam, cU, t), lower=lower)
 
 
 _GALLOP_FIRST = 7  # the first call reads t = 0, 1, 3, ..., 63
 _GALLOP_STEP = 4   # each later gallop call reads the next four t = 2^k - 1
-_REFINE = 15       # times read inside each open bracket per call
-_OPEN_END = 991    # an open-ended curve ends at t = 991 + 512 m or at the cap
-_OPEN_BLOCK = 512
+_REFINE = 15       # times read inside the bracket per call
+_OPEN_END = 991    # see ``_first_crossing`` and ``mc_time_bounds``
 
 
-def _bracket_search(curves: Callable, alpha: float, horizon_cap: int
-                    ) -> tuple[int, int | None, int]:
-    """The bracket of ``extinction_time_bounds`` and ``mc_time_bounds``.
+def _first_crossing(crossed: Callable, horizon_cap: int) -> int | None:
+    """The first t <= horizon_cap at which a monotone curve has crossed its
+    level, or None if it has not crossed by horizon_cap.
 
-    Returns (t_minus, t_plus, length). t_plus is the first t <= horizon_cap
-    with upper(t) <= alpha (None if there is none); t_minus is the last t
-    before ``length`` with lower(t) >= 1 - alpha (0 if there is none).
-    ``length`` is how many times t = 0, 1, ... the curves run: to t_plus
-    when it is set; otherwise to horizon_cap, or, when horizon_cap >= 992,
-    to the first of t = 991, 1503, 2015, ... (every 512 steps) by which
-    lower has fallen below 1 - alpha, since t_minus is fixed by then.
-
-    Both curves must be nonincreasing in t, so p, the first t with
-    upper <= alpha, and q, the first with lower < 1 - alpha, each lie in a
-    bracket (lo, hi] that every reading narrows; q matters only up to
-    p + 1. ``curves(ts)`` returns (upper, lower) at sorted times ts, one or
-    more, none read before and none past horizon_cap. While upper stays
-    above alpha the search gallops over t = 2^k - 1, seven times in its
-    first call and four in each later one, and reads horizon_cap once upper
-    is above alpha past t = 991, where an open-ended search can stop
-    galloping. Each call also reads up to 15 evenly spaced times inside
-    each bracket still open: p's once the gallop has stopped, q's once
-    lower has fallen below 1 - alpha at some time read. ValueError unless
-    0 < alpha < 0.5 and horizon_cap >= 0.
+    ``crossed(ts)`` takes sorted times ts, one or more, and returns one
+    boolean per time: False before the crossing and True from it on. The
+    crossing lies in a bracket (lo, hi] that every reading narrows, and each
+    call reads only times inside it, so no time twice and none past
+    horizon_cap. While no crossing is bracketed the search gallops over
+    t = 2^k - 1, seven times in its first call and four in each later one,
+    and reads horizon_cap once the curve is uncrossed past t = 991: the
+    Markov bound's lam^t underflows at a far cap, where pow is slow, so a
+    crossing found sooner never pays for it. Once a gallop time has crossed,
+    each call reads up to 15 evenly spaced times inside the bracket.
+    ValueError unless horizon_cap >= 0.
     """
-    if not 0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
     if horizon_cap < 0:
         raise ValueError("horizon_cap must be >= 0")
-    lo_p = lo_q = -1
-    p = q = horizon_cap + 1  # the brackets' upper ends
+    lo, hi = -1, horizon_cap + 1
     k, g_last = 0, -1
-    seen = set()
-    while p - lo_p > 1 or (q - lo_q > 1 and lo_q < p):
-        ts = set()
-        if lo_p < horizon_cap and p > g_last:
+    while hi - lo > 1:
+        if hi > g_last:
             n = _GALLOP_FIRST if k == 0 else _GALLOP_STEP
-            gallop = [min(2 ** j - 1, horizon_cap) for j in range(k, k + n)]
-            ts.update(gallop)
-            k, g_last = k + n, gallop[-1]
-            # pow is slow where lam^t underflows, as it does at a far cap, so
-            # the cap is read only once upper is above alpha past t = 991:
-            # a bracket that closes sooner never pays for it
-            if lo_p > _OPEN_END:
-                ts.add(horizon_cap)
-        elif p - lo_p > 1:
-            ts.update(_inside(lo_p, p))
-        if q <= horizon_cap and q - lo_q > 1 and lo_q < p:
-            ts.update(_inside(lo_q, q))
-        # a gallop time can be the cap or a refining time, read before
-        ts = sorted(ts - seen)
-        if not ts:
-            continue
-        seen.update(ts)
-        upper, lower = curves(np.array(ts))
-        for t, u, lo in zip(ts, upper, lower):
-            if u <= alpha:
-                p = min(p, t)
-            else:
-                lo_p = max(lo_p, t)
-            if lo < 1 - alpha:
-                q = min(q, t)
-            else:
-                lo_q = max(lo_q, t)
-    blocks = -(-max(q - _OPEN_END, 0) // _OPEN_BLOCK)
-    length = p + 1 if p <= horizon_cap else \
-        min(horizon_cap + 1, _OPEN_END + 1 + _OPEN_BLOCK * blocks)
-    t_minus = max(min(q, length) - 1, 0)
-    return t_minus, (p if p <= horizon_cap else None), length
+            ts = [min(2 ** j - 1, horizon_cap) for j in range(k, k + n)]
+            k, g_last = k + n, ts[-1]
+            if lo > _OPEN_END:
+                ts.append(horizon_cap)
+        else:
+            ts = _inside(lo, hi)
+        ts = sorted({t for t in ts if lo < t < hi})
+        if ts:
+            for t, c in zip(ts, crossed(np.array(ts))):
+                if c:
+                    hi = min(hi, t)
+                else:
+                    lo = max(lo, t)
+    return hi if hi <= horizon_cap else None
 
 
 def _inside(lo: int, hi: int) -> list[int]:
@@ -569,23 +528,23 @@ def _inside(lo: int, hi: int) -> list[int]:
 
 def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float,
                            horizon_cap: int = 10 ** 6) -> TimeBounds:
-    """Bracket the extinction time from survival-bound curves.
+    """Bracket the extinction time from survival curves.
 
-    ``t_plus`` is the smallest t with upper(t) <= alpha (None if not reached
-    within ``horizon_cap``); ``t_minus`` the largest t <= t_plus with
-    lower(t) >= 1 - alpha (0 if none or if ``lower`` is None), so
-    P(T_ext <= t_minus) <= alpha only if ``lower`` truly bounds survival
-    from below, which the second-moment curve of ``survival_bounds`` does
-    not always do (ROADMAP open item 1). Both curves must be nonincreasing
-    in t: they are read at a few dozen times, each once and none past
-    horizon_cap, passed as sorted arrays of one or more times
-    (``_bracket_search``).
+    ``t_plus`` is the first t <= horizon_cap with upper(t) <= alpha (None if
+    there is none); ``t_minus`` the last t <= t_plus, or <= horizon_cap when
+    t_plus is None, with lower(t) >= 1 - alpha (0 if there is none or
+    ``lower`` is None). Both curves must be nonincreasing in t and take a
+    sorted integer array of one or more times. Each is searched on its own
+    by ``_first_crossing``, so it is read at a few dozen times, each once,
+    upper none past horizon_cap and lower none past t_plus. ValueError
+    unless 0 < alpha < 0.5 and horizon_cap >= 0.
     """
-
-    def curves(ts):
-        u = np.asarray(upper(ts), dtype=float)
-        lo = np.zeros_like(u) if lower is None else np.asarray(lower(ts), dtype=float)
-        return u, lo
-
-    t_minus, t_plus, _ = _bracket_search(curves, alpha, horizon_cap)
+    _check_alpha(alpha)
+    t_plus = _first_crossing(lambda ts: np.asarray(upper(ts), dtype=float) <= alpha,
+                             horizon_cap)
+    t_minus = 0
+    if lower is not None:
+        stop = horizon_cap if t_plus is None else t_plus
+        q = _first_crossing(lambda ts: np.asarray(lower(ts), dtype=float) < 1 - alpha, stop)
+        t_minus = stop if q is None else max(q - 1, 0)
     return TimeBounds(t_minus=t_minus, t_plus=t_plus, alpha=alpha)

@@ -145,7 +145,7 @@ def _as_abundance(population, K: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PoissonLaw:
     """Unbounded Poisson offspring law; its pgf and mean are the Poisson
-    branch of the law-stack kernels (``extinction._pgf``, ``mean_matrices``)."""
+    branch of the law-stack kernels (``extinction._phi``, ``mean_matrices``)."""
 
     rate: float
 

@@ -34,11 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from .extinction import (_bound_constants, _bound_curves, _bracket_search,
-                         _fixed_point_rows, _lambda_below)
+from .extinction import (_OPEN_END, _check_alpha, _coefficient_major, _extinction_cdf,
+                         _first_crossing, _fixed_point_rows, _lambda_below,
+                         _survival_curve, _upper_curve)
 from .inference import HyperParams
 from .model import _as_abundance
 from .sampling import _dirichlet_rows
@@ -83,23 +85,24 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class TimeBoundsEstimate:
-    """Averaged survival-bound curves and the extinction-time bracket.
+    """The extinction-time bracket under the averaged (lambda < 1
+    conditioned) posterior, and its two survival curves.
 
-    Under the averaged (lambda < 1 conditioned) posterior, t_plus is the
-    first t at which the mean upper curve is <= alpha and t_minus the last
-    t at which the mean lower curve is >= 1 - alpha. Only t_plus rests on a
-    bound, P(T_ext > t_plus) <= alpha, for any K: the lower curve is the
-    asymptotic second-moment curve, which can lie above the exact survival
-    probability, so P(T_ext <= t_minus) <= alpha is not guaranteed and
-    (t_minus, t_plus] is not a proven 1 - 2*alpha interval.
+    ``upper_curve`` is the mean Markov bound and ``lower_curve`` the mean
+    exact survival 1 - F(t) of the averaged draws. t_plus is the first
+    t <= horizon_cap at which the upper curve is <= alpha, so P(T_ext >
+    t_plus) <= alpha; t_minus is the last t <= t_plus at which the lower
+    curve is >= 1 - alpha, so P(T_ext <= t_minus) <= alpha exactly, and
+    (t_minus, t_plus] holds T_ext with probability >= 1 - 2 alpha.
 
-    The estimate keeps the averaged draws' Perron roots ``lam``, bound
-    constants ``c_upper`` and ``c_lower`` (see ``extinction._bound_curves``)
-    and the curve length ``n_times``. ``times`` is 0 .. n_times - 1, and
-    ``upper_curve`` and ``lower_curve`` are computed on first read, in one
-    ``_bound_curves`` call on ``times``, so an answer that reads only the
-    bracket never pays for them. A curve value's bits depend only on the
-    draws and on t, so the curves agree with the values the search read."""
+    The estimate keeps what the curves are computed from: the averaged
+    draws' Perron roots ``lam`` and bound constants ``c_upper`` (see
+    ``extinction._upper_curve``), their coefficient-major laws ``claws``
+    and the ``population``. ``times`` is 0 .. n_times - 1, and each curve is
+    computed on its first read, in one call on ``times``, so an answer that
+    reads only the bracket never pays for it. A curve value's bits depend
+    only on the draws and on t, so the curves hold the values the bracket
+    was read from."""
 
     t_minus: int
     t_plus: int | None
@@ -107,7 +110,8 @@ class TimeBoundsEstimate:
     n_times: int
     lam: np.ndarray = field(repr=False, compare=False)
     c_upper: np.ndarray = field(repr=False, compare=False)
-    c_lower: np.ndarray = field(repr=False, compare=False)
+    claws: dict = field(repr=False, compare=False)
+    population: np.ndarray = field(repr=False, compare=False)
     n_prec: int
     n_used: int
     master_seed: int
@@ -118,16 +122,12 @@ class TimeBoundsEstimate:
         return np.arange(self.n_times)
 
     @cached_property
-    def _curves(self) -> tuple[np.ndarray, np.ndarray]:
-        return _bound_curves(self.lam, self.c_upper, self.c_lower, self.times)
-
-    @property
     def upper_curve(self) -> np.ndarray:
-        return self._curves[0]
+        return _upper_curve(self.lam, self.c_upper, self.times)
 
-    @property
+    @cached_property
     def lower_curve(self) -> np.ndarray:
-        return self._curves[1]
+        return _survival_curve(self.claws, self.population, self.n_times)
 
 
 @dataclass(frozen=True)
@@ -350,30 +350,35 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                    n_prec: int = DEFAULT_N_PREC, master_seed: int = 0,
                    horizon_cap: int = 10 ** 6,
                    ensemble: PosteriorEnsemble | None = None) -> TimeBoundsEstimate:
-    """Extinction-time bracket from posterior-averaged survival bounds.
+    """Extinction-time bracket under the posterior conditioned on lambda < 1.
 
-    Per draw with lambda < 1 (``extinction._lambda_below``) the survival
-    curve is bracketed by the spectral upper bound and the second-moment
-    lower curve (both clamped to [0, 1]); curves are averaged over those
-    draws and the bracket read off at level alpha: t_plus = first t with
-    mean upper <= alpha, t_minus = last t with mean lower >= 1 - alpha. The
-    lower curve is asymptotic, not a bound, so t_minus carries no guarantee
-    (see ``TimeBoundsEstimate``). The bracket is found by a search that
-    reads the mean curves at a few dozen times (``extinction._bracket_search``),
-    each once; the full curves are computed only when the estimate's
-    ``upper_curve`` or ``lower_curve`` is read. They end at t_plus or, when
-    t_plus is None, at the length ``_bracket_search`` gives, which can be
-    well before ``horizon_cap``. Perron pairs are solved for the lambda < 1
-    draws alone (``PosteriorEnsemble._perron``), so ``perron-failures``
-    counts the lambda < 1 draws whose Perron pair misses its residual
-    limit.
+    The averaged draws are those with lambda < 1 (``extinction._lambda_below``)
+    whose Perron pair is usable. Per draw the survival curve is bounded
+    above by the Markov bound min(1, lam^t u.N / min u) and given exactly by
+    ``extinction._extinction_cdf``; each is averaged over the draws. t_plus
+    is the first t <= horizon_cap at which the mean bound is <= alpha, None
+    if there is none, found by ``extinction._first_crossing``, which reads
+    the bound at a few dozen times. t_minus is the last t <= t_plus (or
+    <= horizon_cap) at which the mean exact survival is >= 1 - alpha, 0 if
+    there is none, found by a walk forward from t = 0 that stops at the
+    first t past it: at most t_minus + 1 steps of the pgf, and never more
+    than t_plus. See ``TimeBoundsEstimate`` for what the bracket
+    guarantees.
 
-    The bounds divide by the smallest entry of the right Perron vector u,
-    so a subcritical draw whose u has an entry <= 0 (a reducible mean
-    matrix), or whose entries are so lopsided that a bound constant is not
-    finite, is left out of the average and counted under the
-    ``degenerate-eigenvector`` warning. ``n_used`` is the number of draws
-    averaged; RuntimeError is raised if none is left."""
+    The curves are computed only when the estimate's ``upper_curve`` or
+    ``lower_curve`` is read. They end at t_plus or, when t_plus is None, at
+    t = 991 or t_minus + 1, whichever is later, and never past horizon_cap.
+
+    Perron pairs are solved for the lambda < 1 draws alone
+    (``PosteriorEnsemble._perron``). A draw whose pair misses its residual
+    limit is left out and counted under ``perron-failures``. The bound
+    divides by the smallest entry of the right Perron vector u, so a draw
+    whose u has an entry <= 0 (a reducible mean matrix), or whose entries
+    are so lopsided that its bound constant is not finite, is left out too
+    and counted under ``degenerate-eigenvector``. ``n_used`` is the number
+    of draws averaged; RuntimeError is raised if none is left. ValueError
+    unless 0 < alpha < 0.5 and horizon_cap >= 0."""
+    _check_alpha(alpha)
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
@@ -382,27 +387,35 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
     rows = np.flatnonzero(sub)
     lam, u, converged = ens._perron(rows)
-    means = {p: m.take(rows) for p, m in ens.pair_means.items()}
-    laws = {p: d.take(rows, axis=0) for p, d in ens._laws.items()}
-    # degenerate rows may divide by zero or overflow; they are left out below
+    umin = u.min(axis=1)
+    # a degenerate u may divide by zero or overflow; its draw is left out below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xi, cU, cL = _bound_constants(laws, means, lam, u, N)
-    use = (u.min(axis=1) > 0) & np.isfinite(cU) & np.isfinite(cL)
+        cU = (u @ N) / umin
+    usable = (umin > 0) & np.isfinite(cU)
+    use = converged & usable
     n_used = int(np.sum(use))
     if n_used == 0:
-        raise RuntimeError("no subcritical draw has a usable right eigenvector; "
-                           "time bounds are undefined")
-    lam_s, cU, cL = lam[use], cU[use], cL[use]
-    t_minus, t_plus, n_times = _bracket_search(
-        lambda ts: _bound_curves(lam_s, cU, cL, ts), alpha, horizon_cap)
+        raise RuntimeError("no subcritical draw has a converged Perron pair with a "
+                           "usable right eigenvector; time bounds are undefined")
+    lam, cU = lam[use], cU[use]
+    t_plus = _first_crossing(lambda ts: _upper_curve(lam, cU, ts) <= alpha, horizon_cap)
+    kept = rows[use]
+    claws = {p: d.take(kept, axis=-1) for p, d in _coefficient_major(ens._laws).items()}
+    stop = horizon_cap if t_plus is None else t_plus
+    t_minus = 0
+    for t, F in enumerate(islice(_extinction_cdf(claws, N), stop + 1)):
+        if 1.0 - F < 1 - alpha:
+            break
+        t_minus = t
+    n_times = 1 + (t_plus if t_plus is not None
+                   else min(horizon_cap, max(_OPEN_END, t_minus + 1)))
     warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
-                "degenerate-eigenvector": int(n_sub - n_used),
-                "degenerate-xi": int(np.sum(~(xi[use] > 0))),
+                "degenerate-eigenvector": int(np.sum(converged & ~usable)),
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
                 "perron-failures": int(np.sum(~converged))}
     return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
-                              n_times=n_times, lam=lam_s, c_upper=cU, c_lower=cL,
-                              n_prec=ens.n_prec, n_used=n_used,
+                              n_times=n_times, lam=lam, c_upper=cU, claws=claws,
+                              population=N, n_prec=ens.n_prec, n_used=n_used,
                               master_seed=ens.master_seed, warnings=warnings)
 
 

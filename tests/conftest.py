@@ -5,7 +5,7 @@ import gwpva as g
 from gwpva import spectral
 from gwpva.datasets import (bear_cap, bear_life_table, synthetic_cap,
                             synthetic_life_table)
-from gwpva.extinction import _coefficient_major, _jacobian_entries
+from gwpva.extinction import _coefficient_major, _jacobian_entries, _phi
 
 # acceptance tests register one (criterion, status, detail) line each;
 # printed in the terminal summary so the verdicts survive output capture
@@ -21,6 +21,13 @@ def dense_mean_matrices(ens):
     """The (n_prec, K, K) dense mean matrices of an ensemble's draws, which
     no answer builds: ``spectral.mean_matrices`` of its laws."""
     return spectral.mean_matrices({p: ens.law(p) for p in ens.pairs}, ens.K)
+
+
+def dense_pgf(laws, s):
+    """phi applied draw-wise to an (n, K) s, ``laws`` being the law stack of
+    those n draws: the dense (n, K) view of ``_phi``, which no answer
+    takes."""
+    return _phi(_coefficient_major(laws), s.T).T
 
 
 def dense_pgf_jacobian(laws, s):

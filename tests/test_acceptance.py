@@ -17,12 +17,12 @@ import gwpva as g
 from gwpva.datasets import (bear_cap, bear_life_table, bear_population_2016,
                             synthetic_abundances, synthetic_cap,
                             synthetic_life_table, synthetic_true_draw)
-from gwpva.extinction import _lambda_below, _pgf
+from gwpva.extinction import _lambda_below
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 from gwpva.spectral import pair_means, perron_batch
 
-from conftest import dense_mean_matrices, record_acceptance
+from conftest import dense_mean_matrices, dense_pgf, record_acceptance
 
 
 def test_criterion_01_exact_posterior():
@@ -362,7 +362,7 @@ def test_multitype_upper_bound_dominates_exact_survival(K):
     exact = np.empty((n, horizon))
     for t in range(horizon):
         exact[:, t] = 1 - np.prod(q ** N, axis=1)
-        q = _pgf(laws, q)
+        q = dense_pgf(laws, q)
     cap = g.OffspringCap(K, {pair: 2 for pair in pairs})
     ts = np.arange(horizon)
     worst = -np.inf
@@ -370,6 +370,9 @@ def test_multitype_upper_bound_dominates_exact_survival(K):
         draw = g.ParameterDraw(cap, {pair: laws[pair][r] for pair in pairs})
         sb = g.survival_bounds(draw, N[r].astype(int))
         worst = max(worst, float(np.max(exact[r] - sb.upper(ts))))
+        if r in sub[:10]:
+            # the single-draw lower curve is this exact curve, bit for bit
+            assert sb.lower(ts).tobytes() == exact[r].tobytes()
     assert worst <= 1e-12
 
 

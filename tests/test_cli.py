@@ -132,10 +132,14 @@ def test_time_bounds_and_curves(synthetic_files, tmp_path, capsys):
     header, *rows = curves.read_text().splitlines()
     assert header == "t,upper,lower"
     assert len(rows) >= doc["t_plus"]
-    # only the upper end rests on a bound, so no two-sided level is claimed
+    # each end states its own one-sided guarantee
     printed = capsys.readouterr().out
-    assert "P(T > t_plus) <= 0.05" in printed and "t_minus carries no guarantee" in printed
-    assert "probability >=" not in printed
+    assert "P(T > t_plus) <= 0.05 under the averaged upper bound" in printed
+    assert "P(T <= t_minus) <= 0.05 under the averaged exact survival" in printed
+    assert "no guarantee" not in printed and "probability >=" not in printed
+    # the lower column is the exact survival, below the upper bound
+    assert all(float(lo) <= float(u) + 1e-12
+               for _, u, lo in (row.split(",") for row in rows))
 
 
 def test_time_bounds_curves_cells_are_plain_floats(synthetic_files, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 import gwpva as g
 from gwpva.datasets import synthetic_true_draw
-from gwpva.extinction import _bound_curves, _mmatrix_solve
+from gwpva import extinction
+from gwpva.extinction import _mmatrix_solve, _upper_curve
 from gwpva.sampling import SeedSpec
 
 
@@ -129,15 +132,30 @@ def test_single_draw_bounds_match_batch_of_one(K):
         single = g.extinction_time_bounds(sb.upper, sb.lower, alpha=0.05)
         assert (tb.t_minus, tb.t_plus) == (single.t_minus, single.t_plus)
         np.testing.assert_allclose(tb.upper_curve, sb.upper(tb.times), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tb.lower_curve, sb.lower(tb.times), rtol=0, atol=1e-12)
+        # the exact curve needs no Perron pair, so the one-draw estimate
+        # and the single-draw view run the same arithmetic
+        assert tb.lower_curve.tobytes() == sb.lower(tb.times).tobytes()
         checked += 1
     assert checked >= 5
 
 
-def test_survival_bounds_rejects_poisson_law():
+def test_survival_bounds_take_poisson_laws():
+    # Poisson(0.5) offspring from 3 founders: q_{t+1} = exp(0.5 (q_t - 1))
+    # from q_0 = 0 is the exact extinction CDF of one line, and the Markov
+    # bound min(1, 3 * 0.5^t) lies above the survival 1 - q_t^3
     draw = g.ParameterDraw(g.OffspringCap(1, {(1, 1): 3}), {(1, 1): g.PoissonLaw(0.5)})
-    with pytest.raises(ValueError, match=r"pair \(1, 1\)"):
-        g.survival_bounds(draw, (3,))
+    sb = g.survival_bounds(draw, (3,))
+    ts = np.arange(60)
+    q, exact = 0.0, []
+    for _ in ts:
+        exact.append(1 - q ** 3)
+        q = math.exp(0.5 * (q - 1))
+    np.testing.assert_allclose(sb.lower(ts), exact, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sb.upper(ts), np.minimum(1, 3 * 0.5 ** ts), rtol=1e-13)
+    # q_t stops one ulp below 1, so the exact survival floors near 3e-16
+    assert (sb.upper(ts) >= sb.lower(ts) - 1e-12).all()
+    with pytest.raises(ValueError, match="integer times"):
+        sb.lower(np.array([1.5]))
 
 
 def test_extinction_time_bounds_from_curves():
@@ -160,9 +178,9 @@ def test_extinction_time_bounds_open_ended():
 
 
 def test_open_ended_scan_stops_once_lower_curve_drops():
-    # upper > alpha at horizon_cap makes the bracket open-ended, and the
-    # search then only has to find where the lower curve falls below
-    # 1 - alpha, which fixes t_minus; it reads a few dozen times to do so
+    # upper > alpha at horizon_cap makes the bracket open-ended; the upper
+    # curve's search reads a few dozen times to learn so, and the lower
+    # curve's own search finds where it falls below 1 - alpha
     seen = []
 
     def upper(t):
@@ -201,29 +219,56 @@ def test_bracket_search_reads_each_time_once(step, cap):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 106, 1000, 9999])
 def test_bound_curve_columns_keep_their_bits(n):
-    # the bracket search reads the curves at a few scattered times, one
-    # included, and the full curves only at the times it did not read: a
+    # the bracket search reads the upper curve at a few scattered times, one
+    # included, and the full curve only at the times it did not read: a
     # time's column must have the same bits in every call. NumPy sums a lone
     # column pairwise, which differs from row order once n is large, so a
     # lone time is the case to pin.
     rng = np.random.default_rng(n)
-    lam, c_u, c_l = rng.uniform(0.5, 0.999, n), rng.uniform(1, 50, n), rng.uniform(0, 5, n)
-    ref = _bound_curves(lam, c_u, c_l, np.arange(512))
+    lam, c_u = rng.uniform(0.5, 0.999, n), rng.uniform(1, 50, n)
+    ref = _upper_curve(lam, c_u, np.arange(512))
     for width in range(1, 65):
         t0 = 7 * width
         blocks = (np.arange(t0, t0 + width), np.sort(rng.choice(512, width, replace=False)))
         for ts in blocks:
-            for got, want in zip(_bound_curves(lam, c_u, c_l, ts), ref):
-                assert got.tobytes() == want[ts].tobytes(), (width, ts)
+            assert _upper_curve(lam, c_u, ts).tobytes() == ref[ts].tobytes(), (width, ts)
     for t in range(0, 512, 8):
-        for got, want in zip(_bound_curves(lam, c_u, c_l, np.array([t])), ref):
-            assert got.tobytes() == want[t:t + 1].tobytes(), t
+        assert _upper_curve(lam, c_u, np.array([t])).tobytes() == ref[t:t + 1].tobytes(), t
     # in a call of more than 512 times too, whichever block a time lands in
-    wide = _bound_curves(lam, c_u, c_l, np.arange(1025))
-    back = _bound_curves(lam, c_u, c_l, np.arange(1024, 511, -1))
-    for got, want, rev in zip(wide, ref, back):
-        assert got[:512].tobytes() == want.tobytes()
-        assert got[512:].tobytes() == rev[::-1].tobytes()
+    wide = _upper_curve(lam, c_u, np.arange(1025))
+    back = _upper_curve(lam, c_u, np.arange(1024, 511, -1))
+    assert wide[:512].tobytes() == ref.tobytes()
+    assert wide[512:].tobytes() == back[::-1].tobytes()
+
+
+def _extinction_histogram(draw, N, runs, seed):
+    """Monte Carlo P(T_ext <= t) from ``simulate_extinction_time`` runs."""
+    times = [g.simulate_extinction_time(draw, g.PopulationState(N), SeedSpec(seed, r))
+             for r in range(runs)]
+    assert None not in times  # subcritical: every run dies out
+    return lambda t: np.mean(np.array(times) <= t)
+
+
+@pytest.mark.parametrize("draw, N, ts", [
+    (synthetic_true_draw(), (10,), (2, 5, 8, 12, 20)),
+    (g.ParameterDraw(g.OffspringCap(2, {(1, 1): 1, (1, 2): 2, (2, 1): 1, (2, 2): 2}),
+                     {(1, 1): [0.6, 0.4], (1, 2): [0.6, 0.3, 0.1],
+                      (2, 1): [0.5, 0.5], (2, 2): [0.7, 0.2, 0.1]}),
+     (2, 3), (2, 5, 10, 20, 40)),
+])
+def test_exact_cdf_matches_simulated_extinction_times(draw, N, ts):
+    # 1 - lower(t) is P(T_ext <= t) exactly: it must agree with a histogram
+    # of simulated extinction times within 4 binomial standard errors
+    runs = 2000
+    sb = g.survival_bounds(draw, N)
+    assert sb.lam < 1
+    cdf = 1 - sb.lower(np.array(ts))
+    empirical = _extinction_histogram(draw, N, runs, seed=31)
+    for t, p in zip(ts, cdf):
+        se = math.sqrt(max(p * (1 - p), 1e-4) / runs)
+        assert abs(empirical(t) - p) <= 4 * se, (t, p, empirical(t))
+    # and the CDF moves through the tested times rather than sitting at 0 or 1
+    assert cdf[0] < 0.5 < cdf[-1]
 
 
 def _random_mmatrices(rng, n, K):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import gwpva as g
-from gwpva import montecarlo, spectral
+from gwpva import extinction, montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.extinction import _bound_curves, _fixed_point_rows, _lambda_below, _pgf
+from gwpva.extinction import (_fixed_point_rows, _lambda_below, _survival_curve,
+                              _upper_curve)
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
 
-from conftest import dense_mean_matrices, dense_pgf_jacobian
+from conftest import dense_mean_matrices, dense_pgf, dense_pgf_jacobian
 
 
 def _degenerate_posterior(weights):
@@ -88,7 +89,7 @@ def test_single_draw_is_ensemble_of_one(synthetic_posterior, bear_posterior):
     for post, seed in [(bear_posterior, 2024), (_tiny_alpha_posterior(), 5)]:
         ens = PosteriorEnsemble(post, n_prec=300, master_seed=seed)
         s = np.random.default_rng(0).random((ens.n_prec, ens.K))
-        phi = _pgf(ens._laws, s)
+        phi = dense_pgf(ens._laws, s)
         M = dense_mean_matrices(ens)
         for r in range(ens.n_prec):
             draw = g.ParameterDraw(post.cap, {p: ens.law(p)[r] for p in ens.pairs})
@@ -156,39 +157,41 @@ def test_time_bounds_leave_out_degenerate_eigenvectors():
     # right vector has zero entries; their bound constants divide by zero
     post = _tiny_alpha_posterior()
     ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
-    lam, u, _ = spectral.perron_batch(dense_mean_matrices(ens))
+    M = dense_mean_matrices(ens)
+    lam, u, v = spectral.perron_batch(M)
+    converged = spectral.perron_residual(M, lam, u, v)[1]
     u_min = u.min(axis=1)
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
     assert np.sum(sub & (u_min <= 0)) > 0
     tb = g.mc_time_bounds(post, (3, 2), ensemble=ens)
-    dropped = tb.warnings["degenerate-eigenvector"]
-    assert dropped >= np.sum(sub & (u_min <= 0))
-    assert tb.n_used == np.sum(sub) - dropped
-    assert tb.warnings["supercritical-draws"] == 3000 - np.sum(sub)
     assert np.isfinite(tb.upper_curve).all() and np.isfinite(tb.lower_curve).all()
-    # the used draws are those whose bound constants are finite; t_plus is
-    # the first t <= horizon_cap at which the mean over them of
-    # min(1, (u.N / min u) lam^t) is <= alpha, or None if there is none;
-    # each term is nonincreasing in t, so two points decide it
+    # the used draws are the converged ones whose bound constant is finite;
+    # a draw whose Perron pair failed is counted under perron-failures
+    # alone, and degenerate-eigenvector counts the converged draws dropped
+    # for their u
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xi, c_u, c_l = montecarlo._bound_constants(ens._laws, ens.pair_means, lam, u,
-                                                   np.array([3.0, 2.0]))
         c_upper = (u @ np.array([3.0, 2.0])) / u_min
-    use = sub & (u_min > 0) & np.isfinite(c_u) & np.isfinite(c_l)
+    usable = (u_min > 0) & np.isfinite(c_upper)
+    use = sub & converged & usable
     assert tb.n_used == np.sum(use)
-    # draws 335 and 2638 hold near-point-mass laws, on which
-    # sum_k k^2 p(k) - M^2 (1 - p(0)) cancels to 0
-    assert (xi[[335, 2638]] > 0).all()
-    assert tb.warnings["degenerate-xi"] == 0
+    assert tb.warnings["perron-failures"] == np.sum(sub & ~converged)
+    assert tb.warnings["degenerate-eigenvector"] == np.sum(sub & converged & ~usable)
+    assert tb.warnings["supercritical-draws"] == 3000 - np.sum(sub)
+    # pinned: of the 103 lambda < 1 draws, 63 fail their residual test and
+    # 11 converged ones have a zero entry in u; 29 are averaged
+    assert (np.sum(sub), tb.n_used) == (103, 29)
+    assert (tb.warnings["perron-failures"], tb.warnings["degenerate-eigenvector"]) == (63, 11)
 
+    # t_plus is the first t <= horizon_cap at which the mean over the used
+    # draws of min(1, (u.N / min u) lam^t) is <= alpha, or None if there is
+    # none; each term is nonincreasing in t, so two points decide it
     def mean_upper(t):
         return np.sum(np.minimum(1.0, c_upper[use] * lam[use] ** t)) / np.sum(use)
 
     if tb.t_plus is None:
-        # the search learns this from the curve at 10^6, and the curves end
-        # at t = 991, the first place an open-ended curve can end, the lower
-        # curve being below 1 - alpha by then
-        assert mean_upper(10 ** 6) > 0.05 and tb.times[-1] == 991
+        # the search learns this from the curve at 10^6, and an open-ended
+        # curve ends at t = 991, t_minus + 1 being earlier
+        assert mean_upper(10 ** 6) > 0.05 and tb.times[-1] == 991 > tb.t_minus + 1
     else:
         assert mean_upper(tb.t_plus) <= 0.05
         assert tb.t_plus == 0 or mean_upper(tb.t_plus - 1) > 0.05
@@ -220,9 +223,12 @@ def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
     # the time bounds solve only their lambda < 1 draws' pairs and count the
     # failures among those
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
-    count = g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"]
+    tb = g.mc_time_bounds(post, pop, ensemble=ens)
+    count = tb.warnings["perron-failures"]
     assert count == np.sum(failed & sub)
     assert 0 < count < np.sum(failed)
+    # and average none of them: 1 134 of the 1 325 lambda < 1 draws fail
+    assert (count, tb.n_used) == (1134, 191) and tb.n_used == np.sum(sub & ~failed)
     # viability and the extinction probability solve no Perron pair, so
     # they count no Perron failure
     for est in (g.mc_viability_probability(post, ensemble=ens),
@@ -343,46 +349,55 @@ def test_time_bounds_require_a_usable_draw():
         g.mc_time_bounds(g.PosteriorParams(cap, big), (2, 2), n_prec=50, master_seed=3)
 
 
-def _reference_scan(curves, alpha, horizon_cap):
-    """The bracket scan on full 512-step blocks, trimmed to horizon_cap + 1.
+def _reference_bracket(tb, upper, alpha, horizon_cap):
+    """The bracket from full curves: the upper curve on whole 512-step
+    blocks, trimmed to horizon_cap + 1, and the exact survival of the
+    estimate's draws by the dense pgf, step by step.
 
-    An open-ended scan past t = 991, where the first 512-wide block from
-    t = 480 ends, stops at the first of the block ends 991, 1503, 2015, ...
-    at or after the first t with lower < 1 - alpha."""
-    uppers, lowers = [], []
+    t_plus is the first t with upper <= alpha; t_minus the last t <= t_plus
+    (or <= horizon_cap) with survival >= 1 - alpha. The curves end at
+    t_plus, or at t = max(991, t_minus + 1) capped at horizon_cap."""
+    uppers = []
     for t0 in range(0, horizon_cap + 1, 512):
-        u, lo = curves(np.arange(t0, t0 + 512))
-        uppers.append(u)
-        lowers.append(lo)
-        if np.any(u <= alpha):
+        uppers.append(upper(np.arange(t0, t0 + 512)))
+        if np.any(uppers[-1] <= alpha):
             break
-    upper = np.concatenate(uppers)[:horizon_cap + 1]
-    lower = np.concatenate(lowers)[:horizon_cap + 1]
-    hit = np.flatnonzero(upper <= alpha)
+    full = np.concatenate(uppers)[:horizon_cap + 1]
+    hit = np.flatnonzero(full <= alpha)
     t_plus = int(hit[0]) if len(hit) else None
-    end = len(upper) if t_plus is None else t_plus + 1
-    drop = np.flatnonzero(lower < 1 - alpha)
-    if t_plus is None and horizon_cap > 991 and len(drop):
-        end = min(end, 992 + 512 * -(-max(drop[0] - 991, 0) // 512))
-    ok = np.flatnonzero(lower[:end] >= 1 - alpha)
-    return (int(ok[-1]) if len(ok) else 0, t_plus, np.arange(end),
-            upper[:end], lower[:end])
+    stop = horizon_cap if t_plus is None else t_plus
+    laws = {p: d.T for p, d in tb.claws.items()}
+    q = np.zeros((tb.n_used, len(tb.population)))
+    lower = []
+    while len(lower) <= stop:
+        lower.append(1 - np.sum(np.prod(q ** tb.population, axis=1)) / tb.n_used)
+        if lower[-1] < 1 - alpha:
+            break
+        q = dense_pgf(laws, q)
+    ok = np.flatnonzero(np.array(lower) >= 1 - alpha)
+    t_minus = int(ok[-1]) if len(ok) else 0
+    end = 1 + (t_plus if t_plus is not None else min(horizon_cap, max(991, t_minus + 1)))
+    return t_minus, t_plus, np.arange(end), full[:end]
 
 
 def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_posterior,
                                                    bear_ensemble):
-    search = montecarlo._bracket_search
-    reads, expected = [], []
+    search = montecarlo._first_crossing
+    reads, draws = [], []
 
-    def spy(curves, alpha, horizon_cap):
+    def spy(crossed, horizon_cap):
         def counted(ts):
             reads[-1].append(np.array(ts))
-            return curves(ts)
-        expected.append(_reference_scan(curves, alpha, horizon_cap))
+            return crossed(ts)
         reads.append([])
-        return search(counted, alpha, horizon_cap)
+        return search(counted, horizon_cap)
 
-    monkeypatch.setattr(montecarlo, "_bracket_search", spy)
+    def constants(lam, cU, ts):
+        draws[:] = [(lam, cU)]
+        return _upper_curve(lam, cU, ts)
+
+    monkeypatch.setattr(montecarlo, "_first_crossing", spy)
+    monkeypatch.setattr(montecarlo, "_upper_curve", constants)
     synth = PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024)
     cases = [((22,), synth, 0.05, 10 ** 6)]
     cases += [((2, 2, 2, 2, 10), bear_ensemble, a, 10 ** 6) for a in (0.05, 0.2)]
@@ -401,16 +416,17 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
                           PosteriorEnsemble(post, n_prec=1000, master_seed=2026 * 1000 + r),
                           0.05, 10 ** 6))
             n_replicates += 1
-    t_plus = []
+    t_plus, t_minus = [], []
     for pop, ens, alpha, cap in cases:
         tb = g.mc_time_bounds(None, pop, alpha=alpha, horizon_cap=cap, ensemble=ens)
-        t_minus, tp, times, upper, lower = expected.pop()
-        assert not expected
-        assert (tb.t_minus, tb.t_plus) == (t_minus, tp)
+        lam, cU = draws.pop()
+        tm, tp, times, upper = _reference_bracket(
+            tb, lambda ts: _upper_curve(lam, cU, ts), alpha, cap)
+        assert (tb.t_minus, tb.t_plus) == (tm, tp)
         assert tb.times.tobytes() == times.tobytes()
         assert tb.upper_curve.tobytes() == upper.tobytes()
-        assert tb.lower_curve.tobytes() == lower.tobytes()
         t_plus.append(tp)
+        t_minus.append(tm)
     # each search reads a time at most once, and none past horizon_cap
     for read, (*_, cap) in zip(reads, cases):
         read = np.concatenate(read)
@@ -419,10 +435,13 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
     assert min(closed) < 32 and max(closed) > 512
     assert any(32 <= t < 512 for t in closed)
     assert t_plus.count(None) >= 10
+    # the walk stops inside the bracket: bear at alpha = 0.05 reads
+    # (35, 4202], synthetic (4, 30]
+    assert (t_minus[0], t_plus[0]) == (4, 30) and (t_minus[1], t_plus[1]) == (35, 4202)
     # the search reads a few dozen columns: bear at alpha = 0.05 closes at
     # t = 4202, and a criterion-6 replicate near t = 30
     columns = [sum(len(ts) for ts in r) for r in reads]
-    assert t_plus[1] == 4202 and columns[1] <= 100
+    assert columns[1] <= 100
     assert np.mean(columns[-n_replicates:]) <= 32
 
 
@@ -442,36 +461,86 @@ def test_time_bounds_estimate_pickles_its_curves(synthetic_posterior):
 def test_curves_are_one_bound_curves_call_on_times_when_read(monkeypatch,
                                                              synthetic_posterior,
                                                              bear_ensemble):
-    calls = []
+    calls, exact = [], []
 
-    def spy(lam, cU, cL, ts):
-        calls.append((np.array(ts), *_bound_curves(lam, cU, cL, ts)))
-        return calls[-1][1:]
+    def spy(lam, cU, ts):
+        calls.append((np.array(ts), _upper_curve(lam, cU, ts)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(montecarlo, "_bound_curves", spy)
+    def exact_spy(claws, N, n_times):
+        exact.append(n_times)
+        return _survival_curve(claws, N, n_times)
+
+    monkeypatch.setattr(montecarlo, "_upper_curve", spy)
+    monkeypatch.setattr(montecarlo, "_survival_curve", exact_spy)
     synth = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
     cases = [((2, 2, 2, 2, 10), bear_ensemble, 0.05, 10 ** 6)]
     cases += [((22,), synth, alpha, cap) for alpha in (0.05, 0.01)
               for cap in (10 ** 6, 0, 1, 2, 31, 95, 2000)]
     for pop, ens, alpha, cap in cases:
         calls.clear()
+        exact.clear()
         tb = g.mc_time_bounds(None, pop, alpha=alpha, horizon_cap=cap, ensemble=ens)
         search = list(calls)
         # the search reads each time at most once, and none past horizon_cap:
         # on synth at alpha = 0.01 it reads t = 43 once, not again beside 42
-        searched = np.concatenate([ts for ts, *_ in search])
+        searched = np.concatenate([ts for ts, _ in search])
         assert len(np.unique(searched)) == len(searched) and searched.max() <= cap
-        # the curves take no call until one is read, then one, on times
+        # the curves take no call until one is read, then one each, on times
         tb.times
-        assert len(calls) == len(search)
+        assert len(calls) == len(search) and not exact
         upper, lower = tb.upper_curve, tb.lower_curve
-        assert len(calls) == len(search) + 1
+        assert len(calls) == len(search) + 1 and exact == [tb.n_times]
         assert np.array_equal(calls[-1][0], tb.times)
-        # and they hold the bits the search read
-        for ts, up, lo in search:
+        # they hold the bits the search read
+        for ts, up in search:
             keep = ts < tb.n_times
             assert upper[ts[keep]].tobytes() == up[keep].tobytes()
-            assert lower[ts[keep]].tobytes() == lo[keep].tobytes()
+        # and the walk stopped where the exact curve crosses 1 - alpha
+        if lower[0] >= 1 - alpha:
+            assert lower[tb.t_minus] >= 1 - alpha
+        end = tb.t_plus if tb.t_plus is not None else cap
+        assert tb.t_minus == end or lower[tb.t_minus + 1] < 1 - alpha
+
+
+def _time_bounds_posteriors(synthetic_posterior, bear_ensemble):
+    """(ensemble, population) of bear, synthetic, period-2 and alpha = 1e-3."""
+    return [(bear_ensemble, (2, 2, 2, 2, 10)),
+            (PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024), (22,)),
+            (PosteriorEnsemble(_period_two_posterior(), n_prec=2000, master_seed=7), (1, 1, 1)),
+            (PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5), (3, 2))]
+
+
+def test_exact_survival_lies_below_the_upper_curve(synthetic_posterior, bear_ensemble):
+    # per draw the Markov bound lies above the exact survival, so their
+    # averages over the same draws do too, up to rounding
+    for ens, pop in _time_bounds_posteriors(synthetic_posterior, bear_ensemble):
+        tb = g.mc_time_bounds(None, pop, ensemble=ens)
+        assert np.max(tb.lower_curve - tb.upper_curve) <= 1e-12
+        assert (np.diff(tb.lower_curve) <= 0).all() and tb.lower_curve[0] == 1.0
+
+
+def test_survival_walk_stops_past_t_minus(monkeypatch, synthetic_posterior, bear_ensemble):
+    # t_minus comes from a walk that steps the pgf once per time: it stops
+    # at the first t past t_minus, so it takes at most t_minus + 2 steps,
+    # and it never passes t_plus
+    steps = []
+    phi = extinction._phi
+
+    def counted(claws, s):
+        steps.append(1)
+        return phi(claws, s)
+
+    monkeypatch.setattr(extinction, "_phi", counted)
+    cases = _time_bounds_posteriors(synthetic_posterior, bear_ensemble)
+    for (ens, pop), cap in [(case, 10 ** 6) for case in cases] + [(cases[1], 3)]:
+        steps.clear()
+        tb = g.mc_time_bounds(None, pop, horizon_cap=cap, ensemble=ens)
+        assert len(steps) <= tb.t_minus + 2
+        assert len(steps) <= (cap if tb.t_plus is None else tb.t_plus)
+    # at cap 3 synthetic's bracket is open-ended, and horizon_cap, not the
+    # curve, stops the walk
+    assert (tb.t_minus, tb.t_plus, len(steps)) == (3, None, 3)
 
 
 def test_conditioning_consistency(bear_posterior):
@@ -602,14 +671,14 @@ def _oracle_fixed_points(laws, K):
     live_laws = {pair: d[live] for pair, d in laws.items()}
     x = np.zeros((len(live), K))
     for _ in range(5000):
-        x_new = _pgf(live_laws, x)
+        x_new = dense_pgf(live_laws, x)
         step = np.abs(x_new - x).max(initial=0.0)
         x = x_new
         if step < 1e-14:
             break
     eye = np.eye(K)
     for _ in range(60):
-        f = _pgf(live_laws, x) - x
+        f = dense_pgf(live_laws, x) - x
         worst = np.abs(f).max(axis=1)
         pending = worst >= 1e-15
         if not pending.any():
@@ -618,7 +687,7 @@ def _oracle_fixed_points(laws, K):
         delta = np.linalg.solve(A, np.where(pending[:, None], f, 0.0)[..., None])[..., 0]
         for _halving in range(6):
             x_try = np.clip(x + delta, 0.0, 1.0)
-            f_try = _pgf(live_laws, x_try) - x_try
+            f_try = dense_pgf(live_laws, x_try) - x_try
             ok = pending & (np.abs(f_try).max(axis=1) <= worst) \
                 & (f_try.min(axis=1) >= -1e-12)
             x = np.where(ok[:, None], x_try, x)
@@ -626,7 +695,7 @@ def _oracle_fixed_points(laws, K):
             delta = delta * 0.5
     s = np.ones((len(lam), K))
     s[live] = np.clip(x, 0.0, 1.0)
-    return s, np.abs(_pgf(laws, s) - s).max(axis=1) < 1e-9
+    return s, np.abs(dense_pgf(laws, s) - s).max(axis=1) < 1e-9
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
@@ -699,7 +768,7 @@ def test_short_circuit_classifier_matches_perron_root(synthetic_posterior, bear_
             assert np.all(np.abs(lam[sub != (lam < 1.0)] - 1.0) <= 1.2e-16)
         else:
             assert np.array_equal(sub, lam < 1.0)
-        childless = _pgf(ens._laws, np.zeros((ens.n_prec, ens.K))).min(axis=1) > 0
+        childless = dense_pgf(ens._laws, np.zeros((ens.n_prec, ens.K))).min(axis=1) > 0
         certain = sub | (childless & ens._not_supercritical)
         assert np.all(ens.extinction_profiles[certain] == 1.0)
     # at K = 1 the rule is the float comparison mean <= 1 + 1e-12
@@ -934,7 +1003,7 @@ def test_batched_fixed_point_on_mixed_law_stacks(K):
     laws = _mixed_law_stack(np.random.default_rng(200 + K), K, 200)
     s, bad = _fixed_point_rows(laws, K, spectral.pair_means(laws))
     assert not bad.any()
-    assert (_pgf(laws, s) - s).min() >= -1e-12
+    assert (dense_pgf(laws, s) - s).min() >= -1e-12
     lam = spectral.perron_batch(spectral.mean_matrices(laws, K))[0]
     assert lam.min() < 0.5 and lam.max() > 1.4
     oracle, converged = _oracle_fixed_points(laws, K)

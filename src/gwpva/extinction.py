@@ -18,9 +18,9 @@ M-matrix elimination, ``_mmatrix_lu``.
 
 The survival curve of n draws is averaged two ways: exactly, by iterating
 ``_phi`` from 0 (``_extinction_cdf``), and from above, by the Markov bound
-(``_upper_curve``). The first time the bound falls to alpha is found by
-``_first_crossing``, which reads the curve at a few dozen times rather than
-at every t up to it.
+(``_upper_curve``). ``SurvivalBounds`` holds both for n draws, and
+``extinction_time_bounds`` reads the bracket (``TimeBounds``) off them, at
+n = 1 for ``survival_bounds`` and over the ensemble for ``mc_time_bounds``.
 """
 
 from __future__ import annotations
@@ -56,32 +56,15 @@ class ExtinctionProfile:
 
 
 @dataclass(frozen=True)
-class SurvivalBounds:
-    """The survival curve P(population alive at time t) of a subcritical draw
-    and a bound above it.
-
-    ``lower(t)`` is the exact survival 1 - prod_i q_t,i^N_i with q_t =
-    phi^(t)(0) (``_extinction_cdf``), defined at integer t >= 0.
-    ``upper(t)`` is the Markov bound min(1, lambda^t sum_j u_j N_j / min u),
-    with u the right Perron vector (M u = lambda u): N(t) u / lambda^t is a
-    martingale under E[N(t)] = N(0) M^t, so upper(t) >= lower(t) up to
-    rounding. ``weighted_size`` is sum_j u_j N_j, at the scale of
-    ``perron_triple``'s u.
-    """
-
-    lam: float
-    weighted_size: float
-    upper: Callable[[np.ndarray], np.ndarray]
-    lower: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class TimeBounds:
-    """Extinction-time bracket of ``extinction_time_bounds``: P(T_ext >
-    t_plus) <= alpha when the upper curve bounds survival from above, and
-    P(T_ext <= t_minus) <= alpha when the lower curve bounds it from below.
-    ``t_plus`` is None when the upper curve never reaches alpha within the
-    search horizon."""
+    """Extinction-time bracket (t_minus, t_plus] of ``extinction_time_bounds``.
+
+    t_plus is the first t <= horizon_cap at which the mean Markov bound is
+    <= alpha, so P(T_ext > t_plus) <= alpha; None if there is none. t_minus
+    is the last t <= t_plus (or <= horizon_cap when t_plus is None) at which
+    the mean exact survival is >= 1 - alpha, 0 if there is none, so
+    P(T_ext <= t_minus) <= alpha exactly. The bracket holds T_ext with
+    probability >= 1 - 2 alpha under the averaged draws."""
 
     t_minus: int
     t_plus: int | None
@@ -378,11 +361,6 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
     return float(np.prod(s ** N))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
-
-
 _CURVE_BLOCK = 512  # times per (n, times) scratch buffer of ``_upper_curve``
 
 
@@ -439,39 +417,67 @@ def _survival_curve(claws: dict, N: np.ndarray, n_times: int) -> np.ndarray:
     return 1.0 - np.fromiter(islice(_extinction_cdf(claws, N), n_times), float, n_times)
 
 
+def _markov_constants(u: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Markov bound's constants cU = sum_j u_j N_j / min u of n draws,
+    from their (n, K) right Perron vectors u and the (K,) population N, and
+    a mask of the usable ones: min u > 0 (u of a reducible mean matrix may
+    have zeros) and cU finite (lopsided entries overflow)."""
+    umin = u.min(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cU = (u @ N) / umin
+    return cU, (umin > 0) & np.isfinite(cU)
+
+
+@dataclass(frozen=True)
+class SurvivalBounds:
+    """The survival curve P(population alive at t) averaged over n
+    subcritical draws, and a bound above it.
+
+    ``lam`` holds the draws' (n,) Perron roots, ``c_upper`` their (n,)
+    constants of ``_markov_constants``, ``claws`` their coefficient-major
+    law stack and ``population`` the (K,) abundance N. ``upper(t)`` is the
+    mean Markov bound min(1, c_upper lam^t) (``_upper_curve``): N(t) u /
+    lam^t is a martingale under E[N(t)] = N(0) M^t, so each draw's bound
+    lies above its survival. ``lower(t)`` is the mean exact survival
+    1 - prod_i q_t,i^N_i with q_t = phi^(t)(0) (``_survival_curve``); it
+    raises ValueError unless every t is an integer >= 0."""
+
+    lam: np.ndarray
+    c_upper: np.ndarray
+    claws: dict
+    population: np.ndarray
+
+    def upper(self, ts) -> np.ndarray:
+        return _upper_curve(self.lam, self.c_upper, ts)
+
+    def lower(self, ts) -> np.ndarray:
+        ts = np.asarray(ts)
+        if not np.issubdtype(ts.dtype, np.integer) or (ts < 0).any():
+            raise ValueError("the exact survival curve takes integer times t >= 0")
+        return _survival_curve(self.claws, self.population, int(ts.max(initial=-1)) + 1)[ts]
+
+
 def survival_bounds(draw: ParameterDraw,
                     population: PopulationState | Sequence[int]) -> SurvivalBounds:
-    """The exact survival curve of a subcritical draw and its Markov bound.
+    """The survival bounds of one subcritical draw: the n = 1 view of
+    ``mc_time_bounds``, so its curves and ``extinction_time_bounds`` have
+    the bits of the estimate's at n_prec = 1.
 
-    The n = 1 view of ``mc_time_bounds``: lambda < 1 is decided by
-    ``_lambda_below`` on the draw's pair means, the Perron pair is
-    ``perron_triple`` of its mean matrix, ``upper`` is ``_upper_curve`` and
-    ``lower`` is ``_survival_curve`` of the draw alone, so ``lower`` has the
-    bits of the estimate's ``lower_curve`` at n_prec = 1. Categorical and
-    Poisson laws are both taken. ValueError unless lambda < 1 and u > 0
-    (an irreducible M); ``lower`` raises it unless every t is an integer
-    >= 0.
+    lambda < 1 is decided by ``_lambda_below`` on the draw's pair means and
+    the Perron pair is ``perron_triple`` of its mean matrix. Categorical and
+    Poisson laws are both taken. ValueError unless lambda < 1 and the
+    draw's Markov constant is usable (u > 0: an irreducible M).
     """
     laws = _law_stack(draw)
     if not _lambda_below(pair_means(laws), draw.K, 1.0)[0][0]:
         raise ValueError("survival bounds require lambda < 1")
     N = _as_abundance(population, draw.K)
     triple = perron_triple(mean_matrices(laws, draw.K)[0])
-    u = triple.u
-    if u.min() <= 0:
+    cU, usable = _markov_constants(triple.u[None], N)
+    if not usable[0]:
         raise ValueError("right eigenvector must be strictly positive (irreducible M)")
-    lam = np.array([triple.lam])
-    cU = (u[None] @ N) / u.min()
-    claws = _coefficient_major(laws)
-
-    def lower(t):
-        ts = np.asarray(t)
-        if not np.issubdtype(ts.dtype, np.integer) or (ts < 0).any():
-            raise ValueError("the exact survival curve takes integer times t >= 0")
-        return _survival_curve(claws, N, int(ts.max(initial=-1)) + 1)[ts]
-
-    return SurvivalBounds(lam=triple.lam, weighted_size=float(u @ N),
-                          upper=lambda t: _upper_curve(lam, cU, t), lower=lower)
+    return SurvivalBounds(lam=np.array([triple.lam]), c_upper=cU,
+                          claws=_coefficient_major(laws), population=N)
 
 
 _GALLOP_FIRST = 7  # the first call reads t = 0, 1, 3, ..., 63
@@ -526,25 +532,29 @@ def _inside(lo: int, hi: int) -> list[int]:
     return [lo + (hi - lo) * j // (_REFINE + 1) for j in range(1, _REFINE + 1)]
 
 
-def extinction_time_bounds(upper: Callable, lower: Callable | None, alpha: float,
+def extinction_time_bounds(bounds: SurvivalBounds, alpha: float,
                            horizon_cap: int = 10 ** 6) -> TimeBounds:
-    """Bracket the extinction time from survival curves.
+    """The extinction-time bracket of ``TimeBounds`` from survival bounds.
 
-    ``t_plus`` is the first t <= horizon_cap with upper(t) <= alpha (None if
-    there is none); ``t_minus`` the last t <= t_plus, or <= horizon_cap when
-    t_plus is None, with lower(t) >= 1 - alpha (0 if there is none or
-    ``lower`` is None). Both curves must be nonincreasing in t and take a
-    sorted integer array of one or more times. Each is searched on its own
-    by ``_first_crossing``, so it is read at a few dozen times, each once,
-    upper none past horizon_cap and lower none past t_plus. ValueError
-    unless 0 < alpha < 0.5 and horizon_cap >= 0.
+    t_plus is found by ``_first_crossing`` on ``bounds.upper``, which reads
+    the bound at a few dozen times, each once and none past horizon_cap.
+    t_minus is found by a walk forward from t = 0 over the exact CDF
+    (``_extinction_cdf``) that stops at the first t past it: at most
+    t_minus + 1 steps of the pgf, and never more than t_plus. ValueError
+    unless 0 < alpha < 0.5 and horizon_cap >= 0, and for an extinct
+    population (every abundance 0): T_ext = 0 then, which no bracket
+    (t_minus, t_plus] holds.
     """
-    _check_alpha(alpha)
-    t_plus = _first_crossing(lambda ts: np.asarray(upper(ts), dtype=float) <= alpha,
-                             horizon_cap)
+    if not 0 < alpha < 0.5:
+        raise ValueError("alpha must be in (0, 0.5)")
+    if not bounds.population.any():
+        raise ValueError("the population is extinct (every abundance is 0); "
+                         "no extinction-time bracket holds T_ext = 0")
+    t_plus = _first_crossing(lambda ts: bounds.upper(ts) <= alpha, horizon_cap)
+    stop = horizon_cap if t_plus is None else t_plus
     t_minus = 0
-    if lower is not None:
-        stop = horizon_cap if t_plus is None else t_plus
-        q = _first_crossing(lambda ts: np.asarray(lower(ts), dtype=float) < 1 - alpha, stop)
-        t_minus = stop if q is None else max(q - 1, 0)
+    for t, F in enumerate(islice(_extinction_cdf(bounds.claws, bounds.population), stop + 1)):
+        if 1.0 - F < 1 - alpha:
+            break
+        t_minus = t
     return TimeBounds(t_minus=t_minus, t_plus=t_plus, alpha=alpha)

@@ -12,7 +12,8 @@ reads the mean matrices as the ensemble's pair means, pair -> (n,)
 the time bounds decide on which side of 1 lambda lies by the fixed point's
 elimination rule on the pair means; only the time bounds solve Perron
 pairs, for their lambda < 1 draws alone, and so build dense mean matrices
-for those draws alone, once. Extinction probability,
+for those draws alone, once; their bracket is
+``extinction.extinction_time_bounds`` on those draws. Extinction probability,
 reintroduction and effective population size read the pgf fixed points
 alone, through ``_usable_profiles``; the abundance path reads the mean
 matrices alone, stepping N(t + 1)_j = sum_i N(t)_i M_ij over the present
@@ -34,13 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
-from .extinction import (_OPEN_END, _check_alpha, _coefficient_major, _extinction_cdf,
-                         _first_crossing, _fixed_point_rows, _lambda_below,
-                         _survival_curve, _upper_curve)
+from .extinction import (_OPEN_END, SurvivalBounds, _coefficient_major, _fixed_point_rows,
+                         _lambda_below, _markov_constants, extinction_time_bounds)
 from .inference import HyperParams
 from .model import _as_abundance
 from .sampling import _dirichlet_rows
@@ -85,33 +84,21 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class TimeBoundsEstimate:
-    """The extinction-time bracket under the averaged (lambda < 1
-    conditioned) posterior, and its two survival curves.
+    """The extinction-time bracket (``extinction.TimeBounds``) under the
+    averaged (lambda < 1 conditioned) posterior, with the ``SurvivalBounds``
+    of the averaged draws it was read from.
 
-    ``upper_curve`` is the mean Markov bound and ``lower_curve`` the mean
-    exact survival 1 - F(t) of the averaged draws. t_plus is the first
-    t <= horizon_cap at which the upper curve is <= alpha, so P(T_ext >
-    t_plus) <= alpha; t_minus is the last t <= t_plus at which the lower
-    curve is >= 1 - alpha, so P(T_ext <= t_minus) <= alpha exactly, and
-    (t_minus, t_plus] holds T_ext with probability >= 1 - 2 alpha.
-
-    The estimate keeps what the curves are computed from: the averaged
-    draws' Perron roots ``lam`` and bound constants ``c_upper`` (see
-    ``extinction._upper_curve``), their coefficient-major laws ``claws``
-    and the ``population``. ``times`` is 0 .. n_times - 1, and each curve is
-    computed on its first read, in one call on ``times``, so an answer that
-    reads only the bracket never pays for it. A curve value's bits depend
-    only on the draws and on t, so the curves hold the values the bracket
-    was read from."""
+    ``times`` is 0 .. n_times - 1. ``upper_curve`` and ``lower_curve`` are
+    ``bounds.upper`` and ``bounds.lower`` on ``times``, computed on first
+    read, so an answer that reads only the bracket never pays for them; a
+    value's bits depend only on the draws and on t, so the curves hold the
+    values the bracket was read from."""
 
     t_minus: int
     t_plus: int | None
     alpha: float
     n_times: int
-    lam: np.ndarray = field(repr=False, compare=False)
-    c_upper: np.ndarray = field(repr=False, compare=False)
-    claws: dict = field(repr=False, compare=False)
-    population: np.ndarray = field(repr=False, compare=False)
+    bounds: SurvivalBounds = field(repr=False, compare=False)
     n_prec: int
     n_used: int
     master_seed: int
@@ -123,11 +110,11 @@ class TimeBoundsEstimate:
 
     @cached_property
     def upper_curve(self) -> np.ndarray:
-        return _upper_curve(self.lam, self.c_upper, self.times)
+        return self.bounds.upper(self.times)
 
     @cached_property
     def lower_curve(self) -> np.ndarray:
-        return _survival_curve(self.claws, self.population, self.n_times)
+        return self.bounds.lower(self.times)
 
 
 @dataclass(frozen=True)
@@ -350,35 +337,17 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                    n_prec: int = DEFAULT_N_PREC, master_seed: int = 0,
                    horizon_cap: int = 10 ** 6,
                    ensemble: PosteriorEnsemble | None = None) -> TimeBoundsEstimate:
-    """Extinction-time bracket under the posterior conditioned on lambda < 1.
-
-    The averaged draws are those with lambda < 1 (``extinction._lambda_below``)
-    whose Perron pair is usable. Per draw the survival curve is bounded
-    above by the Markov bound min(1, lam^t u.N / min u) and given exactly by
-    ``extinction._extinction_cdf``; each is averaged over the draws. t_plus
-    is the first t <= horizon_cap at which the mean bound is <= alpha, None
-    if there is none, found by ``extinction._first_crossing``, which reads
-    the bound at a few dozen times. t_minus is the last t <= t_plus (or
-    <= horizon_cap) at which the mean exact survival is >= 1 - alpha, 0 if
-    there is none, found by a walk forward from t = 0 that stops at the
-    first t past it: at most t_minus + 1 steps of the pgf, and never more
-    than t_plus. See ``TimeBoundsEstimate`` for what the bracket
-    guarantees.
-
-    The curves are computed only when the estimate's ``upper_curve`` or
-    ``lower_curve`` is read. They end at t_plus or, when t_plus is None, at
-    t = 991 or t_minus + 1, whichever is later, and never past horizon_cap.
-
-    Perron pairs are solved for the lambda < 1 draws alone
-    (``PosteriorEnsemble._perron``). A draw whose pair misses its residual
-    limit is left out and counted under ``perron-failures``. The bound
-    divides by the smallest entry of the right Perron vector u, so a draw
-    whose u has an entry <= 0 (a reducible mean matrix), or whose entries
-    are so lopsided that its bound constant is not finite, is left out too
-    and counted under ``degenerate-eigenvector``. ``n_used`` is the number
-    of draws averaged; RuntimeError is raised if none is left. ValueError
-    unless 0 < alpha < 0.5 and horizon_cap >= 0."""
-    _check_alpha(alpha)
+    """Extinction-time bracket under the posterior conditioned on lambda < 1:
+    ``extinction.extinction_time_bounds`` on the ``SurvivalBounds`` of the
+    lambda < 1 draws (``extinction._lambda_below``) whose Perron pair
+    converged and whose Markov constant is usable
+    (``extinction._markov_constants``). Perron pairs are solved for the
+    lambda < 1 draws alone (``PosteriorEnsemble._perron``).
+    ``perron-failures`` counts the draws whose pair misses its residual
+    limit, ``degenerate-eigenvector`` the converged ones left out for their
+    constant, and ``n_used`` the draws averaged; RuntimeError is raised if
+    none is left. The curves end at t_plus or, when t_plus is None, at
+    t = 991 or t_minus + 1, whichever is later, and never past horizon_cap."""
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
@@ -387,36 +356,27 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
     rows = np.flatnonzero(sub)
     lam, u, converged = ens._perron(rows)
-    umin = u.min(axis=1)
-    # a degenerate u may divide by zero or overflow; its draw is left out below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cU = (u @ N) / umin
-    usable = (umin > 0) & np.isfinite(cU)
+    cU, usable = _markov_constants(u, N)
     use = converged & usable
     n_used = int(np.sum(use))
     if n_used == 0:
         raise RuntimeError("no subcritical draw has a converged Perron pair with a "
                            "usable right eigenvector; time bounds are undefined")
-    lam, cU = lam[use], cU[use]
-    t_plus = _first_crossing(lambda ts: _upper_curve(lam, cU, ts) <= alpha, horizon_cap)
     kept = rows[use]
-    claws = {p: d.take(kept, axis=-1) for p, d in _coefficient_major(ens._laws).items()}
-    stop = horizon_cap if t_plus is None else t_plus
-    t_minus = 0
-    for t, F in enumerate(islice(_extinction_cdf(claws, N), stop + 1)):
-        if 1.0 - F < 1 - alpha:
-            break
-        t_minus = t
-    n_times = 1 + (t_plus if t_plus is not None
-                   else min(horizon_cap, max(_OPEN_END, t_minus + 1)))
+    bounds = SurvivalBounds(
+        lam=lam[use], c_upper=cU[use], population=N,
+        claws={p: d.take(kept, axis=-1) for p, d in _coefficient_major(ens._laws).items()})
+    tb = extinction_time_bounds(bounds, alpha, horizon_cap)
+    n_times = 1 + (tb.t_plus if tb.t_plus is not None
+                   else min(horizon_cap, max(_OPEN_END, tb.t_minus + 1)))
     warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
                 "degenerate-eigenvector": int(np.sum(converged & ~usable)),
                 "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
                 "perron-failures": int(np.sum(~converged))}
-    return TimeBoundsEstimate(t_minus=t_minus, t_plus=t_plus, alpha=alpha,
-                              n_times=n_times, lam=lam, c_upper=cU, claws=claws,
-                              population=N, n_prec=ens.n_prec, n_used=n_used,
-                              master_seed=ens.master_seed, warnings=warnings)
+    return TimeBoundsEstimate(t_minus=tb.t_minus, t_plus=tb.t_plus, alpha=alpha,
+                              n_times=n_times, bounds=bounds, n_prec=ens.n_prec,
+                              n_used=n_used, master_seed=ens.master_seed,
+                              warnings=warnings)
 
 
 def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,

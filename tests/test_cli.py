@@ -142,6 +142,18 @@ def test_time_bounds_and_curves(synthetic_files, tmp_path, capsys):
                for _, u, lo in (row.split(",") for row in rows))
 
 
+def test_time_bounds_refuse_an_extinct_population(synthetic_files, tmp_path, capsys):
+    out, curves = tmp_path / "tb.json", tmp_path / "curves.csv"
+    assert main(["time-bounds", "--posterior", str(synthetic_files["posterior"]),
+                 "--pop", "0", "--seed", "2024", "--nprec", "200",
+                 "--out", str(out), "--curves", str(curves)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["kind"] == "error" and "extinct" in err["error"]
+    assert not out.exists() and not curves.exists()
+
+
 def test_time_bounds_curves_cells_are_plain_floats(synthetic_files, tmp_path, capsys):
     curves = tmp_path / "curves.csv"
     assert main(["time-bounds", "--posterior", str(synthetic_files["posterior"]),

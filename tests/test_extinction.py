@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 import gwpva as g
 from gwpva.datasets import synthetic_true_draw
 from gwpva import extinction
-from gwpva.extinction import _mmatrix_solve, _upper_curve
+from gwpva.extinction import _first_crossing, _mmatrix_solve, _upper_curve
 from gwpva.sampling import SeedSpec
+
+from conftest import dense_pgf
 
 
 def _k1_draw(p):
@@ -129,12 +131,21 @@ def test_single_draw_bounds_match_batch_of_one(K):
             continue
         tb = g.mc_time_bounds(post, N, n_prec=1, master_seed=seed)
         sb = g.survival_bounds(draw, N)
-        single = g.extinction_time_bounds(sb.upper, sb.lower, alpha=0.05)
+        single = g.extinction_time_bounds(sb, alpha=0.05)
         assert (tb.t_minus, tb.t_plus) == (single.t_minus, single.t_plus)
-        np.testing.assert_allclose(tb.upper_curve, sb.upper(tb.times), rtol=0, atol=1e-12)
-        # the exact curve needs no Perron pair, so the one-draw estimate
-        # and the single-draw view run the same arithmetic
+        # both paths take the draw's constant from _markov_constants and
+        # run the same arithmetic on the same Perron pair and laws
+        assert tb.upper_curve.tobytes() == sb.upper(tb.times).tobytes()
         assert tb.lower_curve.tobytes() == sb.lower(tb.times).tobytes()
+        # the exact oracle: P(T <= t) by the dense pgf iterated from 0
+        laws = {pair: np.asarray(p)[None] for pair, p in draw.p.items()}
+        q, cdf = np.zeros((1, K)), []
+        while len(cdf) <= single.t_plus:
+            cdf.append(float(np.prod(q ** N)))
+            q = dense_pgf(laws, q)
+        assert cdf[single.t_minus] <= 0.05
+        assert single.t_minus == single.t_plus or cdf[single.t_minus + 1] > 0.05
+        assert sb.upper([single.t_plus]) <= 0.05 < sb.upper([single.t_plus - 1])
         checked += 1
     assert checked >= 5
 
@@ -161,57 +172,72 @@ def test_survival_bounds_take_poisson_laws():
 def test_extinction_time_bounds_from_curves():
     upper = lambda t: np.minimum(1.0, 22.0 * 0.75 ** np.asarray(t, dtype=float))
     lower = lambda t: np.clip(0.9 * 0.75 ** np.asarray(t, dtype=float), 0, 1)
-    tb = g.extinction_time_bounds(upper, lower, alpha=0.05)
-    # upper: 22*0.75^t <= 0.05 first at t = 22; lower: 0.9*0.75^t >= 0.95 never
-    assert tb.t_plus == 22
-    assert tb.t_minus == 0
+    # upper: 22*0.75^t <= 0.05 first at t = 22; lower: 0.9*0.75^t < 0.95 from t = 0
+    assert _first_crossing(lambda ts: upper(ts) <= 0.05, 10 ** 6) == 22
+    assert _first_crossing(lambda ts: lower(ts) < 0.95, 10 ** 6) == 0
+    # the synthetic draw's bound is that upper curve: lambda 0.75, u.N / min u = 22
+    sb = g.survival_bounds(synthetic_true_draw(), (22,))
+    assert g.extinction_time_bounds(sb, alpha=0.05).t_plus == 22
     with pytest.raises(ValueError):
-        g.extinction_time_bounds(upper, lower, alpha=0.7)
+        g.extinction_time_bounds(sb, alpha=0.7)
     with pytest.raises(ValueError, match="horizon_cap"):
-        g.extinction_time_bounds(upper, lower, alpha=0.05, horizon_cap=-1)
+        g.extinction_time_bounds(sb, alpha=0.05, horizon_cap=-1)
 
 
 def test_extinction_time_bounds_open_ended():
-    upper = lambda t: np.full_like(np.asarray(t, dtype=float), 0.5)
-    tb = g.extinction_time_bounds(upper, None, alpha=0.05, horizon_cap=2000)
-    assert tb.t_plus is None
+    assert _first_crossing(lambda ts: np.full(len(ts), 0.5) <= 0.05, 2000) is None
+    sb = g.survival_bounds(synthetic_true_draw(), (22,))
+    assert g.extinction_time_bounds(sb, alpha=0.05, horizon_cap=21).t_plus is None
 
 
-def test_open_ended_scan_stops_once_lower_curve_drops():
-    # upper > alpha at horizon_cap makes the bracket open-ended; the upper
-    # curve's search reads a few dozen times to learn so, and the lower
-    # curve's own search finds where it falls below 1 - alpha
+def test_extinct_population_has_no_bracket():
+    # T_ext = 0 for an extinct population, and no (t_minus, t_plus] holds it
+    sb = g.survival_bounds(synthetic_true_draw(), (0,))
+    with pytest.raises(ValueError, match="extinct"):
+        g.extinction_time_bounds(sb, alpha=0.05)
+
+
+def test_open_ended_scan_stops_once_lower_curve_drops(monkeypatch):
+    # a bound whose lambda^t stays near 1 keeps the upper curve above alpha
+    # at horizon_cap, so the bracket is open-ended; the upper curve's search
+    # reads a few dozen times to learn so, and the walk stops where the
+    # exact survival falls below 1 - alpha, far short of horizon_cap
     seen = []
 
-    def upper(t):
-        seen.append(np.asarray(t))
-        return np.full_like(np.asarray(t, dtype=float), 0.5)
+    def upper(lam, cU, ts):
+        seen.append(np.asarray(ts))
+        return _upper_curve(lam, cU, ts)
 
-    def lower(t):
-        return np.where(np.asarray(t) < 1200, 1.0, 0.0)
-
-    tb = g.extinction_time_bounds(upper, lower, alpha=0.05, horizon_cap=10 ** 6)
-    assert (tb.t_minus, tb.t_plus) == (1199, None)
+    sb = g.survival_bounds(synthetic_true_draw(), (22,))
+    closed = g.extinction_time_bounds(sb, alpha=0.05)
+    slow = g.SurvivalBounds(lam=np.array([1 - 1e-9]), c_upper=sb.c_upper,
+                            claws=sb.claws, population=sb.population)
+    monkeypatch.setattr(extinction, "_upper_curve", upper)
+    tb = g.extinction_time_bounds(slow, alpha=0.05, horizon_cap=10 ** 6)
+    assert (tb.t_minus, tb.t_plus) == (closed.t_minus, None)
+    assert 0 < tb.t_minus < 991
+    assert sb.lower([tb.t_minus]) >= 0.95 > sb.lower([tb.t_minus + 1])
     read = np.concatenate(seen)
     # each time is read once, and none past horizon_cap
     assert len(read) <= 100 and len(np.unique(read)) == len(read)
     assert read.max() == 10 ** 6
+    # a crossing past t = 991 is still found after the cap is read
+    assert _first_crossing(lambda ts: np.asarray(ts) >= 1200, 10 ** 6) == 1200
 
 
 @pytest.mark.parametrize("step, cap", [(50_000, 10 ** 5), (17_000, 20_000)])
 def test_bracket_search_reads_each_time_once(step, cap):
-    # upper is above alpha past t = 991, so the search reads the cap, and
-    # upper first falls to alpha between it and the last gallop time: a
-    # later gallop time is clamped to the cap, read already (at cap = 20 000
+    # the curve is uncrossed past t = 991, so the search reads the cap, and
+    # it first crosses between the cap and the last gallop time: a later
+    # gallop time is clamped to the cap, read already (at cap = 20 000
     # every time of that gallop is)
     seen = []
 
-    def upper(t):
+    def crossed(t):
         seen.append(np.asarray(t))
-        return np.where(np.asarray(t) < step, 0.5, 0.0)
+        return np.asarray(t) >= step
 
-    tb = g.extinction_time_bounds(upper, None, alpha=0.05, horizon_cap=cap)
-    assert tb.t_plus == step
+    assert _first_crossing(crossed, cap) == step
     read = np.concatenate(seen)
     assert len(np.unique(read)) == len(read) and read.max() == cap
     assert min(len(ts) for ts in seen) >= 1

@@ -349,6 +349,15 @@ def test_time_bounds_require_a_usable_draw():
         g.mc_time_bounds(g.PosteriorParams(cap, big), (2, 2), n_prec=50, master_seed=3)
 
 
+def test_time_bounds_refuse_an_extinct_population(synthetic_posterior, bear_ensemble):
+    # T_ext = 0 for an extinct population, which the bracket (0, 0] that
+    # the search and the walk read off it cannot hold
+    synth = PosteriorEnsemble(synthetic_posterior, n_prec=200, master_seed=1)
+    for pop, ens in (((0,), synth), ((0,) * 5, bear_ensemble)):
+        with pytest.raises(ValueError, match="extinct"):
+            g.mc_time_bounds(None, pop, ensemble=ens)
+
+
 def _reference_bracket(tb, upper, alpha, horizon_cap):
     """The bracket from full curves: the upper curve on whole 512-step
     blocks, trimmed to horizon_cap + 1, and the exact survival of the
@@ -366,11 +375,12 @@ def _reference_bracket(tb, upper, alpha, horizon_cap):
     hit = np.flatnonzero(full <= alpha)
     t_plus = int(hit[0]) if len(hit) else None
     stop = horizon_cap if t_plus is None else t_plus
-    laws = {p: d.T for p, d in tb.claws.items()}
-    q = np.zeros((tb.n_used, len(tb.population)))
+    laws = {p: d.T for p, d in tb.bounds.claws.items()}
+    N = tb.bounds.population
+    q = np.zeros((tb.n_used, len(N)))
     lower = []
     while len(lower) <= stop:
-        lower.append(1 - np.sum(np.prod(q ** tb.population, axis=1)) / tb.n_used)
+        lower.append(1 - np.sum(np.prod(q ** N, axis=1)) / tb.n_used)
         if lower[-1] < 1 - alpha:
             break
         q = dense_pgf(laws, q)
@@ -382,7 +392,7 @@ def _reference_bracket(tb, upper, alpha, horizon_cap):
 
 def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_posterior,
                                                    bear_ensemble):
-    search = montecarlo._first_crossing
+    search = extinction._first_crossing
     reads, draws = [], []
 
     def spy(crossed, horizon_cap):
@@ -396,8 +406,8 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
         draws[:] = [(lam, cU)]
         return _upper_curve(lam, cU, ts)
 
-    monkeypatch.setattr(montecarlo, "_first_crossing", spy)
-    monkeypatch.setattr(montecarlo, "_upper_curve", constants)
+    monkeypatch.setattr(extinction, "_first_crossing", spy)
+    monkeypatch.setattr(extinction, "_upper_curve", constants)
     synth = PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024)
     cases = [((22,), synth, 0.05, 10 ** 6)]
     cases += [((2, 2, 2, 2, 10), bear_ensemble, a, 10 ** 6) for a in (0.05, 0.2)]
@@ -471,8 +481,8 @@ def test_curves_are_one_bound_curves_call_on_times_when_read(monkeypatch,
         exact.append(n_times)
         return _survival_curve(claws, N, n_times)
 
-    monkeypatch.setattr(montecarlo, "_upper_curve", spy)
-    monkeypatch.setattr(montecarlo, "_survival_curve", exact_spy)
+    monkeypatch.setattr(extinction, "_upper_curve", spy)
+    monkeypatch.setattr(extinction, "_survival_curve", exact_spy)
     synth = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
     cases = [((2, 2, 2, 2, 10), bear_ensemble, 0.05, 10 ** 6)]
     cases += [((22,), synth, alpha, cap) for alpha in (0.05, 0.01)

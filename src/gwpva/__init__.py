@@ -33,4 +33,4 @@ from .sampling import (SeedSpec, Trajectory, sample_dirichlet, sample_parameter_
                        simulate, simulate_extinction_time)
 from .spectral import SpectralTriple, is_primitive, mean_matrix, perron_triple
 
-__version__ = "1.3.2"
+__version__ = "1.4.0"

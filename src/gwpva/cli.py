@@ -214,7 +214,7 @@ def cmd_time_bounds(args) -> int:
     tp = "open-ended" if res.t_plus is None else str(res.t_plus)
     return _answer(args, doc, [
         f"extinction time in ({res.t_minus}, {tp}]: P(T > t_plus) <= {_fmt(res.alpha)} "
-        f"under the averaged upper bound and P(T <= t_minus) <= {_fmt(res.alpha)} "
+        f"under the averaged expected abundance and P(T <= t_minus) <= {_fmt(res.alpha)} "
         f"under the averaged exact survival (subcritical draws: {res.n_used}/{res.n_prec})"],
         res.warnings, posterior_sha256=digest)
 

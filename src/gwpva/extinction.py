@@ -5,34 +5,30 @@ type-i individual is the i-th coordinate of the minimal fixed point of the
 offspring generating function phi in [0, 1]^K; independence across founders
 turns a population into the product of per-founder coordinates.
 
-The per-draw kernels live here. They take a law stack, pair -> (n,
-kappa+1) categorical rows or (n,) Poisson rates, and the stack's pair
-means, pair -> (n,) mean offspring numbers (``spectral.pair_means``), never
-a dense (n, K, K) mean-matrix stack: ``_lambda_below`` reads the pair means
-alone, ``_fixed_point_rows`` the laws and the pair means. The single-draw
-functions call them at n = 1 (``model._law_stack``).
-The pgf ``_phi`` and its Jacobian ``_jacobian_entries`` work
-coefficient-major, draws along the last axis (``_coefficient_major``).
-``_fixed_point_rows`` does its linear algebra with one row-batched
-M-matrix elimination, ``_mmatrix_lu``.
+The per-draw kernels take a law stack, pair -> (n, kappa+1) categorical
+rows or (n,) Poisson rates, and its pair means (``spectral.pair_means``);
+the single-draw functions call them at n = 1 (``model._law_stack``). The
+pgf ``_phi`` and its Jacobian work coefficient-major, draws along the last
+axis (``_coefficient_major``).
 
 The survival curve of n draws is averaged two ways: exactly, by iterating
-``_phi`` from 0 (``_extinction_cdf``), and from above, by the Markov bound
-(``_upper_curve``). ``SurvivalBounds`` holds both for n draws, and
-``extinction_time_bounds`` reads the bracket (``TimeBounds``) off them, at
-n = 1 for ``survival_bounds`` and over the ensemble for ``mc_time_bounds``.
+``_phi`` from 0 (``_extinction_cdf``), and from above, by Markov's
+inequality on the expected abundance N M^t 1 (``_upper_curve``).
+``SurvivalBounds`` holds both, and ``extinction_time_bounds`` reads the
+bracket (``TimeBounds``) off them, at n = 1 for ``survival_bounds`` and
+over the ensemble for ``mc_time_bounds``. No answer solves a Perron pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .model import ParameterDraw, PopulationState, _as_abundance, _law_stack
-from .spectral import _n_draws, mean_matrices, pair_means, perron_triple
+from .spectral import _n_draws, _scatter, pair_means
 
 __all__ = [
     "ExtinctionProfile",
@@ -59,8 +55,10 @@ class ExtinctionProfile:
 class TimeBounds:
     """Extinction-time bracket (t_minus, t_plus] of ``extinction_time_bounds``.
 
-    t_plus is the first t <= horizon_cap at which the mean Markov bound is
-    <= alpha, so P(T_ext > t_plus) <= alpha; None if there is none. t_minus
+    t_plus is a t <= horizon_cap at which the mean expected abundance bound
+    is <= alpha while at t_plus - 1 it is not, so P(T_ext > t_plus) <=
+    alpha; None if the search finds none. Where the bound is nonincreasing,
+    as at K = 1, t_plus is its first crossing. t_minus
     is the last t <= t_plus (or <= horizon_cap when t_plus is None) at which
     the mean exact survival is >= 1 - alpha, 0 if there is none, so
     P(T_ext <= t_minus) <= alpha exactly. The bracket holds T_ext with
@@ -83,43 +81,53 @@ def _coefficient_major(laws: dict) -> dict:
     return {pair: d if d.ndim == 1 else d.T for pair, d in laws.items()}
 
 
-def _pair_pgf(d: np.ndarray, x: np.ndarray, derivative: bool = False):
-    """One pair's pgf g(x) draw-wise and, if asked, its derivative: Horner's
-    rule for coefficient-major (kappa+1, n) categorical coefficients d, with
-    kappa >= 1 (``OffspringCap.pairs`` leaves out cap-0 pairs), and
-    e^{d (x - 1)} for (n,) Poisson rates d. Only elementwise arithmetic is
-    used, so each draw's value is bit-identical whatever the other draws
-    are. Either result may be a view of d, so callers never write into
-    them."""
+def _pair_pgf(d: np.ndarray, x: np.ndarray):
+    """One pair's pgf g(x) draw-wise and its derivative: Horner's rule for
+    coefficient-major (kappa+1, n) categorical coefficients d, with kappa >= 1
+    (``OffspringCap.pairs`` leaves out cap-0 pairs), and e^{d (x - 1)} for
+    (n,) Poisson rates d. Only elementwise arithmetic is used, so each draw's
+    value is bit-identical whatever the other draws are. Either result may
+    be a view of d, so callers never write into them."""
     if d.ndim == 1:
         p = np.exp(d * (x - 1.0))
         return p, d * p
-    p = d[-1]
-    dp = None
+    p, dp = d[-1], None
     for k in range(len(d) - 2, -1, -1):
-        if derivative:
-            # Horner's first step 0 * x + p is p for finite x
-            dp = p if dp is None else dp * x + p
+        # Horner's first step 0 * x + p is p for finite x
+        dp = p if dp is None else dp * x + p
         p = p * x + d[k]
     return p, dp
+
+
+def _pgf_into(d: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Write one pair's pgf g(x) into the (n,) row ``out``: the arithmetic of
+    ``_pair_pgf``, in place, so it has the same bits."""
+    if d.ndim == 1:
+        np.exp(d * (x - 1.0), out=out)
+        return
+    np.multiply(d[-1], x, out=out)
+    out += d[-2]
+    for k in range(len(d) - 3, -1, -1):
+        out *= x
+        out += d[k]
 
 
 def _phi(claws: dict, s: np.ndarray) -> np.ndarray:
     """phi applied draw-wise, coefficient-major: s is (K, n) in [0,1]^K, row
     j holding s_j of every draw, and ``claws`` is the ``_coefficient_major``
-    law stack of those n draws; the result is (K, n) too. A row's first
-    pair factor is assigned rather than multiplied into 1, which gives the
-    same bits; a type with no pair has phi_i = 1."""
-    out = np.empty_like(s)
-    started = np.zeros(len(s), dtype=bool)
+    law stack of those n draws; the result is (K, n) too. A row's first pair
+    factor is written into it, a later one into a scratch row multiplied in
+    (``_pgf_into``); a type with no pair keeps phi_i = 1."""
+    out = np.ones_like(s)
+    scratch = np.empty(s.shape[1:])
+    started = set()
     for (i, j), d in claws.items():
-        g = _pair_pgf(d, s[j - 1])[0]
-        if started[i - 1]:
-            out[i - 1] *= g
+        if i in started:
+            _pgf_into(d, s[j - 1], scratch)
+            out[i - 1] *= scratch
         else:
-            out[i - 1] = g
-            started[i - 1] = True
-    out[~started] = 1.0
+            _pgf_into(d, s[j - 1], out[i - 1])
+            started.add(i)
     return out
 
 
@@ -128,8 +136,7 @@ def _jacobian_entries(claws: dict, s: np.ndarray) -> dict:
     law stack at a (K, n) s, an (n,) vector: g_ij'(s_j) times the other
     g_ij2(s_j2) of row i, using phi_i(s) = prod_j g_ij(s_j). Entries of
     pairs outside the stack are 0."""
-    g = {(i, j): _pair_pgf(d, s[j - 1], derivative=True)
-         for (i, j), d in claws.items()}
+    g = {(i, j): _pair_pgf(d, s[j - 1]) for (i, j), d in claws.items()}
     out = {}
     for (i, j), (_, dg) in g.items():
         col = dg
@@ -169,12 +176,11 @@ def _mmatrix_lu(A: list) -> tuple[list, np.ndarray]:
     in the Mathematical Sciences*, 1979, ch. 6). On an M-matrix elimination
     without pivoting is stable. For M >= 0, c I - M so decides lambda(M) < c
     exactly but only suffices for lambda(M) <= c: a singular, reducible
-    M-matrix can have a zero pivot before the last. M = [[1, 1], [0, 0]] has
-    lambda = 1 but a first pivot 0 at c = 1, as have 176 of 3 000 two-type
-    alpha = 1e-3 draws; at c = 1 + 1e-12 the mask matches the Perron root.
-    Only elementwise arithmetic is used, so each row's factors are
-    bit-identical whatever the other rows are; a row with a nonpositive
-    pivot gets meaningless factors, which touch no other row.
+    M-matrix can have a zero pivot before the last: M = [[1, 1], [0, 0]] has
+    lambda = 1 but a first pivot 0 at c = 1. Only elementwise arithmetic is
+    used, so each row's factors are bit-identical whatever the other rows
+    are; a row with a nonpositive pivot gets meaningless factors, which
+    touch no other row.
     """
     K = len(A)
     F = [row[:] for row in A]
@@ -251,14 +257,10 @@ def _fixed_point_rows(laws: dict, K: int, means: dict) -> tuple[np.ndarray, np.n
 
     The solve runs coefficient-major, on (K, n) iterates (``_phi``). A draw
     whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as failed.
-
-    Data moves along the draw axis by index, never by boolean mask: the
-    active set is compacted with ``take`` on the indices of the draws that
-    stay, one pair's laws at a time, so the old and the compacted law sets
-    are never both held, and no Jacobian, step or trial array of a Newton
-    step outlives it. Every step is elementwise per draw, so a gather moves
-    a draw's values unchanged, and each draw's iterates have the same bits
-    as under masked assignment."""
+    The active set is compacted by ``take`` on indices, one pair's laws at
+    a time, so the old and the compacted laws are never both held; every
+    step is elementwise per draw, so compaction moves a draw's bits
+    unchanged."""
     n = _n_draws(laws)
     claws = _coefficient_major(laws)
     s = np.zeros((K, n))
@@ -304,13 +306,9 @@ def _newton_step(claws: dict, x: np.ndarray, f: np.ndarray
     only where the draw is pending, the residual does not increase and
     phi(x) - x >= -1e-12 stays true. The last test pins the iterate below
     the minimal root, so rounding in a step cannot carry it to the trivial
-    root 1 (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). A
-    halving swaps in the trial arrays when every draw accepts and merges
-    them with ``np.where`` only when some draw is rejected; steps are
-    halved for every draw, but the trial point of a draw no longer pending
-    is never accepted. The Jacobian is freed once the step is solved, and
-    the step and trial arrays on return, so none is held while the caller
-    compacts its active set."""
+    root 1 (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010). Steps
+    are halved for every draw, but a draw no longer pending never accepts a
+    trial point. No Jacobian, step or trial array outlives the call."""
     K, n = x.shape
     worst = np.abs(f).max(axis=0)
     delta, pend = _mmatrix_solve(
@@ -361,33 +359,74 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
     return float(np.prod(s ** N))
 
 
-_CURVE_BLOCK = 512  # times per (n, times) scratch buffer of ``_upper_curve``
+_CURVE_CELLS = 2 ** 18  # (time, type, draw) cells per block of ``_upper_curve``
 
 
-def _upper_curve(lam: np.ndarray, cU: np.ndarray, ts) -> np.ndarray:
-    """The draw-averaged Markov bound at the times ts: the mean over n draws
-    of min(1, cU lam^t), from their (n,) Perron roots lam and constants cU =
-    sum_j u_j N_j / min u. ts may have any shape and any number of times,
-    one included.
+def _times(ts) -> np.ndarray:
+    """ts as an integer array; ValueError unless every t is an integer >= 0."""
+    ts = np.asarray(ts)
+    if not np.issubdtype(ts.dtype, np.integer) or (ts < 0).any():
+        raise ValueError("the survival curves take integer times t >= 0")
+    return ts
 
-    The mean is a sum of the draws in row order, divided by n, so a time's
-    value has the same bits whatever other times share the call, and at
-    n = 1 it is the draw's own bound bit for bit. NumPy's axis-0 sum adds
-    the rows in order when a block has two or more columns but sums a lone
-    column pairwise, so a lone column is summed by ``np.cumsum``, which adds
-    in row order. The times are taken in blocks of at most ``_CURVE_BLOCK``,
-    which bound the scratch memory."""
-    ts = np.asarray(ts, dtype=float)
-    flat = ts.ravel()
-    lam, cU = np.reshape(lam, (-1, 1)), np.reshape(cU, (-1, 1))
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x[r] draw-wise for (R, K, n) vectors x, M given column-major: A[j]
+    is the (K, n) column j of n draws' matrices. The K products of an entry
+    are added in order of j, elementwise, so each draw's result has the same
+    bits whatever the other draws and vectors are."""
+    y = A[0] * x[:, :1]
+    for j in range(1, len(A)):
+        y += A[j] * x[:, j:j + 1]
+    return y
+
+
+def _upper_curve(means: dict, N: np.ndarray, ts, powers: list, states: dict) -> np.ndarray:
+    """The mean over n draws of min(1, N M^t 1) at the integer times ts (any
+    shape), from their pair means (mean matrices M) and the (K,) population
+    N. E N(t) = N M^t, so by Markov's inequality on the total count
+    P(T_ext > t) = P(N(t) != 0) <= N M^t 1 (Athreya & Ney, *Branching
+    Processes*, 1972, ch. V). At K >= 2 the curve may rise at some t.
+
+    v(t) = M^t 1 is read low bit first: v(0) = 1, and v(r) = M^(2^b)
+    v(r - 2^b) for b the highest bit of r, so the order of the product is
+    set by t alone. ``powers`` caches M, M^2, M^4, ... column-major (the
+    square of A is ``_matvec(A, A)``) and ``states`` the v(r) read so far,
+    up to ``_CURVE_CELLS`` cells; both start empty, as in
+    ``SurvivalBounds``. Times are read in blocks of at most
+    ``_CURVE_CELLS`` (time, type, draw) cells, each computing the v(r) it
+    lacks once, a batch per power. N v(t) adds its K terms in order, and the
+    mean is a cumulative sum over the draws in row order, divided by n. So
+    a time's value has the same bits whatever other times share the call
+    and whatever the caches hold, and at n = 1 it is the draw's own bound.
+    """
+    ts = _times(ts)
+    flat = [int(t) for t in ts.ravel()]
+    K, n = len(N), _n_draws(means)
+    if not powers:
+        powers.append(np.ascontiguousarray(_scatter(means, K, n).T))
+        states[0] = np.ones((K, n))
+    width = max(1, _CURVE_CELLS // (K * n))
     out = np.empty(len(flat))
-    for i in range(0, len(flat), _CURVE_BLOCK):
-        block = slice(i, i + _CURVE_BLOCK)
-        buf = lam ** flat[block]
-        np.multiply(cU, buf, out=buf)
-        np.minimum(buf, 1.0, out=buf)
-        out[block] = np.sum(buf, axis=0) if buf.shape[1] > 1 else np.cumsum(buf, axis=0)[-1]
-    return out.reshape(ts.shape) / len(lam)
+    for i in range(0, len(flat), width):
+        block, parent, steps = flat[i:i + width], {}, {}
+        for r in block:
+            while r not in states and r not in parent:
+                b = r.bit_length() - 1
+                parent[r] = r ^ (1 << b)
+                steps.setdefault(b, []).append(r)
+                r = parent[r]
+        known = states if (len(states) + len(parent)) * K * n <= _CURVE_CELLS else dict(states)
+        for b in sorted(steps):
+            while len(powers) <= b:
+                powers.append(_matvec(powers[-1], powers[-1]))
+            x = np.array([known[parent[r]] for r in steps[b]])
+            known.update(zip(steps[b], _matvec(powers[b], x)))
+        v = np.array([known[t] for t in block])
+        total = _matvec(np.reshape(N, (-1, 1, 1)), v)[:, 0]  # N v(t), terms in order
+        np.minimum(total, 1.0, out=total)
+        out[i:i + len(block)] = np.cumsum(total, axis=1)[:, -1]
+    return out.reshape(ts.shape) / n
 
 
 def _extinction_cdf(claws: dict, N: np.ndarray) -> Iterator[float]:
@@ -397,17 +436,15 @@ def _extinction_cdf(claws: dict, N: np.ndarray) -> Iterator[float]:
     ``claws`` is the coefficient-major law stack of the n draws and N the
     (K,) population. q_t = phi^(t)(0) holds the probabilities that the line
     of one founder of each type is extinct by t (Harris, *The Theory of
-    Branching Processes*, 1963; Athreya & Ney, *Branching Processes*, 1972,
-    ch. V), so by founder independence P(T_ext <= t | draw) =
-    prod_i q_t,i^N_i, for categorical and Poisson laws alike. Each draw's
-    value is elementwise, so it has the same bits whatever the other draws
-    are, and the mean is one fixed-order sum, NumPy's sum of the (n,)
-    values, divided by n."""
+    Branching Processes*, 1963), so by founder independence P(T_ext <= t |
+    draw) = prod_i q_t,i^N_i, for categorical and Poisson laws alike. Each
+    draw's value has the same bits whatever the other draws are, and the
+    mean is NumPy's sum of the (n,) values, divided by n."""
     n = max((d.shape[-1] for d in claws.values()), default=1)
     q = np.zeros((len(N), n))
     exponent = np.reshape(N, (-1, 1))
     while True:
-        yield float(np.sum(np.prod(q ** exponent, axis=0)) / n)
+        yield float((q ** exponent).prod(axis=0).sum() / n)
         q = _phi(claws, q)
 
 
@@ -417,43 +454,28 @@ def _survival_curve(claws: dict, N: np.ndarray, n_times: int) -> np.ndarray:
     return 1.0 - np.fromiter(islice(_extinction_cdf(claws, N), n_times), float, n_times)
 
 
-def _markov_constants(u: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Markov bound's constants cU = sum_j u_j N_j / min u of n draws,
-    from their (n, K) right Perron vectors u and the (K,) population N, and
-    a mask of the usable ones: min u > 0 (u of a reducible mean matrix may
-    have zeros) and cU finite (lopsided entries overflow)."""
-    umin = u.min(axis=1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cU = (u @ N) / umin
-    return cU, (umin > 0) & np.isfinite(cU)
-
-
 @dataclass(frozen=True)
 class SurvivalBounds:
     """The survival curve P(population alive at t) averaged over n
-    subcritical draws, and a bound above it.
+    subcritical draws, and a bound above it: ``means`` holds the draws'
+    pair means, ``claws`` their coefficient-major law stack and
+    ``population`` the (K,) abundance N. ``upper(t)`` is the mean bound
+    min(1, N M^t 1) (``_upper_curve``, whose caches the object keeps) and
+    ``lower(t)`` the mean exact survival 1 - prod_i q_t,i^N_i with
+    q_t = phi^(t)(0) (``_survival_curve``). Both raise ValueError unless
+    every t is an integer >= 0."""
 
-    ``lam`` holds the draws' (n,) Perron roots, ``c_upper`` their (n,)
-    constants of ``_markov_constants``, ``claws`` their coefficient-major
-    law stack and ``population`` the (K,) abundance N. ``upper(t)`` is the
-    mean Markov bound min(1, c_upper lam^t) (``_upper_curve``): N(t) u /
-    lam^t is a martingale under E[N(t)] = N(0) M^t, so each draw's bound
-    lies above its survival. ``lower(t)`` is the mean exact survival
-    1 - prod_i q_t,i^N_i with q_t = phi^(t)(0) (``_survival_curve``); it
-    raises ValueError unless every t is an integer >= 0."""
-
-    lam: np.ndarray
-    c_upper: np.ndarray
+    means: dict
     claws: dict
     population: np.ndarray
+    _powers: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def upper(self, ts) -> np.ndarray:
-        return _upper_curve(self.lam, self.c_upper, ts)
+        return _upper_curve(self.means, self.population, ts, self._powers, self._states)
 
     def lower(self, ts) -> np.ndarray:
-        ts = np.asarray(ts)
-        if not np.issubdtype(ts.dtype, np.integer) or (ts < 0).any():
-            raise ValueError("the exact survival curve takes integer times t >= 0")
+        ts = _times(ts)
         return _survival_curve(self.claws, self.population, int(ts.max(initial=-1)) + 1)[ts]
 
 
@@ -461,23 +483,16 @@ def survival_bounds(draw: ParameterDraw,
                     population: PopulationState | Sequence[int]) -> SurvivalBounds:
     """The survival bounds of one subcritical draw: the n = 1 view of
     ``mc_time_bounds``, so its curves and ``extinction_time_bounds`` have
-    the bits of the estimate's at n_prec = 1.
-
-    lambda < 1 is decided by ``_lambda_below`` on the draw's pair means and
-    the Perron pair is ``perron_triple`` of its mean matrix. Categorical and
-    Poisson laws are both taken. ValueError unless lambda < 1 and the
-    draw's Markov constant is usable (u > 0: an irreducible M).
+    the bits of the estimate's at n_prec = 1. lambda < 1 is decided by
+    ``_lambda_below`` on the draw's pair means; ValueError otherwise.
+    Categorical and Poisson laws and reducible mean matrices are all taken.
     """
     laws = _law_stack(draw)
-    if not _lambda_below(pair_means(laws), draw.K, 1.0)[0][0]:
+    means = pair_means(laws)
+    if not _lambda_below(means, draw.K, 1.0)[0][0]:
         raise ValueError("survival bounds require lambda < 1")
-    N = _as_abundance(population, draw.K)
-    triple = perron_triple(mean_matrices(laws, draw.K)[0])
-    cU, usable = _markov_constants(triple.u[None], N)
-    if not usable[0]:
-        raise ValueError("right eigenvector must be strictly positive (irreducible M)")
-    return SurvivalBounds(lam=np.array([triple.lam]), c_upper=cU,
-                          claws=_coefficient_major(laws), population=N)
+    return SurvivalBounds(means=means, claws=_coefficient_major(laws),
+                          population=_as_abundance(population, draw.K))
 
 
 _GALLOP_FIRST = 7  # the first call reads t = 0, 1, 3, ..., 63
@@ -496,11 +511,12 @@ def _first_crossing(crossed: Callable, horizon_cap: int) -> int | None:
     call reads only times inside it, so no time twice and none past
     horizon_cap. While no crossing is bracketed the search gallops over
     t = 2^k - 1, seven times in its first call and four in each later one,
-    and reads horizon_cap once the curve is uncrossed past t = 991: the
-    Markov bound's lam^t underflows at a far cap, where pow is slow, so a
-    crossing found sooner never pays for it. Once a gallop time has crossed,
-    each call reads up to 15 evenly spaced times inside the bracket.
-    ValueError unless horizon_cap >= 0.
+    and reads horizon_cap once the curve is uncrossed past t = 991: a far
+    cap needs every binary power of M up to its bit length, so a crossing
+    found sooner never pays for it. Once a gallop time has crossed, each
+    call reads up to 15 evenly spaced times inside the bracket. On a curve
+    that is not monotone the t returned has crossed and t - 1, read too,
+    has not. ValueError unless horizon_cap >= 0.
     """
     if horizon_cap < 0:
         raise ValueError("horizon_cap must be >= 0")

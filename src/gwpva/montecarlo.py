@@ -6,18 +6,14 @@ expectations of per-draw functionals. One shared ensemble of parameter
 draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
-Each answer computes only the per-draw arrays it reads. Every answer
-reads the mean matrices as the ensemble's pair means, pair -> (n,)
-(``spectral.pair_means``), never as a dense (n, K, K) stack. Viability and
-the time bounds decide on which side of 1 lambda lies by the fixed point's
-elimination rule on the pair means; only the time bounds solve Perron
-pairs, for their lambda < 1 draws alone, and so build dense mean matrices
-for those draws alone, once; their bracket is
-``extinction.extinction_time_bounds`` on those draws. Extinction probability,
-reintroduction and effective population size read the pgf fixed points
-alone, through ``_usable_profiles``; the abundance path reads the mean
-matrices alone, stepping N(t + 1)_j = sum_i N(t)_i M_ij over the present
-pairs.
+Each answer computes only the per-draw arrays it reads, and none solves a
+Perron pair. Viability and the time bounds decide on which side of 1 lambda
+lies by the fixed point's elimination rule on the pair means
+(``spectral.pair_means``); the time bounds read the expected abundance of
+their lambda < 1 draws from binary powers of the mean matrices. Extinction
+probability, reintroduction and effective population size read the pgf
+fixed points alone, through ``_usable_profiles``; the abundance path steps
+N(t + 1)_j = sum_i N(t)_i M_ij over the present pairs.
 An answer builds its ensemble from (params, n_prec, master_seed), or reads
 the one passed as ``ensemble=`` and ignores n_prec and master_seed; params
 must then be None or ``ensemble.params`` itself.
@@ -39,11 +35,11 @@ from functools import cached_property
 import numpy as np
 
 from .extinction import (_OPEN_END, SurvivalBounds, _coefficient_major, _fixed_point_rows,
-                         _lambda_below, _markov_constants, extinction_time_bounds)
+                         _lambda_below, extinction_time_bounds)
 from .inference import HyperParams
 from .model import _as_abundance
 from .sampling import _dirichlet_rows
-from .spectral import _scatter, is_primitive, pair_means, perron_batch, perron_residual
+from .spectral import _scatter, is_primitive, pair_means, perron_batch
 
 __all__ = [
     "MCEstimate",
@@ -86,13 +82,11 @@ class MCEstimate:
 class TimeBoundsEstimate:
     """The extinction-time bracket (``extinction.TimeBounds``) under the
     averaged (lambda < 1 conditioned) posterior, with the ``SurvivalBounds``
-    of the averaged draws it was read from.
-
-    ``times`` is 0 .. n_times - 1. ``upper_curve`` and ``lower_curve`` are
-    ``bounds.upper`` and ``bounds.lower`` on ``times``, computed on first
-    read, so an answer that reads only the bracket never pays for them; a
-    value's bits depend only on the draws and on t, so the curves hold the
-    values the bracket was read from."""
+    of the averaged draws it was read from. ``times`` is 0 .. n_times - 1;
+    ``upper_curve`` and ``lower_curve`` are ``bounds.upper`` and
+    ``bounds.lower`` on ``times``, computed on first read. A value's bits
+    depend only on the draws and on t, so the curves hold the values the
+    bracket was read from."""
 
     t_minus: int
     t_plus: int | None
@@ -140,13 +134,9 @@ class PosteriorEnsemble:
     the first n draws are the same for any ensemble size, draw 0 is
     sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
     cannot be reproduced without the draws before it. The pair means,
-    criticality mask and pgf fixed points are cached properties that call
-    the law-stack kernels on the whole batch, each on first use: the fixed
-    points need the laws and the pair means, the mask the pair means alone.
-    Perron pairs are solved per draw, only for the draws an answer asks for
-    (``_perron``), on dense mean matrices built for those draws alone, and
-    kept in a memo allocated on the first solve; ``lambdas`` asks for them
-    all.
+    criticality mask, pgf fixed points and Perron roots (``lambdas``, which
+    no answer reads) are cached properties that call the law-stack kernels
+    on the whole batch, each on first use.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -159,7 +149,6 @@ class PosteriorEnsemble:
         self.pairs = sorted(params.alpha)
         self.K = params.K
         self._laws = _dirichlet_rows(params, self.master_seed, self.n_prec)
-        self._perron_solved = np.zeros(self.n_prec, dtype=bool)
 
     def law(self, pair) -> np.ndarray:
         """(n_prec, kappa+1) array of sampled laws for one pair."""
@@ -187,32 +176,9 @@ class PosteriorEnsemble:
         return _lambda_below(self.pair_means, self.K, 1.0 + 1e-12)[1]
 
     @cached_property
-    def _perron_memo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (lam, u, converged) memo of ``_perron``, allocated on its first
-        call: row r holds draw r's values once ``_perron_solved[r]`` is set."""
-        return (np.empty(self.n_prec), np.empty((self.n_prec, self.K)),
-                np.empty(self.n_prec, dtype=bool))
-
-    def _perron(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dominant eigenvalue, right eigenvector and ``perron_residual``'s
-        convergence flag of the draws with the given indices. Both kernels
-        run once, on the dense mean matrices of the draws not yet solved;
-        their rows are independent, so a draw's values have the same bits
-        whichever draws are solved with it. The left vector is not kept."""
-        memo = self._perron_memo
-        todo = rows[~self._perron_solved[rows]]
-        if len(todo):
-            M = _scatter({p: m.take(todo) for p, m in self.pair_means.items()},
-                         self.K, len(todo))
-            lam, u, v = perron_batch(M)
-            for out, x in zip(memo, (lam, u, perron_residual(M, lam, u, v)[1])):
-                out[todo] = x
-            self._perron_solved[todo] = True
-        return tuple(a.take(rows, axis=0) for a in memo)
-
-    @property
     def lambdas(self) -> np.ndarray:
-        return self._perron(np.arange(self.n_prec))[0]
+        """(n_prec,) Perron roots: ``spectral.perron_batch`` on every draw."""
+        return perron_batch(_scatter(self.pair_means, self.K, self.n_prec))[0]
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
@@ -338,44 +304,28 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
                    horizon_cap: int = 10 ** 6,
                    ensemble: PosteriorEnsemble | None = None) -> TimeBoundsEstimate:
     """Extinction-time bracket under the posterior conditioned on lambda < 1:
-    ``extinction.extinction_time_bounds`` on the ``SurvivalBounds`` of the
-    lambda < 1 draws (``extinction._lambda_below``) whose Perron pair
-    converged and whose Markov constant is usable
-    (``extinction._markov_constants``). Perron pairs are solved for the
-    lambda < 1 draws alone (``PosteriorEnsemble._perron``).
-    ``perron-failures`` counts the draws whose pair misses its residual
-    limit, ``degenerate-eigenvector`` the converged ones left out for their
-    constant, and ``n_used`` the draws averaged; RuntimeError is raised if
-    none is left. The curves end at t_plus or, when t_plus is None, at
-    t = 991 or t_minus + 1, whichever is later, and never past horizon_cap."""
+    ``extinction.extinction_time_bounds`` on the ``SurvivalBounds`` of every
+    lambda < 1 draw (``extinction._lambda_below``), so ``n_used`` counts
+    them; RuntimeError is raised if there is none. The curves end at t_plus
+    or, when t_plus is None, at t = 991 or t_minus + 1, whichever is later,
+    and never past horizon_cap."""
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
-    sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
-    n_sub = int(np.sum(sub))
-    if n_sub == 0:
+    rows = np.flatnonzero(_lambda_below(ens.pair_means, ens.K, 1.0)[0])
+    if not len(rows):
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
-    rows = np.flatnonzero(sub)
-    lam, u, converged = ens._perron(rows)
-    cU, usable = _markov_constants(u, N)
-    use = converged & usable
-    n_used = int(np.sum(use))
-    if n_used == 0:
-        raise RuntimeError("no subcritical draw has a converged Perron pair with a "
-                           "usable right eigenvector; time bounds are undefined")
-    kept = rows[use]
     bounds = SurvivalBounds(
-        lam=lam[use], c_upper=cU[use], population=N,
-        claws={p: d.take(kept, axis=-1) for p, d in _coefficient_major(ens._laws).items()})
+        means={p: m.take(rows) for p, m in ens.pair_means.items()},
+        claws={p: d.take(rows, axis=-1) for p, d in _coefficient_major(ens._laws).items()},
+        population=N)
     tb = extinction_time_bounds(bounds, alpha, horizon_cap)
     n_times = 1 + (tb.t_plus if tb.t_plus is not None
                    else min(horizon_cap, max(_OPEN_END, tb.t_minus + 1)))
-    warnings = {"supercritical-draws": int(ens.n_prec - n_sub),
-                "degenerate-eigenvector": int(np.sum(converged & ~usable)),
-                "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec,
-                "perron-failures": int(np.sum(~converged))}
+    warnings = {"supercritical-draws": int(ens.n_prec - len(rows)),
+                "non-primitive-pattern": int(ens.primitive_warning) * ens.n_prec}
     return TimeBoundsEstimate(t_minus=tb.t_minus, t_plus=tb.t_plus, alpha=alpha,
                               n_times=n_times, bounds=bounds, n_prec=ens.n_prec,
-                              n_used=n_used, master_seed=ens.master_seed,
+                              n_used=len(rows), master_seed=ens.master_seed,
                               warnings=warnings)
 
 

@@ -78,16 +78,19 @@ def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
 
     The whole ensemble draws from one stream, ``SeedSpec(master_seed, 0)``:
     one ``standard_gamma`` call fills an (n, sum(kappa+1)) array with every
-    pair's alphas in sorted-pair, category order, and each pair's column
-    block is normalized for all rows at once. Variates are consumed in C
-    order, so row r is the r-th consecutive ``sample_parameter_draw`` on
-    that generator (while no normalizer is zero), row 0 is
+    pair's alphas in sorted-pair, category order, consumed in C order, so
+    row r is the r-th consecutive ``sample_parameter_draw`` on that
+    generator (while no normalizer is zero), row 0 is
     ``sample_parameter_draw(params, SeedSpec(master_seed, 0))``, and the
-    first rows do not depend on n. A row with a zero normalizer cannot be
-    redrawn on the shared stream without shifting the rows after it, so it
-    is replayed through ``_dirichlet`` (with its redraw cap) on the stream
-    ``SeedSpec(master_seed, r + 1)``, a pure function of (master_seed, r).
-    A single row cannot be reproduced without drawing the rows before it.
+    first rows do not depend on n. The array's transpose is copied once,
+    coefficient-major, and each pair's block of rows is divided in place by
+    the pair's normalizers, NumPy's sums of its columns of the original
+    array; the laws are (n, kappa+1) views of that block. A row with a zero
+    normalizer cannot be redrawn on the shared stream without shifting the
+    rows after it, so it is replayed through ``_dirichlet`` (with its redraw
+    cap) on the stream ``SeedSpec(master_seed, r + 1)``, a pure function of
+    (master_seed, r). A single row cannot be reproduced without drawing the
+    rows before it.
     """
     pairs = sorted(params.alpha)
     alphas = [np.asarray(params.alpha[pair], dtype=float) for pair in pairs]
@@ -95,14 +98,15 @@ def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
     a_all = np.concatenate(alphas)
     rng = SeedSpec(master_seed, 0).rng()
     gam = rng.standard_gamma(np.broadcast_to(a_all, (n, len(a_all))))
+    block = np.ascontiguousarray(gam.T)
     laws = {}
     replay = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for pair, lo, hi in zip(pairs, ends[:-1], ends[1:]):
-            block = gam[:, lo:hi]
-            total = block.sum(axis=1)
+            total = gam[:, lo:hi].sum(axis=1)
             replay |= ~(total > 0)
-            laws[pair] = block / total[:, None]
+            block[lo:hi] /= total
+            laws[pair] = block[lo:hi].T
     for r in np.flatnonzero(replay):
         rng_r = SeedSpec(master_seed, int(r) + 1).rng()
         for pair, a in zip(pairs, alphas):

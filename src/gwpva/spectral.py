@@ -2,10 +2,10 @@
 
 The mean matrix M[i, j] of an offspring parameterization drives first-order
 population dynamics: E[N(t)] = N(0) M^t. Its dominant eigenvalue lambda
-governs growth and viability. The right eigenvector u (M u = lambda u, the
-reproductive values) weights the population in the survival bounds, as
-N(t) u / lambda^t is a martingale; the left eigenvector v is the stable
-type distribution. Normalization: sum_i u_i = 1 and sum_i u_i v_i = 1.
+governs growth and viability; the right eigenvector u (M u = lambda u) holds
+the reproductive values and the left eigenvector v the stable type
+distribution, with sum_i u_i = 1 and sum_i u_i v_i = 1. No answer solves a
+Perron pair; ``perron_triple`` serves callers who want one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .model import ParameterDraw, _law_stack
 __all__ = ["SpectralTriple", "mean_matrix", "mean_matrices", "pair_means",
            "perron_batch", "perron_residual", "perron_triple", "is_primitive"]
 
-_SHIFT = 1e-12
+_SHIFT = 1.0
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ def pair_means(laws: dict) -> dict:
     taken term by term in order of k, from 0, with elementwise arithmetic
     only, so each row's mean is bit-identical whatever the other rows are.
     These means are the one mean kernel: the answers read them by pair, and
-    only a Perron solve needs them as dense matrices (``mean_matrices``).
+    only the powers of the time bounds and a Perron solve need them as dense
+    matrices (``_scatter``).
     """
     out = {}
     for pair, d in laws.items():
@@ -78,9 +79,7 @@ def mean_matrices(laws: dict, K: int) -> np.ndarray:
     """Mean offspring matrix of each draw of a law stack, (n, K, K): the
     ``pair_means`` of ``laws`` scattered into a dense stack, 0 outside the
     stack's pairs. An empty stack is one draw with no pairs. Each entry has
-    the bits of its pair mean. The dense stack holds K^2 entries per draw
-    however few pairs are present, so the ensemble's answers build it only
-    for the draws whose Perron pairs they solve.
+    the bits of its pair mean.
     """
     return _scatter(pair_means(laws), K, _n_draws(laws))
 
@@ -116,10 +115,10 @@ def perron_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dominant eigenvalue, right and left eigenvectors of each matrix in M.
 
     M is a stack (n, K, K) of nonnegative matrices. Shifted power iteration
-    on A = M + eps*I (eps = 1e-12, to break periodicity), accelerated by
-    normalized repeated squaring B <- B @ B / max(B @ B), then up to 8 plain
-    power steps against A to wash out round-off, fewer once a step leaves
-    every u and v unchanged to the bit (a row holding NaN never does).
+    on A = M + I, accelerated by normalized repeated squaring B <- B @ B /
+    max(B @ B), then up to 8 plain power steps against A to wash out
+    round-off, fewer once a step leaves every u and v unchanged to the bit
+    (a row holding NaN never does).
     Returns lam (n,), u (n, K) and v (n, K) with each u and v summing to 1.
 
     Each matrix stops squaring once its iterate B is rank one to round-off.
@@ -128,10 +127,10 @@ def perron_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     machine epsilon. The test is entrywise and relative, so an entry of B
     that is 0 must square to exactly 0, and an entry still decaying towards
     0 (a reducible pattern) fails it until it underflows to exactly 0, so
-    u and v keep the exact zeros that 60 squarings give them. A periodic
-    pattern whose shift has not yet acted has an iterate near a matrix of
-    higher rank, such as I for period 2, where B @ B and tr(B) B differ by
-    a factor of K, so it keeps squaring. At most 60 squarings are made
+    u and v keep the exact zeros that 60 squarings give them. The shift
+    breaks periodicity: every eigenvalue mu != lambda of M has
+    |1 + mu| < 1 + lambda, so A has one dominant eigenvalue even where M
+    has several of modulus lambda. At most 60 squarings are made
     (A^(2^60)); a matrix that never passes, such as a nilpotent one, takes
     all 60. Each matrix's answer, including when it stops, is computed on
     its own, whichever other matrices share the stack.
@@ -185,9 +184,9 @@ def perron_triple(M: np.ndarray) -> SpectralTriple:
     ``perron_batch`` on a stack of one, with v rescaled so that
     sum_i u_i v_i = 1. Raises ValueError for the zero matrix and when the
     residual max(|M u - lam u|, |v M - lam v|) exceeds 1e-9 times the
-    largest row sum of M, as for nilpotent or some periodic patterns where
-    power iteration does not converge. A non-primitive pattern whose
-    iteration still converges only sets ``primitive_warning``.
+    largest row sum of M, as for nilpotent patterns, where power iteration
+    does not converge. A non-primitive pattern whose iteration converges,
+    periodic ones included, only sets ``primitive_warning``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -204,7 +203,7 @@ def perron_triple(M: np.ndarray) -> SpectralTriple:
     if not ok[0]:
         raise ValueError(f"power iteration did not converge (residual {residual[0]:.3g}, "
                          f"largest row sum {M.sum(axis=1).max():.3g}); "
-                         "M may be nilpotent or periodic")
+                         "M may be nilpotent")
     return SpectralTriple(lam=float(lam[0]), u=u[0], v=v[0] / scale,
                           primitive_warning=not is_primitive(M), residual=float(residual[0]))
 

@@ -30,6 +30,16 @@ def dense_pgf(laws, s):
     return _phi(_coefficient_major(laws), s.T).T
 
 
+def perron_markov_bound(M, N, ts):
+    """The single-draw Markov bound min(1, c_upper lam^t) of a subcritical
+    mean matrix M from its Perron pair, c_upper = sum_j u_j N_j / min u,
+    which no answer computes: N(t) u / lam^t is a martingale, and
+    N M^t 1 <= N M^t u / min u = c_upper lam^t for u > 0."""
+    tri = spectral.perron_triple(M)
+    c_upper = float(tri.u @ np.asarray(N, dtype=float)) / tri.u.min()
+    return np.minimum(1.0, c_upper * tri.lam ** np.asarray(ts, dtype=float))
+
+
 def dense_pgf_jacobian(laws, s):
     """d phi_i / d s_j draw-wise at an (n, K) s as a dense (n, K, K) stack,
     which no answer builds: the entries of ``_jacobian_entries`` put in

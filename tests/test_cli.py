@@ -134,7 +134,7 @@ def test_time_bounds_and_curves(synthetic_files, tmp_path, capsys):
     assert len(rows) >= doc["t_plus"]
     # each end states its own one-sided guarantee
     printed = capsys.readouterr().out
-    assert "P(T > t_plus) <= 0.05 under the averaged upper bound" in printed
+    assert "P(T > t_plus) <= 0.05 under the averaged expected abundance" in printed
     assert "P(T <= t_minus) <= 0.05 under the averaged exact survival" in printed
     assert "no guarantee" not in printed and "probability >=" not in printed
     # the lower column is the exact survival, below the upper bound
@@ -513,7 +513,8 @@ def test_bear_end_to_end(tmp_path, capsys):
 
 def test_only_time_bounds_builds_dense_mean_matrices(tmp_path, monkeypatch, capsys):
     # every other answer reads the pair means alone; time-bounds builds dense
-    # mean matrices for its lambda < 1 draws alone
+    # mean matrices for its lambda < 1 draws alone, to square them, and no
+    # answer solves a Perron pair
     table = tmp_path / "bear.csv"
     table.write_text(g.format_life_table(bear_life_table()))
     prior = tmp_path / "prior.json"
@@ -530,8 +531,13 @@ def test_only_time_bounds_builds_dense_mean_matrices(tmp_path, monkeypatch, caps
         built.append(n)
         return scatter(means, K, n)
 
-    monkeypatch.setattr("gwpva.spectral._scatter", spy)
-    monkeypatch.setattr("gwpva.montecarlo._scatter", spy)
+    def refuse(*args):
+        raise AssertionError("a Perron pair was solved")
+
+    for module in ("spectral", "montecarlo", "extinction"):
+        monkeypatch.setattr(f"gwpva.{module}._scatter", spy)
+    for module in ("spectral", "montecarlo"):
+        monkeypatch.setattr(f"gwpva.{module}.perron_batch", refuse)
     common = ["--posterior", str(posterior), "--seed", "2024", "--nprec", "2000"]
     pop = ["--pop", "2,2,2,2,10"]
     for argv in (["viability"], ["extinction"] + pop, ["reintroduce", "--type", "5"],

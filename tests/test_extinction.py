@@ -11,7 +11,7 @@ from gwpva import extinction
 from gwpva.extinction import _first_crossing, _mmatrix_solve, _upper_curve
 from gwpva.sampling import SeedSpec
 
-from conftest import dense_pgf
+from conftest import dense_pgf, perron_markov_bound
 
 
 def _k1_draw(p):
@@ -99,7 +99,7 @@ def test_k1_fixed_point_matches_bisection(weights):
 def test_survival_bounds_shapes_and_monotonicity():
     draw = synthetic_true_draw()
     sb = g.survival_bounds(draw, (22,))
-    assert sb.lam == pytest.approx(0.75)
+    assert sb.means[(1, 1)] == pytest.approx([0.75])
     ts = np.arange(0, 50)
     U, L = sb.upper(ts), sb.lower(ts)
     assert ((U >= L - 1e-12).all())
@@ -133,19 +133,28 @@ def test_single_draw_bounds_match_batch_of_one(K):
         sb = g.survival_bounds(draw, N)
         single = g.extinction_time_bounds(sb, alpha=0.05)
         assert (tb.t_minus, tb.t_plus) == (single.t_minus, single.t_plus)
-        # both paths take the draw's constant from _markov_constants and
-        # run the same arithmetic on the same Perron pair and laws
+        # both paths run the same arithmetic on the same pair means and laws
         assert tb.upper_curve.tobytes() == sb.upper(tb.times).tobytes()
         assert tb.lower_curve.tobytes() == sb.lower(tb.times).tobytes()
         # the exact oracle: P(T <= t) by the dense pgf iterated from 0
         laws = {pair: np.asarray(p)[None] for pair, p in draw.p.items()}
+        horizon = 2 * single.t_plus + 20
         q, cdf = np.zeros((1, K)), []
-        while len(cdf) <= single.t_plus:
+        while len(cdf) < horizon:
             cdf.append(float(np.prod(q ** N)))
             q = dense_pgf(laws, q)
         assert cdf[single.t_minus] <= 0.05
         assert single.t_minus == single.t_plus or cdf[single.t_minus + 1] > 0.05
         assert sb.upper([single.t_plus]) <= 0.05 < sb.upper([single.t_plus - 1])
+        # at every t the bound N M^t 1 lies above the exact survival and
+        # below the Perron form c_upper lam^t, u N / min u times lam^t
+        ts = np.arange(horizon)
+        upper = sb.upper(ts)
+        assert np.all(upper >= 1 - np.array(cdf) - 1e-12)
+        assert np.all(upper <= perron_markov_bound(M, N, ts) * (1 + 1e-12))
+        # a single-time read has the bits of the batched one
+        for t in range(0, horizon, 7):
+            assert sb.upper([t]).tobytes() == upper[t:t + 1].tobytes()
         checked += 1
     assert checked >= 5
 
@@ -175,7 +184,7 @@ def test_extinction_time_bounds_from_curves():
     # upper: 22*0.75^t <= 0.05 first at t = 22; lower: 0.9*0.75^t < 0.95 from t = 0
     assert _first_crossing(lambda ts: upper(ts) <= 0.05, 10 ** 6) == 22
     assert _first_crossing(lambda ts: lower(ts) < 0.95, 10 ** 6) == 0
-    # the synthetic draw's bound is that upper curve: lambda 0.75, u.N / min u = 22
+    # the synthetic draw's bound is that upper curve: N m^t = 22 * 0.75^t
     sb = g.survival_bounds(synthetic_true_draw(), (22,))
     assert g.extinction_time_bounds(sb, alpha=0.05).t_plus == 22
     with pytest.raises(ValueError):
@@ -198,19 +207,19 @@ def test_extinct_population_has_no_bracket():
 
 
 def test_open_ended_scan_stops_once_lower_curve_drops(monkeypatch):
-    # a bound whose lambda^t stays near 1 keeps the upper curve above alpha
-    # at horizon_cap, so the bracket is open-ended; the upper curve's search
-    # reads a few dozen times to learn so, and the walk stops where the
-    # exact survival falls below 1 - alpha, far short of horizon_cap
+    # a mean matrix whose powers stay near 1 keeps the upper curve above
+    # alpha at horizon_cap, so the bracket is open-ended; the upper curve's
+    # search reads a few dozen times to learn so, and the walk stops where
+    # the exact survival falls below 1 - alpha, far short of horizon_cap
     seen = []
 
-    def upper(lam, cU, ts):
+    def upper(means, N, ts, *caches):
         seen.append(np.asarray(ts))
-        return _upper_curve(lam, cU, ts)
+        return _upper_curve(means, N, ts, *caches)
 
     sb = g.survival_bounds(synthetic_true_draw(), (22,))
     closed = g.extinction_time_bounds(sb, alpha=0.05)
-    slow = g.SurvivalBounds(lam=np.array([1 - 1e-9]), c_upper=sb.c_upper,
+    slow = g.SurvivalBounds(means={(1, 1): np.array([1 - 1e-9])},
                             claws=sb.claws, population=sb.population)
     monkeypatch.setattr(extinction, "_upper_curve", upper)
     tb = g.extinction_time_bounds(slow, alpha=0.05, horizon_cap=10 ** 6)
@@ -247,22 +256,30 @@ def test_bracket_search_reads_each_time_once(step, cap):
 def test_bound_curve_columns_keep_their_bits(n):
     # the bracket search reads the upper curve at a few scattered times, one
     # included, and the full curve only at the times it did not read: a
-    # time's column must have the same bits in every call. NumPy sums a lone
-    # column pairwise, which differs from row order once n is large, so a
-    # lone time is the case to pin.
+    # time's column must have the same bits in every call, whatever the
+    # caches of powers and products hold. NumPy sums a lone column
+    # pairwise, so a lone time is a case to pin, and at n = 9999 a block
+    # holds 26 times, so a wide call spans many blocks.
+    K = {1: 3, 2: 3, 7: 2, 106: 5, 1000: 2, 9999: 1}[n]
     rng = np.random.default_rng(n)
-    lam, c_u = rng.uniform(0.5, 0.999, n), rng.uniform(1, 50, n)
-    ref = _upper_curve(lam, c_u, np.arange(512))
+    means = {(i, j): rng.uniform(0.0, 0.9 / K, n) for i in range(1, K + 1)
+             for j in range(1, K + 1)}
+    N = rng.integers(1, 30, K).astype(float)
+    ref = _upper_curve(means, N, np.arange(512), [], {})
+    assert ref[0] == 1.0 and 0.0 < ref[-1] < 0.1
+    powers, states = [], {}
     for width in range(1, 65):
         t0 = 7 * width
         blocks = (np.arange(t0, t0 + width), np.sort(rng.choice(512, width, replace=False)))
         for ts in blocks:
-            assert _upper_curve(lam, c_u, ts).tobytes() == ref[ts].tobytes(), (width, ts)
+            for caches in (([], {}), (powers, states)):
+                got = _upper_curve(means, N, ts, *caches)
+                assert got.tobytes() == ref[ts].tobytes(), (width, ts)
     for t in range(0, 512, 8):
-        assert _upper_curve(lam, c_u, np.array([t])).tobytes() == ref[t:t + 1].tobytes(), t
+        assert _upper_curve(means, N, [t], [], {}).tobytes() == ref[t:t + 1].tobytes(), t
     # in a call of more than 512 times too, whichever block a time lands in
-    wide = _upper_curve(lam, c_u, np.arange(1025))
-    back = _upper_curve(lam, c_u, np.arange(1024, 511, -1))
+    wide = _upper_curve(means, N, np.arange(1025), powers, states)
+    back = _upper_curve(means, N, np.arange(1024, 511, -1), [], {})
     assert wide[:512].tobytes() == ref.tobytes()
     assert wide[512:].tobytes() == back[::-1].tobytes()
 
@@ -287,7 +304,6 @@ def test_exact_cdf_matches_simulated_extinction_times(draw, N, ts):
     # of simulated extinction times within 4 binomial standard errors
     runs = 2000
     sb = g.survival_bounds(draw, N)
-    assert sb.lam < 1
     cdf = 1 - sb.lower(np.array(ts))
     empirical = _extinction_histogram(draw, N, runs, seed=31)
     for t, p in zip(ts, cdf):

@@ -16,6 +16,19 @@ from gwpva.sampling import SeedSpec
 from conftest import dense_mean_matrices, dense_pgf, dense_pgf_jacobian
 
 
+@pytest.fixture
+def no_perron_solve(monkeypatch):
+    """Fail the test on any Perron solve (``perron_triple`` calls
+    ``perron_batch`` too); ``undo()`` on the returned monkeypatch allows
+    them again."""
+    def refuse(*args):
+        raise AssertionError("a Perron pair was solved")
+
+    monkeypatch.setattr(spectral, "perron_batch", refuse)
+    monkeypatch.setattr(montecarlo, "perron_batch", refuse)
+    return monkeypatch
+
+
 def _degenerate_posterior(weights):
     """A posterior so concentrated it is effectively a point mass."""
     cap = g.OffspringCap(1, {(1, 1): len(weights) - 1})
@@ -152,104 +165,83 @@ def test_time_bounds_requires_subcritical_mass():
 
 
 @pytest.mark.filterwarnings("error")
-def test_time_bounds_leave_out_degenerate_eigenvectors():
+def test_time_bounds_average_reducible_draws():
     # the alpha = 1e-3 posterior puts mass on reducible mean matrices whose
-    # right vector has zero entries; their bound constants divide by zero
+    # right Perron vector has zero entries, and on draws whose Perron pair
+    # fails its residual test; the expected abundance needs neither, so
+    # every lambda < 1 draw is averaged
     post = _tiny_alpha_posterior()
     ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
     M = dense_mean_matrices(ens)
     lam, u, v = spectral.perron_batch(M)
-    converged = spectral.perron_residual(M, lam, u, v)[1]
-    u_min = u.min(axis=1)
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
-    assert np.sum(sub & (u_min <= 0)) > 0
+    assert np.sum(sub & (u.min(axis=1) <= 0)) > 0
+    assert np.sum(sub & ~spectral.perron_residual(M, lam, u, v)[1]) > 0
     tb = g.mc_time_bounds(post, (3, 2), ensemble=ens)
     assert np.isfinite(tb.upper_curve).all() and np.isfinite(tb.lower_curve).all()
-    # the used draws are the converged ones whose bound constant is finite;
-    # a draw whose Perron pair failed is counted under perron-failures
-    # alone, and degenerate-eigenvector counts the converged draws dropped
-    # for their u
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c_upper = (u @ np.array([3.0, 2.0])) / u_min
-    usable = (u_min > 0) & np.isfinite(c_upper)
-    use = sub & converged & usable
-    assert tb.n_used == np.sum(use)
-    assert tb.warnings["perron-failures"] == np.sum(sub & ~converged)
-    assert tb.warnings["degenerate-eigenvector"] == np.sum(sub & converged & ~usable)
-    assert tb.warnings["supercritical-draws"] == 3000 - np.sum(sub)
-    # pinned: of the 103 lambda < 1 draws, 63 fail their residual test and
-    # 11 converged ones have a zero entry in u; 29 are averaged
-    assert (np.sum(sub), tb.n_used) == (103, 29)
-    assert (tb.warnings["perron-failures"], tb.warnings["degenerate-eigenvector"]) == (63, 11)
+    assert tb.warnings == {"supercritical-draws": 3000 - np.sum(sub),
+                           "non-primitive-pattern": 0}
+    # pinned: all 103 lambda < 1 draws are averaged
+    assert (np.sum(sub), tb.n_used) == (103, 103)
 
-    # t_plus is the first t <= horizon_cap at which the mean over the used
-    # draws of min(1, (u.N / min u) lam^t) is <= alpha, or None if there is
-    # none; each term is nonincreasing in t, so two points decide it
+    # the oracle: the mean over the lambda < 1 draws of min(1, N M^t 1),
+    # with M^t from np.linalg.matrix_power
     def mean_upper(t):
-        return np.sum(np.minimum(1.0, c_upper[use] * lam[use] ** t)) / np.sum(use)
+        abundance = np.linalg.matrix_power(M[sub], t).sum(axis=2) @ np.array([3.0, 2.0])
+        return np.sum(np.minimum(1.0, abundance)) / np.sum(sub)
 
-    if tb.t_plus is None:
-        # the search learns this from the curve at 10^6, and an open-ended
-        # curve ends at t = 991, t_minus + 1 being earlier
-        assert mean_upper(10 ** 6) > 0.05 and tb.times[-1] == 991 > tb.t_minus + 1
-    else:
-        assert mean_upper(tb.t_plus) <= 0.05
-        assert tb.t_plus == 0 or mean_upper(tb.t_plus - 1) > 0.05
-    assert np.isclose(tb.upper_curve[-1], mean_upper(tb.times[-1]), rtol=1e-12, atol=0)
+    # open-ended: the search learns so from the curve at 10^6, and the
+    # curve ends at t = 991, t_minus + 1 being earlier
+    assert tb.t_plus is None
+    assert mean_upper(10 ** 6) > 0.05 and tb.times[-1] == 991 > tb.t_minus + 1
+    for t in (0, 1, 2, 7, 100, 991):
+        assert np.isclose(tb.upper_curve[t], mean_upper(t), rtol=1e-12, atol=0), t
 
 
 def _period_two_posterior():
-    """The period-2 pattern {1, 2} -> 3 -> {1, 2}: power iteration on the
-    shifted matrix leaves some of its draws short of perron_triple's
-    residual limit."""
+    """The period-2 pattern {1, 2} -> 3 -> {1, 2}, whose mean matrices have
+    eigenvalues lambda and -lambda."""
     cap = g.OffspringCap(3, {(1, 3): 2, (2, 3): 2, (3, 1): 2, (3, 2): 2})
     return g.PosteriorParams(cap, {p: np.array([3.0, 2.0, 1.0]) for p in cap.kappa})
 
 
-def test_perron_failures_are_reported(synthetic_posterior, bear_ensemble):
+def test_period_two_perron_pairs_converge(synthetic_posterior, bear_ensemble):
+    # perron_batch iterates on M + I, which has one dominant eigenvalue even
+    # where M has period 2: every draw's pair passes its residual test, its
+    # root is the largest eigenvalue modulus, and perron_triple returns it
     post = _period_two_posterior()
     ens = PosteriorEnsemble(post, n_prec=2000, master_seed=7)
     M = dense_mean_matrices(ens)
-    failed = ~spectral.perron_residual(M, *spectral.perron_batch(M))[1]
-    assert failed.any()
-    for r, M in enumerate(dense_mean_matrices(ens)):
-        try:
-            g.perron_triple(M)
-        except ValueError:
-            assert failed[r], r
-        else:
-            assert not failed[r], r
-    pop = (1, 1, 1)
-    # the time bounds solve only their lambda < 1 draws' pairs and count the
-    # failures among those
+    lam, u, v = spectral.perron_batch(M)
+    assert spectral.perron_residual(M, lam, u, v)[1].all()
+    np.testing.assert_allclose(lam, np.abs(np.linalg.eigvals(M)).max(axis=1),
+                               rtol=1e-13, atol=0)
+    for r in range(0, 2000, 37):
+        assert g.perron_triple(M[r]).lam == lam[r], r
+    # the time bounds average every lambda < 1 draw, and no answer counts
+    # Perron failures
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
+    assert np.array_equal(sub, lam < 1.0)
+    pop = (1, 1, 1)
     tb = g.mc_time_bounds(post, pop, ensemble=ens)
-    count = tb.warnings["perron-failures"]
-    assert count == np.sum(failed & sub)
-    assert 0 < count < np.sum(failed)
-    # and average none of them: 1 134 of the 1 325 lambda < 1 draws fail
-    assert (count, tb.n_used) == (1134, 191) and tb.n_used == np.sum(sub & ~failed)
-    # viability and the extinction probability solve no Perron pair, so
-    # they count no Perron failure
-    for est in (g.mc_viability_probability(post, ensemble=ens),
-                g.mc_extinction_probability(post, pop, ensemble=ens)):
-        assert "perron-failures" not in est.warnings
+    assert (tb.n_used, tb.t_minus, tb.t_plus) == (1325, 0, 103) and tb.n_used == np.sum(sub)
     synthetic = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
-    for ens, post, pop in [(synthetic, synthetic_posterior, (22,)),
+    for ens, post, pop in [(ens, post, pop), (synthetic, synthetic_posterior, (22,)),
                            (bear_ensemble, bear_ensemble.params, (2, 2, 2, 2, 10))]:
         M = dense_mean_matrices(ens)
         assert spectral.perron_residual(M, *spectral.perron_batch(M))[1].all()
-        assert g.mc_time_bounds(post, pop, ensemble=ens).warnings["perron-failures"] == 0
-        for est in (g.mc_viability_probability(post, ensemble=ens),
+        for est in (g.mc_time_bounds(post, pop, ensemble=ens),
+                    g.mc_viability_probability(post, ensemble=ens),
                     g.mc_extinction_probability(post, pop, ensemble=ens)):
             assert "perron-failures" not in est.warnings
+            assert "degenerate-eigenvector" not in est.warnings
 
 
 def _perron_full_squaring(M):
     """perron_batch as a plain loop of all 60 normalized squarings, with no
     per-draw exit."""
     K = M.shape[-1]
-    A = M + 1e-12 * np.eye(K)
+    A = M + spectral._SHIFT * np.eye(K)
     B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
     for _ in range(60):
         B = B @ B
@@ -264,7 +256,7 @@ def _perron_full_squaring(M):
         u /= u.sum(axis=1, keepdims=True)
         v /= v.sum(axis=1, keepdims=True)
     Au = np.einsum("rij,rj->ri", A, u)
-    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - 1e-12
+    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - spectral._SHIFT
     return np.maximum(lam, 0.0), u, v
 
 
@@ -296,7 +288,7 @@ def test_perron_batch_matches_full_squaring_reference(bear_ensemble):
 def _perron_eight_steps(M):
     """perron_batch with all 8 power steps taken."""
     K = M.shape[-1]
-    A = M + 1e-12 * np.eye(K)
+    A = M + spectral._SHIFT * np.eye(K)
     B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
     tol = 4 * K * np.finfo(float).eps
     out = np.empty_like(B)
@@ -322,7 +314,7 @@ def _perron_eight_steps(M):
         u /= u.sum(axis=1, keepdims=True)
         v /= v.sum(axis=1, keepdims=True)
     Au = np.einsum("rij,rj->ri", A, u)
-    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - 1e-12
+    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - spectral._SHIFT
     return np.maximum(lam, 0.0), u, v
 
 
@@ -340,13 +332,26 @@ def test_perron_batch_power_steps_stop_only_where_they_repeat(synthetic_posterio
             assert got.tobytes() == want.tobytes()
 
 
-def test_time_bounds_require_a_usable_draw():
-    # two unlinked types: every right vector is (1, 0)
+def test_time_bounds_take_unlinked_types():
+    # two unlinked types: every right Perron vector is (1, 0), so the Perron
+    # form of the bound has no finite constant; the expected abundance is
+    # N M^t 1 = 2 m_1^t + 2 m_2^t
     cap = g.OffspringCap(2, {(1, 1): 1, (2, 2): 1})
     big = {(1, 1): 1e8 * np.array([0.5, 0.5]) + 1e-8,
            (2, 2): 1e8 * np.array([0.7, 0.3]) + 1e-8}
-    with pytest.raises(RuntimeError, match="usable right eigenvector"):
-        g.mc_time_bounds(g.PosteriorParams(cap, big), (2, 2), n_prec=50, master_seed=3)
+    post = g.PosteriorParams(cap, big)
+    ens = PosteriorEnsemble(post, n_prec=50, master_seed=3)
+    tb = g.mc_time_bounds(post, (2, 2), ensemble=ens)
+    assert tb.n_used == 50
+    m1, m2 = ens.pair_means[(1, 1)], ens.pair_means[(2, 2)]
+
+    def mean_upper(t):
+        return np.sum(np.minimum(1.0, 2 * m1 ** t + 2 * m2 ** t)) / 50
+
+    assert mean_upper(tb.t_plus) <= 0.05 < mean_upper(tb.t_plus - 1)
+    np.testing.assert_allclose(tb.upper_curve, [mean_upper(t) for t in tb.times],
+                               rtol=1e-13, atol=0)
+    assert tb.t_minus < tb.t_plus
 
 
 def test_time_bounds_refuse_an_extinct_population(synthetic_posterior, bear_ensemble):
@@ -402,9 +407,9 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
         reads.append([])
         return search(counted, horizon_cap)
 
-    def constants(lam, cU, ts):
-        draws[:] = [(lam, cU)]
-        return _upper_curve(lam, cU, ts)
+    def constants(means, N, ts, *caches):
+        draws[:] = [(means, N)]
+        return _upper_curve(means, N, ts, *caches)
 
     monkeypatch.setattr(extinction, "_first_crossing", spy)
     monkeypatch.setattr(extinction, "_upper_curve", constants)
@@ -429,9 +434,9 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
     t_plus, t_minus = [], []
     for pop, ens, alpha, cap in cases:
         tb = g.mc_time_bounds(None, pop, alpha=alpha, horizon_cap=cap, ensemble=ens)
-        lam, cU = draws.pop()
+        means, N = draws.pop()
         tm, tp, times, upper = _reference_bracket(
-            tb, lambda ts: _upper_curve(lam, cU, ts), alpha, cap)
+            tb, lambda ts: _upper_curve(means, N, ts, [], {}), alpha, cap)
         assert (tb.t_minus, tb.t_plus) == (tm, tp)
         assert tb.times.tobytes() == times.tobytes()
         assert tb.upper_curve.tobytes() == upper.tobytes()
@@ -446,10 +451,10 @@ def test_bracket_scan_matches_full_block_reference(monkeypatch, synthetic_poster
     assert any(32 <= t < 512 for t in closed)
     assert t_plus.count(None) >= 10
     # the walk stops inside the bracket: bear at alpha = 0.05 reads
-    # (35, 4202], synthetic (4, 30]
-    assert (t_minus[0], t_plus[0]) == (4, 30) and (t_minus[1], t_plus[1]) == (35, 4202)
+    # (35, 3600], synthetic (4, 30]
+    assert (t_minus[0], t_plus[0]) == (4, 30) and (t_minus[1], t_plus[1]) == (35, 3600)
     # the search reads a few dozen columns: bear at alpha = 0.05 closes at
-    # t = 4202, and a criterion-6 replicate near t = 30
+    # t = 3600, and a criterion-6 replicate near t = 30
     columns = [sum(len(ts) for ts in r) for r in reads]
     assert columns[1] <= 100
     assert np.mean(columns[-n_replicates:]) <= 32
@@ -473,8 +478,8 @@ def test_curves_are_one_bound_curves_call_on_times_when_read(monkeypatch,
                                                              bear_ensemble):
     calls, exact = [], []
 
-    def spy(lam, cU, ts):
-        calls.append((np.array(ts), _upper_curve(lam, cU, ts)))
+    def spy(means, N, ts, *caches):
+        calls.append((np.array(ts), _upper_curve(means, N, ts, *caches)))
         return calls[-1][1]
 
     def exact_spy(claws, N, n_times):
@@ -522,8 +527,8 @@ def _time_bounds_posteriors(synthetic_posterior, bear_ensemble):
 
 
 def test_exact_survival_lies_below_the_upper_curve(synthetic_posterior, bear_ensemble):
-    # per draw the Markov bound lies above the exact survival, so their
-    # averages over the same draws do too, up to rounding
+    # per draw the expected abundance bound lies above the exact survival,
+    # so their averages over the same draws do too, up to rounding
     for ens, pop in _time_bounds_posteriors(synthetic_posterior, bear_ensemble):
         tb = g.mc_time_bounds(None, pop, ensemble=ens)
         assert np.max(tb.lower_curve - tb.upper_curve) <= 1e-12
@@ -551,6 +556,28 @@ def test_survival_walk_stops_past_t_minus(monkeypatch, synthetic_posterior, bear
     # at cap 3 synthetic's bracket is open-ended, and horizon_cap, not the
     # curve, stops the walk
     assert (tb.t_minus, tb.t_plus, len(steps)) == (3, None, 3)
+
+
+def test_single_type_t_plus_is_the_pow_form_crossing():
+    # at K = 1, N M^t 1 is N m^t: on the criterion-6 replicates t_plus is
+    # the first t at which the mean over the lambda < 1 draws of
+    # min(1, N m^t), with m^t by pow, is <= alpha
+    true = synthetic_true_draw()
+    prior = g.prior_noninformative(synthetic_cap())
+    checked = 0
+    for r in range(1000):
+        traj = g.simulate(true, g.PopulationState((100,)), 5, SeedSpec(2026, r))
+        if traj.extinct_at is not None or len(traj.states) < 6:
+            continue
+        post = g.posterior_update(prior, traj.table)
+        N = traj.final.total
+        tb = g.mc_time_bounds(post, (N,), n_prec=1000, master_seed=2026 * 1000 + r)
+        m = tb.bounds.means[(1, 1)]
+        ts = np.arange(tb.t_plus + 1)
+        mean = np.sum(np.minimum(1.0, N * m[:, None] ** ts), axis=0) / len(m)
+        assert np.flatnonzero(mean <= 0.05)[0] == tb.t_plus, r
+        checked += 1
+    assert checked == 1000
 
 
 def test_conditioning_consistency(bear_posterior):
@@ -787,29 +814,28 @@ def test_short_circuit_classifier_matches_perron_root(synthetic_posterior, bear_
     assert g.poisson_extinction_fixed_point(np.nextafter(c, 2.0)) < 1.0
 
 
-def test_extinction_profiles_solve_no_perron_pair(bear_posterior):
+def test_extinction_profiles_solve_no_perron_pair(bear_posterior, no_perron_solve):
     ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
     ens.extinction_profiles
     g.mc_reintroduction(bear_posterior, ensemble=ens)
     g.effective_population_size(bear_posterior, 5, ensemble=ens)
-    assert not ens._perron_solved.any()
+    assert "lambdas" not in ens.__dict__
 
 
-def test_viability_solves_no_perron_pair(bear_posterior):
+def test_viability_solves_no_perron_pair(bear_posterior, no_perron_solve):
     # viability reads the lambda <= 1 + 1e-12 mask of the fixed point's rule
     ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
     est = g.mc_viability_probability(bear_posterior, ensemble=ens)
-    assert not ens._perron_solved.any()
     assert set(est.warnings) == {"non-primitive-pattern"}
+    no_perron_solve.undo()
     assert est.value == np.sum(ens.lambdas > 1.0 + 1e-12) / ens.n_prec
 
 
-def test_fixed_point_answers_solve_no_perron_pair(bear_posterior):
+def test_fixed_point_answers_solve_no_perron_pair(bear_posterior, no_perron_solve):
     # extinction probability and reintroduction read the fixed points alone
     ens = PosteriorEnsemble(bear_posterior, n_prec=500, master_seed=5)
     est = g.mc_extinction_probability(bear_posterior, (2, 2, 2, 2, 10), ensemble=ens)
     summary = g.mc_reintroduction(bear_posterior, ensemble=ens)
-    assert not ens._perron_solved.any()
     assert set(est.warnings) == {"fixed-point-failures", "non-primitive-pattern"}
     assert set(summary.warnings) == {"fixed-point-failures"}
 
@@ -849,19 +875,24 @@ def test_fixed_point_answers_keep_the_numpy_mean_and_se_bits(bear_posterior):
         assert summary.std_error.tobytes() == se.tobytes()
 
 
-def test_time_bounds_solve_only_subcritical_perron_pairs(bear_ensemble):
-    # a cold time-bounds call solves the Perron pairs of its lambda < 1 rows
-    # alone, and gives the same bits as one that finds every pair solved; the
-    # horizon cap keeps the alpha = 1e-3 scan, open-ended, to 10^4 steps
+def test_time_bounds_solve_no_perron_pair(bear_ensemble, no_perron_solve):
+    # the time bounds read the pair means and laws alone: a cold call solves
+    # no Perron pair, nor does the single-draw path, and the answer has the
+    # bits of one on an ensemble whose Perron roots were read; the horizon
+    # cap keeps the alpha = 1e-3 scan, open-ended, to 10^4 steps
     cases = [(bear_ensemble.params, bear_ensemble.n_prec, bear_ensemble.master_seed,
               (2, 2, 2, 2, 10)),
              (_period_two_posterior(), 2000, 7, (1, 1, 1)),
              (_tiny_alpha_posterior(), 3000, 5, (3, 2))]
+    results = []
     for post, n, seed, pop in cases:
         cold = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
-        got = g.mc_time_bounds(post, pop, horizon_cap=10 ** 4, ensemble=cold)
-        sub = _lambda_below(cold.pair_means, cold.K, 1.0)[0]
-        assert np.array_equal(cold._perron_solved, sub)
+        results.append(g.mc_time_bounds(post, pop, horizon_cap=10 ** 4, ensemble=cold))
+        row = int(np.flatnonzero(_lambda_below(cold.pair_means, cold.K, 1.0)[0])[0])
+        draw = g.ParameterDraw(post.cap, {p: cold.law(p)[row] for p in cold.pairs})
+        g.extinction_time_bounds(g.survival_bounds(draw, pop), alpha=0.05)
+    no_perron_solve.undo()
+    for (post, n, seed, pop), got in zip(cases, results):
         warm = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
         warm.lambdas
         want = g.mc_time_bounds(post, pop, horizon_cap=10 ** 4, ensemble=warm)
@@ -869,14 +900,14 @@ def test_time_bounds_solve_only_subcritical_perron_pairs(bear_ensemble):
             == (want.t_minus, want.t_plus, want.n_used, want.warnings)
         for name in ("times", "upper_curve", "lower_curve"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert np.array_equal(cold.lambdas,
-                              spectral.perron_batch(dense_mean_matrices(cold))[0])
 
 
-def test_answers_build_no_dense_stack_and_no_perron_memo(bear_posterior, monkeypatch):
+def test_answers_build_no_dense_stack_and_no_perron_memo(bear_posterior, monkeypatch,
+                                                        no_perron_solve):
     # every answer but the time bounds reads the pair means alone; a cold
-    # time-bounds answer builds one dense stack, of its lambda < 1 draws, in
-    # the Perron memo, which also checks the residuals
+    # time-bounds answer builds one dense stack, of its lambda < 1 draws,
+    # to square for the expected abundance, and no answer solves a Perron
+    # pair
     built = []
 
     def spy(means, K, n):
@@ -884,8 +915,8 @@ def test_answers_build_no_dense_stack_and_no_perron_memo(bear_posterior, monkeyp
         return scatter(means, K, n)
 
     scatter = spectral._scatter
-    monkeypatch.setattr(spectral, "_scatter", spy)
-    monkeypatch.setattr(montecarlo, "_scatter", spy)
+    for module in (spectral, montecarlo, extinction):
+        monkeypatch.setattr(module, "_scatter", spy)
     ens = PosteriorEnsemble(bear_posterior, n_prec=2000, master_seed=2024)
     pop = (2, 2, 2, 2, 10)
     g.mc_viability_probability(bear_posterior, ensemble=ens)
@@ -894,11 +925,11 @@ def test_answers_build_no_dense_stack_and_no_perron_memo(bear_posterior, monkeyp
     g.effective_population_size(bear_posterior, 5, ensemble=ens)
     g.mc_short_time_abundance(bear_posterior, pop, horizon=10, ensemble=ens)
     assert built == []
-    assert "_perron_memo" not in ens.__dict__ and not ens._perron_solved.any()
     tb = g.mc_time_bounds(bear_posterior, pop, ensemble=ens)
     n_sub = ens.n_prec - tb.warnings["supercritical-draws"]
     assert 0 < n_sub < ens.n_prec / 10
-    assert built == [(n_sub, "_perron")]
+    assert built == [(n_sub, "_upper_curve")]
+    assert "lambdas" not in ens.__dict__
 
 
 def test_extinction_working_set(bear_posterior):

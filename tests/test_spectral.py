@@ -49,13 +49,22 @@ def test_perron_triple_errors():
         g.perron_triple(np.array([[1.0, -0.1], [0.2, 0.3]]))
     with pytest.raises(ValueError, match="square"):
         g.perron_triple(np.ones((2, 3)))
-    # power iteration leaves these with residuals of 0.5, 1e29 and 3e-6:
-    # two nilpotent patterns and a period-2 one
+    # power iteration leaves these nilpotent patterns with residuals of 0.5
+    # and 1e17
     for M in ([[0.0, 1.0], [0.0, 0.0]],
-              [[0.0, 0.5, 0.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]],
-              [[0.0, 0.0, 0.9225], [0.0, 0.0, 0.0618], [0.533, 0.6949, 0.0]]):
+              [[0.0, 0.5, 0.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="did not converge"):
             g.perron_triple(np.array(M))
+
+
+def test_perron_triple_takes_a_periodic_matrix():
+    # eigenvalues lambda, -lambda and 0: the iteration on M + I has one
+    # dominant eigenvalue, 1 + lambda
+    M = np.array([[0.0, 0.0, 0.9225], [0.0, 0.0, 0.0618], [0.533, 0.6949, 0.0]])
+    tri = g.perron_triple(M)
+    assert tri.lam == pytest.approx(np.abs(np.linalg.eigvals(M)).max(), rel=1e-14)
+    assert tri.lam == pytest.approx(0.7311889769409821, rel=1e-14)
+    assert tri.primitive_warning and tri.residual <= 1e-9
 
 
 def test_is_primitive():

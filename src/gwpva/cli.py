@@ -4,7 +4,8 @@ Every stochastic subcommand requires an explicit --seed and is
 bit-reproducible from its inputs. Human-readable summaries (4 significant
 digits) go to stdout; the full machine-readable record goes to --out and
 is never rounded. Failures exit nonzero with a one-line JSON error on
-stderr.
+stderr. The Monte Carlo, simulation and baseline modules, and NumPy with
+them, load on first use: ``fit`` and ``scenarios`` never import NumPy.
 """
 
 from __future__ import annotations
@@ -12,24 +13,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .baseline import log_growth_moments, regression_extinction_interval
 from .extensions import poisson_posterior
 from .formats import (FORMAT_VERSION, ParseError, format_life_table,
                       parse_abundance_series, parse_life_table, parse_prior_config,
                       posterior_from_document, posterior_to_document)
-from .inference import posterior_update, scenario_draws
+from .inference import DEFAULT_N_PREC, posterior_update, scenario_draws
 from .model import LifeTable, ParameterDraw, PopulationState, abundances_from_table
-from .montecarlo import (DEFAULT_N_PREC, PosteriorEnsemble, effective_population_size,
-                         mc_extinction_probability, mc_reintroduction,
-                         mc_short_time_abundance, mc_time_bounds,
-                         mc_viability_probability)
-from .sampling import SeedSpec, sample_parameter_draw, simulate
 
 
 class CliError(Exception):
@@ -58,7 +52,7 @@ def _fmt(x: float) -> str:
 def _json_value(x):
     """``x`` with every NaN and infinity, which JSON has no token for, as None."""
     if isinstance(x, float):
-        return x if np.isfinite(x) else None
+        return x if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _json_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -165,19 +159,18 @@ def cmd_fit(args) -> int:
     for w in config.warnings:
         print(f"warning: {w}")
     print(f"fitted posterior over {len(post.alpha)} transition(s), K={post.K}")
-    for (i, j) in sorted(post.alpha):
-        a = post.alpha[(i, j)]
-        means = " ".join(_fmt(x / a.sum()) for x in a)
-        print(f"  p[{i},{j}] ~ Dirichlet({', '.join(_fmt(x) for x in a)}); "
-              f"mean ({means})")
-    for (i, j) in sorted(poisson_post):
-        g = poisson_post[(i, j)]
-        print(f"  rate[{i},{j}] ~ Gamma(shape={_fmt(g.shape)}, rate={_fmt(g.rate)}); "
-              f"mean {_fmt(g.mean)}")
+    for p in doc["pairs"]:
+        if p["law"] == "categorical":
+            print(f"  p[{p['i']},{p['j']}] ~ Dirichlet({', '.join(map(_fmt, p['alpha']))}); "
+                  f"mean ({' '.join(map(_fmt, p['mean']))})")
+        else:
+            print(f"  rate[{p['i']},{p['j']}] ~ Gamma(shape={_fmt(p['shape'])}, "
+                  f"rate={_fmt(p['rate'])}); mean {_fmt(p['mean'])}")
     return 0
 
 
 def cmd_viability(args) -> int:
+    from .montecarlo import mc_viability_probability
     post, digest = _load_posterior(args.posterior)
     est = mc_viability_probability(post, n_prec=args.nprec, master_seed=args.seed)
     return _answer(args, _estimate_doc("viability_probability", est), [
@@ -187,6 +180,7 @@ def cmd_viability(args) -> int:
 
 
 def cmd_extinction(args) -> int:
+    from .montecarlo import mc_extinction_probability
     post, digest = _load_posterior(args.posterior)
     pop = _parse_pop(args.pop, post.K)
     est = mc_extinction_probability(post, pop, n_prec=args.nprec,
@@ -199,6 +193,7 @@ def cmd_extinction(args) -> int:
 
 
 def cmd_time_bounds(args) -> int:
+    from .montecarlo import mc_time_bounds
     post, digest = _load_posterior(args.posterior)
     pop = _parse_pop(args.pop, post.K)
     res = mc_time_bounds(post, pop, alpha=args.alpha, n_prec=args.nprec,
@@ -220,6 +215,7 @@ def cmd_time_bounds(args) -> int:
 
 
 def cmd_reintroduce(args) -> int:
+    from .montecarlo import PosteriorEnsemble, effective_population_size, mc_reintroduction
     post, digest = _load_posterior(args.posterior)
     ens = PosteriorEnsemble(post, n_prec=args.nprec, master_seed=args.seed)
     # first: it checks --threshold and --type before any fixed point is solved
@@ -250,6 +246,7 @@ def cmd_reintroduce(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .montecarlo import mc_short_time_abundance
     post, digest = _load_posterior(args.posterior)
     pop = _parse_pop(args.pop, post.K)
     curve = mc_short_time_abundance(post, pop, horizon=args.horizon,
@@ -263,12 +260,14 @@ def cmd_predict(args) -> int:
     lines = ["t  " + "  ".join(f"E[N_{i+1}] (se)" for i in range(post.K))]
     for t, est in enumerate(curve):
         lines.append(f"{t}  " + "  ".join(
-            f"{_fmt(m)} ({_fmt(s)})" for m, s in zip(np.atleast_1d(est.value),
-                                                    np.atleast_1d(est.std_error))))
+            f"{_fmt(m)} ({_fmt(s)})" for m, s in zip(est.value, est.std_error)))
     return _answer(args, doc, lines, posterior_sha256=digest)
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .sampling import SeedSpec, sample_parameter_draw, simulate
     if (args.posterior is None) == (args.draw is None):
         raise CliError("exactly one of --posterior or --draw is required")
     if args.reps < 1:
@@ -276,7 +275,8 @@ def cmd_simulate(args) -> int:
     post, _ = _load_posterior(args.posterior or args.draw)
     draw = None
     if args.draw:  # a posterior document whose alphas, normalized, are the laws
-        draw = ParameterDraw(post.cap, {pair: a / a.sum() for pair, a in post.alpha.items()})
+        draw = ParameterDraw(post.cap, {pair: np.divide(a, np.sum(a))
+                                        for pair, a in post.alpha.items()})
     pop = _parse_pop(args.pop, post.K)
     traj_lines = ["rep,t," + ",".join(f"N_{i+1}" for i in range(post.K))]
     for rep in range(args.reps):
@@ -298,6 +298,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baseline import log_growth_moments, regression_extinction_interval
     text = _read(args.table)
     try:
         if args.series:
@@ -307,12 +308,14 @@ def cmd_baseline(args) -> int:
     except ParseError as e:
         raise CliError(str(e), kind="parse") from None
     # the log-growth moments take consecutive observations as one step apart
-    if args.series and np.any(np.diff(t) != 1):
+    if args.series and any(b - a != 1 for a, b in zip(t, t[1:])):
         raise CliError("--series needs consecutive times t, t + 1, ...", kind="validation")
     try:
         if not args.series:  # a table that parsed can still break a validation rule
-            N = np.array([s.total for s in abundances_from_table(table)], dtype=float)
-        N = np.trim_zeros(N, "b")  # observations after extinction have no log growth rate
+            N = [s.total for s in abundances_from_table(table)]
+        N = list(N)
+        while N and N[-1] == 0:  # observations after extinction have no log growth rate
+            N.pop()
         moments = log_growth_moments(N)
         interval = regression_extinction_interval(N, level=args.level)
     except ValueError as e:

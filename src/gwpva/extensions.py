@@ -15,10 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .extinction import _fixed_point_rows
-from .model import PoissonLaw
+from .model import OffspringCap, ParameterDraw, PoissonLaw, _floats, _total
 
 __all__ = [
     "BetaParams",
@@ -37,7 +34,7 @@ _STIRLING = ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7), (1 / 118
 
 
 def _stirling_tail(z: float) -> float:
-    return sum(c * z ** -k for c, k in _STIRLING)
+    return _total(c * z ** -k for c, k in _STIRLING)
 
 
 def _lgamma1(s: float) -> float:
@@ -249,7 +246,7 @@ class BetaParams:
     b: float
 
     def __post_init__(self):
-        if not np.isfinite([self.a, self.b]).all() or min(self.a, self.b) <= 0:
+        if not all(map(math.isfinite, (self.a, self.b))) or min(self.a, self.b) <= 0:
             raise ValueError(f"Beta parameters must be finite and positive: {self}")
 
     @property
@@ -268,7 +265,7 @@ class GammaParams:
     rate: float
 
     def __post_init__(self):
-        if not np.isfinite([self.shape, self.rate]).all() or min(self.shape, self.rate) <= 0:
+        if not all(map(math.isfinite, (self.shape, self.rate))) or min(self.shape, self.rate) <= 0:
             raise ValueError(f"Gamma parameters must be finite and positive: {self}")
 
     @property
@@ -286,23 +283,23 @@ def sex_ratio_posterior(prior: BetaParams, females: int, males: int) -> BetaPara
     return BetaParams(prior.a + females, prior.b + males)
 
 
-def thinned_offspring_law(law: Sequence[float], p_female: float) -> np.ndarray:
+def thinned_offspring_law(law: Sequence[float], p_female: float) -> tuple[float, ...]:
     """Female-only offspring law from a total-offspring law.
 
     Each of k total offspring is independently female with probability
     p_female, so the female count given k is Binomial(k, p_female) and the
     marginal is the binomial thinning of ``law``."""
-    q = np.asarray(law, dtype=float)
+    q = _floats(law, "law")
     if not 0 <= p_female <= 1:
         raise ValueError("p_female must be in [0,1]")
-    if (q < 0).any() or abs(q.sum() - 1.0) > 1e-9:
+    if any(x < 0 for x in q) or abs(_total(q) - 1.0) > 1e-9:
         raise ValueError("law must be a probability vector")
-    out = np.zeros(len(q))
+    out = [0.0] * len(q)
     for k, qk in enumerate(q):
         # the Binomial(k, p_female) pmf; 0.0 ** 0 = 1 keeps p_female = 0 and 1 exact
-        out[: k + 1] += [qk * math.comb(k, j) * p_female ** j * (1 - p_female) ** (k - j)
-                         for j in range(k + 1)]
-    return out
+        for j in range(k + 1):
+            out[j] += qk * math.comb(k, j) * p_female ** j * (1 - p_female) ** (k - j)
+    return tuple(out)
 
 
 def poisson_posterior(prior: GammaParams, offspring_counts: Sequence[int],
@@ -312,42 +309,39 @@ def poisson_posterior(prior: GammaParams, offspring_counts: Sequence[int],
     ``offspring_counts[r]`` is the number of offspring of each of
     ``parents[r]`` observed parents (default one entry per parent); the
     posterior is Gamma(shape + sum of offspring, rate + #parents)."""
-    # in floats, which are exact up to 2^53 and cannot wrap around as int64 can
-    c = np.asarray(offspring_counts, dtype=float)
-    w = np.ones(len(c)) if parents is None else np.asarray(parents, dtype=float)
-    if (c < 0).any() or (w < 0).any():
-        raise ValueError("offspring and parent counts must be nonnegative")
-    return GammaParams(prior.shape + float(c @ w), prior.rate + float(w.sum()))
+    c = _floats(offspring_counts, "offspring_counts")
+    w = (1.0,) * len(c) if parents is None else _floats(parents, "parents")
+    if len(w) != len(c) or any(x < 0 for x in c + w):
+        raise ValueError("counts must be nonnegative, one parent count per offspring count")
+    return GammaParams(prior.shape + _total(x * y for x, y in zip(c, w)), prior.rate + _total(w))
 
 
 def poisson_extinction_fixed_point(mean: float) -> float:
-    """Minimal root of s = exp(mean * (s - 1)) in [0, 1]: exactly 1 for
-    mean <= 1 + 1e-12 (certain extinction; the float comparison, as at
-    K = 1 the short-circuit of ``_fixed_point_rows`` is). The batched
-    ``_fixed_point_rows`` on a Poisson law stack of one draw, with K = 1;
-    the pair's mean is the rate itself."""
-    if not np.isfinite(mean) or mean < 0:
+    """Minimal root of s = exp(mean * (s - 1)) in [0, 1], exactly 1 for
+    mean <= 1 + 1e-12: ``extinction.minimal_fixed_point`` of the one-type
+    draw with this Poisson law, whose pair mean is the rate itself."""
+    if not math.isfinite(mean) or mean < 0:
         raise ValueError(f"mean must be finite and nonnegative, got {mean!r}")
-    rate = np.array([float(mean)])
-    s, failed = _fixed_point_rows({(1, 1): rate}, 1, {(1, 1): rate})
-    if failed[0]:
+    from .extinction import minimal_fixed_point  # NumPy, loaded on first use
+    profile = minimal_fixed_point(ParameterDraw(OffspringCap(1, {(1, 1): 1}),
+                                                {(1, 1): PoissonLaw(float(mean))}))
+    if not profile.converged:
         raise RuntimeError(f"fixed-point solve did not converge for mean {mean!r}")
-    return float(s[0, 0])
+    return float(profile.s[0])
 
 
 def convolve_survival_reproduction(p_survival: Sequence[float],
-                                   p_reproduction: Sequence[float]) -> np.ndarray:
+                                   p_reproduction: Sequence[float]) -> tuple[float, ...]:
     """One-period offspring law from independent survival and reproduction.
 
     ``p_survival`` = (P(die), P(survive)). Every individual leaves a brood
     drawn from ``p_reproduction`` and additionally contributes itself when
     it survives, so p(k) = pS(1) pR(k-1) + pS(0) pR(k): the convolution of
     the survival indicator with the brood law."""
-    ps = np.asarray(p_survival, dtype=float)
-    pr = np.asarray(p_reproduction, dtype=float)
-    if ps.shape != (2,):
+    ps, pr = _floats(p_survival, "p_survival"), _floats(p_reproduction, "p_reproduction")
+    if len(ps) != 2:
         raise ValueError("p_survival must be (P(die), P(survive))")
     for v in (ps, pr):
-        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
+        if any(x < 0 for x in v) or abs(_total(v) - 1.0) > 1e-9:
             raise ValueError("inputs must be probability vectors")
-    return np.convolve(ps, pr)
+    return tuple(ps[1] * a + ps[0] * b for a, b in zip((0.0, *pr), (*pr, 0.0)))

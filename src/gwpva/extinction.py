@@ -7,7 +7,7 @@ turns a population into the product of per-founder coordinates.
 
 The per-draw kernels take a law stack, pair -> (n, kappa+1) categorical
 rows or (n,) Poisson rates, and its pair means (``spectral.pair_means``);
-the single-draw functions call them at n = 1 (``model._law_stack``). The
+the single-draw functions call them at n = 1 (``spectral._law_stack``). The
 pgf ``_phi`` and its Jacobian work coefficient-major, draws along the last
 axis (``_coefficient_major``).
 
@@ -27,8 +27,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ParameterDraw, PopulationState, _as_abundance, _law_stack
-from .spectral import _n_draws, _scatter, pair_means
+from .model import ParameterDraw, PopulationState
+from .spectral import _law_stack, _n_draws, _scatter, pair_means
 
 __all__ = [
     "ExtinctionProfile",
@@ -67,6 +67,15 @@ class TimeBounds:
     t_minus: int
     t_plus: int | None
     alpha: float
+
+
+def _as_abundance(population, K: int) -> np.ndarray:
+    """Abundances of a PopulationState or a plain sequence of K counts, as floats."""
+    N = population.N if isinstance(population, PopulationState) else population
+    N = np.asarray(N, dtype=float)
+    if N.shape != (K,):
+        raise ValueError(f"population must have {K} types")
+    return np.asarray(PopulationState(tuple(N)).N, dtype=float)
 
 
 _FP_WARMUP = 32
@@ -234,19 +243,18 @@ def _mmatrix_solve(A: list, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, ok
 
 
-def _fixed_point_rows(laws: dict, K: int, means: dict) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_point_rows(laws: dict, K: int, subcritical: np.ndarray,
+                      not_supercritical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimal pgf fixed point of each draw of a law stack, plus a per-draw
-    failure mask; ``means`` holds the stack's pair means
-    (``spectral.pair_means``).
-
-    Each draw is solved on its own, in three stages, so its answer does
-    not depend on which other draws share the stack:
+    failure mask, given the draws' masks lambda < 1 and lambda <= 1 + 1e-12
+    (``_lambda_below`` at c = 1 and 1 + 1e-12). Each draw is solved on its
+    own, in three stages, so its answer does not depend on the other draws:
 
     1. Short-circuit: a draw with lambda < 1, or with lambda <= 1 + 1e-12
        and types that can all die childless (min phi(0) > 0), is certainly
        extinct, so s = 1 exactly; iteration from 0 would converge only as
-       O(1/t) at criticality. ``_lambda_below`` decides both without the
-       Perron root; at K = 1 they are M < 1 and M <= 1 + 1e-12 exactly.
+       O(1/t) at criticality. At K = 1 the masks are M < 1 and
+       M <= 1 + 1e-12 exactly.
     2. Warm-up: ``_FP_WARMUP`` monotone steps s <- phi(s) from 0 on the
        remaining draws. The iterates stay below the minimal root with
        phi(s) - s >= 0.
@@ -264,8 +272,7 @@ def _fixed_point_rows(laws: dict, K: int, means: dict) -> tuple[np.ndarray, np.n
     n = _n_draws(laws)
     claws = _coefficient_major(laws)
     s = np.zeros((K, n))
-    certain = _lambda_below(means, K, 1.0)[0] | ((_phi(claws, s).min(axis=0) > 0.0)
-                                                 & _lambda_below(means, K, 1.0 + 1e-12)[1])
+    certain = subcritical | ((_phi(claws, s).min(axis=0) > 0.0) & not_supercritical)
     s[:, certain] = 1.0
     rows = np.flatnonzero(~certain)
     live_laws = {pair: d.take(rows, axis=-1) for pair, d in claws.items()}
@@ -347,7 +354,9 @@ def minimal_fixed_point(draw: ParameterDraw) -> ExtinctionProfile:
     draw's law stack at n = 1, so s equals the ensemble's row for this draw
     bit for bit. Non-convergence is reported in the profile, never raised."""
     laws = _law_stack(draw)
-    s, failed = _fixed_point_rows(laws, draw.K, pair_means(laws))
+    means = pair_means(laws)
+    s, failed = _fixed_point_rows(laws, draw.K, _lambda_below(means, draw.K, 1.0)[0],
+                                  _lambda_below(means, draw.K, 1.0 + 1e-12)[1])
     return ExtinctionProfile(s=s[0], converged=not failed[0])
 
 
@@ -511,24 +520,24 @@ def _first_crossing(crossed: Callable, horizon_cap: int) -> int | None:
     call reads only times inside it, so no time twice and none past
     horizon_cap. While no crossing is bracketed the search gallops over
     t = 2^k - 1, seven times in its first call and four in each later one,
-    and reads horizon_cap once the curve is uncrossed past t = 991: a far
-    cap needs every binary power of M up to its bit length, so a crossing
-    found sooner never pays for it. Once a gallop time has crossed, each
-    call reads up to 15 evenly spaced times inside the bracket. On a curve
-    that is not monotone the t returned has crossed and t - 1, read too,
-    has not. ValueError unless horizon_cap >= 0.
+    and reads horizon_cap once a gallop call, all past t = 991, has left
+    its times uncrossed: a far cap needs every binary power of M up to its
+    bit length, so a crossing found by then never pays for it. Once a
+    gallop time has crossed, each call reads up to 15 evenly spaced times
+    inside the bracket. On a curve that is not monotone the t returned has
+    crossed and t - 1, read too, has not. ValueError unless horizon_cap >= 0.
     """
     if horizon_cap < 0:
         raise ValueError("horizon_cap must be >= 0")
     lo, hi = -1, horizon_cap + 1
-    k, g_last = 0, -1
+    k, g_first, g_last = 0, -1, -1
     while hi - lo > 1:
-        if hi > g_last:
+        if hi > g_last:  # no gallop time read so far has crossed
             n = _GALLOP_FIRST if k == 0 else _GALLOP_STEP
             ts = [min(2 ** j - 1, horizon_cap) for j in range(k, k + n)]
-            k, g_last = k + n, ts[-1]
-            if lo > _OPEN_END:
+            if g_first > _OPEN_END:
                 ts.append(horizon_cap)
+            k, g_first, g_last = k + n, ts[0], ts[n - 1]
         else:
             ts = _inside(lo, hi)
         ts = sorted({t for t in ts if lo < t < hi})

@@ -15,12 +15,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .extensions import BetaParams, GammaParams, thinned_offspring_law
 from .inference import (HyperParams, PosteriorParams, credible_interval,
                         posterior_mean_matrix, prior_expert, prior_from_moments)
-from .model import LifeTable, OffspringCap, Pair, _key_problem
+from .model import LifeTable, OffspringCap, Pair, _floats, _key_problem, _total
 
 __all__ = [
     "ParseError",
@@ -106,8 +104,8 @@ def format_life_table(table: LifeTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_abundance_series(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse an abundance series CSV with header ``t,N``."""
+def parse_abundance_series(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Parse an abundance series CSV with header ``t,N``: (times, abundances)."""
     ts, Ns = [], []
     for lineno, (t, N) in _csv_rows(text, "t,N"):
         try:
@@ -117,7 +115,7 @@ def parse_abundance_series(text: str) -> tuple[np.ndarray, np.ndarray]:
             raise ParseError(f"line {lineno}: fields must be numeric") from None
     if not Ns:
         raise ParseError("no data rows")
-    return np.asarray(ts), np.asarray(Ns)
+    return tuple(ts), tuple(Ns)
 
 
 @dataclass(frozen=True)
@@ -133,33 +131,34 @@ class PriorConfig:
     warnings: tuple[str, ...] = ()
 
 
-def _build_alpha(spec: dict, kappa: int, where: str,
-                 warnings: list[str]) -> np.ndarray:
-    rule = spec.get("rule")
-    known = {
-        "flat": {"rule"},
-        "alpha": {"rule", "alpha"},
-        "moments": {"rule", "means", "variances"},
-        "expert": {"rule", "weight", "guess"},
-    }
-    if rule not in known:
-        raise ParseError(f"{where}: unknown prior rule {rule!r}")
-    extra = set(spec) - known[rule]
+def _check_keys(where: str, obj: dict, allowed: set) -> None:
+    """ParseError naming ``where`` if ``obj`` has a key outside ``allowed``."""
+    extra = set(obj) - allowed
     if extra:
         raise ParseError(f"{where}: unexpected keys {sorted(extra)}")
+
+
+def _build_alpha(spec: dict, kappa: int, where: str,
+                 warnings: list[str]) -> tuple[float, ...]:
+    rule = spec.get("rule")
+    known = {"flat": {"rule"}, "alpha": {"rule", "alpha"},
+             "moments": {"rule", "means", "variances"}, "expert": {"rule", "weight", "guess"}}
+    if rule not in known:
+        raise ParseError(f"{where}: unknown prior rule {rule!r}")
+    _check_keys(where, spec, known[rule])
     try:
         if rule == "flat":
-            return np.ones(kappa + 1)
+            return (1.0,) * (kappa + 1)
         if rule == "alpha":
-            a = np.asarray(spec["alpha"], dtype=float)
+            a = _floats(spec["alpha"], "alpha")
             if len(a) != kappa + 1:
-                raise ParseError(f"{where}: alpha must have kappa+1 = {kappa + 1} entries")
+                raise ValueError(f"alpha must have kappa+1 = {kappa + 1} entries")
             return a
         if rule == "moments":
             a = prior_from_moments(spec["means"], spec["variances"])
             if len(a) != kappa + 1:
-                raise ParseError(f"{where}: moments must cover kappa+1 = {kappa + 1} categories")
-            if (np.asarray(spec["variances"], dtype=float) >= 1).any():
+                raise ValueError(f"moments must cover kappa+1 = {kappa + 1} categories")
+            if any(v >= 1 for v in _floats(spec["variances"], "variances")):
                 warnings.append(f"{where}: elicited variance >= 1; "
                                 "falling back to the flat prior for those categories")
             return a
@@ -182,9 +181,7 @@ def parse_prior_config(text: str) -> PriorConfig:
         raise ParseError("top level must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
-    extra = set(doc) - {"format_version", "K", "pairs"}
-    if extra:
-        raise ParseError(f"unexpected top-level keys {sorted(extra)}")
+    _check_keys("top level", doc, {"format_version", "K", "pairs"})
     K = doc.get("K")
     if not isinstance(K, int) or K < 1:
         raise ParseError("K must be a positive integer")
@@ -192,7 +189,7 @@ def parse_prior_config(text: str) -> PriorConfig:
     if not isinstance(pairs, list) or not pairs:
         raise ParseError("pairs must be a nonempty list")
     kappa: dict[Pair, int] = {}
-    alpha: dict[Pair, np.ndarray] = {}
+    alpha: dict[Pair, tuple[float, ...]] = {}
     poisson: dict[Pair, GammaParams] = {}
     warnings: list[str] = []
     for idx, entry in enumerate(pairs):
@@ -209,9 +206,7 @@ def parse_prior_config(text: str) -> PriorConfig:
             raise ParseError(f"{where}: duplicate pair ({i},{j})")
         law = entry.get("law", "categorical")
         if law == "categorical":
-            extra = set(entry) - {"i", "j", "law", "kappa", "prior"}
-            if extra:
-                raise ParseError(f"{where}: unexpected keys {sorted(extra)}")
+            _check_keys(where, entry, {"i", "j", "law", "kappa", "prior"})
             kap = entry.get("kappa")
             if not isinstance(kap, int) or kap < 1:
                 raise ParseError(f"{where}: kappa must be an integer >= 1")
@@ -222,12 +217,10 @@ def parse_prior_config(text: str) -> PriorConfig:
             # sex-ratio-thinned litter model, materialized as an expert-rule
             # categorical prior: the induced female-offspring law at the
             # prior-mean sex ratio, carrying the stated pseudo-observation weight
-            extra = set(entry) - {"i", "j", "law", "prior"}
-            if extra:
-                raise ParseError(f"{where}: unexpected keys {sorted(extra)}")
+            _check_keys(where, entry, {"i", "j", "law", "prior"})
             spec = entry.get("prior", {})
             try:
-                litter = np.asarray(spec["litter"], dtype=float)
+                litter = _floats(spec["litter"], "litter")
                 a, b = (float(x) for x in spec["sex_ratio"])
                 weight = float(spec.get("weight", 1.0))
             except (KeyError, TypeError, ValueError) as e:
@@ -240,9 +233,7 @@ def parse_prior_config(text: str) -> PriorConfig:
                 raise ParseError(f"{where}: {e}") from None
             kappa[(i, j)] = len(litter) - 1
         elif law == "poisson":
-            extra = set(entry) - {"i", "j", "law", "prior"}
-            if extra:
-                raise ParseError(f"{where}: unexpected keys {sorted(extra)}")
+            _check_keys(where, entry, {"i", "j", "law", "prior"})
             prior = entry.get("prior", {})
             try:
                 poisson[(i, j)] = GammaParams(float(prior["shape"]), float(prior["rate"]))
@@ -280,32 +271,21 @@ def posterior_to_document(post: PosteriorParams,
     1..K or is categorical too."""
     poisson = poisson or {}
     _check_poisson_pairs(post.K, post.alpha, poisson)
-    M = posterior_mean_matrix(post)
+    M = [list(row) for row in posterior_mean_matrix(post)]
     for (i, j), g in poisson.items():
-        M[i - 1, j - 1] = g.mean
+        M[i - 1][j - 1] = g.mean
     pairs = []
     for (i, j) in sorted(post.alpha):
-        a = np.asarray(post.alpha[(i, j)], dtype=float)
-        tot = float(a.sum())
-        pairs.append({
-            "i": i, "j": j, "law": "categorical",
-            "alpha": [float(x) for x in a],
-            "mean": [float(x / tot) for x in a],
-            "credible_90": [list(credible_interval(a, k, 0.90)) for k in range(len(a))],
-        })
+        a = post.alpha[(i, j)]
+        tot = _total(a)
+        pairs.append({"i": i, "j": j, "law": "categorical", "alpha": list(a),
+                      "mean": [x / tot for x in a],
+                      "credible_90": [list(credible_interval(a, k, 0.90)) for k in range(len(a))]})
     for (i, j) in sorted(poisson):
         g = poisson[(i, j)]
-        pairs.append({
-            "i": i, "j": j, "law": "poisson",
-            "shape": g.shape, "rate": g.rate, "mean": g.mean,
-            "credible_90": list(g.credible_interval(0.90)),
-        })
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "K": post.K,
-        "pairs": pairs,
-        "mean_matrix": [[float(x) for x in row] for row in M],
-    }
+        pairs.append({"i": i, "j": j, "law": "poisson", "shape": g.shape, "rate": g.rate,
+                      "mean": g.mean, "credible_90": list(g.credible_interval(0.90))})
+    doc = {"format_version": FORMAT_VERSION, "K": post.K, "pairs": pairs, "mean_matrix": M}
     if meta:
         doc["meta"] = meta
     return doc
@@ -326,7 +306,7 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
     if not isinstance(pairs, list) or not pairs:
         raise ParseError("pairs must be a nonempty list")
     kappa: dict[Pair, int] = {}
-    alpha: dict[Pair, np.ndarray] = {}
+    alpha: dict[Pair, tuple[float, ...]] = {}
     poisson: dict[Pair, GammaParams] = {}
     for idx, entry in enumerate(pairs):
         try:
@@ -335,7 +315,7 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
             if (i, j) in (poisson if law == "poisson" else alpha):
                 raise ValueError(f"duplicate pair ({i},{j})")
             if law == "categorical":
-                a = np.asarray(entry["alpha"], dtype=float)
+                a = _floats(entry["alpha"], "alpha")
                 kappa[(i, j)] = len(a) - 1
                 alpha[(i, j)] = a
             elif law == "poisson":

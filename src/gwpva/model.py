@@ -9,10 +9,10 @@ carry no estimated parameters (all mass on zero offspring).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
-
-import numpy as np
+from typing import Mapping, Sequence
 
 Pair = tuple[int, int]
 
@@ -133,13 +133,24 @@ class PopulationState:
         return self.total == 0
 
 
-def _as_abundance(population, K: int) -> np.ndarray:
-    """Abundances of a PopulationState or a plain sequence of K counts, as floats."""
-    N = population.N if isinstance(population, PopulationState) else population
-    N = np.asarray(N, dtype=float)
-    if N.shape != (K,):
-        raise ValueError(f"population must have {K} types")
-    return np.asarray(PopulationState(tuple(N)).N, dtype=float)
+def _floats(values, what: str, kind: str = "a sequence of numbers") -> tuple[float, ...]:
+    """``values``, a sequence of numbers (a list, a tuple, a 1-d array), as a
+    tuple of floats; ValueError naming ``what`` and ``kind`` otherwise."""
+    try:
+        if isinstance(values, (str, Mapping)):
+            raise TypeError
+        return tuple(float(x) for x in values)
+    except TypeError:
+        raise ValueError(f"{what} must be {kind}, not {values!r}") from None
+
+
+def _total(values) -> float:
+    """The sum of ``values`` added left to right, NumPy's order below 8 terms
+    (the builtin ``sum`` compensates from Python 3.12, so its bits vary)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -150,14 +161,13 @@ class PoissonLaw:
     rate: float
 
     def __post_init__(self):
-        if not np.isfinite(self.rate) or self.rate < 0:
+        if not math.isfinite(self.rate) or self.rate < 0:
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate!r}")
 
-    def sample_counts(self, rng: np.random.Generator, n_parents: int) -> dict[int, int]:
-        """Histogram {k: #parents with k offspring} for n_parents parents."""
-        draws = rng.poisson(self.rate, size=n_parents)
-        ks, ns = np.unique(draws, return_counts=True)
-        return {int(k): int(n) for k, n in zip(ks, ns)}
+    def sample_counts(self, rng, n_parents: int) -> dict[int, int]:
+        """Histogram {k: #parents with k offspring} for n_parents parents,
+        from a NumPy Generator ``rng``, in increasing k."""
+        return dict(sorted(Counter(rng.poisson(self.rate, size=n_parents).tolist()).items()))
 
 
 @dataclass(frozen=True)
@@ -171,7 +181,7 @@ class ParameterDraw:
     """
 
     cap: OffspringCap
-    p: Mapping[Pair, np.ndarray | PoissonLaw]
+    p: Mapping[Pair, Sequence[float] | PoissonLaw]
 
     def __post_init__(self):
         for pair in self.cap.pairs():
@@ -182,27 +192,17 @@ class ParameterDraw:
                 raise ValueError(f"law supplied for forbidden pair {pair}")
             if isinstance(law, PoissonLaw):
                 continue
-            if not isinstance(law, (np.ndarray, list, tuple)):
-                raise ValueError(f"law for {pair} must be a probability vector or a "
-                                 f"PoissonLaw, not a {type(law).__name__}")
-            v = np.asarray(law, dtype=float)
-            if v.ndim != 1 or len(v) != self.cap.cap_of(*pair) + 1:
+            v = _floats(law, f"law for {pair}", "a probability vector or a PoissonLaw")
+            if len(v) != self.cap.cap_of(*pair) + 1:
                 raise ValueError(f"law for {pair} has wrong length")
-            if (v < -1e-15).any() or (v > 1 + 1e-12).any():
+            if any(x < -1e-15 or x > 1 + 1e-12 for x in v):
                 raise ValueError(f"law for {pair} has entries outside [0,1]")
-            if abs(v.sum() - 1.0) > 1e-12:
-                raise ValueError(f"law for {pair} sums to {v.sum()!r}, not 1")
+            if not abs(_total(v) - 1.0) <= 1e-12:
+                raise ValueError(f"law for {pair} sums to {_total(v)!r}, not 1")
 
     @property
     def K(self) -> int:
         return self.cap.K
-
-
-def _law_stack(draw: ParameterDraw) -> dict:
-    """The draw as a law stack of one: pair -> (1, kappa+1) categorical row
-    or (1,) Poisson rate, in sorted pair order as in an ensemble."""
-    return {pair: np.array([law.rate], dtype=float) if isinstance(law, PoissonLaw)
-            else np.asarray(law, dtype=float)[None] for pair, law in sorted(draw.p.items())}
 
 
 @dataclass(frozen=True)

@@ -7,24 +7,19 @@ draws serves every estimate, so the quantities reported together are
 consistent with each other.
 
 Each answer computes only the per-draw arrays it reads, and none solves a
-Perron pair. Viability and the time bounds decide on which side of 1 lambda
-lies by the fixed point's elimination rule on the pair means
-(``spectral.pair_means``); the time bounds read the expected abundance of
-their lambda < 1 draws from binary powers of the mean matrices. Extinction
-probability, reintroduction and effective population size read the pgf
-fixed points alone, through ``_usable_profiles``; the abundance path steps
-N(t + 1)_j = sum_i N(t)_i M_ij over the present pairs.
-An answer builds its ensemble from (params, n_prec, master_seed), or reads
-the one passed as ``ensemble=`` and ignores n_prec and master_seed; params
-must then be None or ``ensemble.params`` itself.
+Perron pair. Viability, the time bounds and the fixed point decide on which
+side of 1 lambda lies by the ensemble's two cached criticality masks
+(``extinction._lambda_below`` on the pair means). Extinction probability,
+reintroduction and effective population size read the pgf fixed points
+alone, through ``_usable_profiles``. An answer builds its ensemble from
+(params, n_prec, master_seed), or reads the one passed as ``ensemble=``
+and ignores n_prec and master_seed; params must then be None or
+``ensemble.params`` itself.
 
-Determinism: an ensemble draws its rows in order from the one stream
-SeedSpec(master_seed, 0), replaying a zero-normalizer row r on its own
-stream SeedSpec(master_seed, r + 1), so row r depends only on the rows
-before it: the first n rows do not depend on how many follow, but one row
-cannot be reproduced in isolation. Per-draw quantities come from the
-law-stack kernels of ``spectral`` and ``extinction``, row by row, and
-reductions are fixed-order numpy sums, so a rerun is bit-identical.
+Determinism: an ensemble's rows are those of ``sampling._dirichlet_rows``.
+Per-draw quantities come from the law-stack kernels of ``spectral`` and
+``extinction``, row by row, and reductions are fixed-order numpy sums, so
+a rerun is bit-identical.
 """
 
 from __future__ import annotations
@@ -34,10 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .extinction import (_OPEN_END, SurvivalBounds, _coefficient_major, _fixed_point_rows,
-                         _lambda_below, extinction_time_bounds)
-from .inference import HyperParams
-from .model import _as_abundance
+from .extinction import (_OPEN_END, SurvivalBounds, _as_abundance, _coefficient_major,
+                         _fixed_point_rows, _lambda_below, extinction_time_bounds)
+from .inference import DEFAULT_N_PREC, HyperParams
 from .sampling import _dirichlet_rows
 from .spectral import _scatter, is_primitive, pair_means, perron_batch
 
@@ -54,8 +48,6 @@ __all__ = [
     "mc_reintroduction",
     "effective_population_size",
 ]
-
-DEFAULT_N_PREC = 2500
 
 
 def error_bound(n_prec: int) -> float:
@@ -128,15 +120,10 @@ class ReintroductionSummary:
 class PosteriorEnsemble:
     """A reproducible batch of posterior parameter draws and derived arrays.
 
-    Draw r is the r-th consecutive sample_parameter_draw on the one stream
-    SeedSpec(master_seed, 0).rng(), or a replay on SeedSpec(master_seed,
-    r + 1) if its Dirichlet normalizer is zero (``sampling._dirichlet_rows``):
-    the first n draws are the same for any ensemble size, draw 0 is
-    sample_parameter_draw(params, SeedSpec(master_seed, 0)), and draw r > 0
-    cannot be reproduced without the draws before it. The pair means,
-    criticality mask, pgf fixed points and Perron roots (``lambdas``, which
-    no answer reads) are cached properties that call the law-stack kernels
-    on the whole batch, each on first use.
+    Draw r is row r of ``sampling._dirichlet_rows``. The pair means, the two
+    criticality masks, the pgf fixed points and the Perron roots
+    (``lambdas``, which no answer reads) are cached properties that call the
+    law-stack kernels on the whole batch, each on first use.
     """
 
     def __init__(self, params: HyperParams, n_prec: int = DEFAULT_N_PREC,
@@ -171,6 +158,11 @@ class PosteriorEnsemble:
         return not is_primitive(pattern)
 
     @cached_property
+    def _subcritical(self) -> np.ndarray:
+        """Draws with lambda < 1, by ``extinction._lambda_below``."""
+        return _lambda_below(self.pair_means, self.K, 1.0)[0]
+
+    @cached_property
     def _not_supercritical(self) -> np.ndarray:
         """Draws with lambda <= 1 + 1e-12, by ``extinction._lambda_below``."""
         return _lambda_below(self.pair_means, self.K, 1.0 + 1e-12)[1]
@@ -182,9 +174,8 @@ class PosteriorEnsemble:
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:
-        """Minimal pgf fixed point and failure flag per draw; decides
-        lambda <= 1 from the pair means, without the Perron pairs."""
-        return _fixed_point_rows(self._laws, self.K, self.pair_means)
+        """Minimal pgf fixed point and failure flag per draw, by the cached masks."""
+        return _fixed_point_rows(self._laws, self.K, self._subcritical, self._not_supercritical)
 
     @property
     def extinction_profiles(self) -> np.ndarray:
@@ -311,7 +302,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
     and never past horizon_cap."""
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
-    rows = np.flatnonzero(_lambda_below(ens.pair_means, ens.K, 1.0)[0])
+    rows = np.flatnonzero(ens._subcritical)
     if not len(rows):
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
     bounds = SurvivalBounds(

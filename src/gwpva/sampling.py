@@ -4,10 +4,7 @@ Reproducibility contract: every stochastic routine takes a SeedSpec built
 from a user-visible master seed and a replicate index. Streams use the
 counter-based Philox generator keyed on (master_seed, replicate_index), so
 a stream is identical no matter how many others run or in what order. A
-posterior ensemble (``_dirichlet_rows``) draws all its rows, in order, from
-the one stream (master_seed, 0), replaying a zero-normalizer row r on
-(master_seed, r + 1); its first n rows are the same whatever the ensemble
-size, but a single row cannot be reproduced without the rows before it.
+posterior ensemble's rows come from one stream (``_dirichlet_rows``).
 """
 
 from __future__ import annotations
@@ -127,8 +124,7 @@ def sample_parameter_draw(params: HyperParams, seed) -> ParameterDraw:
 
     Pairs are visited in sorted (i, j) order on one stream, so the draw is
     a pure function of (params, seed). Row r of a posterior ensemble is the
-    r-th consecutive draw on ``SeedSpec(master_seed, 0).rng()`` (see
-    ``_dirichlet_rows``), and its row 0 is this function at that seed.
+    r-th consecutive draw on its one stream (``_dirichlet_rows``).
     """
     rng = _as_rng(seed)
     laws = {}

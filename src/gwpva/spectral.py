@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterDraw, _law_stack
+from .model import ParameterDraw, PoissonLaw
 
 __all__ = ["SpectralTriple", "mean_matrix", "mean_matrices", "pair_means",
            "perron_batch", "perron_residual", "perron_triple", "is_primitive"]
@@ -42,6 +42,13 @@ def _n_draws(stack: dict) -> int:
     """Number of draws of a law stack or of its pair means, draws along the
     first axis; an empty stack is one draw with no pairs."""
     return max((len(d) for d in stack.values()), default=1)
+
+
+def _law_stack(draw: ParameterDraw) -> dict:
+    """The draw as a law stack of one: pair -> (1, kappa+1) categorical row
+    or (1,) Poisson rate, in sorted pair order as in an ensemble."""
+    return {pair: np.array([law.rate], dtype=float) if isinstance(law, PoissonLaw)
+            else np.asarray(law, dtype=float)[None] for pair, law in sorted(draw.p.items())}
 
 
 def pair_means(laws: dict) -> dict:

@@ -622,19 +622,25 @@ def test_fit_document_mean_matrix_holds_poisson_means(synthetic_files, tmp_path)
     assert doc["mean_matrix"][0][0] == pytest.approx(0.7524, abs=1e-4)
 
 
-def _scipy_modules_loaded(code: str) -> list[str]:
-    """SciPy modules in sys.modules after running ``code`` in a fresh interpreter
-    (this test session has SciPy loaded already)."""
+def _modules_loaded(code: str, prefix: str | tuple[str, ...]) -> list[str]:
+    """Modules in sys.modules whose names start with ``prefix`` (one package
+    name or a tuple of them) after running ``code`` in a fresh interpreter
+    (this test session has NumPy and SciPy loaded already)."""
     src = str(Path(g.__file__).resolve().parents[1])
     probe = (f"{code}\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+             f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_cold_import_loads_no_scipy():
-    assert _scipy_modules_loaded("import gwpva, gwpva.cli") == []
+    # nor NumPy: the fit layer runs on plain floats, and the package and the
+    # CLI load the Monte Carlo modules on first use
+    exits = ("import gwpva.cli\ntry:\n    gwpva.cli.main([{!r}])\n"
+             "except SystemExit as e:\n    assert e.code == 0\n")
+    for code in ("import gwpva, gwpva.cli", exits.format("--help"), exits.format("--version")):
+        assert _modules_loaded(code, ("numpy", "scipy")) == [], code
 
 
 def test_mc_subcommands_on_fitted_posterior_load_no_scipy(bear_posterior, tmp_path):
@@ -652,7 +658,7 @@ def test_mc_subcommands_on_fitted_posterior_load_no_scipy(bear_posterior, tmp_pa
                                            "--out", str(tmp_path / "paths.csv")]]
     code = "import gwpva.cli\n" + "".join(f"assert gwpva.cli.main({argv!r}) == 0\n"
                                          for argv in runs)
-    assert _scipy_modules_loaded(code) == []
+    assert _modules_loaded(code, "scipy") == []
 
 
 def test_baseline_loads_no_scipy(synthetic_files):
@@ -663,13 +669,14 @@ def test_baseline_loads_no_scipy(synthetic_files):
                  "[100, 75, 59, 43, 33, 22]) == (9, 12)",
                  "import gwpva.cli\n"
                  f"assert gwpva.cli.main(['baseline', '--table', {table!r}]) == 0"):
-        assert _scipy_modules_loaded(code) == []
+        assert _modules_loaded(code, "scipy") == []
 
 
 def test_fit_and_scenarios_load_no_scipy(tmp_path):
-    # credible intervals, scenario quantiles and the binomial thinning of a
-    # `thinned` prior come from the package's own incomplete beta and gamma
-    # kernels and math.comb
+    # nor NumPy: credible intervals, scenario quantiles and the binomial
+    # thinning of a `thinned` prior come from the package's own incomplete
+    # beta and gamma kernels and math.comb, and every prior rule, the
+    # conjugate updates and the posterior document run on plain floats
     cap = bear_cap()
     table = tmp_path / "bear.csv"
     table.write_text(g.format_life_table(bear_life_table()))
@@ -683,16 +690,29 @@ def test_fit_and_scenarios_load_no_scipy(tmp_path):
         {"i": 4, "j": 5, "law": "poisson", "prior": {"shape": 2.0, "rate": 1.0}},
         {"i": 5, "j": 1, "law": "thinned",
          "prior": {"litter": [0.3, 0.3, 0.3, 0.1], "sex_ratio": [3.0, 2.0], "weight": 4.0}}]}))
-    runs = [["fit", "--table", str(table), "--prior", str(flat),
-             "--out", str(tmp_path / "flat_posterior.json")],
-            ["fit", "--table", str(table), "--prior", str(mixed),
-             "--out", str(tmp_path / "mixed_posterior.json")],
-            ["scenarios", "--posterior", str(tmp_path / "flat_posterior.json"),
-             "--quantiles", "0.05,0.5,0.95",
-             "--out", str(tmp_path / "scenarios.json")]]
+    elicited = tmp_path / "elicited.json"
+    elicited.write_text(json.dumps({"format_version": 1, "K": cap.K, "pairs": [
+        {"i": 1, "j": 2, "kappa": 1, "prior": {"rule": "alpha", "alpha": [1.5, 2.5]}},
+        {"i": 2, "j": 3, "kappa": 1,
+         "prior": {"rule": "moments", "means": [0.3, 0.7], "variances": [0.02, 1.5]}},
+        {"i": 3, "j": 4, "kappa": 1,
+         "prior": {"rule": "expert", "weight": 3.0, "guess": [0.25, 0.75]}},
+        *({"i": i, "j": j, "kappa": cap.cap_of(i, j)} for i, j in ((4, 5), (5, 1), (5, 5)))]}))
+    runs = [["fit", "--table", str(table), "--prior", str(prior),
+             "--out", str(tmp_path / f"{prior.stem}_posterior.json")]
+            for prior in (flat, mixed, elicited)]
+    runs += [["scenarios", "--posterior", str(tmp_path / f"{name}_posterior.json"),
+              "--quantiles", "0.05,0.5,0.95", "--out", str(tmp_path / f"{name}_scenarios.json")]
+             for name in ("flat", "elicited")]
     for argv in runs:
         code = f"import gwpva.cli\nassert gwpva.cli.main({argv!r}) == 0\n"
-        assert _scipy_modules_loaded(code) == [], argv
+        assert _modules_loaded(code, ("numpy", "scipy")) == [], argv
+    alpha = {(p["i"], p["j"]): p["alpha"]
+             for p in json.loads((tmp_path / "elicited_posterior.json").read_text())["pairs"]}
+    # prior plus counts: (1, 2) alpha, (2, 3) moments (1 - 0.02) 0.3 / 0.02
+    # and the flat fallback, (3, 4) expert 3 (0.25, 0.75)
+    assert alpha[(1, 2)] == [4.5, 19.5] and alpha[(3, 4)] == [2.75, 14.25]
+    assert alpha[(2, 3)] == pytest.approx([14.7, 17.0], rel=1e-15)
     pairs = json.loads((tmp_path / "mixed_posterior.json").read_text())["pairs"]
     assert sorted(p["law"] for p in pairs if (p["i"], p["j"]) in ((4, 5), (5, 1))) == [
         "categorical", "poisson"]

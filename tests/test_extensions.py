@@ -5,8 +5,8 @@ import pytest
 
 import gwpva as g
 from gwpva.extensions import _beta_quantile, _gamma_quantile
-from gwpva.model import _law_stack
 from gwpva.sampling import SeedSpec
+from gwpva.spectral import _law_stack
 
 from conftest import dense_pgf_jacobian
 from quantile_references import (BETA_QUANTILES, GAMMA_QUANTILES, QUANTILE_LEVELS, QUANTILE_QS,
@@ -85,7 +85,7 @@ def test_thinned_offspring_law_edges():
     # Binomial(2, 1/2) thinning of a point mass at k=2
     out = g.thinned_offspring_law([0.0, 0.0, 1.0], 0.5)
     assert out == pytest.approx([0.25, 0.5, 0.25])
-    assert g.thinned_offspring_law(law, 0.5).sum() == pytest.approx(1.0)
+    assert math.fsum(g.thinned_offspring_law(law, 0.5)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         g.thinned_offspring_law(law, 1.5)
     with pytest.raises(ValueError):
@@ -99,6 +99,8 @@ def test_poisson_posterior():
     assert g.poisson_posterior(post, []) == post
     with pytest.raises(ValueError):
         g.poisson_posterior(post, [-1])
+    with pytest.raises(ValueError, match="one parent count per offspring count"):
+        g.poisson_posterior(post, [1, 2], [1])
 
 
 def _poisson_bisection(mean):
@@ -192,7 +194,7 @@ def test_poisson_law_in_draw_and_simulation():
 def test_convolve_survival_reproduction_exact():
     out = g.convolve_survival_reproduction([0.6, 0.4], [0.8, 0.1, 0.05, 0.05])
     assert out == pytest.approx([0.48, 0.38, 0.07, 0.05, 0.02])
-    assert out.sum() == pytest.approx(1.0)
+    assert math.fsum(out) == pytest.approx(1.0)
     # mass is conserved and means add: mean(out) = pS(1) + mean(pR)
     mean = np.arange(5) @ out
     assert mean == pytest.approx(0.4 + (0.1 + 2 * 0.05 + 3 * 0.05))

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,29 @@ def test_no_module_imports_scipy(path):
     # SciPy is a test-only oracle: every quantile the package reports comes
     # from its own incomplete beta and gamma kernels
     assert "scipy" not in _imported_modules(path.read_text())
+
+
+def test_every_exported_name_is_its_home_module_object():
+    # gwpva exports lazily (PEP 562): each name of __all__ loads its home
+    # module on first access and is that module's own object, listed in the
+    # module's __all__; the home modules resolve as attributes too
+    code = ("import gwpva, importlib, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            "for name in gwpva.__all__:\n"
+            "    home = importlib.import_module('gwpva.' + gwpva._HOME[name])\n"
+            "    assert getattr(gwpva, name) is getattr(home, name), name\n"
+            "    assert name in home.__all__ and name in dir(gwpva), name\n"
+            "    assert getattr(gwpva, gwpva._HOME[name]) is home, name\n"
+            "namespace = {}\n"
+            "exec('from gwpva import *', namespace)\n"
+            "assert sorted(set(namespace) - {'__builtins__'}) == sorted(gwpva.__all__)\n"
+            "assert len(gwpva.__all__) == 70 and 'numpy' in sys.modules\n"
+            "try:\n"
+            "    gwpva.no_such_name\n"
+            "except AttributeError as e:\n"
+            "    assert 'no_such_name' in str(e)\n"
+            "else:\n"
+            "    raise AssertionError('gwpva.no_such_name resolved')\n")
+    src = str(PACKAGE.parent)
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True, timeout=120)

@@ -20,8 +20,8 @@ def test_flat_prior_synthetic_posterior(synthetic_posterior):
 
 def test_posterior_mean_matrix_exact(synthetic_posterior):
     M = g.posterior_mean_matrix(synthetic_posterior)
-    assert M.shape == (1, 1)
-    assert M[0, 0] == pytest.approx(float(Fraction(242, 315)), abs=1e-15)
+    assert np.shape(M) == (1, 1)
+    assert M[0][0] == pytest.approx(float(Fraction(242, 315)), abs=1e-15)
 
 
 def test_prior_noninformative_shapes():
@@ -135,8 +135,8 @@ def test_scenario_draws_quantiles(bear_posterior):
     assert raw == pytest.approx([0.67, 0.83, 0.93], abs=0.005)
     for sc in scenarios:
         for pair, law in sc.draw.p.items():
-            assert law.sum() == pytest.approx(1.0)
-            assert (law > 0).all()
+            assert sum(law) == pytest.approx(1.0)
+            assert min(law) > 0
     # the median scenario is the renormalized vector of marginal medians
     med = scenarios[1].draw.p[(1, 2)]
     raw_med = np.array([stats.beta(4, 18).ppf(0.5), stats.beta(18, 4).ppf(0.5)])
@@ -166,6 +166,7 @@ def test_scenario_draws_are_renormalised_beta_quantiles(bear_posterior, syntheti
     for params in (grid, bear_posterior, synthetic_posterior):
         for sc in g.scenario_draws(params, quantiles):
             for pair, a in params.alpha.items():
+                a = np.asarray(a)
                 raw = np.array([_beta_quantile(ak, a.sum() - ak, sc.quantile)[0] for ak in a])
                 assert raw == pytest.approx(stats.beta(a, a.sum() - a).ppf(sc.quantile),
                                             rel=1e-13, abs=0)

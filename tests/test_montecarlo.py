@@ -8,7 +8,7 @@ import pytest
 import gwpva as g
 from gwpva import extinction, montecarlo, spectral
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.extinction import (_fixed_point_rows, _lambda_below, _survival_curve,
+from gwpva.extinction import (_fixed_point_rows, _lambda_below, _matvec, _survival_curve,
                               _upper_curve)
 from gwpva.montecarlo import PosteriorEnsemble
 from gwpva.sampling import SeedSpec
@@ -769,8 +769,10 @@ def test_rejected_draws_keep_their_own_bits():
     laws, means = ens._laws, ens.pair_means
 
     def alone(rows):
+        sub = {p: m[rows] for p, m in means.items()}
         return _fixed_point_rows({p: d[rows] for p, d in laws.items()}, ens.K,
-                                 {p: m[rows] for p, m in means.items()})
+                                 _lambda_below(sub, ens.K, 1.0)[0],
+                                 _lambda_below(sub, ens.K, 1.0 + 1e-12)[1])
 
     # both halves of a permuted stack
     for half in np.split(np.random.default_rng(5).permutation(ens.n_prec), 2):
@@ -1042,7 +1044,9 @@ def test_batched_fixed_point_on_mixed_law_stacks(K):
     # categorical and Poisson pairs in one stack, through the batched
     # kernel and the oracle
     laws = _mixed_law_stack(np.random.default_rng(200 + K), K, 200)
-    s, bad = _fixed_point_rows(laws, K, spectral.pair_means(laws))
+    means = spectral.pair_means(laws)
+    s, bad = _fixed_point_rows(laws, K, _lambda_below(means, K, 1.0)[0],
+                               _lambda_below(means, K, 1.0 + 1e-12)[1])
     assert not bad.any()
     assert (dense_pgf(laws, s) - s).min() >= -1e-12
     lam = spectral.perron_batch(spectral.mean_matrices(laws, K))[0]
@@ -1050,3 +1054,52 @@ def test_batched_fixed_point_on_mixed_law_stacks(K):
     oracle, converged = _oracle_fixed_points(laws, K)
     assert converged.all()
     np.testing.assert_allclose(s, oracle, rtol=0, atol=1e-9)
+
+
+def test_shared_ensemble_runs_each_criticality_elimination_once(bear_posterior, monkeypatch):
+    # the ensemble caches both masks of _lambda_below, and the fixed point
+    # takes them from it: viability, extinction, reintroduction and the time
+    # bracket on one ensemble eliminate once at c = 1 and once at 1 + 1e-12
+    seen = []
+
+    def spy(means, K, c):
+        seen.append(c)
+        return _lambda_below(means, K, c)
+
+    monkeypatch.setattr(extinction, "_lambda_below", spy)
+    monkeypatch.setattr(montecarlo, "_lambda_below", spy)
+    ens = PosteriorEnsemble(bear_posterior, n_prec=10_000, master_seed=2024)
+    pop = (2, 2, 2, 2, 10)
+    g.mc_viability_probability(None, ensemble=ens)
+    g.mc_extinction_probability(None, pop, ensemble=ens)
+    g.mc_reintroduction(None, ensemble=ens)
+    assert g.effective_population_size(None, 5, ensemble=ens) == 5
+    tb = g.mc_time_bounds(None, pop, ensemble=ens)
+    assert sorted(seen) == [1.0, 1.0 + 1e-12]
+    assert tb.n_used == int(ens._subcritical.sum()) == 106
+
+
+def test_bear_bracket_search_never_reads_horizon_cap(bear_posterior, monkeypatch):
+    # horizon_cap is read only after a gallop call whose times all lie past
+    # t = 991 has left them uncrossed; bear's curve crosses at 4 095 in the
+    # call that reads 2 047 ... 16 383, so the search never forms the powers
+    # M^(2^14) ... M^(2^19) that 10^6 needs
+    calls, read = [], []
+
+    def matvec(*args):
+        calls.append(1)
+        return _matvec(*args)
+
+    def upper(means, N, ts, *caches):
+        read.extend(np.ravel(ts).tolist())
+        return _upper_curve(means, N, ts, *caches)
+
+    monkeypatch.setattr(extinction, "_matvec", matvec)
+    monkeypatch.setattr(extinction, "_upper_curve", upper)
+    for seed, bracket, n_calls in ((2024, (35, 3600), 49), (9157, (35, 5817), 52)):
+        calls.clear()
+        read.clear()
+        tb = g.mc_time_bounds(bear_posterior, (2, 2, 2, 2, 10), n_prec=10_000,
+                              master_seed=seed)
+        assert (tb.t_minus, tb.t_plus) == bracket
+        assert len(calls) == n_calls and max(read) == 16_383

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +59,7 @@ def log_growth_moments(abundances: Sequence[float]) -> GrowthMoments:
     return GrowthMoments(r_d=float(r.mean()), v_r=v, n_ratios=len(r))
 
 
+@lru_cache(maxsize=16)
 def _t_critical(level: float, nu: int) -> float:
     """The Student-t quantile at q = (1 + level)/2 for nu >= 1 degrees of
     freedom, the t with P(|T| <= t) = level, to about 1e-14.
@@ -67,7 +69,7 @@ def _t_critical(level: float, nu: int) -> float:
     or for the complement 1 - x of the Beta(1/2, nu/2) quantile at level.
     ``_beta_quantile`` gives both x and 1 - x to full relative precision,
     from the smaller of the two probabilities, in continued-fraction steps
-    that depend on t, not on nu."""
+    that depend on t, not on nu. Memoised, as a pure function of (level, nu)."""
     q = (1 + level) / 2
     P = 2 * (1 - q)  # P(|T| > t), exact since q >= 1/2
     x, y = _beta_quantile(nu / 2, 0.5, P) if P < 0.5 else _beta_quantile(0.5, nu / 2, 2 * q - 1)[::-1]

@@ -357,96 +357,84 @@ def cmd_scenarios(args) -> int:
 # ---- parser ----------------------------------------------------------------
 
 
-def _add_mc_flags(p, pop: bool = True):
-    p.add_argument("--posterior", required=True, help="fitted posterior JSON")
-    if pop:
-        p.add_argument("--pop", required=True,
-                       help="comma-separated abundance per type, e.g. 2,2,2,2,10")
-    p.add_argument("--nprec", type=int, default=DEFAULT_N_PREC,
-                   help="Monte Carlo replicates")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--out", help="write full machine-readable record (JSON)")
+_POSTERIOR = ("--posterior", dict(required=True, help="fitted posterior JSON"))
+_POP = ("--pop", dict(required=True, help="comma-separated abundance per type, e.g. 2,2,2,2,10"))
+_RUN_FLAGS = (("--nprec", dict(type=int, default=DEFAULT_N_PREC, help="Monte Carlo replicates")),
+              ("--seed", dict(type=int, required=True, help="master seed")),
+              ("--out", dict(help="write full machine-readable record (JSON)")))
+_MC_FLAGS = (_POSTERIOR, *_RUN_FLAGS)
+_MC_POP_FLAGS = (_POSTERIOR, _POP, *_RUN_FLAGS)
+
+# name: (help, function, flags as add_argument arguments), in --help's order
+_COMMANDS = {
+    "fit": ("fit the posterior from a life table and prior", cmd_fit, (
+        ("--table", dict(required=True, help="life-table CSV")),
+        ("--prior", dict(required=True, help="prior configuration JSON")),
+        ("--out", dict(help="write fitted posterior JSON")))),
+    "viability": ("posterior probability of viability", cmd_viability, _MC_FLAGS),
+    "extinction": ("posterior extinction probability", cmd_extinction, _MC_POP_FLAGS),
+    "time-bounds": ("extinction-time bracket", cmd_time_bounds, (
+        *_MC_POP_FLAGS,
+        ("--alpha", dict(type=float, default=0.05, help="risk level per side")),
+        ("--curves", dict(help="write the mean upper-bound and exact survival curves (CSV)")))),
+    "reintroduce": ("per-type founder risk and effective size", cmd_reintroduce, (
+        *_MC_FLAGS,
+        ("--threshold", dict(type=float, default=0.05, help="acceptable extinction probability")),
+        ("--type", dict(type=int, required=True, help="founder type index (1-based)")),
+        ("--hist", dict(help="write per-type s histograms (CSV)")))),
+    "predict": ("short-term expected abundance", cmd_predict, (
+        *_MC_POP_FLAGS, ("--horizon", dict(type=int, required=True, help="steps ahead")))),
+    "simulate": ("simulate trajectories", cmd_simulate, (
+        ("--posterior", dict(help="sample parameters from this posterior JSON")),
+        ("--draw", dict(help="fixed parameter JSON (posterior schema; alpha normalized to a law)")),
+        ("--pop", dict(required=True, help="initial abundance per type")),
+        ("--horizon", dict(type=int, required=True)),
+        ("--seed", dict(type=int, required=True)),
+        ("--reps", dict(type=int, default=1)),
+        ("--out", dict(help="write trajectories CSV")),
+        ("--table-out", dict(help="write the first replicate's life table CSV")))),
+    "baseline": ("classical log-growth diagnostics", cmd_baseline, (
+        ("--table", dict(required=True, help="life-table CSV (or abundance series with --series)")),
+        ("--series", dict(action="store_true", help="input is a t,N abundance series")),
+        ("--level", dict(type=float, default=0.90, help="confidence level")),
+        ("--out", dict(help="write machine-readable record (JSON)")))),
+    "scenarios": ("posterior-quantile parameter scenarios", cmd_scenarios, (
+        ("--posterior", dict(required=True)),
+        ("--quantiles", dict(required=True, help="e.g. 0.05,0.5,0.95")),
+        ("--out", dict(help="write machine-readable record (JSON)")))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names
+    one. The single parser's usage line still lists every choice, so for an
+    argv that starts with ``command`` both give the same output."""
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
     ap = argparse.ArgumentParser(
-        prog="gwpva",
-        description="Bayesian Galton-Watson population viability analysis")
+        prog="gwpva", description="Bayesian Galton-Watson population viability analysis")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit the posterior from a life table and prior")
-    p.add_argument("--table", required=True, help="life-table CSV")
-    p.add_argument("--prior", required=True, help="prior configuration JSON")
-    p.add_argument("--out", help="write fitted posterior JSON")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("viability", help="posterior probability of viability")
-    _add_mc_flags(p, pop=False)
-    p.set_defaults(func=cmd_viability)
-
-    p = sub.add_parser("extinction", help="posterior extinction probability")
-    _add_mc_flags(p)
-    p.set_defaults(func=cmd_extinction)
-
-    p = sub.add_parser("time-bounds", help="extinction-time bracket")
-    _add_mc_flags(p)
-    p.add_argument("--alpha", type=float, default=0.05, help="risk level per side")
-    p.add_argument("--curves", help="write the mean upper-bound and exact survival curves (CSV)")
-    p.set_defaults(func=cmd_time_bounds)
-
-    p = sub.add_parser("reintroduce", help="per-type founder risk and effective size")
-    _add_mc_flags(p, pop=False)
-    p.add_argument("--threshold", type=float, default=0.05,
-                   help="acceptable extinction probability")
-    p.add_argument("--type", type=int, required=True, help="founder type index (1-based)")
-    p.add_argument("--hist", help="write per-type s histograms (CSV)")
-    p.set_defaults(func=cmd_reintroduce)
-
-    p = sub.add_parser("predict", help="short-term expected abundance")
-    _add_mc_flags(p)
-    p.add_argument("--horizon", type=int, required=True, help="steps ahead")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("simulate", help="simulate trajectories")
-    p.add_argument("--posterior", help="sample parameters from this posterior JSON")
-    p.add_argument("--draw", help="fixed parameter JSON (posterior schema; "
-                   "alpha normalized to a law)")
-    p.add_argument("--pop", required=True, help="initial abundance per type")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--out", help="write trajectories CSV")
-    p.add_argument("--table-out", help="write the first replicate's life table CSV")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("baseline", help="classical log-growth diagnostics")
-    p.add_argument("--table", required=True,
-                   help="life-table CSV (or abundance series with --series)")
-    p.add_argument("--series", action="store_true",
-                   help="input is a t,N abundance series")
-    p.add_argument("--level", type=float, default=0.90, help="confidence level")
-    p.add_argument("--out", help="write machine-readable record (JSON)")
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("scenarios", help="posterior-quantile parameter scenarios")
-    p.add_argument("--posterior", required=True)
-    p.add_argument("--quantiles", required=True, help="e.g. 0.05,0.5,0.95")
-    p.add_argument("--out", help="write machine-readable record (JSON)")
-    p.set_defaults(func=cmd_scenarios)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        help_, _, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run the subcommand named by ``argv[0]`` (default ``sys.argv[1:]``),
+    building its parser alone: ``build_parser(argv[0])``, which is the full
+    parser when argv[0] is missing, an option such as --help or --version,
+    or no subcommand's name, so every message is ``build_parser()``'s."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as e:
-        print(json.dumps({"error": str(e), "kind": e.kind}), file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as e:
-        print(json.dumps({"error": str(e), "kind": "error"}), file=sys.stderr)
+        return _COMMANDS[args.command][1](args)
+    except (CliError, ValueError, RuntimeError) as e:
+        print(json.dumps({"error": str(e), "kind": getattr(e, "kind", "error")}),
+              file=sys.stderr)
         return 2
 
 

@@ -295,8 +295,8 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
     """Rebuild posterior parameters from a fitted-posterior document.
 
     ParseError on a missing or empty ``pairs`` list, a pair outside 1..K, a
-    Poisson pair on a categorical pair, or a pair given twice with the same
-    law."""
+    categorical ``alpha`` of fewer than 2 entries, a Poisson pair on a
+    categorical pair, or a pair given twice with the same law."""
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
     K = doc.get("K")
@@ -316,6 +316,8 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
                 raise ValueError(f"duplicate pair ({i},{j})")
             if law == "categorical":
                 a = _floats(entry["alpha"], "alpha")
+                if len(a) < 2:
+                    raise ValueError(f"pair ({i},{j}): alpha needs at least 2 entries (kappa >= 1)")
                 kappa[(i, j)] = len(a) - 1
                 alpha[(i, j)] = a
             elif law == "poisson":

@@ -25,7 +25,7 @@ a rerun is bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -280,14 +280,19 @@ def _column_mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std(ddof=1) / sqrt(n), NaN at n = 1, from one column sum: the squared
     deviations from the mean are summed as ``np.std`` sums them, so both
     have the bits of ``np.sum(x, axis=0) / n`` and ``x.std(axis=0, ddof=1)
-    / sqrt(n)``."""
+    / sqrt(n)``. ``np.sum`` adds the rows of a C-ordered x with K >= 2 in
+    order, one inner-loop call per row, and ``np.einsum("ij->j")`` in the
+    same order in one call, so it takes both sums there; a single column,
+    which ``np.sum`` adds pairwise, or another layout keeps ``np.sum``."""
     n = len(x)
-    mean = np.sum(x, axis=0) / n
+    colsum = (partial(np.einsum, "ij->j") if x.shape[1] > 1 and x.flags.c_contiguous
+              else partial(np.sum, axis=0))
+    mean = colsum(x) / n
     if n == 1:
         return mean, np.full(x.shape[1], np.nan)
     dev = x - mean
     np.square(dev, out=dev)
-    return mean, np.sqrt(np.sum(dev, axis=0) / (n - 1)) / np.sqrt(n)
+    return mean, np.sqrt(colsum(dev) / (n - 1)) / np.sqrt(n)
 
 
 def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,

@@ -81,13 +81,15 @@ def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
     ``sample_parameter_draw(params, SeedSpec(master_seed, 0))``, and the
     first rows do not depend on n. The array's transpose is copied once,
     coefficient-major, and each pair's block of rows is divided in place by
-    the pair's normalizers, NumPy's sums of its columns of the original
-    array; the laws are (n, kappa+1) views of that block. A row with a zero
-    normalizer cannot be redrawn on the shared stream without shifting the
-    rows after it, so it is replayed through ``_dirichlet`` (with its redraw
-    cap) on the stream ``SeedSpec(master_seed, r + 1)``, a pure function of
-    (master_seed, r). A single row cannot be reproduced without drawing the
-    rows before it.
+    the pair's normalizers; the laws are (n, kappa+1) views of that block.
+    A normalizer is NumPy's sum of the pair's gammas in a row, which adds
+    fewer than 8 terms left to right, as ``np.add.reduce`` adds the block's
+    rows in one call, and 8 or more pairwise, from ``gam`` row by row. A row
+    with a zero normalizer cannot be redrawn on the shared stream without
+    shifting the rows after it, so it is replayed through ``_dirichlet``
+    (with its redraw cap) on the stream ``SeedSpec(master_seed, r + 1)``, a
+    pure function of (master_seed, r). A single row cannot be reproduced
+    without drawing the rows before it.
     """
     pairs = sorted(params.alpha)
     alphas = [np.asarray(params.alpha[pair], dtype=float) for pair in pairs]
@@ -100,7 +102,8 @@ def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
     replay = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for pair, lo, hi in zip(pairs, ends[:-1], ends[1:]):
-            total = gam[:, lo:hi].sum(axis=1)
+            total = (np.add.reduce(block[lo:hi], axis=0) if hi - lo < 8
+                     else gam[:, lo:hi].sum(axis=1))
             replay |= ~(total > 0)
             block[lo:hi] /= total
             laws[pair] = block[lo:hi].T

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import gwpva as g
+from gwpva import baseline
 from gwpva.baseline import _t_critical
 from gwpva.datasets import synthetic_abundances
+from gwpva.extensions import _beta_quantile
 
 
 def test_log_growth_moments_on_reference_series():
@@ -203,10 +205,29 @@ def test_t_critical_matches_reference_quantiles():
 
 def test_t_critical_cost_does_not_grow_with_nu():
     # a 100 000-observation series: the continued fraction takes steps that
-    # depend on t, not on nu
+    # depend on t, not on nu; timed past the memo
     for level in (0.6, 0.9):
-        best = min(timeit.repeat(lambda: _t_critical(level, 10 ** 5), number=1, repeat=5))
+        best = min(timeit.repeat(lambda: _t_critical.__wrapped__(level, 10 ** 5), number=1,
+                                 repeat=5))
         assert best < 0.02
+
+
+def test_t_critical_is_memoised(monkeypatch):
+    # a repeated (level, nu) solves its Beta quantile once and returns the same float
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _beta_quantile(*args)
+
+    monkeypatch.setattr(baseline, "_beta_quantile", spy)
+    _t_critical.cache_clear()
+    try:
+        first = _t_critical(0.9, 4)
+        assert _t_critical(0.9, 4) is first and len(calls) == 1
+        assert first == _t_critical.__wrapped__(0.9, 4) and len(calls) == 2
+    finally:
+        _t_critical.cache_clear()
 
 
 def test_t_critical_matches_scipy_stats():

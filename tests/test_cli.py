@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -48,6 +49,31 @@ def test_nprec_default_is_the_library_default():
         assert args.nprec == g.montecarlo.DEFAULT_N_PREC, argv[0]
 
 
+_COMMANDS = ["fit", "viability", "extinction", "time-bounds", "reintroduce", "predict",
+             "simulate", "baseline", "scenarios"]
+_MC_ARGS = ["viability", "--posterior", "p.json", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], *([cmd, "--help"] for cmd in _COMMANDS), ["nope"],
+    ["viability"], [*_MC_ARGS, "--bogus"], [*_MC_ARGS, "--nprec", "ten"]])
+def test_main_parses_as_the_full_parser(argv, capsys, monkeypatch):
+    # main builds one subcommand's parser when argv[0] names it, the full one
+    # otherwise; exit code, stdout and stderr must be the full parser's
+    def run(parse):
+        with pytest.raises(SystemExit) as e:
+            parse(argv)
+        return (e.value.code, *capsys.readouterr())
+
+    want = run(lambda a: build_parser().parse_args(a))
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    assert run(main) == want
+    assert built == (argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
+
+
 def test_fit_writes_expected_posterior(synthetic_files):
     doc = json.loads(synthetic_files["posterior"].read_text())
     assert doc["format_version"] == 1
@@ -88,13 +114,18 @@ def test_missing_file_is_io_error(capsys):
 
 
 def test_malformed_posterior_is_parse_error(tmp_path, capsys):
-    # two entries for one pair, and a categorical pair outside 1..K
-    for pairs in ([{"i": 1, "j": 1, "alpha": [1.0, 2.0]}] * 2,
-                  [{"i": 1, "j": 2, "alpha": [1.0, 2.0]}]):
+    # two entries for one pair, a categorical pair outside 1..K, and
+    # alphas too short to make kappa >= 1
+    short = "pair (1,1): alpha needs at least 2 entries (kappa >= 1)"
+    for pairs, why in (([{"i": 1, "j": 1, "alpha": [1.0, 2.0]}] * 2, "duplicate pair (1,1)"),
+                       ([{"i": 1, "j": 2, "alpha": [1.0, 2.0]}], "(1,2) outside 1..1"),
+                       ([{"i": 1, "j": 1, "alpha": [5.0]}], short),
+                       ([{"i": 1, "j": 1, "alpha": []}], short)):
         posterior = tmp_path / "posterior.json"
         posterior.write_text(json.dumps({"format_version": 1, "K": 1, "pairs": pairs}))
         assert main(["viability", "--posterior", str(posterior), "--seed", "1"]) == 2
-        assert json.loads(capsys.readouterr().err)["kind"] == "parse"
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "parse" and why in err["error"], err
     # a document with no pairs: every Monte Carlo subcommand names it
     posterior.write_text(json.dumps({"format_version": 1, "K": 1, "pairs": []}))
     for argv in (["viability"], ["extinction", "--pop", "1"], ["time-bounds", "--pop", "1"]):

@@ -213,6 +213,16 @@ def test_posterior_from_document_rejections():
                                    "pairs": [{"i": 1, "j": 1, "law": "zeta"}]})
 
 
+def test_posterior_from_document_needs_two_alpha_entries():
+    # kappa = len(alpha) - 1 must be >= 1: a one-entry or empty alpha names
+    # that rule and its pair, not a forbidden pair or a negative cap
+    for a in ([5.0], []):
+        pairs = [{"i": 1, "j": 1, "alpha": [1.0, 2.0]}, {"i": 1, "j": 2, "alpha": a}]
+        with pytest.raises(ParseError, match=rf"^pairs\[1\]: pair \(1,2\): alpha needs at "
+                           rf"least 2 entries \(kappa >= 1\)$"):
+            g.posterior_from_document({"format_version": 1, "K": 2, "pairs": pairs})
+
+
 def test_posterior_from_document_names_the_bad_entry_once(bear_posterior):
     # a pair given twice with the same law is an error, not a silent overwrite
     for law, entry in (("categorical", {"alpha": [1.0, 2.0]}),

@@ -50,6 +50,16 @@ def _tiny_alpha_posterior():
     return g.PosteriorParams(cap, {p: np.full(k + 1, 1e-3) for p, k in cap.kappa.items()})
 
 
+def _wide_posterior():
+    """Two types whose pairs have kappa + 1 = 3, 7, 8 and 10 categories, so
+    the ensemble's normalizers add fewer than 8 terms (left to right) and 8
+    or more (pairwise), with alphas spanning four orders of magnitude."""
+    rng = np.random.default_rng(17)
+    cap = g.OffspringCap(2, {(1, 1): 6, (1, 2): 9, (2, 1): 2, (2, 2): 7})
+    return g.PosteriorParams(cap, {p: 10.0 ** rng.uniform(-2, 2, k + 1)
+                                   for p, k in cap.kappa.items()})
+
+
 def _zero_normalizer_rows(post, seed, n):
     """Rows whose Gamma variates on the ensemble stream SeedSpec(seed, 0),
     one draw per pair per row, give some pair a zero sum."""
@@ -80,7 +90,8 @@ def _reference_rows(post, seed, n, replayed):
 def test_ensemble_matches_sample_parameter_draw(synthetic_posterior, bear_posterior):
     tiny = _tiny_alpha_posterior()
     cases = [(synthetic_posterior, 31, 20), (bear_posterior, 2024, 300),
-             (bear_posterior, -3, 40), (bear_posterior, 2 ** 64 + 5, 40), (tiny, 5, 300)]
+             (bear_posterior, -3, 40), (bear_posterior, 2 ** 64 + 5, 40), (tiny, 5, 300),
+             (_wide_posterior(), 7, 300)]
     for post, seed, n in cases:
         replayed = set(_zero_normalizer_rows(post, seed, n))
         assert bool(replayed) == (post is tiny)
@@ -985,6 +996,24 @@ def test_abundance_path_keeps_dense_bits(bear_ensemble, synthetic_posterior):
         assert est.value.tobytes() == x[0].tobytes()
         assert np.isnan(est.std_error).all()
         x = np.einsum("ri,rij->rj", x, dense_mean_matrices(one))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_mean_se_keeps_numpy_bits(order):
+    # einsum adds a C-ordered array's rows in np.sum's order for K >= 2; a
+    # single column (summed pairwise) and other layouts keep np.sum itself
+    rng = np.random.default_rng(3)
+    for K in range(1, 8):
+        for n in (1, 2, 7, 8, 9, 1001):
+            x = np.asarray(rng.standard_normal((n, K)) * 10.0 ** rng.uniform(-12, 12, (n, K)),
+                           order=order)
+            mean, se = montecarlo._column_mean_se(x)
+            assert mean.tobytes() == (np.sum(x, axis=0) / n).tobytes(), (K, n)
+            if n == 1:
+                assert np.isnan(se).all() and se.shape == (K,)
+            else:
+                want = x.std(axis=0, ddof=1) / np.sqrt(n)
+                assert se.tobytes() == want.tobytes(), (K, n)
 
 
 def test_subcritical_degenerate_draws_are_certainly_extinct():

@@ -37,11 +37,29 @@ def _stirling_tail(z: float) -> float:
     return _total(c * z ** -k for c, k in _STIRLING)
 
 
+# Euler's gamma and the coefficients (-1)^k zeta(k) / k, k = 2..16, of the
+# series of log Gamma(1 + s), from zeta(k) to 20 digits
+_EULER = 0.57721566490153286061
+_LGAMMA1_SERIES = tuple((-1) ** k * z / k for k, z in enumerate((
+    1.6449340668482264365, 1.2020569031595942854, 1.0823232337111381915,
+    1.0369277551433699263, 1.0173430619844491397, 1.0083492773819228268,
+    1.0040773561979443394, 1.0020083928260822144, 1.0009945751278180853,
+    1.0004941886041194646, 1.0002460865533080483, 1.0001227133475784891,
+    1.0000612481350587048, 1.0000305882363070205, 1.0000152822594086519), 2))
+
+
 def _lgamma1(s: float) -> float:
-    """log Gamma(1 + s), below 12 through math.gamma, whose log is about
+    """log Gamma(1 + s). Below s = 0.05 by its Taylor series
+    -gamma s + sum_k>=2 (-1)^k zeta(k) s^k / k to k = 16, by Horner's rule,
+    within about 1.1e-16 s; below 12 through math.gamma, whose log is about
     twice as close as math.lgamma's there (mean absolute errors 1.4e-16
-    and 2.5e-16 below s = 1): a quantile of shape s carries this error
+    and 2.5e-16 below s = 1). A quantile of shape s carries this error
     divided by s."""
+    if s < 0.05:
+        acc = 0.0
+        for c in reversed(_LGAMMA1_SERIES):
+            acc = acc * s + c
+        return s * (acc * s - _EULER)
     return math.log(math.gamma(1 + s)) if s < 12 else math.lgamma(1 + s)
 
 

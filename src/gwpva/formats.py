@@ -131,6 +131,11 @@ class PriorConfig:
     warnings: tuple[str, ...] = ()
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool (``true`` is not 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_keys(where: str, obj: dict, allowed: set) -> None:
     """ParseError naming ``where`` if ``obj`` has a key outside ``allowed``."""
     extra = set(obj) - allowed
@@ -183,7 +188,7 @@ def parse_prior_config(text: str) -> PriorConfig:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
     _check_keys("top level", doc, {"format_version", "K", "pairs"})
     K = doc.get("K")
-    if not isinstance(K, int) or K < 1:
+    if not _is_int(K) or K < 1:
         raise ParseError("K must be a positive integer")
     pairs = doc.get("pairs")
     if not isinstance(pairs, list) or not pairs:
@@ -196,10 +201,9 @@ def parse_prior_config(text: str) -> PriorConfig:
         where = f"pairs[{idx}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: must be an object")
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"{where}: needs integer i and j") from None
+        i, j = entry.get("i"), entry.get("j")
+        if not (_is_int(i) and _is_int(j)):
+            raise ParseError(f"{where}: needs integer i and j")
         if not (1 <= i <= K and 1 <= j <= K):
             raise ParseError(f"{where}: pair ({i},{j}) outside 1..{K}")
         if (i, j) in kappa or (i, j) in poisson:
@@ -208,7 +212,7 @@ def parse_prior_config(text: str) -> PriorConfig:
         if law == "categorical":
             _check_keys(where, entry, {"i", "j", "law", "kappa", "prior"})
             kap = entry.get("kappa")
-            if not isinstance(kap, int) or kap < 1:
+            if not _is_int(kap) or kap < 1:
                 raise ParseError(f"{where}: kappa must be an integer >= 1")
             kappa[(i, j)] = kap
             alpha[(i, j)] = _build_alpha(entry.get("prior", {"rule": "flat"}), kap,
@@ -227,6 +231,8 @@ def parse_prior_config(text: str) -> PriorConfig:
                 raise ParseError(f"{where}: thinned prior needs litter, sex_ratio "
                                  f"({e})") from None
             try:
+                if len(litter) < 2:
+                    raise ValueError("litter needs at least 2 entries (kappa >= 1)")
                 guess = thinned_offspring_law(litter, BetaParams(a, b).mean)
                 alpha[(i, j)] = prior_expert(weight, guess)
             except ValueError as e:
@@ -294,13 +300,14 @@ def posterior_to_document(post: PosteriorParams,
 def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, GammaParams]]:
     """Rebuild posterior parameters from a fitted-posterior document.
 
-    ParseError on a missing or empty ``pairs`` list, a pair outside 1..K, a
+    ParseError on a missing or empty ``pairs`` list, a K, i or j that is not
+    a JSON integer, a pair that is not an object or lies outside 1..K, a
     categorical ``alpha`` of fewer than 2 entries, a Poisson pair on a
     categorical pair, or a pair given twice with the same law."""
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
     K = doc.get("K")
-    if not isinstance(K, int) or K < 1:
+    if not _is_int(K) or K < 1:
         raise ParseError("K must be a positive integer")
     pairs = doc.get("pairs")
     if not isinstance(pairs, list) or not pairs:
@@ -310,7 +317,11 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
     poisson: dict[Pair, GammaParams] = {}
     for idx, entry in enumerate(pairs):
         try:
-            i, j = int(entry["i"]), int(entry["j"])
+            if not isinstance(entry, dict):
+                raise ValueError("must be an object")
+            i, j = entry.get("i"), entry.get("j")
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError("needs integer i and j")
             law = entry.get("law", "categorical")
             if (i, j) in (poisson if law == "poisson" else alpha):
                 raise ValueError(f"duplicate pair ({i},{j})")

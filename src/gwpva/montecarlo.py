@@ -19,7 +19,8 @@ and ignores n_prec and master_seed; params must then be None or
 Determinism: an ensemble's rows are those of ``sampling._dirichlet_rows``.
 Per-draw quantities come from the law-stack kernels of ``spectral`` and
 ``extinction``, row by row, and reductions are fixed-order numpy sums, so
-a rerun is bit-identical.
+a rerun is bit-identical. The Perron roots ``lambdas``, which no answer
+reads, come from LAPACK, one matrix at a time (``spectral.perron_roots``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .extinction import (_OPEN_END, SurvivalBounds, _as_abundance, _coefficient_
                          _fixed_point_rows, _lambda_below, extinction_time_bounds)
 from .inference import DEFAULT_N_PREC, HyperParams
 from .sampling import _dirichlet_rows
-from .spectral import _scatter, is_primitive, pair_means, perron_batch
+from .spectral import _scatter, is_primitive, pair_means, perron_roots
 
 __all__ = [
     "MCEstimate",
@@ -169,8 +170,9 @@ class PosteriorEnsemble:
 
     @cached_property
     def lambdas(self) -> np.ndarray:
-        """(n_prec,) Perron roots: ``spectral.perron_batch`` on every draw."""
-        return perron_batch(_scatter(self.pair_means, self.K, self.n_prec))[0]
+        """(n_prec,) Perron roots from LAPACK: ``spectral.perron_roots`` of
+        every draw's mean matrix."""
+        return perron_roots(_scatter(self.pair_means, self.K, self.n_prec))
 
     @cached_property
     def _fixed_point(self) -> tuple[np.ndarray, np.ndarray]:

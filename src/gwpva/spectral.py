@@ -4,8 +4,10 @@ The mean matrix M[i, j] of an offspring parameterization drives first-order
 population dynamics: E[N(t)] = N(0) M^t. Its dominant eigenvalue lambda
 governs growth and viability; the right eigenvector u (M u = lambda u) holds
 the reproductive values and the left eigenvector v the stable type
-distribution, with sum_i u_i = 1 and sum_i u_i v_i = 1. No answer solves a
-Perron pair; ``perron_triple`` serves callers who want one.
+distribution, with sum_i u_i = 1 and sum_i u_i v_i = 1. Perron roots and
+pairs come from LAPACK (``np.linalg.eigvals`` and ``np.linalg.eig``). No
+answer solves a Perron pair; ``perron_roots`` and ``perron_triple`` serve
+callers who want one.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import numpy as np
 from .model import ParameterDraw, PoissonLaw
 
 __all__ = ["SpectralTriple", "mean_matrix", "mean_matrices", "pair_means",
-           "perron_batch", "perron_residual", "perron_triple", "is_primitive"]
-
-_SHIFT = 1.0
+           "perron_roots", "perron_triple", "is_primitive"]
 
 
 @dataclass(frozen=True)
@@ -118,82 +118,25 @@ def is_primitive(M: np.ndarray) -> bool:
     return bool(P.all())
 
 
-def perron_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue, right and left eigenvectors of each matrix in M.
-
-    M is a stack (n, K, K) of nonnegative matrices. Shifted power iteration
-    on A = M + I, accelerated by normalized repeated squaring B <- B @ B /
-    max(B @ B), then up to 8 plain power steps against A to wash out
-    round-off, fewer once a step leaves every u and v unchanged to the bit
-    (a row holding NaN never does).
-    Returns lam (n,), u (n, K) and v (n, K) with each u and v summing to 1.
-
-    Each matrix stops squaring once its iterate B is rank one to round-off.
-    A rank-one B = u v^T satisfies B @ B = tr(B) B exactly, so B is finished
-    when |B @ B - tr(B) B| <= 4 K eps tr(B) B in every entry, eps being the
-    machine epsilon. The test is entrywise and relative, so an entry of B
-    that is 0 must square to exactly 0, and an entry still decaying towards
-    0 (a reducible pattern) fails it until it underflows to exactly 0, so
-    u and v keep the exact zeros that 60 squarings give them. The shift
-    breaks periodicity: every eigenvalue mu != lambda of M has
-    |1 + mu| < 1 + lambda, so A has one dominant eigenvalue even where M
-    has several of modulus lambda. At most 60 squarings are made
-    (A^(2^60)); a matrix that never passes, such as a nilpotent one, takes
-    all 60. Each matrix's answer, including when it stops, is computed on
-    its own, whichever other matrices share the stack.
-    """
-    K = M.shape[-1]
-    A = M + _SHIFT * np.eye(K)
-    B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
-    tol = 4 * K * np.finfo(float).eps
-    out = np.empty_like(B)
-    rows = np.arange(len(B))
-    for _ in range(60):
-        if not len(rows):
-            break
-        B2 = B @ B
-        # B is spent once squared: it becomes tr(B) B, then the bound, in
-        # place, so the test adds only err to the arrays held
-        B *= np.trace(B, axis1=1, axis2=2)[:, None, None]
-        err = B2 - B
-        np.abs(err, out=err)
-        B *= tol
-        done = (err <= B).all(axis=(1, 2))
-        B = B2
-        B /= np.abs(B).max(axis=(1, 2), keepdims=True)
-        if done.any():
-            out[rows[done]] = B[done]
-            rows, B = rows[~done], B[~done]
-    out[rows] = B
-    u = out.sum(axis=2)
-    v = out.sum(axis=1)
-    u /= u.sum(axis=1, keepdims=True)
-    v /= v.sum(axis=1, keepdims=True)
-    for _ in range(8):
-        u_next = np.einsum("rij,rj->ri", A, u)
-        v_next = np.einsum("ri,rij->rj", v, A)
-        u_next /= u_next.sum(axis=1, keepdims=True)
-        v_next /= v_next.sum(axis=1, keepdims=True)
-        # a step is a function of each row's own (u, v): once it leaves every
-        # row as it was, the steps left would repeat the same bits
-        repeat = np.array_equal(u_next, u) and np.array_equal(v_next, v)
-        u, v = u_next, v_next
-        if repeat:
-            break
-    Au = np.einsum("rij,rj->ri", A, u)
-    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - _SHIFT
-    return np.maximum(lam, 0.0), u, v
+def perron_roots(M: np.ndarray) -> np.ndarray:
+    """Perron root of each matrix of an (n, K, K) nonnegative stack: its
+    spectral radius, the largest modulus of its eigenvalues from LAPACK
+    (``np.linalg.eigvals``), which solves each matrix on its own, so a row
+    has the same bits whichever other rows share the stack."""
+    return np.abs(np.linalg.eigvals(M)).max(axis=-1)
 
 
 def perron_triple(M: np.ndarray) -> SpectralTriple:
     """Dominant eigen-triple of one nonnegative matrix.
 
-    ``perron_batch`` on a stack of one, with v rescaled so that
-    sum_i u_i v_i = 1. Raises ValueError for the zero matrix and when the
-    residual max(|M u - lam u|, |v M - lam v|) exceeds 1e-9 times the
-    largest row sum of M, as for nilpotent patterns, where power iteration
-    does not converge. A non-primitive pattern whose iteration converges,
-    periodic ones included, only sets ``primitive_warning``.
+    lam is ``perron_roots`` of M; u and v are the magnitudes of the
+    eigenvectors of M and M^T (``np.linalg.eig``) at the eigenvalue nearest
+    lam, scaled so that sum_i u_i = 1 and sum_i u_i v_i = 1. Raises
+    ValueError for the zero matrix and when the residual
+    max(|M u - lam u|, |v M - lam v|) is not at most 1e-9 times the largest
+    row sum of M, as for a nilpotent or defective pattern, whose u and v are
+    orthogonal. A non-primitive pattern, periodic ones included, only sets
+    ``primitive_warning``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -202,33 +145,19 @@ def perron_triple(M: np.ndarray) -> SpectralTriple:
         raise ValueError("M must be nonnegative")
     if not M.any():
         raise ValueError("mean matrix is identically zero; no dominant eigenvalue")
-    lam, u, v = perron_batch(M[None])
-    scale = float(u[0] @ v[0])
-    if scale <= 0:
-        raise ValueError("degenerate eigenvectors; matrix may be reducible")
-    residual, ok = perron_residual(M[None], lam, u, v)
-    if not ok[0]:
-        raise ValueError(f"power iteration did not converge (residual {residual[0]:.3g}, "
-                         f"largest row sum {M.sum(axis=1).max():.3g}); "
-                         "M may be nilpotent")
-    return SpectralTriple(lam=float(lam[0]), u=u[0], v=v[0] / scale,
-                          primitive_warning=not is_primitive(M), residual=float(residual[0]))
-
-
-def perron_residual(M: np.ndarray, lam: np.ndarray, u: np.ndarray,
-                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of each Perron pair from ``perron_batch`` and a mask of the
-    pairs that converged.
-
-    The residual is max(|M u - lam u|, |v M - lam v|) with v rescaled so
-    that sum_i u_i v_i = 1; a pair has converged when its residual is at
-    most 1e-9 times the largest row sum of its M.
-    """
-    # a degenerate pair (u.v = 0) gets a NaN or inf residual: not converged
+    lam = float(perron_roots(M[None])[0])
+    w, R = np.linalg.eig(M)
+    wt, L = np.linalg.eig(M.T)
+    u = np.abs(R[:, np.argmin(np.abs(w - lam))])
+    v = np.abs(L[:, np.argmin(np.abs(wt - lam))])
+    u /= u.sum()
+    # u.v = 0 gives v, and so the residual, a NaN or inf: not converged
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = v / (u[:, None, :] @ v[:, :, None])[:, :, 0]
-        Mu = (M @ u[:, :, None])[:, :, 0]
-        vM = (v[:, None, :] @ M)[:, 0, :]
-        residual = np.maximum(np.abs(Mu - lam[:, None] * u).max(axis=1),
-                              np.abs(vM - lam[:, None] * v).max(axis=1))
-    return residual, residual <= 1e-9 * M.sum(axis=2).max(axis=1)
+        v /= u @ v
+        residual = float(np.max(np.abs(np.concatenate([M @ u - lam * u, v @ M - lam * v]))))
+    if not residual <= 1e-9 * M.sum(axis=1).max():
+        raise ValueError(f"Perron pair did not converge (residual {residual:.3g}, "
+                         f"largest row sum {M.sum(axis=1).max():.3g}); "
+                         "M may be nilpotent or defective")
+    return SpectralTriple(lam=lam, u=u, v=v, primitive_warning=not is_primitive(M),
+                          residual=residual)

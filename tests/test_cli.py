@@ -134,6 +134,19 @@ def test_malformed_posterior_is_parse_error(tmp_path, capsys):
             "error": f"{posterior}: pairs must be a nonempty list", "kind": "parse"}
 
 
+def test_fit_refuses_a_non_integer_pair_index(synthetic_files, tmp_path, capsys):
+    # "i": 1.9 was fitted as pair (1, 1), read by truncation
+    for entry in ({"i": 1.9, "j": 1, "kappa": 4}, {"i": 1, "j": 1, "kappa": True}):
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"format_version": 1, "K": 1, "pairs": [entry]}))
+        out = tmp_path / "posterior.json"
+        assert main(["fit", "--table", str(synthetic_files["table"]), "--prior", str(prior),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "parse" and err["error"].startswith("pairs[0]: "), err
+        assert not out.exists()
+
+
 def test_viability_and_extinction(synthetic_files, tmp_path, capsys):
     out = tmp_path / "via.json"
     assert main(["viability", "--posterior", str(synthetic_files["posterior"]),
@@ -568,7 +581,7 @@ def test_only_time_bounds_builds_dense_mean_matrices(tmp_path, monkeypatch, caps
     for module in ("spectral", "montecarlo", "extinction"):
         monkeypatch.setattr(f"gwpva.{module}._scatter", spy)
     for module in ("spectral", "montecarlo"):
-        monkeypatch.setattr(f"gwpva.{module}.perron_batch", refuse)
+        monkeypatch.setattr(f"gwpva.{module}.perron_roots", refuse)
     common = ["--posterior", str(posterior), "--seed", "2024", "--nprec", "2000"]
     pop = ["--pop", "2,2,2,2,10"]
     for argv in (["viability"], ["extinction"] + pop, ["reintroduce", "--type", "5"],

@@ -201,6 +201,50 @@ def test_posterior_document_poisson_pairs(bear_posterior, synthetic_posterior):
             g.posterior_from_document(doc)
 
 
+def test_integer_fields_must_be_json_integers():
+    # int() read "i": 1.9 as 1, "i": "1" as 1 and true as 1: K, i, j and
+    # kappa must be ints, and not bools
+    def prior(K=2, **second):
+        return json.dumps({"format_version": 1, "K": K, "pairs": [
+            {"i": 1, "j": 1, "kappa": 1}, {"i": 1, "j": 2, "kappa": 1, **second}]})
+
+    def posterior(K=2, **second):
+        return {"format_version": 1, "K": K, "pairs": [
+            {"i": 1, "j": 1, "alpha": [1.0, 2.0]}, {"i": 1, "j": 2, "alpha": [1.0, 2.0], **second}]}
+
+    pair = r"^pairs\[1\]: needs integer i and j$"
+    for bad in (1.9, 2.7, 1.0, True, "1", None):
+        with pytest.raises(ParseError, match=pair):
+            g.parse_prior_config(prior(i=bad))
+        with pytest.raises(ParseError, match=pair):
+            g.parse_prior_config(prior(j=bad))
+        with pytest.raises(ParseError, match=r"^pairs\[1\]: kappa must be an integer >= 1$"):
+            g.parse_prior_config(prior(kappa=bad))
+        with pytest.raises(ParseError, match=pair):
+            g.posterior_from_document(posterior(i=bad))
+        with pytest.raises(ParseError, match=pair):
+            g.posterior_from_document(posterior(j=bad))
+        with pytest.raises(ParseError, match=r"^K must be a positive integer$"):
+            g.parse_prior_config(prior(K=bad))
+        with pytest.raises(ParseError, match=r"^K must be a positive integer$"):
+            g.posterior_from_document(posterior(K=bad))
+    assert g.parse_prior_config(prior()).cap.kappa == {(1, 1): 1, (1, 2): 1}
+    assert g.posterior_from_document(posterior())[0].cap.kappa == {(1, 1): 1, (1, 2): 1}
+
+
+def test_parse_errors_name_the_rule_broken():
+    # a one-entry litter makes kappa = 0, which the cap read as a forbidden
+    # pair; a pair that is not an object failed on string indexing
+    with pytest.raises(ParseError, match=r"^pairs\[0\]: litter needs at least 2 entries "
+                       r"\(kappa >= 1\)$"):
+        g.parse_prior_config(_config([{"i": 1, "j": 1, "law": "thinned",
+                                       "prior": {"litter": [1.0], "sex_ratio": [1.0, 1.0]}}]))
+    for entry in ("x", 3, None, [1, 1]):
+        with pytest.raises(ParseError, match=r"^pairs\[1\]: must be an object$"):
+            g.posterior_from_document({"format_version": 1, "K": 1, "pairs": [
+                {"i": 1, "j": 1, "alpha": [1.0, 2.0]}, entry]})
+
+
 def test_posterior_from_document_rejections():
     with pytest.raises(ParseError):
         g.posterior_from_document({"format_version": 0})

@@ -19,13 +19,13 @@ from conftest import dense_mean_matrices, dense_pgf, dense_pgf_jacobian
 @pytest.fixture
 def no_perron_solve(monkeypatch):
     """Fail the test on any Perron solve (``perron_triple`` calls
-    ``perron_batch`` too); ``undo()`` on the returned monkeypatch allows
+    ``perron_roots`` too); ``undo()`` on the returned monkeypatch allows
     them again."""
     def refuse(*args):
         raise AssertionError("a Perron pair was solved")
 
-    monkeypatch.setattr(spectral, "perron_batch", refuse)
-    monkeypatch.setattr(montecarlo, "perron_batch", refuse)
+    monkeypatch.setattr(spectral, "perron_roots", refuse)
+    monkeypatch.setattr(montecarlo, "perron_roots", refuse)
     return monkeypatch
 
 
@@ -184,10 +184,14 @@ def test_time_bounds_average_reducible_draws():
     post = _tiny_alpha_posterior()
     ens = PosteriorEnsemble(post, n_prec=3000, master_seed=5)
     M = dense_mean_matrices(ens)
-    lam, u, v = spectral.perron_batch(M)
     sub = _lambda_below(ens.pair_means, ens.K, 1.0)[0]
-    assert np.sum(sub & (u.min(axis=1) <= 0)) > 0
-    assert np.sum(sub & ~spectral.perron_residual(M, lam, u, v)[1]) > 0
+    zero_u = failed = 0
+    for r in np.flatnonzero(sub):
+        try:
+            zero_u += spectral.perron_triple(M[r]).u.min() <= 0
+        except ValueError:
+            failed += 1
+    assert zero_u > 0 and failed > 0
     tb = g.mc_time_bounds(post, (3, 2), ensemble=ens)
     assert np.isfinite(tb.upper_curve).all() and np.isfinite(tb.lower_curve).all()
     assert tb.warnings == {"supercritical-draws": 3000 - np.sum(sub),
@@ -217,17 +221,14 @@ def _period_two_posterior():
 
 
 def test_period_two_perron_pairs_converge(synthetic_posterior, bear_ensemble):
-    # perron_batch iterates on M + I, which has one dominant eigenvalue even
-    # where M has period 2: every draw's pair passes its residual test, its
-    # root is the largest eigenvalue modulus, and perron_triple returns it
+    # M has eigenvalues lambda and -lambda: the Perron root is the largest
+    # eigenvalue modulus, every draw's pair passes its residual test, and
+    # perron_triple returns the root of lambdas, bit for bit
     post = _period_two_posterior()
     ens = PosteriorEnsemble(post, n_prec=2000, master_seed=7)
     M = dense_mean_matrices(ens)
-    lam, u, v = spectral.perron_batch(M)
-    assert spectral.perron_residual(M, lam, u, v)[1].all()
-    np.testing.assert_allclose(lam, np.abs(np.linalg.eigvals(M)).max(axis=1),
-                               rtol=1e-13, atol=0)
-    for r in range(0, 2000, 37):
+    lam = ens.lambdas
+    for r in range(2000):
         assert g.perron_triple(M[r]).lam == lam[r], r
     # the time bounds average every lambda < 1 draw, and no answer counts
     # Perron failures
@@ -240,107 +241,13 @@ def test_period_two_perron_pairs_converge(synthetic_posterior, bear_ensemble):
     for ens, post, pop in [(ens, post, pop), (synthetic, synthetic_posterior, (22,)),
                            (bear_ensemble, bear_ensemble.params, (2, 2, 2, 2, 10))]:
         M = dense_mean_matrices(ens)
-        assert spectral.perron_residual(M, *spectral.perron_batch(M))[1].all()
+        for r in range(0, ens.n_prec, 37):
+            assert g.perron_triple(M[r]).lam == ens.lambdas[r], r
         for est in (g.mc_time_bounds(post, pop, ensemble=ens),
                     g.mc_viability_probability(post, ensemble=ens),
                     g.mc_extinction_probability(post, pop, ensemble=ens)):
             assert "perron-failures" not in est.warnings
             assert "degenerate-eigenvector" not in est.warnings
-
-
-def _perron_full_squaring(M):
-    """perron_batch as a plain loop of all 60 normalized squarings, with no
-    per-draw exit."""
-    K = M.shape[-1]
-    A = M + spectral._SHIFT * np.eye(K)
-    B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
-    for _ in range(60):
-        B = B @ B
-        B /= np.abs(B).max(axis=(1, 2), keepdims=True)
-    u = B.sum(axis=2)
-    v = B.sum(axis=1)
-    u /= u.sum(axis=1, keepdims=True)
-    v /= v.sum(axis=1, keepdims=True)
-    for _ in range(8):
-        u = np.einsum("rij,rj->ri", A, u)
-        v = np.einsum("ri,rij->rj", v, A)
-        u /= u.sum(axis=1, keepdims=True)
-        v /= v.sum(axis=1, keepdims=True)
-    Au = np.einsum("rij,rj->ri", A, u)
-    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - spectral._SHIFT
-    return np.maximum(lam, 0.0), u, v
-
-
-def test_perron_batch_matches_full_squaring_reference(bear_ensemble):
-    rng = np.random.default_rng(11)
-    stacks = [dense_mean_matrices(ens) for ens in
-              (bear_ensemble,
-               PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5),
-               PosteriorEnsemble(_period_two_posterior(), n_prec=2000, master_seed=7))]
-    for K in range(2, 6):
-        sparse = rng.uniform(size=(400, K, K)) < 0.5
-        stacks.append(rng.uniform(0.0, 2.0, size=(400, K, K)) * sparse)
-    for M in stacks:
-        got = spectral.perron_batch(M)
-        want = _perron_full_squaring(M)
-        for x, y in zip(got, want):
-            assert np.abs(x - y).max() <= 1e-14
-        for x, y in zip(got[1:], want[1:]):
-            assert np.array_equal(x == 0, y == 0)
-        assert np.array_equal(got[0] < 1, want[0] < 1)
-        assert np.array_equal(spectral.perron_residual(M, *got)[1],
-                              spectral.perron_residual(M, *want)[1])
-        # a permuted half of the stack gives the same rows, bit for bit
-        part = rng.permutation(len(M))[:len(M) // 2]
-        for x, y in zip(spectral.perron_batch(M[part]), got):
-            assert np.array_equal(x, y[part])
-
-
-def _perron_eight_steps(M):
-    """perron_batch with all 8 power steps taken."""
-    K = M.shape[-1]
-    A = M + spectral._SHIFT * np.eye(K)
-    B = A / np.abs(A).max(axis=(1, 2), keepdims=True)
-    tol = 4 * K * np.finfo(float).eps
-    out = np.empty_like(B)
-    rows = np.arange(len(B))
-    for _ in range(60):
-        if not len(rows):
-            break
-        B2 = B @ B
-        B *= np.trace(B, axis1=1, axis2=2)[:, None, None]
-        err = np.abs(B2 - B)
-        done = (err <= tol * B).all(axis=(1, 2))
-        B = B2 / np.abs(B2).max(axis=(1, 2), keepdims=True)
-        out[rows[done]] = B[done]
-        rows, B = rows[~done], B[~done]
-    out[rows] = B
-    u = out.sum(axis=2)
-    v = out.sum(axis=1)
-    u /= u.sum(axis=1, keepdims=True)
-    v /= v.sum(axis=1, keepdims=True)
-    for _ in range(8):
-        u = np.einsum("rij,rj->ri", A, u)
-        v = np.einsum("ri,rij->rj", v, A)
-        u /= u.sum(axis=1, keepdims=True)
-        v /= v.sum(axis=1, keepdims=True)
-    Au = np.einsum("rij,rj->ri", A, u)
-    lam = np.einsum("ri,ri->r", u, Au) / np.einsum("ri,ri->r", u, u) - spectral._SHIFT
-    return np.maximum(lam, 0.0), u, v
-
-
-def test_perron_batch_power_steps_stop_only_where_they_repeat(synthetic_posterior,
-                                                            bear_ensemble):
-    stacks = [dense_mean_matrices(ens) for ens in
-              (bear_ensemble,
-               PosteriorEnsemble(synthetic_posterior, n_prec=1000, master_seed=7),
-               PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5),
-               PosteriorEnsemble(_period_two_posterior(), n_prec=2000, master_seed=7))]
-    # a row holding NaN never repeats, so its stack takes all 8 steps
-    stacks.append(np.concatenate([stacks[0][:50], np.full((1, 5, 5), np.nan)]))
-    for M in stacks:
-        for got, want in zip(spectral.perron_batch(M), _perron_eight_steps(M)):
-            assert got.tobytes() == want.tobytes()
 
 
 def test_time_bounds_take_unlinked_types():
@@ -664,8 +571,6 @@ def test_ensemble_rerun_and_prefix_invariance(bear_posterior):
         assert np.array_equal(small.law(pair), large.law(pair)[:600])
     for name in ("lambdas", "extinction_profiles"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:600]), name
-    assert np.array_equal(spectral.perron_batch(dense_mean_matrices(small))[2],
-                          spectral.perron_batch(dense_mean_matrices(large))[2][:600])
 
 
 def test_rerun_with_new_seed_within_error_bound(synthetic_posterior):
@@ -1078,7 +983,7 @@ def test_batched_fixed_point_on_mixed_law_stacks(K):
                                _lambda_below(means, K, 1.0 + 1e-12)[1])
     assert not bad.any()
     assert (dense_pgf(laws, s) - s).min() >= -1e-12
-    lam = spectral.perron_batch(spectral.mean_matrices(laws, K))[0]
+    lam = spectral.perron_roots(spectral.mean_matrices(laws, K))
     assert lam.min() < 0.5 and lam.max() > 1.4
     oracle, converged = _oracle_fixed_points(laws, K)
     assert converged.all()

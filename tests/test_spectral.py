@@ -49,17 +49,25 @@ def test_perron_triple_errors():
         g.perron_triple(np.array([[1.0, -0.1], [0.2, 0.3]]))
     with pytest.raises(ValueError, match="square"):
         g.perron_triple(np.ones((2, 3)))
-    # power iteration leaves these nilpotent patterns with residuals of 0.5
-    # and 1e17
+    # two nilpotent patterns and a defective Perron root (a Jordan block):
+    # u and v are orthogonal, so v, and with it the residual, is not finite
     for M in ([[0.0, 1.0], [0.0, 0.0]],
-              [[0.0, 0.5, 0.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]]):
+              [[0.0, 0.5, 0.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]],
+              [[1.0, 1.0], [0.0, 1.0]]):
         with pytest.raises(ValueError, match="did not converge"):
             g.perron_triple(np.array(M))
 
 
+def test_perron_triple_takes_a_tiny_matrix():
+    # a root of 1e-300 is a root, not a nilpotent pattern
+    tri = g.perron_triple(np.diag([1e-300, 1e-300]))
+    assert tri.lam == pytest.approx(1e-300, rel=1e-15, abs=0)
+    assert tri.u.sum() == 1.0 and float(tri.u @ tri.v) == 1.0
+
+
 def test_perron_triple_takes_a_periodic_matrix():
-    # eigenvalues lambda, -lambda and 0: the iteration on M + I has one
-    # dominant eigenvalue, 1 + lambda
+    # eigenvalues lambda, -lambda and 0: the root is the largest modulus,
+    # and the pair that of +lambda
     M = np.array([[0.0, 0.0, 0.9225], [0.0, 0.0, 0.0618], [0.533, 0.6949, 0.0]])
     tri = g.perron_triple(M)
     assert tri.lam == pytest.approx(np.abs(np.linalg.eigvals(M)).max(), rel=1e-14)
@@ -132,3 +140,56 @@ def test_pair_means_equal_a_per_pair_loop(bear_posterior, synthetic_posterior):
             assert M[:, i - 1, j - 1].tobytes() == want.tobytes(), (i, j)
             present[i - 1, j - 1] = True
         assert not M[:, ~present].any()
+
+
+def _scipy_perron(M):
+    """Perron root and pair of M from SciPy's eigensolver with left vectors,
+    at the eigenvalue of largest real part, which for a nonnegative matrix
+    is the spectral radius: u sums to 1 and u.v = 1. None for a nilpotent
+    M, which has no Perron pair."""
+    from scipy import linalg
+
+    w, left, right = linalg.eig(M, left=True)
+    k = np.argmax(w.real)
+    if w[k].real <= 1e-12 * M.sum(axis=1).max():
+        return None
+    u = np.abs(right[:, k])
+    u /= u.sum()
+    v = np.abs(left[:, k])
+    return w[k].real, u, v / (u @ v)
+
+
+def test_perron_triple_matches_scipy(bear_ensemble):
+    rng = np.random.default_rng(17)
+    stacks = []
+    for K in range(1, 6):
+        sparse = rng.uniform(size=(300, K, K)) < 0.5
+        stacks.append(rng.uniform(0.0, 2.0, size=(300, K, K)) * sparse)
+    period_two = np.zeros((200, 3, 3))  # {1, 2} -> 3 -> {1, 2}: roots lambda and -lambda
+    period_two[:, [0, 1, 2, 2], [2, 2, 0, 1]] = rng.uniform(0.1, 2.0, size=(200, 4))
+    stacks += [dense_mean_matrices(bear_ensemble)[::50], period_two,
+               np.array([[[0.0, 1.5, 0.0], [0.0, 0.0, 0.8], [0.6, 0.0, 0.0]]])]  # period 3
+    compared = 0
+    for M in stacks:
+        for A in M:
+            want = _scipy_perron(A)
+            if want is None:
+                with pytest.raises(ValueError):
+                    g.perron_triple(A)
+                continue
+            lam, u, v = want
+            tri = g.perron_triple(A)
+            assert tri.lam == pytest.approx(lam, rel=1e-13, abs=0)
+            np.testing.assert_allclose(tri.u, u, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(tri.v, v, rtol=0, atol=1e-10)
+            assert float(tri.u @ tri.v) == pytest.approx(1.0, rel=1e-14)
+            compared += 1
+    assert compared > 1500
+
+
+def test_lambdas_at_one_type_are_the_means(synthetic_posterior):
+    # LAPACK returns a 1 x 1 matrix as its own eigenvalue
+    from gwpva.montecarlo import PosteriorEnsemble
+
+    ens = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
+    assert ens.lambdas.tobytes() == ens.pair_means[(1, 1)].tobytes()

@@ -19,8 +19,7 @@ and ignores n_prec and master_seed; params must then be None or
 Determinism: an ensemble's rows are those of ``sampling._dirichlet_rows``.
 Per-draw quantities come from the law-stack kernels of ``spectral`` and
 ``extinction``, row by row, and reductions are fixed-order numpy sums, so
-a rerun is bit-identical. The Perron roots ``lambdas``, which no answer
-reads, come from LAPACK, one matrix at a time (``spectral.perron_roots``).
+a rerun is bit-identical.
 """
 
 from __future__ import annotations
@@ -170,8 +169,7 @@ class PosteriorEnsemble:
 
     @cached_property
     def lambdas(self) -> np.ndarray:
-        """(n_prec,) Perron roots from LAPACK: ``spectral.perron_roots`` of
-        every draw's mean matrix."""
+        """(n_prec,) Perron roots from LAPACK (``spectral.perron_roots``)."""
         return perron_roots(_scatter(self.pair_means, self.K, self.n_prec))
 
     @cached_property

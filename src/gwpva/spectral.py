@@ -4,10 +4,8 @@ The mean matrix M[i, j] of an offspring parameterization drives first-order
 population dynamics: E[N(t)] = N(0) M^t. Its dominant eigenvalue lambda
 governs growth and viability; the right eigenvector u (M u = lambda u) holds
 the reproductive values and the left eigenvector v the stable type
-distribution, with sum_i u_i = 1 and sum_i u_i v_i = 1. Perron roots and
-pairs come from LAPACK (``np.linalg.eigvals`` and ``np.linalg.eig``). No
-answer solves a Perron pair; ``perron_roots`` and ``perron_triple`` serve
-callers who want one.
+distribution. No answer solves a Perron pair; ``perron_roots`` and
+``perron_triple`` solve one with LAPACK for callers who want it.
 """
 
 from __future__ import annotations
@@ -120,23 +118,27 @@ def is_primitive(M: np.ndarray) -> bool:
 
 def perron_roots(M: np.ndarray) -> np.ndarray:
     """Perron root of each matrix of an (n, K, K) nonnegative stack: its
-    spectral radius, the largest modulus of its eigenvalues from LAPACK
-    (``np.linalg.eigvals``), which solves each matrix on its own, so a row
-    has the same bits whichever other rows share the stack."""
+    spectral radius, the largest eigenvalue modulus from LAPACK
+    (``np.linalg.eigvals``), each matrix solved on its own, so a row's bits
+    do not depend on the other rows. At K = 1 it is the entry itself, the
+    bits LAPACK returns, read off without LAPACK's per-matrix cost."""
+    if M.shape[-1] == 1:
+        return np.abs(M[:, 0, 0])
     return np.abs(np.linalg.eigvals(M)).max(axis=-1)
 
 
 def perron_triple(M: np.ndarray) -> SpectralTriple:
     """Dominant eigen-triple of one nonnegative matrix.
 
-    lam is ``perron_roots`` of M; u and v are the magnitudes of the
-    eigenvectors of M and M^T (``np.linalg.eig``) at the eigenvalue nearest
-    lam, scaled so that sum_i u_i = 1 and sum_i u_i v_i = 1. Raises
-    ValueError for the zero matrix and when the residual
-    max(|M u - lam u|, |v M - lam v|) is not at most 1e-9 times the largest
-    row sum of M, as for a nilpotent or defective pattern, whose u and v are
-    orthogonal. A non-primitive pattern, periodic ones included, only sets
-    ``primitive_warning``.
+    One ``np.linalg.eig`` each of M and M^T: lam is the largest eigenvalue
+    modulus of M (the bits of ``perron_roots``: LAPACK's eigenvalues of a
+    small matrix do not depend on whether vectors are asked for), u and v
+    the magnitudes of the eigenvectors at the eigenvalue nearest lam, with
+    sum_i u_i = 1 and sum_i u_i v_i = 1. Raises ValueError for the zero
+    matrix and when the residual max(|M u - lam u|, |v M - lam v|) is not
+    at most 1e-9 times the largest row sum, as for a nilpotent or defective
+    pattern, whose u and v are orthogonal. A non-primitive pattern,
+    periodic ones included, only sets ``primitive_warning``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -145,9 +147,9 @@ def perron_triple(M: np.ndarray) -> SpectralTriple:
         raise ValueError("M must be nonnegative")
     if not M.any():
         raise ValueError("mean matrix is identically zero; no dominant eigenvalue")
-    lam = float(perron_roots(M[None])[0])
     w, R = np.linalg.eig(M)
     wt, L = np.linalg.eig(M.T)
+    lam = float(np.abs(w).max())
     u = np.abs(R[:, np.argmin(np.abs(w - lam))])
     v = np.abs(L[:, np.argmin(np.abs(wt - lam))])
     u /= u.sum()

@@ -580,8 +580,8 @@ def test_only_time_bounds_builds_dense_mean_matrices(tmp_path, monkeypatch, caps
 
     for module in ("spectral", "montecarlo", "extinction"):
         monkeypatch.setattr(f"gwpva.{module}._scatter", spy)
-    for module in ("spectral", "montecarlo"):
-        monkeypatch.setattr(f"gwpva.{module}.perron_roots", refuse)
+    for name in ("spectral.perron_roots", "spectral.perron_triple", "montecarlo.perron_roots"):
+        monkeypatch.setattr(f"gwpva.{name}", refuse)
     common = ["--posterior", str(posterior), "--seed", "2024", "--nprec", "2000"]
     pop = ["--pop", "2,2,2,2,10"]
     for argv in (["viability"], ["extinction"] + pop, ["reintroduce", "--type", "5"],

@@ -25,12 +25,7 @@ def test_sex_ratio_posterior():
 
 def _bound(*shapes):
     # SciPy's own worst error on this grid is about 1.1e-14 for the Beta and
-    # 2.4e-14 for the Gamma quantiles, at shape 0.05. Below its mean a
-    # Gamma(a) quantile is about (q Gamma(1 + a))^(1/a), so it carries the
-    # rounding of the double P(a, x) near q, one or two units of 1.1e-16,
-    # times 1/a: up to 2.2e-14 at a = 0.01
-    if 0.01 in shapes:
-        return 2.5e-14
+    # 2.4e-14 for the Gamma quantiles, at shape 0.05
     return 1e-13 if 4000.0 in shapes else 1e-14
 
 
@@ -66,17 +61,21 @@ def test_beta_and_gamma_credible_intervals_match_reference_quantiles():
 def test_gamma_quantiles_below_shape_005():
     # log Gamma(1 + a) from its Taylor series: math.log(math.gamma(1 + a))
     # put the point below off by 3.7e-14 and the row's four quantiles at
-    # q >= 0.9 by up to 5.8e-15
+    # q >= 0.9 by up to 5.8e-15. Below its mean a Gamma(a) quantile is about
+    # (q Gamma(1 + a))^(1/a), so it carries the rounding of the double
+    # P(a, x) near q, one or two units of 1.1e-16, times 1/a: up to 2.2e-14
+    # at a = 0.01, hence the row's bound
+    bound = 2.5e-14
     refs = dict(zip(QUANTILE_QS, GAMMA_QUANTILES[0.01], strict=True))
     for q, ref in refs.items():
-        assert _gamma_quantile(0.01, q) == pytest.approx(float(ref), rel=_bound(0.01), abs=0)
+        assert _gamma_quantile(0.01, q) == pytest.approx(float(ref), rel=bound, abs=0)
         if q >= 0.9:
             assert _gamma_quantile(0.01, q) == pytest.approx(float(ref), rel=1e-15, abs=0)
     for y in QUANTILE_SHAPES:
         for level in QUANTILE_LEVELS:
             ends = ((1 - level) / 2, 1 - (1 - level) / 2)
             assert g.GammaParams(0.01, y).credible_interval(level) == pytest.approx(
-                [float(refs[q]) / y for q in ends], rel=_bound(0.01), abs=0)
+                [float(refs[q]) / y for q in ends], rel=bound, abs=0)
     for (a, q), ref in GAMMA_QUANTILE_POINTS.items():
         assert _gamma_quantile(a, q) == pytest.approx(float(ref), rel=1e-14, abs=0)
 

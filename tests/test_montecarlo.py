@@ -18,13 +18,14 @@ from conftest import dense_mean_matrices, dense_pgf, dense_pgf_jacobian
 
 @pytest.fixture
 def no_perron_solve(monkeypatch):
-    """Fail the test on any Perron solve (``perron_triple`` calls
-    ``perron_roots`` too); ``undo()`` on the returned monkeypatch allows
-    them again."""
+    """Fail the test on any Perron solve (``perron_roots`` or
+    ``perron_triple``); ``undo()`` on the returned monkeypatch allows them
+    again."""
     def refuse(*args):
         raise AssertionError("a Perron pair was solved")
 
-    monkeypatch.setattr(spectral, "perron_roots", refuse)
+    for name in ("perron_roots", "perron_triple"):
+        monkeypatch.setattr(spectral, name, refuse)
     monkeypatch.setattr(montecarlo, "perron_roots", refuse)
     return monkeypatch
 

@@ -187,9 +187,14 @@ def test_perron_triple_matches_scipy(bear_ensemble):
     assert compared > 1500
 
 
-def test_lambdas_at_one_type_are_the_means(synthetic_posterior):
-    # LAPACK returns a 1 x 1 matrix as its own eigenvalue
+def test_lambdas_at_one_type_are_the_means(synthetic_posterior, monkeypatch):
+    # a 1 x 1 matrix is its own eigenvalue, the bits LAPACK gives it, and
+    # perron_triple's root; the ensemble reads it off with no LAPACK call
     from gwpva.montecarlo import PosteriorEnsemble
 
     ens = PosteriorEnsemble(synthetic_posterior, n_prec=2000, master_seed=7)
-    assert ens.lambdas.tobytes() == ens.pair_means[(1, 1)].tobytes()
+    means = ens.pair_means[(1, 1)]
+    assert np.abs(np.linalg.eigvals(means[:, None, None]))[:, 0].tobytes() == means.tobytes()
+    assert all(spectral.perron_triple(np.array([[m]])).lam == m for m in means[::97])
+    monkeypatch.setattr(np.linalg, "eigvals", None)
+    assert ens.lambdas.tobytes() == means.tobytes()

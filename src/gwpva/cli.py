@@ -69,16 +69,21 @@ def _write_out(path: str | None, doc: dict) -> None:
     Path(path).write_text(payload)
 
 
+def _parsed(path: str, parse, *args):
+    """``parse(*args)``, its ParseError raised as a CliError naming ``path``."""
+    try:
+        return parse(*args)
+    except ParseError as e:
+        raise CliError(f"{path}: {e}", kind="parse") from None
+
+
 def _load_posterior(path: str):
     text = _read(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: invalid JSON: {e}", kind="parse") from None
-    try:
-        post, poisson = posterior_from_document(doc)
-    except ParseError as e:
-        raise CliError(f"{path}: {e}", kind="parse") from None
+    post, poisson = _parsed(path, posterior_from_document, doc)
     if poisson:
         raise CliError("posterior contains Poisson-rate pairs; Monte Carlo "
                        "subcommands support categorical posteriors only",
@@ -132,11 +137,8 @@ def _estimate_doc(quantity: str, est, **extra) -> dict:
 def cmd_fit(args) -> int:
     table_text = _read(args.table)
     prior_text = _read(args.prior)
-    try:
-        config = parse_prior_config(prior_text)
-        table = parse_life_table(table_text, K=config.cap.K)
-    except ParseError as e:
-        raise CliError(str(e), kind="parse") from None
+    config = _parsed(args.prior, parse_prior_config, prior_text)
+    table = _parsed(args.table, parse_life_table, table_text, config.cap.K)
     # a Poisson pair has no cap: its records update its Gamma prior, not the
     # Dirichlet posterior, so they are not judged against the cap
     poisson = config.poisson
@@ -300,13 +302,10 @@ def cmd_simulate(args) -> int:
 def cmd_baseline(args) -> int:
     from .baseline import log_growth_moments, regression_extinction_interval
     text = _read(args.table)
-    try:
-        if args.series:
-            t, N = parse_abundance_series(text)
-        else:
-            table = parse_life_table(text)
-    except ParseError as e:
-        raise CliError(str(e), kind="parse") from None
+    if args.series:
+        t, N = _parsed(args.table, parse_abundance_series, text)
+    else:
+        table = _parsed(args.table, parse_life_table, text)
     # the log-growth moments take consecutive observations as one step apart
     if args.series and any(b - a != 1 for a, b in zip(t, t[1:])):
         raise CliError("--series needs consecutive times t, t + 1, ...", kind="validation")

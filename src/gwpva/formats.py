@@ -174,29 +174,25 @@ def _build_alpha(spec: dict, kappa: int, where: str,
         raise ParseError(f"{where}: {e}") from None
 
 
-def parse_prior_config(text: str) -> PriorConfig:
-    """Parse a prior-config JSON document.
-
-    Pairs omitted from the document are structurally forbidden."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
+def _pair_entries(doc, top: set | None = None) -> tuple[int, list]:
+    """(K, [(where, (i, j), law, entry)]) of a document's pairs in order, with
+    where "pairs[k]". ParseError unless ``doc`` is an object of the current
+    format_version with no top-level key outside ``top`` (if given), K is a
+    positive JSON integer, and ``pairs`` is a nonempty list of objects with
+    JSON-integer i and j in 1..K, no pair given twice, whatever its law."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}")
-    _check_keys("top level", doc, {"format_version", "K", "pairs"})
+    if top is not None:
+        _check_keys("top level", doc, top)
     K = doc.get("K")
     if not _is_int(K) or K < 1:
         raise ParseError("K must be a positive integer")
     pairs = doc.get("pairs")
     if not isinstance(pairs, list) or not pairs:
         raise ParseError("pairs must be a nonempty list")
-    kappa: dict[Pair, int] = {}
-    alpha: dict[Pair, tuple[float, ...]] = {}
-    poisson: dict[Pair, GammaParams] = {}
-    warnings: list[str] = []
+    entries: dict[Pair, tuple] = {}
     for idx, entry in enumerate(pairs):
         where = f"pairs[{idx}]"
         if not isinstance(entry, dict):
@@ -206,17 +202,34 @@ def parse_prior_config(text: str) -> PriorConfig:
             raise ParseError(f"{where}: needs integer i and j")
         if not (1 <= i <= K and 1 <= j <= K):
             raise ParseError(f"{where}: pair ({i},{j}) outside 1..{K}")
-        if (i, j) in kappa or (i, j) in poisson:
+        if (i, j) in entries:
             raise ParseError(f"{where}: duplicate pair ({i},{j})")
-        law = entry.get("law", "categorical")
+        entries[(i, j)] = (where, (i, j), entry.get("law", "categorical"), entry)
+    return K, list(entries.values())
+
+
+def parse_prior_config(text: str) -> PriorConfig:
+    """Parse a prior-config JSON document.
+
+    Pairs omitted from the document are structurally forbidden."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from None
+    K, entries = _pair_entries(doc, {"format_version", "K", "pairs"})
+    kappa: dict[Pair, int] = {}
+    alpha: dict[Pair, tuple[float, ...]] = {}
+    poisson: dict[Pair, GammaParams] = {}
+    warnings: list[str] = []
+    for where, pair, law, entry in entries:
         if law == "categorical":
             _check_keys(where, entry, {"i", "j", "law", "kappa", "prior"})
             kap = entry.get("kappa")
             if not _is_int(kap) or kap < 1:
                 raise ParseError(f"{where}: kappa must be an integer >= 1")
-            kappa[(i, j)] = kap
-            alpha[(i, j)] = _build_alpha(entry.get("prior", {"rule": "flat"}), kap,
-                                         where, warnings)
+            kappa[pair] = kap
+            alpha[pair] = _build_alpha(entry.get("prior", {"rule": "flat"}), kap,
+                                       where, warnings)
         elif law == "thinned":
             # sex-ratio-thinned litter model, materialized as an expert-rule
             # categorical prior: the induced female-offspring law at the
@@ -234,15 +247,15 @@ def parse_prior_config(text: str) -> PriorConfig:
                 if len(litter) < 2:
                     raise ValueError("litter needs at least 2 entries (kappa >= 1)")
                 guess = thinned_offspring_law(litter, BetaParams(a, b).mean)
-                alpha[(i, j)] = prior_expert(weight, guess)
+                alpha[pair] = prior_expert(weight, guess)
             except ValueError as e:
                 raise ParseError(f"{where}: {e}") from None
-            kappa[(i, j)] = len(litter) - 1
+            kappa[pair] = len(litter) - 1
         elif law == "poisson":
             _check_keys(where, entry, {"i", "j", "law", "prior"})
             prior = entry.get("prior", {})
             try:
-                poisson[(i, j)] = GammaParams(float(prior["shape"]), float(prior["rate"]))
+                poisson[pair] = GammaParams(float(prior["shape"]), float(prior["rate"]))
             except (KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"{where}: poisson prior needs positive shape and rate "
                                  f"({e})") from None
@@ -256,16 +269,6 @@ def parse_prior_config(text: str) -> PriorConfig:
     return PriorConfig(cap=cap, hyper=hyper, poisson=poisson, warnings=tuple(warnings))
 
 
-def _check_poisson_pairs(K: int, categorical, poisson) -> None:
-    """ParseError, a ValueError, if a Poisson pair lies outside 1..K or is
-    one of the ``categorical`` pairs too."""
-    for (i, j) in sorted(poisson):
-        if not (1 <= i <= K and 1 <= j <= K):
-            raise ParseError(f"Poisson pair ({i},{j}) outside 1..{K}")
-        if (i, j) in categorical:
-            raise ParseError(f"pair ({i},{j}) is both categorical and Poisson")
-
-
 def posterior_to_document(post: PosteriorParams,
                           poisson: Mapping[Pair, GammaParams] | None = None,
                           meta: dict | None = None) -> dict:
@@ -273,13 +276,10 @@ def posterior_to_document(post: PosteriorParams,
 
     ``mean_matrix`` holds the posterior mean offspring numbers of every
     pair: the Dirichlet mean of a categorical pair, the Gamma mean
-    shape/rate of a Poisson pair. ValueError if a Poisson pair lies outside
-    1..K or is categorical too."""
+    shape/rate of a Poisson pair. ParseError, a ValueError, if the pair
+    list rendered is one ``posterior_from_document`` would refuse: a
+    Poisson pair outside 1..K or on a categorical pair."""
     poisson = poisson or {}
-    _check_poisson_pairs(post.K, post.alpha, poisson)
-    M = [list(row) for row in posterior_mean_matrix(post)]
-    for (i, j), g in poisson.items():
-        M[i - 1][j - 1] = g.mean
     pairs = []
     for (i, j) in sorted(post.alpha):
         a = post.alpha[(i, j)]
@@ -291,7 +291,11 @@ def posterior_to_document(post: PosteriorParams,
         g = poisson[(i, j)]
         pairs.append({"i": i, "j": j, "law": "poisson", "shape": g.shape, "rate": g.rate,
                       "mean": g.mean, "credible_90": list(g.credible_interval(0.90))})
-    doc = {"format_version": FORMAT_VERSION, "K": post.K, "pairs": pairs, "mean_matrix": M}
+    doc = {"format_version": FORMAT_VERSION, "K": post.K, "pairs": pairs,
+           "mean_matrix": [list(row) for row in posterior_mean_matrix(post)]}
+    _pair_entries(doc)
+    for (i, j), g in poisson.items():
+        doc["mean_matrix"][i - 1][j - 1] = g.mean
     if meta:
         doc["meta"] = meta
     return doc
@@ -300,31 +304,14 @@ def posterior_to_document(post: PosteriorParams,
 def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, GammaParams]]:
     """Rebuild posterior parameters from a fitted-posterior document.
 
-    ParseError on a missing or empty ``pairs`` list, a K, i or j that is not
-    a JSON integer, a pair that is not an object or lies outside 1..K, a
-    categorical ``alpha`` of fewer than 2 entries, a Poisson pair on a
-    categorical pair, or a pair given twice with the same law."""
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"format_version must be {FORMAT_VERSION}")
-    K = doc.get("K")
-    if not _is_int(K) or K < 1:
-        raise ParseError("K must be a positive integer")
-    pairs = doc.get("pairs")
-    if not isinstance(pairs, list) or not pairs:
-        raise ParseError("pairs must be a nonempty list")
+    ParseError on a pair list ``_pair_entries`` refuses, an unknown law, a
+    categorical ``alpha`` of fewer than 2 entries or a Poisson pair without shape and rate."""
+    K, entries = _pair_entries(doc)
     kappa: dict[Pair, int] = {}
     alpha: dict[Pair, tuple[float, ...]] = {}
     poisson: dict[Pair, GammaParams] = {}
-    for idx, entry in enumerate(pairs):
+    for where, (i, j), law, entry in entries:
         try:
-            if not isinstance(entry, dict):
-                raise ValueError("must be an object")
-            i, j = entry.get("i"), entry.get("j")
-            if not (_is_int(i) and _is_int(j)):
-                raise ValueError("needs integer i and j")
-            law = entry.get("law", "categorical")
-            if (i, j) in (poisson if law == "poisson" else alpha):
-                raise ValueError(f"duplicate pair ({i},{j})")
             if law == "categorical":
                 a = _floats(entry["alpha"], "alpha")
                 if len(a) < 2:
@@ -336,8 +323,7 @@ def posterior_from_document(doc: dict) -> tuple[PosteriorParams, dict[Pair, Gamm
             else:
                 raise ValueError(f"unknown law {law!r}")
         except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"pairs[{idx}]: {e}") from None
-    _check_poisson_pairs(K, alpha, poisson)
+            raise ParseError(f"{where}: {e}") from None
     try:
         return PosteriorParams(OffspringCap(K, kappa), alpha), poisson
     except ValueError as e:

@@ -10,7 +10,6 @@ carry no estimated parameters (all mass on zero offspring).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -165,9 +164,25 @@ class PoissonLaw:
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate!r}")
 
     def sample_counts(self, rng, n_parents: int) -> dict[int, int]:
-        """Histogram {k: #parents with k offspring} for n_parents parents,
-        from a NumPy Generator ``rng``, in increasing k."""
-        return dict(sorted(Counter(rng.poisson(self.rate, size=n_parents).tolist()).items()))
+        """Histogram {k: #parents with k offspring > 0} for n_parents parents,
+        from a NumPy Generator ``rng``, in increasing k: for k = 0, 1, ...
+        until no parent is left, n_k ~ Binomial(parents left, P(X = k) /
+        P(X >= k)), one draw per k whatever n_parents is."""
+        from .extensions import _gamma_tail  # extensions imports model
+
+        counts, left, k = {}, n_parents, 0
+        while left:
+            if k == 0:
+                ratio = math.exp(-self.rate)
+            else:  # P(X >= k) = P(k, rate), and P(X = k) = dP/dlog(rate) / k
+                tail, dtail = _gamma_tail(k, self.rate, lower=True)
+                ratio = min(1.0, dtail / k / tail) if tail else 1.0
+            n = int(rng.binomial(left, ratio))
+            if n:
+                counts[k] = n
+            left -= n
+            k += 1
+        return counts
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .extinction import (_OPEN_END, SurvivalBounds, _as_abundance, _coefficient_major,
-                         _fixed_point_rows, _lambda_below, extinction_time_bounds)
+                         _first_crossing, _fixed_point_rows, _lambda_below,
+                         extinction_time_bounds)
 from .inference import DEFAULT_N_PREC, HyperParams
 from .sampling import _dirichlet_rows
 from .spectral import _scatter, is_primitive, pair_means, perron_roots
@@ -351,28 +352,15 @@ def effective_population_size(params: HyperParams, type_index: int,
                               ensemble: PosteriorEnsemble | None = None) -> int | None:
     """Smallest number n of type-``type_index`` founders with posterior
     extinction probability E[s_i^n] below ``threshold`` (None if even
-    ``max_founders`` founders do not reach it)."""
+    ``max_founders`` founders do not reach it), a crossing of the nonincreasing
+    E[s_i^n]. ValueError unless 0 < threshold < 1 and max_founders >= 1."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0,1)")
+    if max_founders < 1:
+        raise ValueError("max_founders must be >= 1")
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     if not 1 <= type_index <= ens.K:
         raise ValueError(f"type_index outside 1..{ens.K}")
     good = _usable_profiles(ens)[0][:, type_index - 1]
-    n_used = len(good)
-
-    def pext(n: int) -> float:
-        return float(np.sum(good ** n) / n_used)
-
-    # E[s^n] falls with n from E[s^0] = 1: gallop up to max_founders, bisect
-    lo, hi = 0, 1
-    while pext(hi) >= threshold:
-        if hi >= max_founders:
-            return None
-        lo, hi = hi, min(2 * hi, max_founders)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pext(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _first_crossing(
+        lambda ns: [np.sum(good ** int(n)) / len(good) < threshold for n in ns], max_founders)

@@ -10,6 +10,7 @@ posterior ensemble's rows come from one stream (``_dirichlet_rows``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -156,8 +157,8 @@ class Trajectory:
 
 
 def _step(draw: ParameterDraw, N: tuple[int, ...], t: int, rng: np.random.Generator,
-          counts: dict) -> tuple[int, ...]:
-    """One generation; records n[i, j](k, t) for all nonzero counts."""
+          counts: dict | None) -> tuple[int, ...]:
+    """One generation from N(t); records n[i, j](k, t) > 0 in ``counts`` unless it is None."""
     K = draw.K
     new = [0] * K
     for (i, j) in sorted(draw.p):
@@ -166,15 +167,27 @@ def _step(draw: ParameterDraw, N: tuple[int, ...], t: int, rng: np.random.Genera
             continue
         law = draw.p[(i, j)]
         if isinstance(law, PoissonLaw):
-            ks = sorted(law.sample_counts(rng, n_parents).items())
+            ks = law.sample_counts(rng, n_parents).items()
         else:
             v = np.asarray(law, dtype=float)
             ks = enumerate(rng.multinomial(n_parents, v / v.sum()))
         for k, n in ks:
             if n:
-                counts[(i, j, k, t)] = int(n)
+                if counts is not None:
+                    counts[(i, j, k, t)] = int(n)
                 new[j - 1] += k * int(n)
     return tuple(new)
+
+
+def _generations(draw: ParameterDraw, N: tuple[int, ...], rng: np.random.Generator,
+                 counts: dict | None = None):
+    """Yield N(1), N(2), ... from N(0) = N by ``_step``, stopping once the
+    last state is empty or its total exceeds ``_OVERFLOW_CAP``."""
+    t = 0
+    while 0 < sum(N) <= _OVERFLOW_CAP:
+        N = _step(draw, N, t, rng, counts)
+        t += 1
+        yield N
 
 
 def simulate(draw: ParameterDraw, initial: PopulationState, horizon: int, seed) -> Trajectory:
@@ -188,29 +201,15 @@ def simulate(draw: ParameterDraw, initial: PopulationState, horizon: int, seed) 
         raise ValueError("horizon must be >= 0")
     if initial.K != draw.K:
         raise ValueError("initial state dimension mismatch")
-    rng = _as_rng(seed)
-    states = [PopulationState(initial.N, time=0)]
     counts: dict = {}
-    extinct_at = None
-    truncated = False
-    N = initial.N
-    last_t = -1
-    for t in range(horizon):
-        if sum(N) == 0:
-            extinct_at = t
-            break
-        if sum(N) > _OVERFLOW_CAP:
-            truncated = True
-            break
-        N = _step(draw, N, t, rng, counts)
-        last_t = t
-        states.append(PopulationState(N, time=t + 1))
-    else:
-        if sum(N) == 0:
-            extinct_at = horizon
-    table = LifeTable(draw.K, max(last_t, 0), counts)
-    return Trajectory(states=states, table=table, extinct_at=extinct_at,
-                      truncated=truncated)
+    states = [PopulationState(initial.N, time=0)]
+    path = _generations(draw, initial.N, _as_rng(seed), counts)
+    for t, N in enumerate(islice(path, horizon), start=1):
+        states.append(PopulationState(N, time=t))
+    last = states[-1]
+    return Trajectory(states=states, table=LifeTable(draw.K, max(last.time - 1, 0), counts),
+                      extinct_at=last.time if last.extinct else None,
+                      truncated=last.total > _OVERFLOW_CAP and last.time < horizon)
 
 
 def simulate_extinction_time(draw: ParameterDraw, initial: PopulationState, seed,
@@ -222,12 +221,5 @@ def simulate_extinction_time(draw: ParameterDraw, initial: PopulationState, seed
         raise ValueError("initial state dimension mismatch")
     if initial.extinct:
         return 0
-    rng = _as_rng(seed)
-    N = initial.N
-    for t in range(1, max_time + 1):
-        if sum(N) > _OVERFLOW_CAP:
-            return None
-        N = _step(draw, N, t - 1, rng, {})
-        if sum(N) == 0:
-            return t
-    return None
+    path = islice(_generations(draw, initial.N, _as_rng(seed)), max_time)
+    return next((t for t, N in enumerate(path, start=1) if not any(N)), None)

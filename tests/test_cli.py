@@ -143,8 +143,27 @@ def test_fit_refuses_a_non_integer_pair_index(synthetic_files, tmp_path, capsys)
         assert main(["fit", "--table", str(synthetic_files["table"]), "--prior", str(prior),
                      "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "parse" and err["error"].startswith("pairs[0]: "), err
+        assert err["kind"] == "parse" and err["error"].startswith(f"{prior}: pairs[0]: "), err
         assert not out.exists()
+
+
+def test_parse_errors_name_their_file(synthetic_files, tmp_path, capsys):
+    # a malformed life table or series names the file it came from, as a
+    # prior config and a posterior document do
+    table = tmp_path / "table.csv"
+    table.write_text("i,j,k,t,count\n1,1,0,0,2.5\n")
+    series = tmp_path / "series.csv"
+    series.write_text("t,N\n0,many\n")
+    for argv, path, why in (
+            (["fit", "--table", str(table), "--prior", str(synthetic_files["prior"])],
+             table, "line 2: all fields must be integers"),
+            (["baseline", "--table", str(table)], table, "line 2: all fields must be integers"),
+            (["baseline", "--series", "--table", str(series)], series,
+             "line 2: fields must be numeric")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"{path}: {why}", "kind": "parse"}
 
 
 def test_viability_and_extinction(synthetic_files, tmp_path, capsys):

@@ -176,6 +176,32 @@ def test_poisson_law_interface():
     assert sum(counts.values()) == 500
     mean = sum(k * n for k, n in counts.items()) / 500
     assert mean == pytest.approx(2.0, abs=0.2)
+    # the histogram is drawn one binomial per offspring count, so its cost
+    # does not grow with the number of parents
+    counts = law.sample_counts(SeedSpec(5, 0).rng(), 10 ** 12)
+    assert sum(counts.values()) == 10 ** 12
+    assert list(counts) == sorted(counts) and all(counts.values())
+    # at n = 10^6 it follows the Poisson pmf: mean and variance within 5
+    # standard errors, and a chi-square test with pooled tails
+    from scipy import stats
+
+    n = 10 ** 6
+    for rate in (0.8, 2.5, 7.0):
+        counts = g.PoissonLaw(rate).sample_counts(SeedSpec(5, 1).rng(), n)
+        k, m = np.array(list(counts)), np.array(list(counts.values()))
+        mean = (k * m).sum() / n
+        assert abs(mean - rate) <= 5 * math.sqrt(rate / n)
+        assert abs((k * k * m).sum() / n - mean ** 2 - rate) <= 5 * math.sqrt(
+            (rate + 2 * rate ** 2) / n)
+        lo, hi = int(stats.poisson.ppf(1e-3, rate)), int(stats.poisson.isf(1e-3, rate))
+        ks = np.arange(lo, hi + 1)
+        observed = np.array([m[k < lo].sum(), *(counts.get(int(j), 0) for j in ks),
+                             m[k > hi].sum()])
+        expected = n * np.array([stats.poisson.cdf(lo - 1, rate),
+                                 *stats.poisson.pmf(ks, rate), stats.poisson.sf(hi, rate)])
+        keep = expected > 0
+        chi2 = float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())
+        assert stats.chi2.sf(chi2, keep.sum() - 1) > 1e-3, (rate, chi2)
 
 
 def test_nonfinite_parameters_rejected():
@@ -211,6 +237,10 @@ def test_poisson_law_in_draw_and_simulation():
     traj = g.simulate(draw, g.PopulationState((3,)), 5, SeedSpec(6, 0))
     # the first generation records one offspring count per founder
     assert sum(n for (_, _, _, t), n in traj.table.counts.items() if t == 0) == 3
+    # a supercritical Poisson path stops at the overflow cap before the horizon
+    traj = g.simulate(draw, g.PopulationState((100,)), 60, SeedSpec(1, 0))
+    assert traj.truncated and traj.extinct_at is None
+    assert traj.final.total > 10 ** 12 and traj.final.time < 60
 
 
 def test_convolve_survival_reproduction_exact():

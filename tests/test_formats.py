@@ -282,6 +282,35 @@ def test_posterior_from_document_names_the_bad_entry_once(bear_posterior):
         g.posterior_from_document({"format_version": 1, "K": 1,
                                    "pairs": [{"i": 1, "j": 1, "law": "zeta"}]})
     # a categorical pair outside 1..K is a parse error too
-    with pytest.raises(ParseError, match=r"\(1,2\) outside 1\.\.1"):
+    with pytest.raises(ParseError, match=r"^pairs\[0\]: pair \(1,2\) outside 1\.\.1$"):
         g.posterior_from_document({"format_version": 1, "K": 1,
                                    "pairs": [{"i": 1, "j": 2, "alpha": [1.0, 1.0]}]})
+
+
+def test_one_pair_list_rule_for_both_documents_and_the_writer(bear_posterior):
+    # the prior config, the posterior document and the writer share one
+    # pair-list check: a pair may appear once whatever its law, and every
+    # pair-list fault names its entry
+    cat = {"i": 1, "j": 1, "alpha": [1.0, 2.0]}
+    pois = {"i": 1, "j": 1, "law": "poisson", "shape": 1.0, "rate": 1.0}
+    for pairs in ([cat, pois], [pois, cat]):
+        with pytest.raises(ParseError, match=r"^pairs\[1\]: duplicate pair \(1,1\)$"):
+            g.posterior_from_document({"format_version": 1, "K": 1, "pairs": pairs})
+    with pytest.raises(ParseError, match=r"^pairs\[1\]: duplicate pair \(1,1\)$"):
+        g.parse_prior_config(_config([
+            {"i": 1, "j": 1, "kappa": 1},
+            {"i": 1, "j": 1, "law": "poisson", "prior": {"shape": 1.0, "rate": 1.0}}]))
+    with pytest.raises(ParseError, match=r"^pairs\[1\]: pair \(2,1\) outside 1\.\.1$"):
+        g.posterior_from_document({"format_version": 1, "K": 1,
+                                   "pairs": [cat, {**pois, "i": 2}]})
+    for doc in ([], "x", 1, None):
+        with pytest.raises(ParseError, match=r"^top level must be an object$"):
+            g.posterior_from_document(doc)
+        with pytest.raises(ParseError, match=r"^top level must be an object$"):
+            g.parse_prior_config(json.dumps(doc))
+    # the writer refuses what the reader would, naming the rendered entry:
+    # bear's 6 categorical pairs come first
+    with pytest.raises(ParseError, match=r"^pairs\[6\]: pair \(6,1\) outside 1\.\.5$"):
+        g.posterior_to_document(bear_posterior, poisson={(6, 1): g.GammaParams(1.0, 1.0)})
+    with pytest.raises(ParseError, match=r"^pairs\[6\]: duplicate pair \(1,2\)$"):
+        g.posterior_to_document(bear_posterior, poisson={(1, 2): g.GammaParams(1.0, 1.0)})

@@ -552,6 +552,17 @@ def test_effective_population_size_tries_max_founders():
     for cap, expected in [(10 ** 6, 701), (1000, 701), (701, 701), (700, None)]:
         assert g.effective_population_size(post, 1, threshold, max_founders=cap,
                                            ensemble=ens) == expected
+    # the search finds the n of a plain scan of E[s^n] over 1..max_founders
+    risk = [float(np.sum(s ** n) / len(s)) for n in range(1, 1001)]
+    for threshold in (0.9, 0.5, 0.2, 0.05, risk[699], risk[999]):
+        for cap in (1, 2, 3, 10, 64, 100, 1000):
+            scan = next((n for n in range(1, cap + 1) if risk[n - 1] < threshold), None)
+            assert g.effective_population_size(post, 1, threshold, max_founders=cap,
+                                               ensemble=ens) == scan, (threshold, cap)
+    # a cap below one founder is refused, not answered with one founder
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_founders must be >= 1"):
+            g.effective_population_size(post, 1, 0.96, max_founders=cap, ensemble=ens)
 
 
 def test_ensemble_rerun_and_prefix_invariance(bear_posterior):

@@ -3,7 +3,7 @@ import pytest
 
 import gwpva as g
 from gwpva.datasets import synthetic_cap, synthetic_true_draw
-from gwpva.sampling import SeedSpec
+from gwpva.sampling import _OVERFLOW_CAP, SeedSpec
 
 
 def test_seedspec_streams_are_deterministic_and_distinct():
@@ -103,6 +103,37 @@ def test_simulate_extinction_time_censoring():
     # founders of a type the draw does not have are refused, not ignored
     with pytest.raises(ValueError, match="initial state dimension mismatch"):
         g.simulate_extinction_time(sub, g.PopulationState((3, 1000)), SeedSpec(1, 0))
+    # both step the same generations on the same stream: a path that dies
+    # by the horizon dies at the same time in each, on a K = 1 and a K = 2 law
+    two = g.ParameterDraw(g.OffspringCap(2, {(1, 1): 1, (1, 2): 2, (2, 1): 1, (2, 2): 1}),
+                          {(1, 1): [0.5, 0.5], (1, 2): [0.5, 0.3, 0.2], (2, 1): [0.7, 0.3],
+                           (2, 2): [0.6, 0.4]})
+    for draw, start in ((sub, (6,)), (two, (3, 2))):
+        died = 0
+        for r in range(40):
+            traj = g.simulate(draw, g.PopulationState(start), 60, SeedSpec(8, r))
+            text = g.simulate_extinction_time(draw, g.PopulationState(start), SeedSpec(8, r))
+            if traj.extinct_at is not None:
+                died += 1
+                assert traj.extinct_at == text
+            else:
+                assert text is None or text > 60
+        assert died >= 20
+
+
+def test_simulate_truncates_only_before_the_horizon():
+    # one founder doubling each generation first exceeds _OVERFLOW_CAP
+    # (10^12) at t = 40, 2^40 = 1.1e12
+    double = g.ParameterDraw(g.OffspringCap(1, {(1, 1): 2}), {(1, 1): [0.0, 0.0, 1.0]})
+    one = g.PopulationState((1,))
+    at = g.simulate(double, one, 40, SeedSpec(3, 0))
+    assert not at.truncated and at.final.total == 2 ** 40 > _OVERFLOW_CAP
+    assert at.final.time == 40 and at.table.horizon == 39
+    for horizon in (41, 45):
+        past = g.simulate(double, one, horizon, SeedSpec(3, 0))
+        assert past.truncated and past.extinct_at is None
+        assert [s.N for s in past.states] == [s.N for s in at.states]
+    assert g.simulate_extinction_time(double, one, SeedSpec(3, 0)) is None
 
 
 def test_simulate_validates_inputs():

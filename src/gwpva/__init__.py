@@ -38,7 +38,7 @@ _HOMES = {  # home module -> the names it exports
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted(_HOME)
-__version__ = "1.5.3"
+__version__ = "1.5.4"
 
 
 def __getattr__(name: str):

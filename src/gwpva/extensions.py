@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .model import OffspringCap, ParameterDraw, PoissonLaw, _floats, _total
@@ -170,6 +171,16 @@ def _gamma_tail(a: float, x: float, lower: bool) -> tuple[float, float]:
         if abs(d * c - 1) <= 2.3e-16:
             break
     return (1 - K * f if lower else K * f), K
+
+
+@lru_cache(maxsize=2 ** 14)  # every k a rate-10^4 law draws
+def _poisson_ratio(rate: float, k: int) -> float:
+    """P(X = k) / P(X >= k) for X ~ Poisson(rate), computed once per (rate,
+    k): P(X >= k) = P(k, rate), and P(X = k) = dP/dlog(rate) / k."""
+    if k == 0:
+        return math.exp(-rate)
+    tail, dtail = _gamma_tail(k, rate, lower=True)
+    return min(1.0, dtail / k / tail) if tail else 1.0
 
 
 def _tail_root(tail: Callable[[float, bool], tuple[float, float]], q: float, v: float) -> float:

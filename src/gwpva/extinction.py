@@ -368,7 +368,11 @@ def extinction_probability(profile: ExtinctionProfile | np.ndarray,
     return float(np.prod(s ** N))
 
 
-_CURVE_CELLS = 2 ** 18  # (time, type, draw) cells per block of ``_upper_curve``
+_CURVE_CELLS = 2 ** 18  # (time, type, draw) cells of v(t) that ``_upper_curve`` caches
+# (time, type, draw) cells per block of ``_upper_curve``: glibc keeps a freed
+# array of 64 KiB for reuse, but hands one of 128 KiB (its default mmap and
+# trim threshold) back to the OS, so the next block would fault its pages in
+_BLOCK_CELLS = 2 ** 13
 
 
 def _times(ts) -> np.ndarray:
@@ -393,29 +397,23 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _upper_curve(means: dict, N: np.ndarray, ts, powers: list, states: dict) -> np.ndarray:
     """The mean over n draws of min(1, N M^t 1) at the integer times ts (any
     shape), from their pair means (mean matrices M) and the (K,) population
-    N. E N(t) = N M^t, so by Markov's inequality on the total count
-    P(T_ext > t) = P(N(t) != 0) <= N M^t 1 (Athreya & Ney, *Branching
-    Processes*, 1972, ch. V). At K >= 2 the curve may rise at some t.
-
-    v(t) = M^t 1 is read low bit first: v(0) = 1, and v(r) = M^(2^b)
-    v(r - 2^b) for b the highest bit of r, so the order of the product is
-    set by t alone. ``powers`` caches M, M^2, M^4, ... column-major (the
-    square of A is ``_matvec(A, A)``) and ``states`` the v(r) read so far,
-    up to ``_CURVE_CELLS`` cells; both start empty, as in
-    ``SurvivalBounds``. Times are read in blocks of at most
-    ``_CURVE_CELLS`` (time, type, draw) cells, each computing the v(r) it
-    lacks once, a batch per power. N v(t) adds its K terms in order, and the
-    mean is a cumulative sum over the draws in row order, divided by n. So
-    a time's value has the same bits whatever other times share the call
-    and whatever the caches hold, and at n = 1 it is the draw's own bound.
-    """
+    N: E N(t) = N M^t, so P(T_ext > t) = P(N(t) != 0) <= N M^t 1 by Markov's
+    inequality (Athreya & Ney, *Branching Processes*, 1972, ch. V), and at
+    K >= 2 the curve may rise at some t. v(t) = M^t 1 is read low bit first,
+    in an order set by t alone: v(0) = 1, and v(r) = M^(2^b) v(r - 2^b) for
+    b the highest bit of r. ``powers`` (M, M^2, M^4, ... column-major) and
+    ``states`` (the v(r) read so far, up to ``_CURVE_CELLS`` cells) start
+    empty. Times are read in blocks of ``_BLOCK_CELLS`` cells, each
+    computing the v(r) it lacks once, a batch per power. A time's value has
+    the same bits whatever other times share the call and whatever the
+    caches hold; at n = 1 it is the draw's own bound."""
     ts = _times(ts)
     flat = [int(t) for t in ts.ravel()]
     K, n = len(N), _n_draws(means)
     if not powers:
         powers.append(np.ascontiguousarray(_scatter(means, K, n).T))
         states[0] = np.ones((K, n))
-    width = max(1, _CURVE_CELLS // (K * n))
+    width = max(1, _BLOCK_CELLS // (K * n))
     out = np.empty(len(flat))
     for i in range(0, len(flat), width):
         block, parent, steps = flat[i:i + width], {}, {}
@@ -538,8 +536,10 @@ def _first_crossing(crossed: Callable, horizon_cap: int) -> int | None:
             if g_first > _OPEN_END:
                 ts.append(horizon_cap)
             k, g_first, g_last = k + n, ts[0], ts[n - 1]
+        elif hi - lo - 1 <= _REFINE:  # every time inside the bracket
+            ts = range(lo + 1, hi)
         else:
-            ts = _inside(lo, hi)
+            ts = [lo + (hi - lo) * j // (_REFINE + 1) for j in range(1, _REFINE + 1)]
         ts = sorted({t for t in ts if lo < t < hi})
         if ts:
             for t, c in zip(ts, crossed(np.array(ts))):
@@ -548,13 +548,6 @@ def _first_crossing(crossed: Callable, horizon_cap: int) -> int | None:
                 else:
                     lo = max(lo, t)
     return hi if hi <= horizon_cap else None
-
-
-def _inside(lo: int, hi: int) -> list[int]:
-    """Every time in (lo, hi), or 15 evenly spaced ones if there are more."""
-    if hi - lo - 1 <= _REFINE:
-        return list(range(lo + 1, hi))
-    return [lo + (hi - lo) * j // (_REFINE + 1) for j in range(1, _REFINE + 1)]
 
 
 def extinction_time_bounds(bounds: SurvivalBounds, alpha: float,

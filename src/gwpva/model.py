@@ -168,16 +168,11 @@ class PoissonLaw:
         from a NumPy Generator ``rng``, in increasing k: for k = 0, 1, ...
         until no parent is left, n_k ~ Binomial(parents left, P(X = k) /
         P(X >= k)), one draw per k whatever n_parents is."""
-        from .extensions import _gamma_tail  # extensions imports model
+        from .extensions import _poisson_ratio  # extensions imports model
 
         counts, left, k = {}, n_parents, 0
         while left:
-            if k == 0:
-                ratio = math.exp(-self.rate)
-            else:  # P(X >= k) = P(k, rate), and P(X = k) = dP/dlog(rate) / k
-                tail, dtail = _gamma_tail(k, self.rate, lower=True)
-                ratio = min(1.0, dtail / k / tail) if tail else 1.0
-            n = int(rng.binomial(left, ratio))
+            n = int(rng.binomial(left, _poisson_ratio(self.rate, k)))
             if n:
                 counts[k] = n
             left -= n

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gwpva as g
+from gwpva import extensions
 from gwpva.extensions import _beta_quantile, _gamma_quantile
 from gwpva.sampling import SeedSpec
 from gwpva.spectral import _law_stack
@@ -241,6 +242,26 @@ def test_poisson_law_in_draw_and_simulation():
     traj = g.simulate(draw, g.PopulationState((100,)), 60, SeedSpec(1, 0))
     assert traj.truncated and traj.extinct_at is None
     assert traj.final.total > 10 ** 12 and traj.final.time < 60
+
+
+def test_poisson_law_ratios_are_computed_once(monkeypatch):
+    # each generation draws n_k ~ Binomial(parents left, P(X = k) / P(X >= k))
+    # for k = 0, 1, ...; a ratio costs a _gamma_tail call whose cost grows
+    # with the rate, so each (rate, k) is computed once however many
+    # generations draw from the law, and the path keeps the bits of ratios
+    # computed afresh
+    draw = g.ParameterDraw(g.OffspringCap(1, {(1, 1): 3}), {(1, 1): g.PoissonLaw(30.0)})
+    extensions._poisson_ratio.cache_clear()
+    calls, tail = [], extensions._gamma_tail
+    monkeypatch.setattr(extensions, "_gamma_tail",
+                        lambda a, x, lower: calls.append(a) or tail(a, x, lower))
+    traj = g.simulate(draw, g.PopulationState((2,)), 5, SeedSpec(3, 0))
+    assert traj.final.time == 5 and traj.final.total > 10 ** 5
+    assert calls and len(calls) == len(set(calls)), sorted(calls)
+    monkeypatch.setattr(extensions, "_poisson_ratio", extensions._poisson_ratio.__wrapped__)
+    again = g.simulate(draw, g.PopulationState((2,)), 5, SeedSpec(3, 0))
+    assert again.states == traj.states and again.table.counts == traj.table.counts
+    assert len(calls) > 2 * len(set(calls))  # uncached, every generation pays again
 
 
 def test_convolve_survival_reproduction_exact():

@@ -253,13 +253,14 @@ def test_bracket_search_reads_each_time_once(step, cap):
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 106, 1000, 9999])
-def test_bound_curve_columns_keep_their_bits(n):
+def test_bound_curve_columns_keep_their_bits(n, monkeypatch):
     # the bracket search reads the upper curve at a few scattered times, one
     # included, and the full curve only at the times it did not read: a
     # time's column must have the same bits in every call, whatever the
-    # caches of powers and products hold. NumPy sums a lone column
-    # pairwise, so a lone time is a case to pin, and at n = 9999 a block
-    # holds 26 times, so a wide call spans many blocks.
+    # caches of powers and products hold and whatever the block cap is.
+    # NumPy sums a lone column pairwise, so a lone time is a case to pin, and
+    # at n = 106 (K = 5) a block holds 15 times and at n = 9999 (K = 1) one,
+    # so a wide call spans many blocks.
     K = {1: 3, 2: 3, 7: 2, 106: 5, 1000: 2, 9999: 1}[n]
     rng = np.random.default_rng(n)
     means = {(i, j): rng.uniform(0.0, 0.9 / K, n) for i in range(1, K + 1)
@@ -282,6 +283,11 @@ def test_bound_curve_columns_keep_their_bits(n):
     back = _upper_curve(means, N, np.arange(1024, 511, -1), [], {})
     assert wide[:512].tobytes() == ref.tobytes()
     assert wide[512:].tobytes() == back[::-1].tobytes()
+    # one time per block, or every time in one block
+    ts = np.sort(rng.choice(1025, 64, replace=False))
+    for cells in (1, 2 ** 24):
+        monkeypatch.setattr(extinction, "_BLOCK_CELLS", cells)
+        assert _upper_curve(means, N, ts, [], {}).tobytes() == wide[ts].tobytes(), cells
 
 
 def _extinction_histogram(draw, N, runs, seed):

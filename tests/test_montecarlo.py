@@ -880,6 +880,22 @@ def test_extinction_working_set(bear_posterior):
     assert peak <= 6.5 * 2 ** 20, peak / 2 ** 20
 
 
+def test_curves_working_set(bear_posterior):
+    # a full --curves upper read on bear (3 601 times) holds one block of
+    # states and products at a time beside the cached powers and states, and
+    # a block's arrays stay at 64 KiB (version 1.5.3, whose blocks held
+    # about 500 times, peaked at 12.76 MiB)
+    tb = g.mc_time_bounds(bear_posterior, (2, 2, 2, 2, 10), n_prec=10_000,
+                          master_seed=2024)
+    tracemalloc.start()
+    try:
+        assert len(tb.upper_curve) == tb.n_times
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
+
+
 def _dense_random_posterior():
     """Three types with every pair present, caps 1..3 and random alphas."""
     rng = np.random.default_rng(31)

@@ -125,8 +125,16 @@ def _beta_tail(a: float, b: float, r: float, lsb: float, lower: bool) -> tuple[f
         a, b, x, y, lx, ly, lower = b, a, y, x, ly, lx, not lower
     s = min(a, b)
     # K = s x^a y^b / (s B): pow rounds the power of a shape below 1 once,
-    # where exp of s log v would carry the |log v| ulps of log v into v
-    if s >= 1:
+    # where exp of s log v would carry the |log v| ulps of log v into v;
+    # from s = 12 K is formed around the mean by Stirling's series, as in
+    # _gamma_tail, so that the large terms of log B cancel before rounding
+    if s >= 12:
+        dx, dy = x * (a + b) / a - 1, y * (a + b) / b - 1
+        lx1 = math.log1p(dx) if dx > -0.5 else math.log(x * (a + b) / a)
+        K = math.exp(a * (lx1 - dx) + b * (math.log1p(dy) - dy)
+                     - math.log(2 * math.pi * (a + b) / (a * b)) / 2
+                     + _stirling_tail(a + b) - _stirling_tail(a) - _stirling_tail(b))
+    elif s >= 1:
         K = s * math.exp(a * lx + b * ly - lsb)
     elif s == a:
         K = s * math.pow(x, a) * math.exp(b * ly - lsb)

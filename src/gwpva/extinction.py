@@ -5,11 +5,12 @@ type-i individual is the i-th coordinate of the minimal fixed point of the
 offspring generating function phi in [0, 1]^K; independence across founders
 turns a population into the product of per-founder coordinates.
 
-The per-draw kernels take a law stack, pair -> (n, kappa+1) categorical
-rows or (n,) Poisson rates, and its pair means (``spectral.pair_means``);
-the single-draw functions call them at n = 1 (``spectral._law_stack``). The
-pgf ``_phi`` and its Jacobian work coefficient-major, draws along the last
-axis (``_coefficient_major``).
+The per-draw kernels take a law stack of n draws and its pair means
+(``spectral.pair_means``); the single-draw functions call them at n = 1
+(``spectral._law_stack``). A law stack maps each pair to a (kappa+1, n)
+array of categorical laws, coefficient k of every draw in row k, or to the
+(n,) Poisson rates. Draws run along the last axis of every per-draw array:
+laws, rates, means, pgf iterates (K, n) and Jacobian entries (n,).
 
 The survival curve of n draws is averaged two ways: exactly, by iterating
 ``_phi`` from 0 (``_extinction_cdf``), and from above, by Markov's
@@ -83,54 +84,41 @@ _FP_NEWTON_ITERS = 60
 _FP_RESIDUAL_OK = 1e-9
 
 
-def _coefficient_major(laws: dict) -> dict:
-    """A law stack with each categorical pair's (n, kappa+1) rows as a
-    (kappa+1, n) array, coefficient k of every draw in row k (a transposed
-    view); Poisson rates stay (n,). The pgf kernels take this layout."""
-    return {pair: d if d.ndim == 1 else d.T for pair, d in laws.items()}
-
-
-def _pair_pgf(d: np.ndarray, x: np.ndarray):
-    """One pair's pgf g(x) draw-wise and its derivative: Horner's rule for
-    coefficient-major (kappa+1, n) categorical coefficients d, with kappa >= 1
-    (``OffspringCap.pairs`` leaves out cap-0 pairs), and e^{d (x - 1)} for
-    (n,) Poisson rates d. Only elementwise arithmetic is used, so each draw's
-    value is bit-identical whatever the other draws are. Either result may
-    be a view of d, so callers never write into them."""
-    if d.ndim == 1:
-        p = np.exp(d * (x - 1.0))
-        return p, d * p
-    p, dp = d[-1], None
-    for k in range(len(d) - 2, -1, -1):
-        # Horner's first step 0 * x + p is p for finite x
-        dp = p if dp is None else dp * x + p
-        p = p * x + d[k]
-    return p, dp
-
-
-def _pgf_into(d: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """Write one pair's pgf g(x) into the (n,) row ``out``: the arithmetic of
-    ``_pair_pgf``, in place, so it has the same bits."""
+def _pgf_into(d: np.ndarray, x: np.ndarray, out: np.ndarray,
+              dout: np.ndarray | None = None) -> None:
+    """Write one pair's pgf g(x) draw-wise into the (n,) row ``out``, and its
+    derivative g'(x) into ``dout`` when it is given: Horner's rule for
+    categorical coefficients d, with kappa >= 1 (``OffspringCap.pairs``
+    leaves out cap-0 pairs), the derivative advancing as g' <- g' x + g
+    before g does, and e^{d (x - 1)} and d e^{d (x - 1)} for Poisson rates
+    d. Only elementwise arithmetic is used, so each draw's value is
+    bit-identical whatever the other draws are."""
     if d.ndim == 1:
         np.exp(d * (x - 1.0), out=out)
+        if dout is not None:
+            np.multiply(d, out, out=dout)
         return
+    if dout is not None:
+        np.copyto(dout, d[-1])
     np.multiply(d[-1], x, out=out)
     out += d[-2]
     for k in range(len(d) - 3, -1, -1):
+        if dout is not None:
+            dout *= x
+            dout += out
         out *= x
         out += d[k]
 
 
-def _phi(claws: dict, s: np.ndarray) -> np.ndarray:
-    """phi applied draw-wise, coefficient-major: s is (K, n) in [0,1]^K, row
-    j holding s_j of every draw, and ``claws`` is the ``_coefficient_major``
-    law stack of those n draws; the result is (K, n) too. A row's first pair
-    factor is written into it, a later one into a scratch row multiplied in
-    (``_pgf_into``); a type with no pair keeps phi_i = 1."""
+def _phi(laws: dict, s: np.ndarray) -> np.ndarray:
+    """phi applied draw-wise at a (K, n) s in [0,1]^K, for the law stack of
+    those n draws. A row's first pair factor is written into it, a later one
+    into a scratch row multiplied in (``_pgf_into``); a type with no pair
+    keeps phi_i = 1."""
     out = np.ones_like(s)
     scratch = np.empty(s.shape[1:])
     started = set()
-    for (i, j), d in claws.items():
+    for (i, j), d in laws.items():
         if i in started:
             _pgf_into(d, s[j - 1], scratch)
             out[i - 1] *= scratch
@@ -140,12 +128,15 @@ def _phi(claws: dict, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jacobian_entries(claws: dict, s: np.ndarray) -> dict:
-    """d phi_i / d s_j draw-wise for each pair (i, j) of a coefficient-major
-    law stack at a (K, n) s, an (n,) vector: g_ij'(s_j) times the other
-    g_ij2(s_j2) of row i, using phi_i(s) = prod_j g_ij(s_j). Entries of
-    pairs outside the stack are 0."""
-    g = {(i, j): _pair_pgf(d, s[j - 1]) for (i, j), d in claws.items()}
+def _jacobian_entries(laws: dict, s: np.ndarray) -> dict:
+    """d phi_i / d s_j draw-wise for each pair (i, j) of a law stack at a
+    (K, n) s, an (n,) vector: g_ij'(s_j) times the other g_ij2(s_j2) of row
+    i, using phi_i(s) = prod_j g_ij(s_j). Entries of pairs outside the stack
+    are 0."""
+    g = {}
+    for (i, j), d in laws.items():
+        g[(i, j)] = np.empty(s.shape[1:]), np.empty(s.shape[1:])
+        _pgf_into(d, s[j - 1], *g[(i, j)])
     out = {}
     for (i, j), (_, dg) in g.items():
         col = dg
@@ -157,9 +148,9 @@ def _jacobian_entries(claws: dict, s: np.ndarray) -> dict:
 
 
 def _shifted_negation(c: float, entries: dict, K: int, n: int) -> list:
-    """c I - A coefficient-major, for a nonnegative A given by its (n,)
-    entries per pair (i, j): entry [i][j] is an (n,) vector, or None where
-    A has no pair, off the diagonal."""
+    """c I - A, for a nonnegative A given by its (n,) entries per pair
+    (i, j): entry [i][j] is an (n,) vector, or None where A has no pair,
+    off the diagonal."""
     B = [[None] * K for _ in range(K)]
     for (i, j), a in entries.items():
         B[i - 1][j - 1] = c - a if i == j else -a
@@ -172,7 +163,7 @@ def _shifted_negation(c: float, entries: dict, K: int, n: int) -> list:
 def _mmatrix_lu(A: list) -> tuple[list, np.ndarray]:
     """Gaussian elimination without pivoting of a row-batched Z-matrix.
 
-    A is coefficient-major: A[i][j] is an (n,) vector holding entry (i, j)
+    A is a K x K list: A[i][j] is an (n,) vector holding entry (i, j)
     of each of n K x K matrices, or None where every matrix has a 0 there;
     the diagonal is never None. Returns the factors in the same layout (L
     below the diagonal with an implicit unit diagonal, U on and above it;
@@ -223,9 +214,9 @@ def _mmatrix_solve(A: list, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A[r] x[r] = b[r] per draw r by ``_mmatrix_lu``, plus a mask of
     the draws solved: those whose pivots are all > 0, the last one included.
 
-    b and x are coefficient-major (K, n). A draw not solved leaves only
-    itself unsolved (its x is meaningless, possibly not finite), and every
-    other draw's x is bit-identical to its x in a stack without it."""
+    b and x are (K, n). A draw not solved leaves only itself unsolved (its
+    x is meaningless, possibly not finite), and every other draw's x is
+    bit-identical to its x in a stack without it."""
     F, ok = _mmatrix_lu(A)
     K = len(F)
     ok &= F[K - 1][K - 1] > 0.0
@@ -263,19 +254,18 @@ def _fixed_point_rows(laws: dict, K: int, subcritical: np.ndarray,
        when I - phi'(s) has a nonpositive pivot, or when every damping of
        its step is rejected; at most ``_FP_NEWTON_ITERS`` steps are taken.
 
-    The solve runs coefficient-major, on (K, n) iterates (``_phi``). A draw
-    whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as failed.
+    A draw whose final residual exceeds ``_FP_RESIDUAL_OK`` is flagged as
+    failed.
     The active set is compacted by ``take`` on indices, one pair's laws at
     a time, so the old and the compacted laws are never both held; every
     step is elementwise per draw, so compaction moves a draw's bits
     unchanged."""
     n = _n_draws(laws)
-    claws = _coefficient_major(laws)
     s = np.zeros((K, n))
-    certain = subcritical | ((_phi(claws, s).min(axis=0) > 0.0) & not_supercritical)
+    certain = subcritical | ((_phi(laws, s).min(axis=0) > 0.0) & not_supercritical)
     s[:, certain] = 1.0
     rows = np.flatnonzero(~certain)
-    live_laws = {pair: d.take(rows, axis=-1) for pair, d in claws.items()}
+    live_laws = {pair: d.take(rows, axis=-1) for pair, d in laws.items()}
     x = s.take(rows, axis=1)
     for _ in range(_FP_WARMUP):
         x = _phi(live_laws, x)
@@ -293,14 +283,14 @@ def _fixed_point_rows(laws: dict, K: int, subcritical: np.ndarray,
             break
         x, f, live = _newton_step(live_laws, x, f)
     s[:, rows] = x
-    residual = np.abs(_phi(claws, s) - s).max(axis=0)
+    residual = np.abs(_phi(laws, s) - s).max(axis=0)
     return np.ascontiguousarray(np.clip(s, 0.0, 1.0).T), residual > _FP_RESIDUAL_OK
 
 
-def _newton_step(claws: dict, x: np.ndarray, f: np.ndarray
+def _newton_step(laws: dict, x: np.ndarray, f: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One damped Newton step of ``_fixed_point_rows`` on every draw of a
-    coefficient-major law stack, at (K, n) iterates x with residuals f =
+    law stack, at (K, n) iterates x with residuals f =
     phi(x) - x. Returns the new x and f and a mask of the draws that stay
     live: those that accepted a step and whose residual is still >= 1e-15.
 
@@ -319,7 +309,7 @@ def _newton_step(claws: dict, x: np.ndarray, f: np.ndarray
     K, n = x.shape
     worst = np.abs(f).max(axis=0)
     delta, pend = _mmatrix_solve(
-        _shifted_negation(1.0, _jacobian_entries(claws, x), K, n), f)
+        _shifted_negation(1.0, _jacobian_entries(laws, x), K, n), f)
     if not pend.all():
         delta = np.where(pend, delta, 0.0)
     accepted = np.zeros(n, dtype=bool)
@@ -327,7 +317,7 @@ def _newton_step(claws: dict, x: np.ndarray, f: np.ndarray
         if not pend.any():
             break
         x_try = np.clip(x + delta, 0.0, 1.0)
-        f_try = _phi(claws, x_try) - x_try
+        f_try = _phi(laws, x_try) - x_try
         ok = pend & (np.abs(f_try).max(axis=0) <= worst) \
             & (f_try.min(axis=0) >= -1e-12)
         if ok.all():
@@ -346,7 +336,7 @@ def generating_function(draw: ParameterDraw, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (draw.K,):
         raise ValueError(f"s must have shape ({draw.K},)")
-    return _phi(_coefficient_major(_law_stack(draw)), s[:, None])[:, 0]
+    return _phi(_law_stack(draw), s[:, None])[:, 0]
 
 
 def minimal_fixed_point(draw: ParameterDraw) -> ExtinctionProfile:
@@ -436,44 +426,44 @@ def _upper_curve(means: dict, N: np.ndarray, ts, powers: list, states: dict) -> 
     return out.reshape(ts.shape) / n
 
 
-def _extinction_cdf(claws: dict, N: np.ndarray) -> Iterator[float]:
+def _extinction_cdf(laws: dict, N: np.ndarray) -> Iterator[float]:
     """The mean over n draws of P(T_ext <= t | draw) for t = 0, 1, 2, ...,
     one value per ``next``; the value at t has cost t steps of ``_phi``.
 
-    ``claws`` is the coefficient-major law stack of the n draws and N the
-    (K,) population. q_t = phi^(t)(0) holds the probabilities that the line
-    of one founder of each type is extinct by t (Harris, *The Theory of
-    Branching Processes*, 1963), so by founder independence P(T_ext <= t |
-    draw) = prod_i q_t,i^N_i, for categorical and Poisson laws alike. Each
-    draw's value has the same bits whatever the other draws are, and the
-    mean is NumPy's sum of the (n,) values, divided by n."""
-    n = max((d.shape[-1] for d in claws.values()), default=1)
+    ``laws`` is the law stack of the n draws and N the (K,) population.
+    q_t = phi^(t)(0) holds the probabilities that the line of one founder
+    of each type is extinct by t (Harris, *The Theory of Branching
+    Processes*, 1963), so by founder independence P(T_ext <= t | draw) =
+    prod_i q_t,i^N_i, for categorical and Poisson laws alike. Each draw's
+    value has the same bits whatever the other draws are, and the mean is
+    NumPy's sum of the (n,) values, divided by n."""
+    n = _n_draws(laws)
     q = np.zeros((len(N), n))
     exponent = np.reshape(N, (-1, 1))
     while True:
         yield float((q ** exponent).prod(axis=0).sum() / n)
-        q = _phi(claws, q)
+        q = _phi(laws, q)
 
 
-def _survival_curve(claws: dict, N: np.ndarray, n_times: int) -> np.ndarray:
+def _survival_curve(laws: dict, N: np.ndarray, n_times: int) -> np.ndarray:
     """The mean exact survival 1 - F(t) at t = 0 .. n_times - 1, with F the
     mean CDF of ``_extinction_cdf``."""
-    return 1.0 - np.fromiter(islice(_extinction_cdf(claws, N), n_times), float, n_times)
+    return 1.0 - np.fromiter(islice(_extinction_cdf(laws, N), n_times), float, n_times)
 
 
 @dataclass(frozen=True)
 class SurvivalBounds:
     """The survival curve P(population alive at t) averaged over n
     subcritical draws, and a bound above it: ``means`` holds the draws'
-    pair means, ``claws`` their coefficient-major law stack and
-    ``population`` the (K,) abundance N. ``upper(t)`` is the mean bound
+    pair means, ``laws`` their law stack and ``population`` the (K,)
+    abundance N. ``upper(t)`` is the mean bound
     min(1, N M^t 1) (``_upper_curve``, whose caches the object keeps) and
     ``lower(t)`` the mean exact survival 1 - prod_i q_t,i^N_i with
     q_t = phi^(t)(0) (``_survival_curve``). Both raise ValueError unless
     every t is an integer >= 0."""
 
     means: dict
-    claws: dict
+    laws: dict
     population: np.ndarray
     _powers: list = field(default_factory=list, init=False, repr=False, compare=False)
     _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -483,7 +473,7 @@ class SurvivalBounds:
 
     def lower(self, ts) -> np.ndarray:
         ts = _times(ts)
-        return _survival_curve(self.claws, self.population, int(ts.max(initial=-1)) + 1)[ts]
+        return _survival_curve(self.laws, self.population, int(ts.max(initial=-1)) + 1)[ts]
 
 
 def survival_bounds(draw: ParameterDraw,
@@ -498,7 +488,7 @@ def survival_bounds(draw: ParameterDraw,
     means = pair_means(laws)
     if not _lambda_below(means, draw.K, 1.0)[0][0]:
         raise ValueError("survival bounds require lambda < 1")
-    return SurvivalBounds(means=means, claws=_coefficient_major(laws),
+    return SurvivalBounds(means=means, laws=laws,
                           population=_as_abundance(population, draw.K))
 
 
@@ -571,7 +561,7 @@ def extinction_time_bounds(bounds: SurvivalBounds, alpha: float,
     t_plus = _first_crossing(lambda ts: bounds.upper(ts) <= alpha, horizon_cap)
     stop = horizon_cap if t_plus is None else t_plus
     t_minus = 0
-    for t, F in enumerate(islice(_extinction_cdf(bounds.claws, bounds.population), stop + 1)):
+    for t, F in enumerate(islice(_extinction_cdf(bounds.laws, bounds.population), stop + 1)):
         if 1.0 - F < 1 - alpha:
             break
         t_minus = t

@@ -155,7 +155,7 @@ def _total(values) -> float:
 @dataclass(frozen=True)
 class PoissonLaw:
     """Unbounded Poisson offspring law; its pgf and mean are the Poisson
-    branch of the law-stack kernels (``extinction._phi``, ``mean_matrices``)."""
+    branch of the law-stack kernels (``extinction._phi``, ``spectral.pair_means``)."""
 
     rate: float
 

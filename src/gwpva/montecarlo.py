@@ -16,9 +16,9 @@ alone, through ``_usable_profiles``. An answer builds its ensemble from
 and ignores n_prec and master_seed; params must then be None or
 ``ensemble.params`` itself.
 
-Determinism: an ensemble's rows are those of ``sampling._dirichlet_rows``.
+Determinism: an ensemble's draws are those of ``sampling._dirichlet_rows``.
 Per-draw quantities come from the law-stack kernels of ``spectral`` and
-``extinction``, row by row, and reductions are fixed-order numpy sums, so
+``extinction``, draw by draw, and reductions are fixed-order numpy sums, so
 a rerun is bit-identical.
 """
 
@@ -29,9 +29,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .extinction import (_OPEN_END, SurvivalBounds, _as_abundance, _coefficient_major,
-                         _first_crossing, _fixed_point_rows, _lambda_below,
-                         extinction_time_bounds)
+from .extinction import (_OPEN_END, SurvivalBounds, _as_abundance, _first_crossing,
+                         _fixed_point_rows, _lambda_below, extinction_time_bounds)
 from .inference import DEFAULT_N_PREC, HyperParams
 from .sampling import _dirichlet_rows
 from .spectral import _scatter, is_primitive, pair_means, perron_roots
@@ -121,7 +120,7 @@ class ReintroductionSummary:
 class PosteriorEnsemble:
     """A reproducible batch of posterior parameter draws and derived arrays.
 
-    Draw r is row r of ``sampling._dirichlet_rows``. The pair means, the two
+    Draw r is replicate r of ``sampling._dirichlet_rows``. The pair means, the two
     criticality masks, the pgf fixed points and the Perron roots
     (``lambdas``, which no answer reads) are cached properties that call the
     law-stack kernels on the whole batch, each on first use.
@@ -139,8 +138,8 @@ class PosteriorEnsemble:
         self._laws = _dirichlet_rows(params, self.master_seed, self.n_prec)
 
     def law(self, pair) -> np.ndarray:
-        """(n_prec, kappa+1) array of sampled laws for one pair."""
-        return self._laws[pair]
+        """(n_prec, kappa+1) view of the sampled laws of one pair."""
+        return self._laws[pair].T
 
     # ---- derived batch quantities ---------------------------------------
 
@@ -313,7 +312,7 @@ def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
         raise RuntimeError("no subcritical draws; time bounds require lambda < 1")
     bounds = SurvivalBounds(
         means={p: m.take(rows) for p, m in ens.pair_means.items()},
-        claws={p: d.take(rows, axis=-1) for p, d in _coefficient_major(ens._laws).items()},
+        laws={p: d.take(rows, axis=-1) for p, d in ens._laws.items()},
         population=N)
     tb = extinction_time_bounds(bounds, alpha, horizon_cap)
     n_times = 1 + (tb.t_plus if tb.t_plus is not None

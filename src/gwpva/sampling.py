@@ -4,7 +4,7 @@ Reproducibility contract: every stochastic routine takes a SeedSpec built
 from a user-visible master seed and a replicate index. Streams use the
 counter-based Philox generator keyed on (master_seed, replicate_index), so
 a stream is identical no matter how many others run or in what order. A
-posterior ensemble's rows come from one stream (``_dirichlet_rows``).
+posterior ensemble's draws come from one stream (``_dirichlet_rows``).
 """
 
 from __future__ import annotations
@@ -59,59 +59,56 @@ def _dirichlet(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Dirichlet(a) draw from normalized Gamma variates, with a > 0.
 
     Gamma draws are taken in category order from ``rng``, which pins the
-    exact output for a given stream. A zero normalizer (possible only by
-    extreme underflow) is redrawn, at most 100 times. The batched
-    ``_dirichlet_rows`` replays a row through it when a normalizer is zero.
+    exact output for a given stream; the normalizer adds them left to right.
+    A zero normalizer (possible only by extreme underflow) is redrawn, at
+    most 100 times. The batched ``_dirichlet_rows`` replays a draw through it
+    when a normalizer is zero.
     """
     for _ in range(100):
         g = rng.gamma(shape=a)
-        s = g.sum()
+        s = np.cumsum(g)[-1]
         if s > 0:
             return g / s
     raise RuntimeError("Dirichlet sampling underflowed repeatedly")
 
 
 def _dirichlet_rows(params: HyperParams, master_seed: int, n: int) -> dict:
-    """Laws of replicates 0..n-1: pair -> (n, kappa+1) array.
+    """Laws of replicates 0..n-1, as a law stack (``extinction``).
 
     The whole ensemble draws from one stream, ``SeedSpec(master_seed, 0)``:
     one ``standard_gamma`` call fills an (n, sum(kappa+1)) array with every
     pair's alphas in sorted-pair, category order, consumed in C order, so
-    row r is the r-th consecutive ``sample_parameter_draw`` on that
-    generator (while no normalizer is zero), row 0 is
+    draw r is the r-th consecutive ``sample_parameter_draw`` on that
+    generator (while no normalizer is zero), draw 0 is
     ``sample_parameter_draw(params, SeedSpec(master_seed, 0))``, and the
-    first rows do not depend on n. The array's transpose is copied once,
-    coefficient-major, and each pair's block of rows is divided in place by
-    the pair's normalizers; the laws are (n, kappa+1) views of that block.
-    A normalizer is NumPy's sum of the pair's gammas in a row, which adds
-    fewer than 8 terms left to right, as ``np.add.reduce`` adds the block's
-    rows in one call, and 8 or more pairwise, from ``gam`` row by row. A row
-    with a zero normalizer cannot be redrawn on the shared stream without
-    shifting the rows after it, so it is replayed through ``_dirichlet``
-    (with its redraw cap) on the stream ``SeedSpec(master_seed, r + 1)``, a
-    pure function of (master_seed, r). A single row cannot be reproduced
-    without drawing the rows before it.
+    first draws do not depend on n. The array's transpose is copied once,
+    and each pair's block of rows is divided in place by the pair's
+    normalizers, added left to right over the block's rows by one
+    ``np.add.reduce``, as ``_dirichlet`` adds them. A draw with a zero
+    normalizer cannot be redrawn on the shared stream without shifting the
+    draws after it, so it is replayed through ``_dirichlet`` (with its
+    redraw cap) on the stream ``SeedSpec(master_seed, r + 1)``, a pure
+    function of (master_seed, r). A single draw cannot be reproduced without
+    drawing the ones before it.
     """
     pairs = sorted(params.alpha)
     alphas = [np.asarray(params.alpha[pair], dtype=float) for pair in pairs]
     ends = np.cumsum([0] + [len(a) for a in alphas])
     a_all = np.concatenate(alphas)
     rng = SeedSpec(master_seed, 0).rng()
-    gam = rng.standard_gamma(np.broadcast_to(a_all, (n, len(a_all))))
-    block = np.ascontiguousarray(gam.T)
+    block = np.ascontiguousarray(rng.standard_gamma(np.broadcast_to(a_all, (n, len(a_all)))).T)
     laws = {}
     replay = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for pair, lo, hi in zip(pairs, ends[:-1], ends[1:]):
-            total = (np.add.reduce(block[lo:hi], axis=0) if hi - lo < 8
-                     else gam[:, lo:hi].sum(axis=1))
+            total = np.add.reduce(block[lo:hi], axis=0)
             replay |= ~(total > 0)
             block[lo:hi] /= total
-            laws[pair] = block[lo:hi].T
+            laws[pair] = block[lo:hi]
     for r in np.flatnonzero(replay):
         rng_r = SeedSpec(master_seed, int(r) + 1).rng()
         for pair, a in zip(pairs, alphas):
-            laws[pair][r] = _dirichlet(a, rng_r)
+            laws[pair][:, r] = _dirichlet(a, rng_r)
     return laws
 
 
@@ -127,7 +124,7 @@ def sample_parameter_draw(params: HyperParams, seed) -> ParameterDraw:
     """Draw all offspring laws from independent Dirichlet posteriors.
 
     Pairs are visited in sorted (i, j) order on one stream, so the draw is
-    a pure function of (params, seed). Row r of a posterior ensemble is the
+    a pure function of (params, seed). Draw r of a posterior ensemble is the
     r-th consecutive draw on its one stream (``_dirichlet_rows``).
     """
     rng = _as_rng(seed)

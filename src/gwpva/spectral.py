@@ -16,8 +16,8 @@ import numpy as np
 
 from .model import ParameterDraw, PoissonLaw
 
-__all__ = ["SpectralTriple", "mean_matrix", "mean_matrices", "pair_means",
-           "perron_roots", "perron_triple", "is_primitive"]
+__all__ = ["SpectralTriple", "mean_matrix", "pair_means", "perron_roots",
+           "perron_triple", "is_primitive"]
 
 
 @dataclass(frozen=True)
@@ -37,28 +37,26 @@ class SpectralTriple:
 
 
 def _n_draws(stack: dict) -> int:
-    """Number of draws of a law stack or of its pair means, draws along the
-    first axis; an empty stack is one draw with no pairs."""
-    return max((len(d) for d in stack.values()), default=1)
+    """Number of draws of a law stack or of its pair means; an empty stack
+    is one draw with no pairs."""
+    return max((d.shape[-1] for d in stack.values()), default=1)
 
 
 def _law_stack(draw: ParameterDraw) -> dict:
-    """The draw as a law stack of one: pair -> (1, kappa+1) categorical row
-    or (1,) Poisson rate, in sorted pair order as in an ensemble."""
+    """The draw as a law stack of one, in sorted pair order as in an ensemble."""
     return {pair: np.array([law.rate], dtype=float) if isinstance(law, PoissonLaw)
-            else np.asarray(law, dtype=float)[None] for pair, law in sorted(draw.p.items())}
+            else np.asarray(law, dtype=float)[:, None] for pair, law in sorted(draw.p.items())}
 
 
 def pair_means(laws: dict) -> dict:
     """Mean offspring number of each pair of a law stack: pair -> (n,) means.
 
-    ``laws`` maps each pair to its (n, kappa+1) categorical rows, with mean
-    sum_k k p(k), or to its (n,) Poisson rates, their own means (returned
-    as they are, so callers never write into them). The categorical sum is
-    taken term by term in order of k, from 0, with elementwise arithmetic
-    only, so each row's mean is bit-identical whatever the other rows are.
-    These means are the one mean kernel: the answers read them by pair, and
-    only the powers of the time bounds and a Perron solve need them as dense
+    A categorical pair's mean is sum_k k p(k), taken term by term in order
+    of k, from 0, with elementwise arithmetic only, so each draw's mean is
+    bit-identical whatever the other draws are; Poisson rates are their own
+    means (returned as they are, so callers never write into them). These
+    means are the one mean kernel: the answers read them by pair, and only
+    the powers of the time bounds and a Perron solve need them as dense
     matrices (``_scatter``).
     """
     out = {}
@@ -66,9 +64,9 @@ def pair_means(laws: dict) -> dict:
         if d.ndim == 1:
             out[pair] = d
         else:
-            m = out[pair] = np.zeros(len(d))
-            for k in range(1, d.shape[1]):
-                m += k * d[:, k]
+            m = out[pair] = np.zeros(d.shape[1])
+            for k in range(1, len(d)):
+                m += k * d[k]
     return out
 
 
@@ -80,18 +78,10 @@ def _scatter(means: dict, K: int, n: int) -> np.ndarray:
     return M
 
 
-def mean_matrices(laws: dict, K: int) -> np.ndarray:
-    """Mean offspring matrix of each draw of a law stack, (n, K, K): the
-    ``pair_means`` of ``laws`` scattered into a dense stack, 0 outside the
-    stack's pairs. An empty stack is one draw with no pairs. Each entry has
-    the bits of its pair mean.
-    """
-    return _scatter(pair_means(laws), K, _n_draws(laws))
-
-
 def mean_matrix(draw: ParameterDraw) -> np.ndarray:
-    """Mean offspring matrix M[i, j] of one draw: ``mean_matrices`` at n = 1."""
-    return mean_matrices(_law_stack(draw), draw.K)[0]
+    """Mean offspring matrix M[i, j] of one draw: its pair means scattered
+    into a dense matrix, 0 outside its pairs."""
+    return _scatter(pair_means(_law_stack(draw)), draw.K, 1)[0]
 
 
 def is_primitive(M: np.ndarray) -> bool:

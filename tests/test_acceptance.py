@@ -392,7 +392,7 @@ def test_multitype_upper_bound_dominates_exact_survival(K):
         d = np.stack([rng.dirichlet(a) for a in np.exp(rng.normal(0, 2, (n, 3)))])
         d[:, 1:] *= rng.uniform(0, 1.5 / K, (n, 1))
         d[:, 0] = 1 - d[:, 1:].sum(axis=1)
-        laws[pair] = d
+        laws[pair] = d.T
     sub = np.flatnonzero(_lambda_below(pair_means(laws), K, 1.0)[0])
     assert len(sub) >= 200
     N = np.zeros((n, K))
@@ -406,7 +406,7 @@ def test_multitype_upper_bound_dominates_exact_survival(K):
     ts = np.arange(horizon)
     worst = -np.inf
     for r in sub:
-        draw = g.ParameterDraw(cap, {pair: laws[pair][r] for pair in pairs})
+        draw = g.ParameterDraw(cap, {pair: laws[pair][:, r] for pair in pairs})
         sb = g.survival_bounds(draw, N[r].astype(int))
         worst = max(worst, float(np.max(exact[r] - sb.upper(ts))))
         if r in sub[:10]:

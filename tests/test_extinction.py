@@ -137,7 +137,7 @@ def test_single_draw_bounds_match_batch_of_one(K):
         assert tb.upper_curve.tobytes() == sb.upper(tb.times).tobytes()
         assert tb.lower_curve.tobytes() == sb.lower(tb.times).tobytes()
         # the exact oracle: P(T <= t) by the dense pgf iterated from 0
-        laws = {pair: np.asarray(p)[None] for pair, p in draw.p.items()}
+        laws = {pair: np.asarray(p)[:, None] for pair, p in draw.p.items()}
         horizon = 2 * single.t_plus + 20
         q, cdf = np.zeros((1, K)), []
         while len(cdf) < horizon:
@@ -220,7 +220,7 @@ def test_open_ended_scan_stops_once_lower_curve_drops(monkeypatch):
     sb = g.survival_bounds(synthetic_true_draw(), (22,))
     closed = g.extinction_time_bounds(sb, alpha=0.05)
     slow = g.SurvivalBounds(means={(1, 1): np.array([1 - 1e-9])},
-                            claws=sb.claws, population=sb.population)
+                            laws=sb.laws, population=sb.population)
     monkeypatch.setattr(extinction, "_upper_curve", upper)
     tb = g.extinction_time_bounds(slow, alpha=0.05, horizon_cap=10 ** 6)
     assert (tb.t_minus, tb.t_plus) == (closed.t_minus, None)

@@ -53,8 +53,9 @@ def _tiny_alpha_posterior():
 
 def _wide_posterior():
     """Two types whose pairs have kappa + 1 = 3, 7, 8 and 10 categories, so
-    the ensemble's normalizers add fewer than 8 terms (left to right) and 8
-    or more (pairwise), with alphas spanning four orders of magnitude."""
+    the ensemble's normalizers add fewer than 8 terms and 8 or more, where
+    NumPy's ``sum`` would add them pairwise, with alphas spanning four
+    orders of magnitude."""
     rng = np.random.default_rng(17)
     cap = g.OffspringCap(2, {(1, 1): 6, (1, 2): 9, (2, 1): 2, (2, 2): 7})
     return g.PosteriorParams(cap, {p: 10.0 ** rng.uniform(-2, 2, k + 1)
@@ -100,6 +101,50 @@ def test_ensemble_matches_sample_parameter_draw(synthetic_posterior, bear_poster
         for r, draw in enumerate(_reference_rows(post, seed, n, replayed)):
             for pair in ens.pairs:
                 assert np.array_equal(draw.p[pair], ens.law(pair)[r]), (seed, r, pair)
+
+
+def test_every_dirichlet_normalizer_adds_left_to_right():
+    # a kappa = 9 and a kappa = 15 pair, whose rows NumPy's sum would add
+    # pairwise: every normalizer, of the ensemble and of a single draw, is
+    # the Python left-to-right sum of the row's gammas
+    rng = np.random.default_rng(29)
+    cap = g.OffspringCap(2, {(1, 2): 9, (2, 1): 15})
+    post = g.PosteriorParams(cap, {p: 10.0 ** rng.uniform(-1, 1, k + 1)
+                                   for p, k in cap.kappa.items()})
+
+    def left_to_right(gam):
+        total = 0.0
+        for x in gam:
+            total += x
+        return gam / total
+
+    ens = PosteriorEnsemble(post, n_prec=300, master_seed=11)
+    stream = SeedSpec(11, 0).rng()
+    for r in range(ens.n_prec):
+        for pair in ens.pairs:
+            want = left_to_right(stream.gamma(shape=post.alpha[pair]))
+            assert ens.law(pair)[r].tobytes() == want.tobytes(), (r, pair)
+    for r in range(300):
+        for pair in ens.pairs:
+            want = left_to_right(SeedSpec(r, 1).rng().gamma(shape=post.alpha[pair]))
+            got = g.sample_dirichlet(post.alpha[pair], SeedSpec(r, 1))
+            assert got.tobytes() == want.tobytes(), (r, pair)
+
+
+def test_law_stack_layout(bear_ensemble):
+    # every kernel reads one layout: coefficient k of every draw in row k,
+    # the draws along the last axis; law() is its transpose, not a copy
+    ens = bear_ensemble
+    for pair in ens.pairs:
+        d = ens._laws[pair]
+        assert d.flags.c_contiguous
+        assert d.shape == (len(ens.params.alpha[pair]), ens.n_prec)
+        assert ens.law(pair).shape == (ens.n_prec, len(d))
+        assert np.shares_memory(ens.law(pair), d)
+        assert np.array_equal(ens.law(pair), d.T)
+    draw = g.sample_parameter_draw(ens.params, SeedSpec(2024, 0))
+    for pair, d in spectral._law_stack(draw).items():
+        assert d.shape == (len(draw.p[pair]), 1)
 
 
 def test_single_draw_is_ensemble_of_one(synthetic_posterior, bear_posterior):
@@ -299,7 +344,7 @@ def _reference_bracket(tb, upper, alpha, horizon_cap):
     hit = np.flatnonzero(full <= alpha)
     t_plus = int(hit[0]) if len(hit) else None
     stop = horizon_cap if t_plus is None else t_plus
-    laws = {p: d.T for p, d in tb.bounds.claws.items()}
+    laws = tb.bounds.laws
     N = tb.bounds.population
     q = np.zeros((tb.n_used, len(N)))
     lower = []
@@ -401,9 +446,9 @@ def test_curves_are_one_bound_curves_call_on_times_when_read(monkeypatch,
         calls.append((np.array(ts), _upper_curve(means, N, ts, *caches)))
         return calls[-1][1]
 
-    def exact_spy(claws, N, n_times):
+    def exact_spy(laws, N, n_times):
         exact.append(n_times)
-        return _survival_curve(claws, N, n_times)
+        return _survival_curve(laws, N, n_times)
 
     monkeypatch.setattr(extinction, "_upper_curve", spy)
     monkeypatch.setattr(extinction, "_survival_curve", exact_spy)
@@ -461,9 +506,9 @@ def test_survival_walk_stops_past_t_minus(monkeypatch, synthetic_posterior, bear
     steps = []
     phi = extinction._phi
 
-    def counted(claws, s):
+    def counted(laws, s):
         steps.append(1)
-        return phi(claws, s)
+        return phi(laws, s)
 
     monkeypatch.setattr(extinction, "_phi", counted)
     cases = _time_bounds_posteriors(synthetic_posterior, bear_ensemble)
@@ -631,9 +676,10 @@ def _oracle_fixed_points(laws, K):
     residual does not grow and phi(s) - s >= -1e-12, which keeps it below
     the minimal root. Returns the (n, K) fixed points and a mask of the
     draws whose residual is below 1e-9."""
-    lam = np.abs(np.linalg.eigvals(spectral.mean_matrices(laws, K))).max(axis=1)
+    M = spectral._scatter(spectral.pair_means(laws), K, spectral._n_draws(laws))
+    lam = np.abs(np.linalg.eigvals(M)).max(axis=1)
     live = np.flatnonzero(lam >= 1.0)
-    live_laws = {pair: d[live] for pair, d in laws.items()}
+    live_laws = {pair: d[..., live] for pair, d in laws.items()}
     x = np.zeros((len(live), K))
     for _ in range(5000):
         x_new = dense_pgf(live_laws, x)
@@ -698,7 +744,7 @@ def test_rejected_draws_keep_their_own_bits():
 
     def alone(rows):
         sub = {p: m[rows] for p, m in means.items()}
-        return _fixed_point_rows({p: d[rows] for p, d in laws.items()}, ens.K,
+        return _fixed_point_rows({p: d[..., rows] for p, d in laws.items()}, ens.K,
                                  _lambda_below(sub, ens.K, 1.0)[0],
                                  _lambda_below(sub, ens.K, 1.0 + 1e-12)[1])
 
@@ -981,7 +1027,7 @@ def _mixed_law_stack(rng, K, n):
                       if rng.random() < 0.5})
     poisson = set(pairs[::2])
     caps = {pair: 1 if pair in poisson else int(rng.integers(1, 4)) for pair in pairs}
-    laws = {pair: np.zeros(n) if pair in poisson else np.zeros((n, caps[pair] + 1))
+    laws = {pair: np.zeros(n) if pair in poisson else np.zeros((caps[pair] + 1, n))
             for pair in pairs}
     for r in range(n):
         while True:
@@ -995,9 +1041,9 @@ def _mixed_law_stack(rng, K, n):
                 break
         c = rng.uniform(0.3, 1.5) / lam
         for pair, d in base.items():
-            laws[pair][r] = c * d
+            laws[pair][..., r] = c * d
             if pair not in poisson:
-                laws[pair][r, 0] += 1.0 - c
+                laws[pair][0, r] += 1.0 - c
     return laws
 
 
@@ -1011,7 +1057,7 @@ def test_batched_fixed_point_on_mixed_law_stacks(K):
                                _lambda_below(means, K, 1.0 + 1e-12)[1])
     assert not bad.any()
     assert (dense_pgf(laws, s) - s).min() >= -1e-12
-    lam = spectral.perron_roots(spectral.mean_matrices(laws, K))
+    lam = spectral.perron_roots(spectral._scatter(means, K, 200))
     assert lam.min() < 0.5 and lam.max() > 1.4
     oracle, converged = _oracle_fixed_points(laws, K)
     assert converged.all()

@@ -109,7 +109,7 @@ def test_mean_matrices_prefix_invariant_for_wide_laws():
 
 def test_pair_means_equal_a_per_pair_loop(bear_posterior, synthetic_posterior):
     # the oracle sums each pair's mean draw by draw, term by term in k, in
-    # Python floats; mean_matrices holds those bits at (i, j) and 0 elsewhere
+    # Python floats; the dense stack holds those bits at (i, j) and 0 elsewhere
     from gwpva.montecarlo import PosteriorEnsemble
 
     cap = g.OffspringCap(2, {(1, 1): 3, (1, 2): 2, (2, 1): 1, (2, 2): 4})
@@ -118,11 +118,11 @@ def test_pair_means_equal_a_per_pair_loop(bear_posterior, synthetic_posterior):
               for post, seed in ((bear_posterior, 2024), (synthetic_posterior, 7), (tiny, 5))]
     rng = np.random.default_rng(3)
     stacks.append({(1, 1): rng.uniform(0.0, 3.0, 50),
-                   (2, 1): rng.dirichlet(np.ones(4), 50)})  # a Poisson and a categorical pair
+                   (2, 1): rng.dirichlet(np.ones(4), 50).T})  # a Poisson and a categorical pair
     for laws in stacks:
         K = max(max(pair) for pair in laws)
         means = spectral.pair_means(laws)
-        M = spectral.mean_matrices(laws, K)
+        M = spectral._scatter(means, K, spectral._n_draws(laws))
         assert list(means) == list(laws)
         present = np.zeros((K, K), dtype=bool)
         for (i, j), d in laws.items():
@@ -130,7 +130,7 @@ def test_pair_means_equal_a_per_pair_loop(bear_posterior, synthetic_posterior):
                 want = [float(rate) for rate in d]
             else:
                 want = []
-                for row in d:
+                for row in d.T:
                     acc = 0.0
                     for k in range(1, len(row)):
                         acc = acc + k * float(row[k])

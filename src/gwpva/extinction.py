@@ -10,7 +10,9 @@ The per-draw kernels take a law stack of n draws and its pair means
 (``spectral._law_stack``). A law stack maps each pair to a (kappa+1, n)
 array of categorical laws, coefficient k of every draw in row k, or to the
 (n,) Poisson rates. Draws run along the last axis of every per-draw array:
-laws, rates, means, pgf iterates (K, n) and Jacobian entries (n,).
+laws, rates, means, pgf iterates and fixed points (K, n) and Jacobian
+entries (n,). A mean over draws adds them pairwise, ``np.add.reduce`` over
+that axis, divided by n.
 
 The survival curve of n draws is averaged two ways: exactly, by iterating
 ``_phi`` from 0 (``_extinction_cdf``), and from above, by Markov's
@@ -236,10 +238,11 @@ def _mmatrix_solve(A: list, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _fixed_point_rows(laws: dict, K: int, subcritical: np.ndarray,
                       not_supercritical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal pgf fixed point of each draw of a law stack, plus a per-draw
-    failure mask, given the draws' masks lambda < 1 and lambda <= 1 + 1e-12
-    (``_lambda_below`` at c = 1 and 1 + 1e-12). Each draw is solved on its
-    own, in three stages, so its answer does not depend on the other draws:
+    """Minimal pgf fixed points (K, n) of the draws of a law stack, plus a
+    per-draw failure mask, given the draws' masks lambda < 1 and
+    lambda <= 1 + 1e-12 (``_lambda_below`` at c = 1 and 1 + 1e-12). Each
+    draw is solved on its own, in three stages, so its answer does not
+    depend on the other draws:
 
     1. Short-circuit: a draw with lambda < 1, or with lambda <= 1 + 1e-12
        and types that can all die childless (min phi(0) > 0), is certainly
@@ -284,7 +287,7 @@ def _fixed_point_rows(laws: dict, K: int, subcritical: np.ndarray,
         x, f, live = _newton_step(live_laws, x, f)
     s[:, rows] = x
     residual = np.abs(_phi(laws, s) - s).max(axis=0)
-    return np.ascontiguousarray(np.clip(s, 0.0, 1.0).T), residual > _FP_RESIDUAL_OK
+    return np.clip(s, 0.0, 1.0, out=s), residual > _FP_RESIDUAL_OK
 
 
 def _newton_step(laws: dict, x: np.ndarray, f: np.ndarray
@@ -341,13 +344,14 @@ def generating_function(draw: ParameterDraw, s) -> np.ndarray:
 
 def minimal_fixed_point(draw: ParameterDraw) -> ExtinctionProfile:
     """Minimal fixed point of phi in [0, 1]^K: ``_fixed_point_rows`` on the
-    draw's law stack at n = 1, so s equals the ensemble's row for this draw
-    bit for bit. Non-convergence is reported in the profile, never raised."""
+    draw's law stack at n = 1, so s equals the ensemble's column for this
+    draw bit for bit. Non-convergence is reported in the profile, never
+    raised."""
     laws = _law_stack(draw)
     means = pair_means(laws)
     s, failed = _fixed_point_rows(laws, draw.K, _lambda_below(means, draw.K, 1.0)[0],
                                   _lambda_below(means, draw.K, 1.0 + 1e-12)[1])
-    return ExtinctionProfile(s=s[0], converged=not failed[0])
+    return ExtinctionProfile(s=s[:, 0], converged=not failed[0])
 
 
 def extinction_probability(profile: ExtinctionProfile | np.ndarray,
@@ -422,7 +426,7 @@ def _upper_curve(means: dict, N: np.ndarray, ts, powers: list, states: dict) -> 
         v = np.array([known[t] for t in block])
         total = _matvec(np.reshape(N, (-1, 1, 1)), v)[:, 0]  # N v(t), terms in order
         np.minimum(total, 1.0, out=total)
-        out[i:i + len(block)] = np.cumsum(total, axis=1)[:, -1]
+        out[i:i + len(block)] = np.add.reduce(total, axis=1)
     return out.reshape(ts.shape) / n
 
 
@@ -435,13 +439,12 @@ def _extinction_cdf(laws: dict, N: np.ndarray) -> Iterator[float]:
     of each type is extinct by t (Harris, *The Theory of Branching
     Processes*, 1963), so by founder independence P(T_ext <= t | draw) =
     prod_i q_t,i^N_i, for categorical and Poisson laws alike. Each draw's
-    value has the same bits whatever the other draws are, and the mean is
-    NumPy's sum of the (n,) values, divided by n."""
+    value has the same bits whatever the other draws are."""
     n = _n_draws(laws)
     q = np.zeros((len(N), n))
     exponent = np.reshape(N, (-1, 1))
     while True:
-        yield float((q ** exponent).prod(axis=0).sum() / n)
+        yield float(np.add.reduce(np.prod(q ** exponent, axis=0), axis=-1) / n)
         q = _phi(laws, q)
 
 

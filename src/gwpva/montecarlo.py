@@ -18,14 +18,17 @@ and ignores n_prec and master_seed; params must then be None or
 
 Determinism: an ensemble's draws are those of ``sampling._dirichlet_rows``.
 Per-draw quantities come from the law-stack kernels of ``spectral`` and
-``extinction``, draw by draw, and reductions are fixed-order numpy sums, so
-a rerun is bit-identical.
+``extinction``, draw by draw, with the draws on the last axis of every
+per-draw array. Every mean over draws is one pairwise ``np.add.reduce``
+over that axis, divided by n, and a standard error sums its squared
+deviations the same way (``_draw_mean_se``); viability is an exact count
+/ n. A rerun is therefore bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -179,7 +182,8 @@ class PosteriorEnsemble:
 
     @property
     def extinction_profiles(self) -> np.ndarray:
-        return self._fixed_point[0]
+        """(n_prec, K) view of the draws' minimal pgf fixed points."""
+        return self._fixed_point[0].T
 
     @property
     def fixed_point_failures(self) -> np.ndarray:
@@ -197,14 +201,15 @@ def _ensemble(params: HyperParams | None, n_prec: int, master_seed: int,
 
 
 def _usable_profiles(ens: PosteriorEnsemble) -> tuple[np.ndarray, dict]:
-    """The (n_used, K) extinction profiles of the draws whose fixed-point
+    """The (K, n_used) extinction profiles of the draws whose fixed-point
     solve converged, and the warnings that count the others:
     ``fixed-point-failures``, plus ``data-quality`` when more than 1 % of
     the draws failed. RuntimeError if no draw is left. When no draw failed
-    the profiles are the ensemble's own array, not a copy."""
-    bad = ens.fixed_point_failures
-    good = ens.extinction_profiles[~bad] if bad.any() else ens.extinction_profiles
-    if not len(good):
+    the profiles are the ensemble's own array, not a copy; either way they
+    are C-contiguous, so a mean over draws is summed pairwise."""
+    s, bad = ens._fixed_point
+    good = s.compress(~bad, axis=-1) if bad.any() else s
+    if not good.shape[-1]:
         raise RuntimeError("all fixed-point solves failed")
     warnings = {"fixed-point-failures": int(np.sum(bad))}
     if np.sum(bad) > 0.01 * ens.n_prec:
@@ -232,9 +237,8 @@ def mc_extinction_probability(params: HyperParams, population,
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     N = _as_abundance(population, ens.K)
     s, warnings = _usable_profiles(ens)
-    n_used = len(s)
-    p, se = _column_mean_se(np.prod(s ** N, axis=1)[:, None])
-    p, se = float(p[0]), float(se[0])
+    n_used = s.shape[-1]
+    p, se = map(float, _draw_mean_se(np.prod(s ** N[:, None], axis=0)))
     warnings["non-primitive-pattern"] = int(ens.primitive_warning) * ens.n_prec
     return MCEstimate(value=p, std_error=se, n_prec=ens.n_prec, n_used=n_used,
                       master_seed=ens.master_seed, error_bound=error_bound(n_used),
@@ -248,51 +252,37 @@ def mc_short_time_abundance(params: HyperParams, initial, horizon: int,
 
     Per draw the conditional expectation N(0) M^t is exact; averaging over
     draws integrates out parameter uncertainty. Demographic noise around
-    the conditional mean is not included.
-
-    A step N(t + 1)_j = sum_i N(t)_i M_ij adds one term per present pair
-    (i, j), in increasing i, to a column that starts at 0, which has the
-    bits of the dense product ``einsum("ri,rij->rj")``: its terms of absent
-    pairs are 0 * N(t)_i = 0 while N(t) is finite, and add nothing. Each
-    step's mean and standard error come from one column sum
-    (``_column_mean_se``)."""
+    the conditional mean is not included."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     n = ens.n_prec
     N0 = _as_abundance(initial, ens.K)
-    x = np.broadcast_to(N0, (n, ens.K)).copy()
+    x = np.broadcast_to(N0[:, None], (ens.K, n)).copy()
     out = []
     for t in range(horizon + 1):
-        mean, se = _column_mean_se(x)
+        mean, se = _draw_mean_se(x)
         out.append(MCEstimate(value=mean, std_error=se, n_prec=n, n_used=n,
                               master_seed=ens.master_seed))
         if t < horizon:
             step = np.zeros_like(x)
             for (i, j), m in ens.pair_means.items():
-                step[:, j - 1] += x[:, i - 1] * m
+                step[j - 1] += x[i - 1] * m
             x = step
     return out
 
 
-def _column_mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of an (n, K) x and their standard errors
-    std(ddof=1) / sqrt(n), NaN at n = 1, from one column sum: the squared
-    deviations from the mean are summed as ``np.std`` sums them, so both
-    have the bits of ``np.sum(x, axis=0) / n`` and ``x.std(axis=0, ddof=1)
-    / sqrt(n)``. ``np.sum`` adds the rows of a C-ordered x with K >= 2 in
-    order, one inner-loop call per row, and ``np.einsum("ij->j")`` in the
-    same order in one call, so it takes both sums there; a single column,
-    which ``np.sum`` adds pairwise, or another layout keeps ``np.sum``."""
-    n = len(x)
-    colsum = (partial(np.einsum, "ij->j") if x.shape[1] > 1 and x.flags.c_contiguous
-              else partial(np.sum, axis=0))
-    mean = colsum(x) / n
+def _draw_mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means of x over its last (draw) axis and their standard errors
+    std(ddof=1) / sqrt(n), NaN at n = 1, with the bits of
+    ``np.sum(x, axis=-1) / n`` and ``x.std(axis=-1, ddof=1) / sqrt(n)``."""
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / n
     if n == 1:
-        return mean, np.full(x.shape[1], np.nan)
+        return mean[..., 0], np.full(x.shape[:-1], np.nan)
     dev = x - mean
     np.square(dev, out=dev)
-    return mean, np.sqrt(colsum(dev) / (n - 1)) / np.sqrt(n)
+    return mean[..., 0], np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / np.sqrt(n)
 
 
 def mc_time_bounds(params: HyperParams, population, alpha: float = 0.05,
@@ -335,10 +325,10 @@ def mc_reintroduction(params: HyperParams, n_prec: int = DEFAULT_N_PREC,
     reintroduction robust."""
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     good, warnings = _usable_profiles(ens)
-    n_used = len(good)
-    mean, se = _column_mean_se(good)
+    n_used = good.shape[-1]
+    mean, se = _draw_mean_se(good)
     edges = np.linspace(0.0, 1.0, 101)
-    hists = np.stack([np.histogram(good[:, i], bins=edges)[0] for i in range(ens.K)])
+    hists = np.stack([np.histogram(row, bins=edges)[0] for row in good])
     return ReintroductionSummary(mean=mean, std_error=se, bin_edges=edges,
                                  histograms=hists, n_prec=ens.n_prec, n_used=n_used,
                                  master_seed=ens.master_seed, warnings=warnings)
@@ -360,6 +350,6 @@ def effective_population_size(params: HyperParams, type_index: int,
     ens = _ensemble(params, n_prec, master_seed, ensemble)
     if not 1 <= type_index <= ens.K:
         raise ValueError(f"type_index outside 1..{ens.K}")
-    good = _usable_profiles(ens)[0][:, type_index - 1]
-    return _first_crossing(
-        lambda ns: [np.sum(good ** int(n)) / len(good) < threshold for n in ns], max_founders)
+    good = _usable_profiles(ens)[0][type_index - 1]
+    return _first_crossing(lambda ns: [np.add.reduce(good ** int(n), axis=-1) / len(good)
+                                       < threshold for n in ns], max_founders)

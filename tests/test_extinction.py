@@ -258,9 +258,8 @@ def test_bound_curve_columns_keep_their_bits(n, monkeypatch):
     # included, and the full curve only at the times it did not read: a
     # time's column must have the same bits in every call, whatever the
     # caches of powers and products hold and whatever the block cap is.
-    # NumPy sums a lone column pairwise, so a lone time is a case to pin, and
-    # at n = 106 (K = 5) a block holds 15 times and at n = 9999 (K = 1) one,
-    # so a wide call spans many blocks.
+    # A lone time is a case to pin, and at n = 106 (K = 5) a block holds 15
+    # times and at n = 9999 (K = 1) one, so a wide call spans many blocks.
     K = {1: 3, 2: 3, 7: 2, 106: 5, 1000: 2, 9999: 1}[n]
     rng = np.random.default_rng(n)
     means = {(i, j): rng.uniform(0.0, 0.9 / K, n) for i in range(1, K + 1)
@@ -288,6 +287,20 @@ def test_bound_curve_columns_keep_their_bits(n, monkeypatch):
     for cells in (1, 2 ** 24):
         monkeypatch.setattr(extinction, "_BLOCK_CELLS", cells)
         assert _upper_curve(means, N, ts, [], {}).tobytes() == wide[ts].tobytes(), cells
+
+
+@pytest.mark.parametrize("K, n", [(1, 9), (2, 1000), (5, 131)])
+def test_upper_curve_is_the_pairwise_mean_of_its_draws(K, n):
+    # a value is np.sum / n over the draw axis of the draws' own n = 1 bounds
+    rng = np.random.default_rng(7 * n + K)
+    means = {(i, j): rng.uniform(0.0, 0.9 / K, n) for i in range(1, K + 1)
+             for j in range(1, K + 1)}
+    N = rng.integers(1, 30, K).astype(float)
+    ts = np.sort(rng.choice(700, 40, replace=False))
+    own = np.array([_upper_curve({p: m[r:r + 1] for p, m in means.items()}, N, ts, [], {})
+                    for r in range(n)])
+    want = np.sum(np.ascontiguousarray(own.T), axis=-1) / n
+    assert _upper_curve(means, N, ts, [], {}).tobytes() == want.tobytes()
 
 
 def _extinction_histogram(draw, N, runs, seed):

@@ -147,6 +147,34 @@ def test_law_stack_layout(bear_ensemble):
         assert d.shape == (len(draw.p[pair]), 1)
 
 
+def test_extinction_profiles_view_the_draws_last_fixed_points(bear_ensemble):
+    # the fixed points are (K, n), draws on the last axis as every per-draw
+    # array; extinction_profiles is their (n, K) transpose, not a copy, and
+    # each draw's row is its single-draw profile bit for bit
+    ens = bear_ensemble
+    s = ens._fixed_point[0]
+    assert s.shape == (ens.K, ens.n_prec) and s.flags.c_contiguous
+    profiles = ens.extinction_profiles
+    assert profiles.shape == (ens.n_prec, ens.K)
+    assert np.shares_memory(profiles, s) and np.array_equal(profiles, s.T)
+    for r in range(0, ens.n_prec, 50):
+        draw = g.ParameterDraw(ens.params.cap, {p: ens.law(p)[r] for p in ens.pairs})
+        assert g.minimal_fixed_point(draw).s.tobytes() == profiles[r].tobytes(), r
+
+
+def test_no_usable_draw_is_an_error(bear_posterior):
+    # the profiles have K rows whatever the draw count, so the check that a
+    # draw is left must count draws, not rows
+    ens = PosteriorEnsemble(bear_posterior, n_prec=50, master_seed=5)
+    ens._fixed_point = (ens._fixed_point[0], np.ones(ens.n_prec, dtype=bool))
+    answers = (lambda: g.mc_extinction_probability(None, (2, 2, 2, 2, 10), ensemble=ens),
+               lambda: g.mc_reintroduction(None, ensemble=ens),
+               lambda: g.effective_population_size(None, 5, ensemble=ens))
+    for answer in answers:
+        with pytest.raises(RuntimeError, match="all fixed-point solves failed"):
+            answer()
+
+
 def test_single_draw_is_ensemble_of_one(synthetic_posterior, bear_posterior):
     for post, seed in [(synthetic_posterior, 31), (bear_posterior, 2024),
                        (bear_posterior, 2 ** 64 + 5)]:
@@ -435,6 +463,15 @@ def test_time_bounds_estimate_pickles_its_curves(synthetic_posterior):
         for name, want in curves.items():
             assert getattr(got, name).tobytes() == want, name
     assert len(tb.times) == tb.t_plus + 1
+
+
+@pytest.mark.parametrize("seed", [2024, 9157])
+def test_single_type_upper_curve_is_nonincreasing(synthetic_posterior, seed):
+    # at K = 1 each draw's min(1, N m^t) is nonincreasing, and a pairwise
+    # sum over the draws keeps it so, past t_plus too
+    tb = g.mc_time_bounds(synthetic_posterior, (22,), n_prec=10_000, master_seed=seed)
+    for curve in (tb.upper_curve, tb.bounds.upper(np.arange(400))):
+        assert curve[0] == 1.0 and np.all(np.diff(curve) <= 0.0)
 
 
 def test_curves_are_one_bound_curves_call_on_times_when_read(monkeypatch,
@@ -739,7 +776,7 @@ def test_rejected_draws_keep_their_own_bits():
     # draw's profile and failure flag must not depend on the draws that
     # share its stack
     ens = PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5)
-    s, failed = ens.extinction_profiles, ens.fixed_point_failures
+    s, failed = ens._fixed_point
     laws, means = ens._laws, ens.pair_means
 
     def alone(rows):
@@ -751,15 +788,15 @@ def test_rejected_draws_keep_their_own_bits():
     # both halves of a permuted stack
     for half in np.split(np.random.default_rng(5).permutation(ens.n_prec), 2):
         s_half, failed_half = alone(half)
-        assert s_half.tobytes() == s[half].tobytes()
+        assert s_half.tobytes() == s[:, half].tobytes()
         assert np.array_equal(failed_half, failed[half])
     # a stack of one for every draw with some types surely extinct and some
     # not, where the rejected steps are
-    mixed = np.flatnonzero(np.any(s == 1.0, axis=1) & ~np.all(s == 1.0, axis=1))
+    mixed = np.flatnonzero(np.any(s == 1.0, axis=0) & ~np.all(s == 1.0, axis=0))
     assert 2549 in mixed and len(mixed) > 300
     for r in mixed:
         s_one, failed_one = alone([r])
-        assert s_one.tobytes() == s[[r]].tobytes()
+        assert s_one.tobytes() == s[:, [r]].tobytes()
         assert failed_one[0] == failed[r]
 
 
@@ -825,29 +862,30 @@ def test_usable_profiles_copy_only_when_a_draw_failed(bear_ensemble):
     failed = ens.fixed_point_failures
     good, warnings = montecarlo._usable_profiles(ens)
     assert warnings == {"fixed-point-failures": 3}
-    assert good.shape == (19_997, 2)
-    assert good.tobytes() == ens.extinction_profiles[~failed].tobytes()
+    assert good.shape == (2, 19_997) and good.flags.c_contiguous
+    assert good.tobytes() == ens._fixed_point[0][:, ~failed].tobytes()
 
 
 def test_fixed_point_answers_keep_the_numpy_mean_and_se_bits(bear_posterior):
-    # the oracle: np.sum / n and std(ddof=1) / sqrt(n) over the usable
-    # draws, NaN at n = 1
+    # the oracle: np.sum / n and std(ddof=1) / sqrt(n) over the draw axis
+    # of the usable draws, NaN at n = 1
     cases = [(bear_posterior, n, seed, (2, 2, 2, 2, 10))
              for n, seed in ((1, 2024), (2, 9157), (2000, 2024))]
     cases.append((_tiny_alpha_posterior(), 20_000, 6, (3, 2)))
     for post, n, seed, pop in cases:
         ens = PosteriorEnsemble(post, n_prec=n, master_seed=seed)
-        s = ens.extinction_profiles[~ens.fixed_point_failures]
-        per_draw = np.prod(s ** np.asarray(pop, dtype=float), axis=1)
+        s = ens._fixed_point[0].compress(~ens.fixed_point_failures, axis=-1)
+        n_used = s.shape[-1]
+        per_draw = np.prod(s ** np.asarray(pop, dtype=float)[:, None], axis=0)
         est = g.mc_extinction_probability(post, pop, ensemble=ens)
         summary = g.mc_reintroduction(post, ensemble=ens)
-        assert est.value == np.sum(per_draw) / len(s)
-        assert summary.mean.tobytes() == (np.sum(s, axis=0) / len(s)).tobytes()
-        if len(s) == 1:
+        assert est.value == np.sum(per_draw) / n_used
+        assert summary.mean.tobytes() == (np.sum(s, axis=-1) / n_used).tobytes()
+        if n_used == 1:
             assert np.isnan(est.std_error) and np.isnan(summary.std_error).all()
             continue
-        assert est.std_error == per_draw.std(ddof=1) / np.sqrt(len(s))
-        se = s.std(axis=0, ddof=1) / np.sqrt(len(s))
+        assert est.std_error == per_draw.std(ddof=1) / np.sqrt(n_used)
+        se = s.std(axis=-1, ddof=1) / np.sqrt(n_used)
         assert summary.std_error.tobytes() == se.tobytes()
 
 
@@ -954,6 +992,7 @@ def _dense_random_posterior():
 def test_abundance_path_keeps_dense_bits(bear_ensemble, synthetic_posterior):
     # the oracle is the dense formulation: N(t + 1) = einsum(N(t), M) per
     # draw, the mean np.sum / n and the standard error std(ddof=1) / sqrt(n)
+    # over the draw axis, which is the last
     cases = [(bear_ensemble, (2, 2, 2, 2, 10)),
              (PosteriorEnsemble(synthetic_posterior, n_prec=10_000, master_seed=2024), (22,)),
              (PosteriorEnsemble(_tiny_alpha_posterior(), n_prec=3000, master_seed=5), (3, 2)),
@@ -961,38 +1000,40 @@ def test_abundance_path_keeps_dense_bits(bear_ensemble, synthetic_posterior):
               (4, 1, 7))]
     for ens, pop in cases:
         got = g.mc_short_time_abundance(ens.params, pop, horizon=10, ensemble=ens)
-        x = np.broadcast_to(np.asarray(pop, dtype=float), (ens.n_prec, ens.K)).copy()
+        x = np.broadcast_to(np.asarray(pop, dtype=float)[:, None], (ens.K, ens.n_prec)).copy()
         M = dense_mean_matrices(ens)
         for t, est in enumerate(got):
-            assert est.value.tobytes() == (np.sum(x, axis=0) / ens.n_prec).tobytes(), t
-            se = x.std(axis=0, ddof=1) / np.sqrt(ens.n_prec)
+            assert est.value.tobytes() == (np.sum(x, axis=-1) / ens.n_prec).tobytes(), t
+            se = x.std(axis=-1, ddof=1) / np.sqrt(ens.n_prec)
             assert est.std_error.tobytes() == se.tobytes(), t
-            x = np.einsum("ri,rij->rj", x, M)
+            x = np.einsum("ir,rij->jr", x, M, order="C")
     one = PosteriorEnsemble(_dense_random_posterior(), n_prec=1, master_seed=9)
     got = g.mc_short_time_abundance(one.params, (4, 1, 7), horizon=3, ensemble=one)
-    x = np.array([[4.0, 1.0, 7.0]])
+    x = np.array([[4.0], [1.0], [7.0]])
     for est in got:
-        assert est.value.tobytes() == x[0].tobytes()
+        assert est.value.tobytes() == x[:, 0].tobytes()
         assert np.isnan(est.std_error).all()
-        x = np.einsum("ri,rij->rj", x, dense_mean_matrices(one))
+        x = np.einsum("ir,rij->jr", x, dense_mean_matrices(one), order="C")
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_column_mean_se_keeps_numpy_bits(order):
-    # einsum adds a C-ordered array's rows in np.sum's order for K >= 2; a
-    # single column (summed pairwise) and other layouts keep np.sum itself
+def test_draw_mean_se_keeps_numpy_bits(order):
+    # every mean over draws is np.add.reduce over the last axis, and a
+    # standard error sums its squared deviations the same way, for either
+    # memory layout and for one draw vector as for K of them
     rng = np.random.default_rng(3)
     for K in range(1, 8):
         for n in (1, 2, 7, 8, 9, 1001):
-            x = np.asarray(rng.standard_normal((n, K)) * 10.0 ** rng.uniform(-12, 12, (n, K)),
+            x = np.asarray(rng.standard_normal((K, n)) * 10.0 ** rng.uniform(-12, 12, (K, n)),
                            order=order)
-            mean, se = montecarlo._column_mean_se(x)
-            assert mean.tobytes() == (np.sum(x, axis=0) / n).tobytes(), (K, n)
-            if n == 1:
-                assert np.isnan(se).all() and se.shape == (K,)
-            else:
-                want = x.std(axis=0, ddof=1) / np.sqrt(n)
-                assert se.tobytes() == want.tobytes(), (K, n)
+            for y in (x, x[0]):
+                mean, se = montecarlo._draw_mean_se(y)
+                assert mean.tobytes() == (np.sum(y, axis=-1) / n).tobytes(), (K, n)
+                if n == 1:
+                    assert np.isnan(se).all() and se.shape == y.shape[:-1]
+                else:
+                    want = y.std(axis=-1, ddof=1) / np.sqrt(n)
+                    assert se.tobytes() == want.tobytes(), (K, n)
 
 
 def test_subcritical_degenerate_draws_are_certainly_extinct():
@@ -1055,6 +1096,7 @@ def test_batched_fixed_point_on_mixed_law_stacks(K):
     means = spectral.pair_means(laws)
     s, bad = _fixed_point_rows(laws, K, _lambda_below(means, K, 1.0)[0],
                                _lambda_below(means, K, 1.0 + 1e-12)[1])
+    s = s.T  # the oracle's (n, K) layout
     assert not bad.any()
     assert (dense_pgf(laws, s) - s).min() >= -1e-12
     lam = spectral.perron_roots(spectral._scatter(means, K, 200))
